@@ -5,6 +5,6 @@ intersections, admissible cover combinatorics, Hurwitz counts, the genus-2
 d-elliptic pipeline, and quasimodularity membership tests.
 """
 
-from covercalc.exact import QSeries, rat, sigma1
+from covercalc.exact import QSeries, sigma1
 
-__all__ = ["QSeries", "rat", "sigma1"]
+__all__ = ["QSeries", "sigma1"]

@@ -1,8 +1,9 @@
 """Command-line interface: JSON in, JSON out, exact numbers as "p/q".
 
 Exit codes: 0 on success, 2 on malformed input or validation failure,
-3 on an internal invariant breach.  Output is deterministic (sorted keys),
-so regression tests can diff bytes.
+3 on an internal invariant breach (an `InvariantError`, which survives
+`python -O` where a bare assert would not).  Output is deterministic
+(sorted keys), so regression tests can diff bytes.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from fractions import Fraction
 
 from covercalc.delliptic import (
     PipelineError,
-    delta00_contributions,
-    delta00_number,
-    delta00_stratum_aggregates,
-    delta01_contributions,
-    delta01_number,
-    normalized_series,
+    degree_ledger,
+    pairing_series,
     quasimodularity_report,
 )
+from covercalc.errors import InvariantError
 from covercalc.exact import QSeries, rat_to_str
 from covercalc.gcover import (
     AdmissibleGGraph,
@@ -166,30 +164,33 @@ def cmd_pullback(args) -> int:
 def cmd_delliptic(args) -> int:
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
-    values = {}
+    values, ledgers, numbers00, numbers01 = {}, {}, [], []
     for d in range(2, args.dmax + 1):
-        aggregates = delta00_stratum_aggregates(d)
+        ledger = degree_ledger(d)
         values[str(d)] = {
-            "delta00": rat_to_str(delta00_number(d)),
-            "delta01": rat_to_str(delta01_number(d)),
-            "delta00_aggregates": [rat_to_str(x) for x in aggregates],
+            "delta00": rat_to_str(ledger.delta00),
+            "delta01": rat_to_str(ledger.delta01),
+            "delta00_aggregates": [rat_to_str(x) for x in ledger.delta00_aggregates],
         }
+        if args.ledger:
+            ledgers[str(d)] = {
+                "delta00": [c.to_json() for c in ledger.delta00_rows],
+                "delta01": [c.to_json() for c in ledger.delta01_rows],
+            }
+        numbers00.append(ledger.delta00)
+        numbers01.append(ledger.delta01)
+        del ledger  # free this degree's rows before the next degree's are built
     payload: dict = {"dmax": args.dmax, "values": values}
     if args.ledger:
-        payload["ledgers"] = {
-            str(d): {
-                "delta00": [c.to_json() for c in delta00_contributions(d)],
-                "delta01": [c.to_json() for c in delta01_contributions(d)],
-            }
-            for d in range(2, args.dmax + 1)
-        }
+        payload["ledgers"] = ledgers
+    s00, s01 = pairing_series(numbers00), pairing_series(numbers01)
     if args.series:
         payload["series"] = {
-            "delta00_normalized": normalized_series("delta00", args.dmax).to_json(),
-            "delta01_normalized": normalized_series("delta01", args.dmax).to_json(),
+            "delta00_normalized": s00.to_json(),
+            "delta01_normalized": s01.to_json(),
         }
     if args.qmod:
-        payload["quasimodularity"] = quasimodularity_report(args.dmax).to_json()
+        payload["quasimodularity"] = quasimodularity_report(s00, s01).to_json()
     if args.human:
         _print_delliptic_table(values)
         return 0
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     except USER_ERRORS as err:
         _emit({"error": f"{type(err).__name__}: {err}"})
         return 2
-    except AssertionError as err:
+    except InvariantError as err:
         _emit({"error": f"internal invariant breach: {err}"})
         return 3
 

@@ -10,23 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
-
-Rat = Fraction
-RatLike = Union[Fraction, int]
-
-
-def rat(p: RatLike, q: RatLike = 1) -> Fraction:
-    """Build an exact rational p/q."""
-    return Fraction(p, q) if q != 1 else Fraction(p)
+from typing import Iterable
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p"."""
-    return Fraction(s.strip())
+    """Parse "p/q" or "p"; a zero denominator is a ValueError like any other
+    malformed string."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def rat_to_str(x: RatLike) -> str:
+def rat_to_str(x: Fraction | int) -> str:
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -90,7 +86,7 @@ class QSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[RatLike], order: int | None = None) -> "QSeries":
+    def from_coeffs(coeffs: Iterable[Fraction | int], order: int | None = None) -> "QSeries":
         cs = [Fraction(c) for c in coeffs]
         if order is not None:
             if order + 1 < len(cs):
@@ -112,11 +108,6 @@ class QSeries:
             raise IndexError(f"coefficient q^{k} not known at truncation order {self.order}")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
         return QSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
@@ -128,7 +119,7 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries(tuple(-c for c in self.coeffs))
 
-    def scale(self, c: RatLike) -> "QSeries":
+    def scale(self, c: Fraction | int) -> "QSeries":
         c = Fraction(c)
         return QSeries(tuple(c * x for x in self.coeffs))
 
@@ -169,8 +160,3 @@ class QSeries:
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the stated order")
         return QSeries(tuple(coeffs))
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated to the smaller of the two orders."""
-    return a * b

@@ -32,9 +32,10 @@ from covercalc.groups import (
     QuotientGroup,
     Subgroup,
     compose,
+    coset_index,
+    cyclic_meet_order,
     invert,
     left_cosets,
-    coset_index,
     orbit_on_cosets,
     perm_order,
     quotient,
@@ -54,19 +55,6 @@ class MonodromyDatum:
         for h in self.elements:
             if h not in self.group:
                 raise CoverError("monodromy element outside the group")
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "elements": [[i + 1 for i in h] for h in self.elements],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "MonodromyDatum":
-        group = FiniteGroup.from_json(data["group"])
-        return MonodromyDatum(
-            group, tuple(tuple(i - 1 for i in h) for h in data["elements"])
-        )
 
 
 def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, int]:
@@ -130,17 +118,13 @@ class HurwitzSpaceId:
 
     def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
         """The action of t on leg positions through the coset layout."""
-        blocks = self.leg_blocks()
-        stabs = self.stabilizers()
-        offsets = []
-        off = 0
-        for block in blocks:
-            offsets.append(off)
-            off += len(block)
         out = []
-        for i, rep in self.leg_layout():
-            j = coset_index(self.group, stabs[i], blocks[i], compose(t, rep))
-            out.append(offsets[i] + j)
+        for stab, block, off in zip(
+            self.stabilizers(), self.leg_blocks(), self.distinguished_positions()
+        ):
+            out.extend(
+                off + coset_index(self.group, stab, block, compose(t, rep)) for rep in block
+            )
         return tuple(out)
 
     def distinguished_positions(self) -> list[int]:
@@ -250,9 +234,6 @@ class GAction:
     def leg_stabilizer(self, l: int) -> list[Perm]:
         return [t for t in self.group.elements if self.leg[t][l] == l]
 
-    def half_orbit(self, h: int) -> frozenset[int]:
-        return frozenset(self.half[t][h] for t in self.group.elements)
-
     def edge_orbit(self, edge: tuple[int, int]) -> frozenset[tuple[int, int]]:
         graph = self.graph
         return frozenset(graph.edge_of(self.half[t][edge[0]]) for t in self.group.elements)
@@ -264,15 +245,6 @@ class GAction:
             if e not in seen:
                 reps.append(e)
                 seen |= self.edge_orbit(e)
-        return reps
-
-    def vertex_orbit_representatives(self) -> list[int]:
-        seen: set[int] = set()
-        reps = []
-        for v in range(self.graph.n_vertices):
-            if v not in seen:
-                reps.append(v)
-                seen |= {self.vertex[t][v] for t in self.group.elements}
         return reps
 
 
@@ -456,11 +428,11 @@ class RelabelingData:
 
 
 def canonical_relabeling(
-    space: HurwitzSpaceId, subgroup: Subgroup
+    group: FiniteGroup, xi: tuple[Perm, ...], subgroup: Subgroup
 ) -> RelabelingData:
     reps = []
-    for stab in space.stabilizers():
-        orbits = orbit_on_cosets(subgroup, space.group, stab)
+    for h in xi:
+        orbits = orbit_on_cosets(subgroup, group, group.cyclic_subgroup(h))
         reps.append(tuple(orbit[0] for orbit in orbits))
     return RelabelingData(tuple(reps))
 
@@ -505,26 +477,15 @@ def restriction_monodromy(
     new elements are t h_i^r t^-1 with r the stabilizer index drop.
     """
     group = datum.group
-    space_like = [group.cyclic_subgroup(h) for h in datum.elements]
     if rel is None:
-        rel = RelabelingData(
-            tuple(
-                tuple(orbit[0] for orbit in orbit_on_cosets(subgroup, group, stab))
-                for stab in space_like
-            )
-        )
+        rel = canonical_relabeling(group, datum.elements, subgroup)
     else:
         _validate_relabeling(group, datum.elements, subgroup, rel)
     new_elements = []
     ledger = []
     for i, h in enumerate(datum.elements):
         for j, t in enumerate(rel.reps[i]):
-            conj = compose(t, compose(h, invert(t)))
-            full = group.cyclic_subgroup(conj)
-            inter = [x for x in full.members if x in subgroup]
-            r = len(full) // len(inter)
-            hp = conj
-            power = compose(t, compose(_power(group, h, r), invert(t)))
+            r, power = _restricted(group, compose(t, compose(h, invert(t))), subgroup)
             new_elements.append(power)
             ledger.append((i, j, t, r))
     sub_group = subgroup.as_group()
@@ -534,11 +495,15 @@ def restriction_monodromy(
     return MonodromyDatum(sub_group, tuple(new_elements)), ledger
 
 
-def _power(group: FiniteGroup, h: Perm, r: int) -> Perm:
+def _restricted(group: FiniteGroup, h: Perm, subgroup: Subgroup) -> tuple[int, Perm]:
+    """The stabilizer-index drop r = [<h> : <h> ∩ subgroup] and the generator
+    h^r of <h> ∩ subgroup."""
+    meet = cyclic_meet_order(group, h, subgroup)  # GroupError if h is outside group
+    r = perm_order(h) // meet
     out = group.identity
     for _ in range(r):
         out = compose(out, h)
-    return out
+    return r, out
 
 
 def corestriction_monodromy(
@@ -560,19 +525,13 @@ def restrict_graph(
     """The same graph with the action restricted and legs relabeled."""
     group = gg.group
     datum = MonodromyDatum(group, gg.space.xi)
-    if rel is None:
-        rel = canonical_relabeling(gg.space, subgroup)
     new_datum, ledger = restriction_monodromy(datum, subgroup, rel)
     sub_group = new_datum.group
     new_space = HurwitzSpaceId(gg.space.genus, sub_group, new_datum.elements)
     # map new leg positions to old ones through the coset layouts
     old_blocks = gg.space.leg_blocks()
     old_stabs = gg.space.stabilizers()
-    old_offsets = []
-    off = 0
-    for block in old_blocks:
-        old_offsets.append(off)
-        off += len(block)
+    old_offsets = gg.space.distinguished_positions()
     new_to_old = []
     for (i, j, t, r), new_stab, new_block in zip(
         ledger, new_space.stabilizers(), new_space.leg_blocks()
@@ -599,20 +558,8 @@ def restrict_graph(
             tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old))),
         )
     new_action = GAction.from_generators(new_graph, sub_group, gen_images)
-    mon_half = []
-    for h in range(gg.graph.n_half_edges):
-        old = gg.mon_half[h]
-        full = group.cyclic_subgroup(old)
-        inter = [x for x in full.members if x in subgroup]
-        r = len(full) // len(inter)
-        mon_half.append(_power(group, old, r))
-    mon_leg = []
-    for p in new_to_old:
-        old = gg.mon_leg[p]
-        full = group.cyclic_subgroup(old)
-        inter = [x for x in full.members if x in subgroup]
-        r = len(full) // len(inter)
-        mon_leg.append(_power(group, old, r))
+    mon_half = [_restricted(group, h, subgroup)[1] for h in gg.mon_half]
+    mon_leg = [_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old]
     result = AdmissibleGGraph(
         new_space, new_graph, new_action, tuple(mon_half), tuple(mon_leg)
     )
@@ -725,11 +672,9 @@ def _quotient_source_genus(gg: AdmissibleGGraph, normal: Subgroup) -> int:
     group = gg.group
     g = gg.space.genus
     total = Fraction(2 * g - 2, len(normal))
-    for i, h in enumerate(gg.space.xi):
-        full = group.cyclic_subgroup(h)
-        inter = [x for x in full.members if x in normal]
-        e = len(inter)
-        n_points = len(group) // len(full)
+    for h in gg.space.xi:
+        e = cyclic_meet_order(group, h, normal)
+        n_points = len(group) // perm_order(h)
         total -= Fraction(n_points * (e - 1), len(normal))
     gq = Fraction(total, 2) + 1
     if gq.denominator != 1 or gq < 0:
@@ -1031,6 +976,8 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
     cls = params.get("cls")
     if cls not in ("psi", "kappa"):
         raise CoverError("cls must be 'psi' or 'kappa'")
+    if "h" in params and "group" in params and params["h"] not in params["group"]:
+        raise CoverError("h is not an element of the group")
     if kind == "restriction":
         return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
     if kind == "corestriction":
@@ -1119,9 +1066,8 @@ def rescores_degree(
         raise CoverError("K1 must be contained in K2")
     total = 1
     for h in monodromy:
-        cyc = ambient.cyclic_subgroup(h)
-        int2 = len([x for x in cyc.members if x in k2])
-        int1 = len([x for x in cyc.members if x in k1])
+        int2 = cyclic_meet_order(ambient, h, k2)
+        int1 = cyclic_meet_order(ambient, h, k1)
         total *= (len(k2) // int2) * (len(k1) // int1) ** quotient_index
     return total
 
@@ -1154,16 +1100,6 @@ def resres_count(
 
 # ---------------------------------------------------------------------------
 # convenience constructors
-
-
-def trivial_cover_graph(space: HurwitzSpaceId, genera, half_edge_vertex, involution,
-                        leg_vertex, gen_images, mon_half) -> AdmissibleGGraph:
-    graph = StableGraph(tuple(genera), tuple(half_edge_vertex), tuple(involution),
-                        tuple(leg_vertex))
-    action = GAction.from_generators(graph, space.group, gen_images)
-    return AdmissibleGGraph(
-        space, graph, action, tuple(mon_half), tuple(space.canonical_leg_monodromy())
-    )
 
 
 def wrap_trivial_group(graph: StableGraph) -> AdmissibleGGraph:

@@ -286,7 +286,13 @@ class StableGraph:
         hv = tuple(data["half_edge_vertex"])
         inv = [-1] * len(hv)
         for h, hp in data["involution_pairs"]:
+            if not (0 <= h < len(hv) and 0 <= hp < len(hv)) or h == hp:
+                raise GraphError(f"involution pair {[h, hp]} is out of range or self-paired")
+            if inv[h] != -1 or inv[hp] != -1:
+                raise GraphError(f"involution pair {[h, hp]} reuses a half-edge")
             inv[h], inv[hp] = hp, h
+        if -1 in inv:
+            raise GraphError(f"half-edge {inv.index(-1)} is in no involution pair")
         legs_sorted = sorted(data["legs"])
         if [lab for lab, _ in legs_sorted] != list(range(1, len(legs_sorted) + 1)):
             raise GraphError("leg labels must be 1..n")

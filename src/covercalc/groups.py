@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from covercalc.errors import InvariantError
+
 Perm = tuple[int, ...]
 
 
@@ -79,6 +81,28 @@ def perm_from_cycles(n: int, cyc_list: Sequence[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
+def centralizer(candidates: Iterable[Perm], elems: Sequence[Perm]) -> list[Perm]:
+    """The candidates that commute with every element of elems, in order."""
+    return [z for z in candidates if all(compose(z, a) == compose(a, z) for a in elems)]
+
+
+def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
+    """Everything gens generate: breadth-first closure of the identity under
+    left multiplication."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = compose(g, a)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
 class GroupError(ValueError):
     pass
 
@@ -98,22 +122,11 @@ class FiniteGroup:
     elements: tuple[Perm, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        e = identity_perm(self.degree)
         for g in self.generators:
             if sorted(g) != list(range(self.degree)):
                 raise GroupError(f"not a permutation of degree {self.degree}: {g}")
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = compose(g, a)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        object.__setattr__(self, "elements", tuple(sorted(seen)))
+        elements = _closure(identity_perm(self.degree), self.generators)
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -125,34 +138,13 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return compose(a, b)
-
-    def inv(self, a: Perm) -> Perm:
-        return invert(a)
-
-    def conj(self, t: Perm, a: Perm) -> Perm:
-        return compose(t, compose(a, invert(t)))
-
     def order_of(self, g: Perm) -> int:
         if g not in self:
             raise GroupError("element does not belong to the group")
         return perm_order(g)
 
     def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
-        gens = tuple(gens)
-        elems = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = compose(g, a)
-                    if b not in elems:
-                        elems.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return Subgroup(self, frozenset(elems))
+        return Subgroup(self, frozenset(_closure(self.identity, tuple(gens))))
 
     def cyclic_subgroup(self, g: Perm) -> "Subgroup":
         return self.generated_subgroup([g])
@@ -162,10 +154,6 @@ class FiniteGroup:
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset([self.identity]))
-
-    def centralizer(self, elems: Iterable[Perm]) -> list[Perm]:
-        elems = list(elems)
-        return [z for z in self.elements if all(compose(z, a) == compose(a, z) for a in elems)]
 
     def to_json(self) -> dict:
         return {
@@ -213,13 +201,6 @@ class Subgroup:
         """The subgroup reified as a group in its own right (same degree)."""
         return FiniteGroup(self.parent.degree, tuple(self.sorted_members()))
 
-    def is_normal(self) -> bool:
-        try:
-            check_normal(self.parent, self)
-        except NotNormalError:
-            return False
-        return True
-
 
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[Perm]:
     """Deterministic left-coset representatives gH, one per coset.
@@ -236,8 +217,16 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[Perm]:
             reps.append(g)
             for h in sub.members:
                 covered.add(compose(g, h))
-    assert len(reps) == len(group) // len(sub)
+    index = len(group) // len(sub)
+    if len(reps) != index:
+        raise InvariantError(f"{len(reps)} coset representatives for index {index}")
     return reps
+
+
+def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: Subgroup) -> int:
+    """#(<h> ∩ sub), with <h> generated inside group: GroupError when h is
+    not an element of group."""
+    return sum(1 for x in group.cyclic_subgroup(h).members if x in sub)
 
 
 def coset_index(group: FiniteGroup, sub: Subgroup, reps: Sequence[Perm], g: Perm) -> int:
@@ -369,11 +358,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 def product_embed(g1: FiniteGroup, g2: FiniteGroup, a: Perm, b: Perm) -> Perm:
     """The element (a, b) of direct_product(g1, g2)."""
     return tuple(list(a) + [g1.degree + b[i] for i in range(g2.degree)])
-
-
-def product_split(g1: FiniteGroup, g2: FiniteGroup, ab: Perm) -> tuple[Perm, Perm]:
-    n1 = g1.degree
-    return tuple(ab[:n1]), tuple(ab[n1 + i] - n1 for i in range(g2.degree))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from covercalc.groups import Perm, compose, cycle_type, cycles, identity_perm, invert
+from covercalc.errors import InvariantError
+from covercalc.groups import (
+    Perm,
+    centralizer,
+    compose,
+    cycle_type,
+    cycles,
+    identity_perm,
+    invert,
+    perm_from_cycles,
+)
 
 
 class HurwitzError(ValueError):
@@ -40,15 +50,7 @@ def canonical_of_type(d: int, parts: tuple[int, ...]) -> Perm:
     for p in parts:
         out.append(tuple(range(start, start + p)))
         start += p
-    return _perm_from_cycle_list(d, out)
-
-
-def _perm_from_cycle_list(d: int, cyc_list) -> Perm:
-    perm = list(range(d))
-    for cyc in cyc_list:
-        for i, x in enumerate(cyc):
-            perm[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(perm)
+    return perm_from_cycles(d, out)
 
 
 @lru_cache(maxsize=None)
@@ -59,14 +61,6 @@ def _all_perms(d: int) -> tuple[Perm, ...]:
 @lru_cache(maxsize=None)
 def _perms_of_type(d: int, parts: tuple[int, ...]) -> tuple[Perm, ...]:
     return tuple(p for p in _all_perms(d) if cycle_type(p) == parts)
-
-
-def _centralizer(d: int, elems: tuple[Perm, ...]) -> list[Perm]:
-    return [
-        z
-        for z in _all_perms(d)
-        if all(compose(z, a) == compose(a, z) for a in elems)
-    ]
 
 
 def is_transitive(d: int, perms) -> bool:
@@ -102,7 +96,7 @@ def hurwitz_cover_count(
     if len(types) < 1:
         raise HurwitzError("at least one branch point is required")
     first = canonical_of_type(d, types[0])
-    z_first = _centralizer(d, (first,))
+    z_first = centralizer(_all_perms(d), (first,))
     orbit_count = Fraction(0)
     weighted_count = Fraction(0)
     middle_types = types[1:-1]
@@ -122,7 +116,7 @@ def hurwitz_cover_count(
             tup = (first, *middle, last)
         if not is_transitive(d, tup):
             continue
-        stab = [z for z in z_first if all(compose(z, s) == compose(s, z) for s in tup)]
+        stab = centralizer(z_first, tup)
         orbit_count += Fraction(len(stab), len(z_first))
         weighted_count += Fraction(1, len(z_first))
     return weighted_count if weighted else orbit_count
@@ -193,7 +187,8 @@ def _cover_summary(d: int, rho: Perm, tau: Perm, mu: Perm) -> tuple:
             if comp_of[cyc[0]] == c:
                 mu_cycles.append(len(cyc))
         genus2 = -2 * size + ram  # 2g - 2 over the genus-0 component
-        assert genus2 % 2 == 0
+        if genus2 % 2:
+            raise InvariantError(f"odd Riemann-Hurwitz sum {genus2} on a component")
         comp_data.append((genus2 // 2 + 1, tuple(sorted(mu_cycles, reverse=True))))
     return tuple(sorted(comp_data, reverse=True))
 

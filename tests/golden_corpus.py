@@ -1,0 +1,149 @@
+"""The golden stdout corpus: fixed CLI invocations and the digests of their output.
+
+Each entry of `golden/corpus.json` holds the argv, the JSON input files the
+argv names (an argument "@name" stands for the path of file "name"), the
+exit code and the sha256 of stdout.  `tests/test_golden.py` replays every
+entry and demands the same exit code and byte-identical stdout, so a
+refactor that changes any emitted byte fails loudly.
+
+The digests were captured from a known-good tree.  Recapture only when an
+output is meant to change, and say which in the change log:
+
+    PYTHONPATH=src:tests python tests/golden_corpus.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+from contextlib import redirect_stdout
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
+
+
+def run_entry(entry: dict, workdir: Path) -> tuple[int, str]:
+    """Run one entry's argv in-process; return (exit code, stdout digest)."""
+    from covercalc.cli import main
+
+    for name, content in entry["files"].items():
+        (workdir / f"{name}.json").write_text(json.dumps(content))
+    argv = [
+        str(workdir / f"{arg[1:]}.json") if arg.startswith("@") else arg
+        for arg in entry["argv"]
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _perm_json(p) -> list[int]:
+    return [i + 1 for i in p]
+
+
+def _group_json(degree: int, gens) -> dict:
+    return {"degree": degree, "generators": [_perm_json(g) for g in gens]}
+
+
+def _pullback_entries() -> list[tuple[str, list[str], dict]]:
+    from covercalc.groups import symmetric_group
+
+    s4, s6 = symmetric_group(4), symmetric_group(6)
+    v4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
+    a6 = [(1, 2, 0, 3, 4, 5), (1, 3, 2, 0, 4, 5), (1, 4, 2, 3, 0, 5), (1, 5, 2, 3, 4, 0)]
+    out = []
+    for label, group, normal, h in (
+        ("s4-v4", s4, v4, (1, 2, 3, 0)),
+        ("s6-a6", s6, a6, (1, 0, 3, 4, 2, 5)),
+    ):
+        base = {"group": _group_json(group.degree, group.generators)}
+        core = dict(base, kind="corestriction", normal=[_perm_json(g) for g in normal])
+        forget = dict(base, kind="forgetful")
+        for name, payload in (
+            ("corestriction-psi", dict(core, cls="psi", h=_perm_json(h))),
+            ("corestriction-kappa", dict(core, cls="kappa")),
+            ("forgetful-psi", dict(forget, cls="psi", h=_perm_json(h))),
+            ("forgetful-kappa", dict(forget, cls="kappa", index=2)),
+        ):
+            out.append((f"pullback/{label}/{name}", ["pullback", "@in"], {"in": payload}))
+    return out
+
+
+def build_entries() -> list[tuple[str, list[str], dict]]:
+    """(name, argv, files) for every corpus entry, in a fixed order."""
+    from gg_factory import MUTATION_KINDS, _polygon, _z2_fixed_edge, _z2_gp, mutate
+    from gg_factory import random_valid_graph
+    from covercalc.delliptic import normalized_series
+    from covercalc.graphs import StableGraph
+
+    entries: list[tuple[str, list[str], dict]] = []
+    for flags in (
+        ["--dmax", "40", "--series", "--qmod"],
+        ["--dmax", "16", "--ledger"],
+        ["--dmax", "10", "--ledger", "--series"],
+        ["--dmax", "12", "--human"],
+        ["--dmax", "6", "--qmod"],
+        ["--dmax", "5", "--ledger", "--series", "--human"],
+        ["--dmax", "2"],
+        ["--dmax", "1"],
+    ):
+        entries.append(("delliptic " + " ".join(flags), ["delliptic", *flags], {}))
+    for d, types in (
+        (6, [[3, 2, 1], [4, 1, 1], [3, 2, 1], [3, 2, 1]]),
+        (7, [[4, 1, 1, 1], [2, 1, 1, 1, 1, 1], [4, 3], [6, 1]]),
+    ):
+        argv = ["hurwitz-count", "--degree", str(d), "--types", json.dumps(types)]
+        entries.append((f"hurwitz-count d={d}", argv, {}))
+        entries.append((f"hurwitz-count d={d} weighted", argv + ["--weighted"], {}))
+    entries.extend(_pullback_entries())
+    for label, gg in (
+        ("z2-gp-1", _z2_gp(1)),
+        ("z2-fixed-edge-2-2", _z2_fixed_edge(2, 2)),
+        ("polygon-2-0-legs", _polygon(2, 0, True)),
+    ):
+        files = {"a": gg.to_json(), "b": gg.to_json()}
+        entries.append((f"intersect-ggraph {label}", ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
+    rng = random.Random(11)
+    for i in range(4):
+        files = {"in": random_valid_graph(rng).to_json()}
+        entries.append((f"validate-ggraph valid-{i}", ["validate-ggraph", "@in"], files))
+    for kind in MUTATION_KINDS:
+        files = {"in": mutate(kind, rng)[0].to_json()}
+        entries.append((f"validate-ggraph mutation-{kind}", ["validate-ggraph", "@in"], files))
+    separating = StableGraph((1, 1), (0, 1), (1, 0), (0, 1))
+    irreducible = StableGraph((1,), (0, 0), (1, 0), (0, 0))
+    entries.append((
+        "intersect-boundary M_2,2 separating x irreducible",
+        ["intersect-boundary", "--a", "@a", "--b", "@b"],
+        {"a": separating.to_json(), "b": irreducible.to_json()},
+    ))
+    series = normalized_series("delta01", 40).to_json()
+    entries.append((
+        "qmod-check delta01 normalized to q^40",
+        ["qmod-check", "--weight", "4", "--fit", "20", "--holdout", "18", "--input", "@in"],
+        {"in": series},
+    ))
+    return entries
+
+
+def capture(workdir: Path) -> list[dict]:
+    corpus = []
+    for name, argv, files in build_entries():
+        entry = {"name": name, "argv": argv, "files": files}
+        entry["exit"], entry["sha256"] = run_entry(entry, workdir)
+        corpus.append(entry)
+    return corpus
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = capture(Path(tmp))
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    for entry in corpus:
+        print(entry["exit"], entry["sha256"][:16], entry["name"])

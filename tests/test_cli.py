@@ -159,3 +159,55 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     code, out = run_cli(capsys, ["intersect-boundary", "--a", str(bad), "--b", str(bad)])
     assert code == 2
     check_schema("error", json.loads(out))
+
+
+def _run_with_inputs(tmp_path, capsys, argv, files):
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    return run_cli(capsys, argv)
+
+
+SEPARATING = {"vertex_genera": [1, 1], "half_edge_vertex": [0, 1],
+              "involution_pairs": [[0, 1]], "legs": []}
+
+
+@pytest.mark.parametrize("pairs", [[[0, 5]], [[0, -1]], [[0, 0]], [[0, 1], [1, 0]], []])
+def test_intersect_boundary_rejects_bad_involution_pairs(tmp_path, capsys, pairs):
+    bad = dict(SEPARATING, involution_pairs=pairs)
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["intersect-boundary", "--a", "@a", "--b", "@b"],
+        {"a": bad, "b": SEPARATING},
+    )
+    assert code == 2
+    check_schema("error", json.loads(out))
+
+
+def test_pullback_rejects_h_outside_the_group(tmp_path, capsys):
+    s4 = {"degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
+    payload = {"kind": "corestriction", "cls": "psi", "group": s4,
+               "normal": [[2, 1, 4, 3], [3, 4, 1, 2]], "h": [5, 1, 2, 3]}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": payload})
+    assert code == 2
+    check_schema("error", json.loads(out))
+
+
+def test_qmod_check_rejects_zero_denominator(tmp_path, capsys):
+    series = {"order": 40, "coefficients": ["0/0"] + ["1"] * 40}
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["qmod-check", "--input", "@in"], {"in": series}
+    )
+    assert code == 2
+    check_schema("error", json.loads(out))
+
+
+def test_invariant_breach_exits_3(monkeypatch, capsys):
+    import covercalc.delliptic as delliptic
+
+    real = delliptic.normalization_branches
+    monkeypatch.setattr(delliptic, "normalization_branches", lambda nodes: 2 * real(nodes))
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "3"])
+    assert code == 3
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("internal invariant breach: polygon-bridge row")

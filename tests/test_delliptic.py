@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
 
+import covercalc.delliptic as delliptic
+from covercalc.cli import main
 from covercalc.delliptic import (
     PipelineError,
+    am_bn_splits,
+    chain_splits,
     david_identity,
     david_identity_mirror,
     delta00_closed_form,
@@ -121,7 +126,9 @@ def test_normalized_series_values():
 
 
 def test_quasimodularity_report():
-    rep = quasimodularity_report(40)
+    rep = quasimodularity_report(
+        normalized_series("delta00", 40), normalized_series("delta01", 40)
+    )
     assert rep.delta00.is_member and rep.delta01.is_member
     assert rep.split_stable
     assert dict(rep.delta01.coefficients) == {
@@ -135,3 +142,51 @@ def test_quasimodularity_report():
         "E4": Fraction(1, 72),
         "E2^2": Fraction(-1, 72),
     }
+
+
+def test_am_bn_splits_match_brute_force():
+    for d in range(1, 26):
+        brute = [
+            (a, b, m, n)
+            for a, m, b, n in itertools.product(range(1, d + 1), repeat=4)
+            if a * m + b * n == d
+        ]
+        assert list(am_bn_splits(d)) == brute
+
+
+def test_chain_splits_match_brute_force():
+    for d in range(1, 26):
+        brute = [
+            (a, b, k, m, n)
+            for a, b, k in itertools.product(range(1, d + 1), repeat=3)
+            if (a + b) * k <= d
+            for m, n in itertools.product(range(d + 1), repeat=2)
+            if (a + b) * k + a * m + b * n == d
+        ]
+        assert list(chain_splits(d)) == brute
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(delliptic, name)
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(delliptic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [list(c) for r in range(5) for c in itertools.combinations(
+        ["--ledger", "--series", "--qmod", "--human"], r)],
+)
+def test_cli_builds_each_ledger_once_per_degree(monkeypatch, capsys, flags):
+    calls00 = _count_calls(monkeypatch, "delta00_contributions")
+    calls01 = _count_calls(monkeypatch, "delta01_contributions")
+    code = main(["delliptic", "--dmax", "10", *flags])
+    capsys.readouterr()
+    assert code == (2 if "--qmod" in flags else 0)  # --qmod needs dmax >= 37
+    assert calls00 == calls01 == list(range(2, 11))

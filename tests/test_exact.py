@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from covercalc.exact import QSeries, divisors, rat, rat_from_str, rat_to_str, series_mul, sigma1
+from covercalc.exact import QSeries, divisors, rat_from_str, rat_to_str, sigma1
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -11,7 +11,7 @@ rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10
 def test_series_mul_difference_of_squares():
     one_plus_q = QSeries.from_coeffs([1, 1], order=5)
     one_minus_q = QSeries.from_coeffs([1, -1], order=5)
-    prod = series_mul(one_plus_q, one_minus_q)
+    prod = one_plus_q * one_minus_q
     assert prod == QSeries.from_coeffs([1, 0, -1], order=5)
 
 
@@ -19,7 +19,7 @@ def test_series_mul_convolution_against_double_sum():
     # coefficient of q^k in (sum sigma1(n) q^n)^2 equals the direct double sum
     n = 8
     s = QSeries.from_coeffs([0] + [sigma1(k) for k in range(1, n + 1)])
-    sq = series_mul(s, s)
+    sq = s * s
     for k in range(n + 1):
         direct = sum(
             sigma1(d1) * sigma1(k - d1) for d1 in range(1, k) if k - d1 >= 1
@@ -31,7 +31,7 @@ def test_series_mul_convolution_against_double_sum():
 def test_series_mul_zero_annihilates():
     a = QSeries.from_coeffs([3, -2, 7], order=4)
     z = QSeries.zero(4)
-    assert series_mul(a, z).is_zero()
+    assert (a * z).is_zero()
 
 
 def test_series_truncation_to_min_order():
@@ -87,8 +87,8 @@ def test_series_mul_associative_commutative(xs, ys, zs):
 
 
 def test_serialization_round_trip():
-    assert rat_to_str(rat(-3, 6)) == "-1/2"
-    assert rat_to_str(rat(4, 2)) == "2"
+    assert rat_to_str(Fraction(-3, 6)) == "-1/2"
+    assert rat_to_str(Fraction(4, 2)) == "2"
     assert rat_from_str("7/3") == Fraction(7, 3)
-    s = QSeries.from_coeffs([rat(1), rat(-1, 2)], order=3)
+    s = QSeries.from_coeffs([Fraction(1), Fraction(-1, 2)], order=3)
     assert QSeries.from_json(s.to_json()) == s

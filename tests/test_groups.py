@@ -4,16 +4,20 @@ import pytest
 
 from covercalc.groups import (
     FiniteGroup,
+    GroupError,
     GroupHom,
     NotNormalError,
     Subgroup,
+    centralizer,
     compose,
     cycle_type,
     cyclic_group,
+    cyclic_meet_order,
     direct_product,
     fiber_product_subgroup,
     left_cosets,
     orbit_on_cosets,
+    invert,
     perm_from_cycles,
     quotient,
     symmetric_group,
@@ -134,3 +138,45 @@ def test_group_json_round_trip():
     g = symmetric_group(4)
     assert FiniteGroup.from_json(g.to_json()) == g
     assert trivial_group().degree == 1
+
+
+def _s4_subgroups():
+    g = symmetric_group(4)
+    return g, [
+        g.trivial_subgroup(),
+        g.generated_subgroup([(1, 0, 3, 2), (2, 3, 0, 1)]),  # V4
+        g.generated_subgroup([(1, 2, 0, 3), (0, 2, 3, 1)]),  # A4
+        g.cyclic_subgroup((1, 2, 3, 0)),
+        g.cyclic_subgroup((1, 0, 2, 3)),
+        g.full_subgroup(),
+    ]
+
+
+def test_centralizer_matches_definition_on_s4():
+    g, subgroups = _s4_subgroups()
+    for x in g.elements:
+        fixing = [z for z in g.elements if compose(z, compose(x, invert(z))) == x]
+        assert centralizer(g.elements, [x]) == fixing
+        conjugates = {compose(z, compose(x, invert(z))) for z in g.elements}
+        assert len(fixing) * len(conjugates) == len(g)
+        for k in subgroups:
+            candidates = k.sorted_members()
+            assert centralizer(candidates, [x]) == [z for z in candidates if z in fixing]
+    pair = [(1, 0, 2, 3), (0, 1, 3, 2)]
+    assert centralizer(g.elements, pair) == [
+        z for z in centralizer(g.elements, pair[:1]) if z in centralizer(g.elements, pair[1:])
+    ]
+
+
+def test_cyclic_meet_order_matches_definition_on_s4():
+    g, subgroups = _s4_subgroups()
+    for h in g.elements:
+        powers, p = {h}, h
+        while p != g.identity:
+            p = compose(h, p)
+            powers.add(p)
+        for k in subgroups:
+            assert cyclic_meet_order(g, h, k) == len(powers & k.members)
+    a4 = subgroups[2]
+    with pytest.raises(GroupError):
+        cyclic_meet_order(a4.as_group(), (1, 0, 2, 3), a4)
