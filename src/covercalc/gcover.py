@@ -31,10 +31,12 @@ from covercalc.groups import (
     Perm,
     QuotientGroup,
     Subgroup,
+    check_normal,
     compose,
     coset_index,
     cyclic_meet_order,
     invert,
+    is_perm,
     left_cosets,
     orbit_on_cosets,
     perm_order,
@@ -293,25 +295,46 @@ class AdmissibleGGraph:
 
     @staticmethod
     def from_json(data: dict) -> "AdmissibleGGraph":
+        """Read the JSON form, rejecting malformed shapes with CoverError.
+
+        Checked here: one monodromy per half-edge and per leg, each a
+        permutation of the group's degree, and one action entry per
+        generator whose images permute the vertices, half-edges and legs.
+        Group membership is left to the validator.
+        """
         space = HurwitzSpaceId.from_json(data["space"])
         graph = StableGraph.from_json(data["graph"])
         gens = space.group.generators
-        gen_images = {
-            g: (
-                tuple(entry["vertices"]),
-                tuple(entry["half_edges"]),
-                tuple(entry["legs"]),
-            )
-            for g, entry in zip(gens, data["action_generators"])
+        entries = data["action_generators"]
+        if len(entries) != len(gens):
+            raise CoverError(f"{len(entries)} action entries for {len(gens)} generators")
+        sizes = {
+            "vertices": graph.n_vertices,
+            "half_edges": graph.n_half_edges,
+            "legs": graph.n_legs,
         }
+        gen_images = {}
+        for g, entry in zip(gens, entries):
+            for part, size in sizes.items():
+                if not is_perm(entry[part], size):
+                    raise CoverError(
+                        f"action {part} image {entry[part]} does not permute {size} points"
+                    )
+            gen_images[g] = tuple(tuple(entry[part]) for part in sizes)
         action = GAction.from_generators(graph, space.group, gen_images)
-        return AdmissibleGGraph(
-            space,
-            graph,
-            action,
-            tuple(tuple(i - 1 for i in h) for h in data["monodromy_half_edges"]),
-            tuple(tuple(i - 1 for i in h) for h in data["monodromy_legs"]),
-        )
+        degree = space.group.degree
+        monodromy = []
+        for part, size in (
+            ("monodromy_half_edges", graph.n_half_edges),
+            ("monodromy_legs", graph.n_legs),
+        ):
+            if len(data[part]) != size:
+                raise CoverError(f"{part} has {len(data[part])} entries for {size} points")
+            perms = tuple(tuple(i - 1 for i in h) for h in data[part])
+            if not all(is_perm(h, degree) for h in perms):
+                raise CoverError(f"{part} holds a non-permutation of degree {degree}")
+            monodromy.append(perms)
+        return AdmissibleGGraph(space, graph, action, *monodromy)
 
 
 def validate_admissible_g_graph(
@@ -459,7 +482,7 @@ def _validate_relabeling(
             if len(hits) != 1:
                 raise CoverError("relabeling representative matches no orbit")
             chosen.append(hits[0])
-        if sorted(chosen) != list(range(len(orbits))):
+        if not is_perm(chosen, len(orbits)):
             raise CoverError(
                 "relabeling representatives must hit each orbit exactly once"
             )
@@ -540,7 +563,7 @@ def restrict_graph(
             w = compose(c, t)
             pos = old_offsets[i] + coset_index(group, old_stabs[i], old_blocks[i], w)
             new_to_old.append(pos)
-    if sorted(new_to_old) != list(range(gg.graph.n_legs)):
+    if not is_perm(new_to_old, gg.graph.n_legs):
         raise CoverError("relabeling does not biject the marked points")
     new_leg_vertex = tuple(gg.graph.leg_vertex[p] for p in new_to_old)
     new_graph = StableGraph(
@@ -983,15 +1006,14 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
     if kind == "corestriction":
         group: FiniteGroup = params["group"]
         normal: Subgroup = params["normal"]
+        check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
-        h: Perm = params["h"]
-        q = quotient(group, normal)
-        upstairs = perm_order(h)
-        hbar_order = perm_order(q.project(h))
+        # the image of h in G/N has order ord(h) / #(<h> ∩ N)
+        meet = cyclic_meet_order(group, params["h"], normal)
         return PullbackFormula(
             kind,
-            (("psi", "any lift of the marked point", Fraction(hbar_order, upstairs)),),
+            (("psi", "any lift of the marked point", Fraction(1, meet)),),
         )
     if kind == "forgetful":
         group = params["group"]

@@ -6,6 +6,12 @@ legs are ordered marked points.  Morphisms go from the degenerate graph to
 the less degenerate one: a vertex surjection together with a half-edge
 injection in the opposite direction.
 
+Every bijection comes from one isomorphism enumerator,
+`StableGraph.isomorphisms`.  An automorphism is a self-isomorphism, and a
+morphism is a contraction followed by an isomorphism: contract the source
+edges outside a choice of |E(target)| edges, then map the contracted graph
+isomorphically onto the target.
+
 Enumeration is exhaustive and desk-scale; duplicate elimination goes
 through a canonical key (minimum over genus/valence-preserving vertex
 relabelings), falling back on nothing fancier because the graphs involved
@@ -17,6 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+from covercalc.errors import InvariantError
+from covercalc.groups import invert
 
 
 class GraphError(ValueError):
@@ -153,122 +162,100 @@ class StableGraph:
         legs = tuple(sigma[v] for v in self.leg_vertex)
         return (tuple(genera), tuple(map(tuple, edge_multiset)), legs)
 
-    def _invariant_classes(self) -> list[list[int]]:
+    def _invariant_classes(self) -> dict[tuple, list[int]]:
+        """Vertices grouped by (genus, valence, legs), in increasing invariant order."""
         classes: dict[tuple, list[int]] = {}
         for v in range(self.n_vertices):
             classes.setdefault(self._vertex_invariant(v), []).append(v)
-        return [classes[k] for k in sorted(classes)]
+        return {k: classes[k] for k in sorted(classes)}
+
+    def _parallel_classes(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Edges grouped by their sorted pair of end vertices, in increasing order."""
+        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for h, hp in self.edges():
+            ends = (self.half_edge_vertex[h], self.half_edge_vertex[hp])
+            classes.setdefault((min(ends), max(ends)), []).append((h, hp))
+        return {pair: classes[pair] for pair in sorted(classes)}
 
     def canonical_key(self) -> tuple:
         """Hashable isomorphism invariant that determines the graph up to iso.
 
-        Minimum of the relabel key over all vertex bijections preserving the
-        (genus, valence, legs) invariant classes.
+        Minimum of the relabel key over all vertex bijections sending each
+        (genus, valence, legs) invariant class onto its block of positions.
         """
-        classes = self._invariant_classes()
-        best = None
-        offsets = []
-        off = 0
+        classes = list(self._invariant_classes().values())
+        blocks, off = [], 0
         for cls in classes:
-            offsets.append(off)
+            blocks.append(range(off, off + len(cls)))
             off += len(cls)
-        for perms in itertools.product(
-            *[itertools.permutations(range(len(cls))) for cls in classes]
-        ):
-            sigma = [0] * self.n_vertices
-            for cls, perm, off in zip(classes, perms, offsets):
-                for i, v in enumerate(cls):
-                    sigma[v] = off + perm[i]
-            key = self._relabel_key(tuple(sigma))
-            if best is None or key < best:
-                best = key
+        best = min(self._relabel_key(s) for s in _class_bijections(classes, blocks))
         return (self.n_legs, best)
 
     def is_isomorphic(self, other: "StableGraph") -> bool:
         return self.canonical_key() == other.canonical_key()
 
-    # -- automorphisms -----------------------------------------------------
+    # -- isomorphisms ------------------------------------------------------
+
+    def isomorphisms(self, other: "StableGraph"):
+        """All isomorphisms onto `other` as forward maps (vperm, hperm).
+
+        vperm[v] and hperm[h] are the images of vertex v and half-edge h;
+        genera, attachments and the involution are carried over and legs
+        are fixed pointwise.  Ordered by vperm (class by class, images in
+        lexicographic order), then by hperm as `_half_edge_perms_over` meets
+        them.
+        """
+        mine, theirs = self._invariant_classes(), other._invariant_classes()
+        shape = [(k, len(c)) for k, c in mine.items()]
+        if shape != [(k, len(c)) for k, c in theirs.items()]:
+            return
+        target_key = other._relabel_key(tuple(range(other.n_vertices)))
+        for sigma in _class_bijections(mine.values(), theirs.values()):
+            if self._relabel_key(sigma) == target_key:
+                for hperm in self._half_edge_perms_over(sigma, other):
+                    yield sigma, hperm
 
     def automorphism_group(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """All (vertex-permutation, half-edge-permutation) pairs fixing legs.
+        """All self-isomorphisms (vperm, hperm): legs fixed pointwise,
+        half-edges free to move within and between edges."""
+        return list(self.isomorphisms(self))
 
-        Permutations are forward maps: vperm[v] is the image of v.  Legs are
-        fixed pointwise; half-edges may move within and between edges.
+    def _half_edge_perms_over(self, sigma: tuple[int, ...], other: "StableGraph"):
+        """Half-edge bijections onto `other` lying over the vertex bijection.
+
+        The parallel edges between {u, v} go onto those between
+        {sigma u, sigma v} in every order; then each edge takes, in turn,
+        the orientations that match sigma on its two ends.
         """
-        base_key = self._relabel_key(tuple(range(self.n_vertices)))
-        autos = []
-        for sigma in self._leg_fixing_vertex_perms():
-            if self._relabel_key(sigma) != base_key:
-                continue
-            autos.extend(
-                (sigma, hperm) for hperm in self._half_edge_perms_over(sigma)
-            )
-        return autos
-
-    def _leg_fixing_vertex_perms(self):
-        classes = self._invariant_classes()
-        for perms in itertools.product(
-            *[itertools.permutations(cls) for cls in classes]
-        ):
-            sigma = [0] * self.n_vertices
-            ok = True
-            for cls, perm in zip(classes, perms):
-                for v, w in zip(cls, perm):
-                    sigma[v] = w
-            for i, v in enumerate(self.leg_vertex):
-                if sigma[v] != v:
-                    ok = False
-                    break
-            if ok:
-                yield tuple(sigma)
-
-    def _half_edge_perms_over(self, sigma: tuple[int, ...]):
-        """Half-edge permutations compatible with the vertex permutation."""
-        pair_classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for h, hp in self.edges():
-            pair = tuple(sorted((self.half_edge_vertex[h], self.half_edge_vertex[hp])))
-            pair_classes.setdefault(pair, []).append((h, hp))
-        # each class of parallel edges between {u, v} must map to the class
-        # between {sigma u, sigma v}
-        class_keys = sorted(pair_classes)
+        theirs = other._parallel_classes()
         images = []
-        for pair in class_keys:
-            target = tuple(sorted((sigma[pair[0]], sigma[pair[1]])))
-            if target not in pair_classes or len(pair_classes[target]) != len(
-                pair_classes[pair]
-            ):
+        for (u, v), src in self._parallel_classes().items():
+            tgt = theirs.get((min(sigma[u], sigma[v]), max(sigma[u], sigma[v])), [])
+            if len(tgt) != len(src):
                 return
-            images.append((pair_classes[pair], pair_classes[target]))
+            images.append((src, tgt))
+        hv, other_hv = self.half_edge_vertex, other.half_edge_vertex
         for assignment in itertools.product(
-            *[
-                itertools.permutations(range(len(src)))
-                for src, _ in images
-            ]
+            *[itertools.permutations(tgt) for _, tgt in images]
         ):
-            # orientation choices per edge
-            orientation_slots = []
-            mapping_base: dict[int, tuple[int, int]] = {}
-            for (src, tgt), perm in zip(images, assignment):
-                for i, (h, hp) in enumerate(src):
-                    k, kp = tgt[perm[i]]
-                    mapping_base[h] = (k, kp)
-                    mapping_base[hp] = (kp, k)
-            for orient in itertools.product(
-                *[(0, 1) for _ in range(self.n_edges)]
-            ):
+            edge_image = {
+                h: edge
+                for (src, _), tgts in zip(images, assignment)
+                for (h, _), edge in zip(src, tgts)
+            }
+            choices = []
+            for h, hp in self.edges():
+                k, kp = edge_image[h]
+                ends = (sigma[hv[h]], sigma[hv[hp]])
+                choices.append([
+                    (h, a, hp, b) for a, b in ((k, kp), (kp, k))
+                    if ends == (other_hv[a], other_hv[b])
+                ])
+            for choice in itertools.product(*choices):
                 hperm = [0] * self.n_half_edges
-                ok = True
-                for e_idx, (h, hp) in enumerate(self.edges()):
-                    k, kp = mapping_base[h]
-                    if orient[e_idx]:
-                        k, kp = kp, k
-                    u, up = self.half_edge_vertex[h], self.half_edge_vertex[hp]
-                    if sigma[u] != self.half_edge_vertex[k] or sigma[up] != self.half_edge_vertex[kp]:
-                        ok = False
-                        break
-                    hperm[h], hperm[hp] = k, kp
-                if ok:
-                    yield tuple(hperm)
+                for h, a, hp, b in choice:
+                    hperm[h], hperm[hp] = a, b
+                yield tuple(hperm)
 
     # -- serialization -----------------------------------------------------
 
@@ -299,6 +286,19 @@ class StableGraph:
         graph = StableGraph(genera, hv, tuple(inv), tuple(v for _, v in legs_sorted))
         graph.validate()
         return graph
+
+
+def _class_bijections(classes, targets):
+    """Vertex maps sending each class onto its target block, one class after
+    another, each block's images in lexicographic order."""
+    classes = list(classes)
+    n = sum(map(len, classes))
+    for images in itertools.product(*[itertools.permutations(t) for t in targets]):
+        sigma = [0] * n
+        for cls, image in zip(classes, images):
+            for v, w in zip(cls, image):
+                sigma[v] = w
+        yield tuple(sigma)
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:
@@ -399,14 +399,13 @@ def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphi
     )
 
 
-def automorphism_as_morphism(
-    graph: StableGraph, auto: tuple[tuple[int, ...], tuple[int, ...]]
+def isomorphism_as_morphism(
+    source: StableGraph, target: StableGraph, iso: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> GraphMorphism:
-    vperm, hperm = auto
-    inv_h = [0] * len(hperm)
-    for h, k in enumerate(hperm):
-        inv_h[k] = h
-    return GraphMorphism(graph, graph, vperm, tuple(inv_h))
+    """An isomorphism (vperm, hperm) onto target as a morphism, whose
+    half-edge map runs backwards."""
+    vperm, hperm = iso
+    return GraphMorphism(source, target, vperm, invert(hperm))
 
 
 def contract_edges(
@@ -460,68 +459,33 @@ def contract_edges(
 
 
 def enumerate_morphisms(source: StableGraph, target: StableGraph) -> list[GraphMorphism]:
-    """All morphisms source -> target (all target-structures on source)."""
+    """All morphisms source -> target (all target-structures on source).
+
+    Each is the contraction of the source edges outside a choice of
+    |E(target)| edges, followed by an isomorphism onto the target.  They
+    come ordered by the source edges the target edges hit, then by which
+    of them are hit reversed (target half-edge h < h' onto source s > s').
+    """
     if source.genus() != target.genus() or source.n_legs != target.n_legs:
         return []
     src_edges = source.edges()
-    if target.n_edges > source.n_edges:
-        return []
     out = []
-    for chosen in itertools.permutations(src_edges, target.n_edges):
-        complement = frozenset(e for e in src_edges if e not in set(chosen))
-        try:
-            contracted, cmap = contract_edges(source, complement)
-        except GraphError:
-            continue
-        for orientations in itertools.product(*[(0, 1) for _ in chosen]):
-            half_edge_map = [0] * target.n_half_edges
-            ok = True
-            for (ta, tb), (sa, sb), flip in zip(
-                target.edges(), chosen, orientations
-            ):
-                if flip:
-                    sa, sb = sb, sa
-                half_edge_map[ta], half_edge_map[tb] = sa, sb
-            # forced vertex identification of contracted with target
-            psi: dict[int, int] = {}
-
-            def assign(cv: int, tv: int) -> bool:
-                if cv in psi:
-                    return psi[cv] == tv
-                psi[cv] = tv
-                return True
-
-            for h in range(target.n_half_edges):
-                cv = cmap.vertex_map[source.half_edge_vertex[half_edge_map[h]]]
-                if not assign(cv, target.half_edge_vertex[h]):
-                    ok = False
-                    break
-            if ok:
-                for i in range(target.n_legs):
-                    cv = contracted.leg_vertex[i]
-                    if not assign(cv, target.leg_vertex[i]):
-                        ok = False
-                        break
-            if ok and contracted.n_vertices == target.n_vertices == 1 and not psi:
-                assign(0, 0)
-            if not ok or len(psi) != contracted.n_vertices:
-                continue
-            if sorted(psi.values()) != list(range(target.n_vertices)):
-                continue
-            if any(contracted.genera[cv] != target.genera[tv] for cv, tv in psi.items()):
-                continue
-            morphism = GraphMorphism(
-                source,
-                target,
-                tuple(psi[cmap.vertex_map[v]] for v in range(source.n_vertices)),
-                tuple(half_edge_map),
-            )
+    for chosen in itertools.combinations(src_edges, target.n_edges):
+        contracted, cmap = contract_edges(source, set(src_edges) - set(chosen))
+        for iso in contracted.isomorphisms(target):
+            morphism = compose_morphisms(isomorphism_as_morphism(contracted, target, iso), cmap)
             try:
                 morphism.validate()
-            except GraphError:
-                continue
+            except GraphError as err:
+                raise InvariantError(f"contraction followed by isomorphism: {err}") from err
             out.append(morphism)
-    return out
+    edge_index = {h: i for i, edge in enumerate(src_edges) for h in edge}
+
+    def order(m: GraphMorphism) -> tuple:
+        hits = [(m.half_edge_map[h], m.half_edge_map[hp]) for h, hp in target.edges()]
+        return [edge_index[s] for s, _ in hits], [s > sp for s, sp in hits]
+
+    return sorted(out, key=order)
 
 
 @dataclass(frozen=True)
@@ -630,22 +594,19 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
         to_b_list = enumerate_morphisms(gamma, b)
         if not to_b_list:
             continue
-        autos = [automorphism_as_morphism(gamma, s) for s in gamma.automorphism_group()]
+        autos = [isomorphism_as_morphism(gamma, gamma, s) for s in gamma.automorphism_group()]
+        # pairs met in the Aut(gamma)-orbit of a pair already emitted
         seen_pairs = set()
         for fa in to_a_list:
             for fb in to_b_list:
                 covered = fa.edge_image() | fb.edge_image()
                 if len(covered) != gamma.n_edges:
                     continue
-                orbit_key = min(
-                    (
-                        compose_morphisms(fa, s).encode(),
-                        compose_morphisms(fb, s).encode(),
-                    )
+                if (fa.encode(), fb.encode()) in seen_pairs:
+                    continue
+                seen_pairs.update(
+                    (compose_morphisms(fa, s).encode(), compose_morphisms(fb, s).encode())
                     for s in autos
                 )
-                if orbit_key in seen_pairs:
-                    continue
-                seen_pairs.add(orbit_key)
                 out.append(GenericABGraph(gamma, fa, fb))
     return out

@@ -18,6 +18,11 @@ from covercalc.errors import InvariantError
 Perm = tuple[int, ...]
 
 
+def is_perm(a: Sequence[int], n: int) -> bool:
+    """Whether a lists each of 0..n-1 exactly once."""
+    return sorted(a) == list(range(n))
+
+
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
@@ -123,7 +128,7 @@ class FiniteGroup:
 
     def __post_init__(self) -> None:
         for g in self.generators:
-            if sorted(g) != list(range(self.degree)):
+            if not is_perm(g, self.degree):
                 raise GroupError(f"not a permutation of degree {self.degree}: {g}")
         elements = _closure(identity_perm(self.degree), self.generators)
         object.__setattr__(self, "elements", tuple(sorted(elements)))
@@ -270,7 +275,9 @@ def orbit_on_cosets(
 
 
 def check_normal(group: FiniteGroup, sub: Subgroup) -> None:
-    for g in group.elements:
+    """NotNormalError, with a generator of G as witness, unless gNg^-1 ⊆ N
+    for every generator g: in a finite group that makes N normal."""
+    for g in group.generators:
         gi = invert(g)
         for n in sub.members:
             if compose(g, compose(n, gi)) not in sub.members:

@@ -75,7 +75,7 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
 def build_entries() -> list[tuple[str, list[str], dict]]:
     """(name, argv, files) for every corpus entry, in a fixed order."""
     from gg_factory import MUTATION_KINDS, _polygon, _z2_fixed_edge, _z2_gp, mutate
-    from gg_factory import random_valid_graph
+    from gg_factory import _z2_loop_orbit, random_valid_graph
     from covercalc.delliptic import normalized_series
     from covercalc.graphs import StableGraph
 
@@ -103,6 +103,8 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         ("z2-gp-1", _z2_gp(1)),
         ("z2-fixed-edge-2-2", _z2_fixed_edge(2, 2)),
         ("polygon-2-0-legs", _polygon(2, 0, True)),
+        ("z2-loop-orbit-1", _z2_loop_orbit(1)),
+        ("polygon-2-1-legs", _polygon(2, 1, True)),
     ):
         files = {"a": gg.to_json(), "b": gg.to_json()}
         entries.append((f"intersect-ggraph {label}", ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
@@ -120,6 +122,20 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         ["intersect-boundary", "--a", "@a", "--b", "@b"],
         {"a": separating.to_json(), "b": irreducible.to_json()},
     ))
+    two_loops_22 = StableGraph((0,), (0, 0, 0, 0), (1, 0, 3, 2), (0, 0))
+    two_loops_30 = StableGraph((1,), (0, 0, 0, 0), (1, 0, 3, 2), ())
+    banana_13 = StableGraph((0, 0), (0, 1, 0, 1), (1, 0, 3, 2), (0, 1, 1))
+    loop_bridge_13 = StableGraph((0, 0), (0, 0, 0, 1), (1, 0, 3, 2), (0, 1, 1))
+    for label, a, b in (
+        ("M_2,2 two loops x two loops", two_loops_22, two_loops_22),
+        ("M_3,0 two loops x two loops", two_loops_30, two_loops_30),
+        ("M_1,3 banana x loop-and-bridge", banana_13, loop_bridge_13),
+    ):
+        entries.append((
+            f"intersect-boundary {label}",
+            ["intersect-boundary", "--a", "@a", "--b", "@b"],
+            {"a": a.to_json(), "b": b.to_json()},
+        ))
     series = normalized_series("delta01", 40).to_json()
     entries.append((
         "qmod-check delta01 normalized to q^40",

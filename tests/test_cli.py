@@ -211,3 +211,49 @@ def test_invariant_breach_exits_3(monkeypatch, capsys):
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith("internal invariant breach: polygon-bridge row")
+
+
+S3 = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
+
+
+@pytest.mark.parametrize("extra", [{"cls": "kappa"}, {"cls": "psi", "h": [2, 3, 1]}])
+def test_pullback_corestriction_rejects_a_non_normal_subgroup(tmp_path, capsys, extra):
+    payload = dict(extra, kind="corestriction", group=S3, normal=[[2, 1, 3]])
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": payload})
+    assert code == 2
+    check_schema("error", json.loads(out))
+    assert json.loads(out)["error"].startswith("NotNormalError")
+
+
+def _cut_half_edge_monodromy(gg):
+    gg["monodromy_half_edges"] = gg["monodromy_half_edges"][:2]
+
+
+def _action_image_out_of_range(gg):
+    gg["action_generators"][0]["half_edges"] = [2, 3, 0, 9]
+
+
+def _monodromy_of_wrong_degree(gg):
+    gg["monodromy_half_edges"][0] = [1, 2, 3]
+
+
+def _extra_leg_monodromy(gg):
+    gg["monodromy_legs"].append(gg["monodromy_legs"][0])
+
+
+@pytest.mark.parametrize("damage", [
+    _cut_half_edge_monodromy,
+    _action_image_out_of_range,
+    _monodromy_of_wrong_degree,
+    _extra_leg_monodromy,
+])
+def test_validate_ggraph_rejects_malformed_shapes(tmp_path, capsys, damage):
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1).to_json()
+    damage(gg)
+    code, out = _run_with_inputs(tmp_path, capsys, ["validate-ggraph", "@in"], {"in": gg})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("CoverError")

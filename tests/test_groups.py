@@ -9,6 +9,7 @@ from covercalc.groups import (
     NotNormalError,
     Subgroup,
     centralizer,
+    check_normal,
     compose,
     cycle_type,
     cyclic_group,
@@ -180,3 +181,19 @@ def test_cyclic_meet_order_matches_definition_on_s4():
     a4 = subgroups[2]
     with pytest.raises(GroupError):
         cyclic_meet_order(a4.as_group(), (1, 0, 2, 3), a4)
+
+
+def test_check_normal_matches_definition_on_s4():
+    g, subgroups = _s4_subgroups()
+    for k in subgroups + [g.cyclic_subgroup(x) for x in g.elements]:
+        normal = all(
+            compose(z, compose(n, invert(z))) in k for z in g.elements for n in k.members
+        )
+        if normal:
+            check_normal(g, k)
+            continue
+        with pytest.raises(NotNormalError) as err:
+            check_normal(g, k)
+        witness_g, witness_n = err.value.witness
+        assert witness_g in g.generators and witness_n in k
+        assert compose(witness_g, compose(witness_n, invert(witness_g))) not in k
