@@ -29,7 +29,7 @@ from covercalc.gcover import (
     validate_admissible_g_graph,
 )
 from covercalc.graphs import GraphError, StableGraph
-from covercalc.groups import FiniteGroup, GroupError, Subgroup
+from covercalc.groups import FiniteGroup, GroupError
 from covercalc.hurwitz import HurwitzError, hurwitz_cover_count
 from covercalc.mbar import (
     IntegralError,

@@ -400,17 +400,6 @@ def _checked_delta00(d: int, aggregates: tuple[Fraction, ...]) -> Fraction:
     return total
 
 
-def david_identity(d: int) -> Fraction:
-    """sum over am+bn=d (all positive) of (mn - am) min(a,b); always zero."""
-    if d < 1:
-        raise PipelineError("degree must be positive")
-    return Fraction(sum((m * n - a * m) * min(a, b) for a, b, m, n in am_bn_splits(d)))
-
-
-def david_identity_mirror(d: int) -> Fraction:
-    return Fraction(sum((m * n - b * n) * min(a, b) for a, b, m, n in am_bn_splits(d)))
-
-
 # ---------------------------------------------------------------------------
 # series assembly and the quasimodularity report
 

@@ -12,6 +12,10 @@ block indexed by the deterministic left cosets of the stabilizer of its
 monodromy element, with the identity coset (the distinguished leg) first.
 Any other choice differs by a relabeling isomorphism, so the canonical
 frame loses nothing and keeps every construction reproducible.
+`HurwitzSpaceId` computes this layout once: the coset table of each
+stabilizer, the block offsets and the canonical leg monodromy.  Subgroups
+(for restriction and corestriction) are groups in their own right, and
+restriction and corestriction map one `HurwitzSpaceId` to another.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from covercalc.graphs import (
     enumerate_generic_AB,
 )
 from covercalc.groups import (
+    Cosets,
     FiniteGroup,
     Perm,
     QuotientGroup,
-    Subgroup,
     check_normal,
     compose,
     coset_index,
@@ -46,17 +50,6 @@ from covercalc.groups import (
 
 class CoverError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MonodromyDatum:
-    group: FiniteGroup
-    elements: tuple[Perm, ...]
-
-    def __post_init__(self) -> None:
-        for h in self.elements:
-            if h not in self.group:
-                raise CoverError("monodromy element outside the group")
 
 
 def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, int]:
@@ -81,61 +74,59 @@ def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, in
 
 @dataclass(frozen=True)
 class HurwitzSpaceId:
-    """The discrete datum (source genus, group, monodromy tuple)."""
+    """The discrete datum (source genus, group, monodromy tuple).
+
+    Each xi entry must be an element of the group (CoverError otherwise).
+    The canonical leg layout is computed once: `cosets[i]` is the coset
+    table of the stabilizer <xi_i>, whose legs form the block starting at
+    `distinguished_positions[i]`, and `canonical_leg_monodromy` carries
+    rep xi_i rep^-1 at the leg of each representative.
+    """
 
     genus: int
     group: FiniteGroup
     xi: tuple[Perm, ...]
     target_genus: int = field(init=False)
     n_source_marks: int = field(init=False)
+    cosets: tuple[Cosets, ...] = field(init=False, repr=False, compare=False)
+    distinguished_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    canonical_leg_monodromy: tuple[Perm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        degree = self.group.degree
+        for h in self.xi:
+            shown = [i + 1 for i in h]  # the 1-based form of the JSON input
+            if not is_perm(h, degree):
+                raise CoverError(f"xi entry {shown} is not a permutation of degree {degree}")
+            if h not in self.group:
+                raise CoverError(f"xi entry {shown} is not an element of the group")
         gp, r, _ = riemann_hurwitz_target(self.genus, self.group, self.xi)
         object.__setattr__(self, "target_genus", gp)
         object.__setattr__(self, "n_source_marks", r)
+        cosets = tuple(left_cosets(self.group, self.group.cyclic_subgroup(h)) for h in self.xi)
+        offsets, off = [], 0
+        for table in cosets:
+            offsets.append(off)
+            off += len(table.reps)
+        object.__setattr__(self, "cosets", cosets)
+        object.__setattr__(self, "distinguished_positions", tuple(offsets))
+        object.__setattr__(self, "canonical_leg_monodromy", tuple(
+            compose(rep, compose(h, invert(rep)))
+            for h, table in zip(self.xi, cosets)
+            for rep in table.reps
+        ))
 
     @property
     def b(self) -> int:
         return len(self.xi)
 
-    def stabilizers(self) -> list[Subgroup]:
-        return [self.group.cyclic_subgroup(h) for h in self.xi]
-
-    def leg_blocks(self) -> list[list[Perm]]:
-        """Canonical coset representatives per marked orbit, identity first."""
-        return [left_cosets(self.group, s) for s in self.stabilizers()]
-
-    def leg_layout(self) -> list[tuple[int, Perm]]:
-        """Position -> (orbit index, coset representative)."""
-        out = []
-        for i, block in enumerate(self.leg_blocks()):
-            out.extend((i, rep) for rep in block)
-        return out
-
-    def canonical_leg_monodromy(self) -> list[Perm]:
-        return [
-            compose(rep, compose(self.xi[i], invert(rep)))
-            for i, rep in self.leg_layout()
-        ]
-
     def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
         """The action of t on leg positions through the coset layout."""
-        out = []
-        for stab, block, off in zip(
-            self.stabilizers(), self.leg_blocks(), self.distinguished_positions()
-        ):
-            out.extend(
-                off + coset_index(self.group, stab, block, compose(t, rep)) for rep in block
-            )
-        return tuple(out)
-
-    def distinguished_positions(self) -> list[int]:
-        out = []
-        off = 0
-        for block in self.leg_blocks():
-            out.append(off)
-            off += len(block)
-        return out
+        return tuple(
+            off + coset_index(table, compose(t, rep))
+            for table, off in zip(self.cosets, self.distinguished_positions)
+            for rep in table.reps
+        )
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +291,8 @@ class AdmissibleGGraph:
         Checked here: one monodromy per half-edge and per leg, each a
         permutation of the group's degree, and one action entry per
         generator whose images permute the vertices, half-edges and legs.
-        Group membership is left to the validator.
+        `HurwitzSpaceId` checks that each xi entry lies in the group; the
+        group membership of the other monodromies is left to the validator.
         """
         space = HurwitzSpaceId.from_json(data["space"])
         graph = StableGraph.from_json(data["graph"])
@@ -377,8 +369,7 @@ def validate_admissible_g_graph(
         for idx in range(count):
             h = gg.monodromy_of(kind, idx)
             stab = set(stab_of(idx))
-            gen = set(group.cyclic_subgroup(h).members) if h in group else None
-            if gen is None or gen != stab:
+            if h not in group or set(group.cyclic_subgroup(h).elements) != stab:
                 out.append(
                     Violation(
                         "stabilizer",
@@ -386,7 +377,7 @@ def validate_admissible_g_graph(
                     )
                 )
     # agreement with xi at distinguished legs
-    for i, pos in enumerate(space.distinguished_positions()):
+    for i, pos in enumerate(space.distinguished_positions):
         if gg.mon_leg[pos] != space.xi[i]:
             out.append(
                 Violation(
@@ -450,38 +441,24 @@ class RelabelingData:
     reps: tuple[tuple[Perm, ...], ...]
 
 
-def canonical_relabeling(
-    group: FiniteGroup, xi: tuple[Perm, ...], subgroup: Subgroup
-) -> RelabelingData:
-    reps = []
-    for h in xi:
-        orbits = orbit_on_cosets(subgroup, group, group.cyclic_subgroup(h))
-        reps.append(tuple(orbit[0] for orbit in orbits))
-    return RelabelingData(tuple(reps))
+def canonical_relabeling(space: HurwitzSpaceId, subgroup: FiniteGroup) -> RelabelingData:
+    return RelabelingData(tuple(
+        tuple(table.reps[orbit[0]] for orbit in orbit_on_cosets(subgroup, table))
+        for table in space.cosets
+    ))
 
 
 def _validate_relabeling(
-    group: FiniteGroup, xi: tuple[Perm, ...], subgroup: Subgroup, rel: RelabelingData
+    space: HurwitzSpaceId, subgroup: FiniteGroup, rel: RelabelingData
 ) -> None:
-    if len(rel.reps) != len(xi):
+    if len(rel.reps) != len(space.xi):
         raise CoverError("relabeling data must cover every marked orbit")
-    for i, h in enumerate(xi):
-        stab = group.cyclic_subgroup(h)
-        orbits = orbit_on_cosets(subgroup, group, stab)
-        chosen = []
-        for t in rel.reps[i]:
-            hits = [
-                k
-                for k, orbit in enumerate(orbits)
-                if any(
-                    frozenset(compose(t, s) for s in stab.members)
-                    == frozenset(compose(o, s) for s in stab.members)
-                    for o in orbit
-                )
-            ]
-            if len(hits) != 1:
-                raise CoverError("relabeling representative matches no orbit")
-            chosen.append(hits[0])
+    for table, reps in zip(space.cosets, rel.reps):
+        orbits = orbit_on_cosets(subgroup, table)
+        orbit_of = {k: n for n, orbit in enumerate(orbits) for k in orbit}
+        if not all(t in space.group for t in reps):
+            raise CoverError("relabeling representative matches no orbit")
+        chosen = [orbit_of[coset_index(table, t)] for t in reps]
         if not is_perm(chosen, len(orbits)):
             raise CoverError(
                 "relabeling representatives must hit each orbit exactly once"
@@ -489,36 +466,32 @@ def _validate_relabeling(
 
 
 def restriction_monodromy(
-    datum: MonodromyDatum,
-    subgroup: Subgroup,
+    space: HurwitzSpaceId,
+    subgroup: FiniteGroup,
     rel: RelabelingData | None = None,
-) -> tuple[MonodromyDatum, list[tuple[int, int, Perm, int]]]:
+) -> tuple[HurwitzSpaceId, list[tuple[int, int, Perm, int]]]:
     """Monodromy after restricting the action to a subgroup.
 
-    Returns the restricted datum (over the subgroup reified as a group) and
+    Returns the restricted space (same source genus, over the subgroup) and
     a ledger of (orbit i, piece j, representative t_ij, power r_ij); the
     new elements are t h_i^r t^-1 with r the stabilizer index drop.
     """
-    group = datum.group
+    group = space.group
     if rel is None:
-        rel = canonical_relabeling(group, datum.elements, subgroup)
+        rel = canonical_relabeling(space, subgroup)
     else:
-        _validate_relabeling(group, datum.elements, subgroup, rel)
-    new_elements = []
+        _validate_relabeling(space, subgroup, rel)
+    new_xi = []
     ledger = []
-    for i, h in enumerate(datum.elements):
+    for i, h in enumerate(space.xi):
         for j, t in enumerate(rel.reps[i]):
             r, power = _restricted(group, compose(t, compose(h, invert(t))), subgroup)
-            new_elements.append(power)
+            new_xi.append(power)
             ledger.append((i, j, t, r))
-    sub_group = subgroup.as_group()
-    for hp in new_elements:
-        if hp not in sub_group:
-            raise CoverError("restricted monodromy left the subgroup; bad relabeling")
-    return MonodromyDatum(sub_group, tuple(new_elements)), ledger
+    return HurwitzSpaceId(space.genus, subgroup, tuple(new_xi)), ledger
 
 
-def _restricted(group: FiniteGroup, h: Perm, subgroup: Subgroup) -> tuple[int, Perm]:
+def _restricted(group: FiniteGroup, h: Perm, subgroup: FiniteGroup) -> tuple[int, Perm]:
     """The stabilizer-index drop r = [<h> : <h> ∩ subgroup] and the generator
     h^r of <h> ∩ subgroup."""
     meet = cyclic_meet_order(group, h, subgroup)  # GroupError if h is outside group
@@ -530,39 +503,31 @@ def _restricted(group: FiniteGroup, h: Perm, subgroup: Subgroup) -> tuple[int, P
 
 
 def corestriction_monodromy(
-    datum: MonodromyDatum, normal: Subgroup
-) -> tuple[MonodromyDatum, QuotientGroup]:
-    """Componentwise projection of the monodromy to G/N."""
-    q = quotient(datum.group, normal)
-    return (
-        MonodromyDatum(q.group, tuple(q.project(h) for h in datum.elements)),
-        q,
-    )
+    space: HurwitzSpaceId, normal: FiniteGroup
+) -> tuple[HurwitzSpaceId, QuotientGroup]:
+    """Componentwise projection of the monodromy to G/N, over the partial
+    quotient curve."""
+    q = quotient(space.group, normal)
+    new_xi = tuple(q.project(h) for h in space.xi)
+    return HurwitzSpaceId(_quotient_source_genus(space, normal), q.group, new_xi), q
 
 
 def restrict_graph(
     gg: AdmissibleGGraph,
-    subgroup: Subgroup,
+    subgroup: FiniteGroup,
     rel: RelabelingData | None = None,
 ) -> AdmissibleGGraph:
     """The same graph with the action restricted and legs relabeled."""
     group = gg.group
-    datum = MonodromyDatum(group, gg.space.xi)
-    new_datum, ledger = restriction_monodromy(datum, subgroup, rel)
-    sub_group = new_datum.group
-    new_space = HurwitzSpaceId(gg.space.genus, sub_group, new_datum.elements)
+    new_space, ledger = restriction_monodromy(gg.space, subgroup, rel)
     # map new leg positions to old ones through the coset layouts
-    old_blocks = gg.space.leg_blocks()
-    old_stabs = gg.space.stabilizers()
-    old_offsets = gg.space.distinguished_positions()
-    new_to_old = []
-    for (i, j, t, r), new_stab, new_block in zip(
-        ledger, new_space.stabilizers(), new_space.leg_blocks()
-    ):
-        for c in new_block:
-            w = compose(c, t)
-            pos = old_offsets[i] + coset_index(group, old_stabs[i], old_blocks[i], w)
-            new_to_old.append(pos)
+    old_tables = gg.space.cosets
+    old_offsets = gg.space.distinguished_positions
+    new_to_old = [
+        old_offsets[i] + coset_index(old_tables[i], compose(c, t))
+        for (i, _, t, _), new_table in zip(ledger, new_space.cosets)
+        for c in new_table.reps
+    ]
     if not is_perm(new_to_old, gg.graph.n_legs):
         raise CoverError("relabeling does not biject the marked points")
     new_leg_vertex = tuple(gg.graph.leg_vertex[p] for p in new_to_old)
@@ -573,14 +538,14 @@ def restrict_graph(
     for new_pos, old_pos in enumerate(new_to_old):
         old_to_new[old_pos] = new_pos
     gen_images = {}
-    for s in sub_group.generators:
+    for s in subgroup.generators:
         old_leg = gg.action.leg[s]
         gen_images[s] = (
             gg.action.vertex[s],
             gg.action.half[s],
             tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old))),
         )
-    new_action = GAction.from_generators(new_graph, sub_group, gen_images)
+    new_action = GAction.from_generators(new_graph, subgroup, gen_images)
     mon_half = [_restricted(group, h, subgroup)[1] for h in gg.mon_half]
     mon_leg = [_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old]
     result = AdmissibleGGraph(
@@ -592,17 +557,16 @@ def restrict_graph(
     return result
 
 
-def corestrict_graph(gg: AdmissibleGGraph, normal: Subgroup) -> AdmissibleGGraph:
+def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGraph:
     """Quotient graph by a normal subgroup with projected action and monodromy.
 
     Vertex genera are recomputed from the vertexwise Riemann-Hurwitz
     formula; non-integral solutions mean the input was not the graph of an
     actual cover and raise.
     """
-    group = gg.group
-    q = quotient(group, normal)
+    new_space, q = corestriction_monodromy(gg.space, normal)
     graph = gg.graph
-    n_members = sorted(normal.members)
+    n_members = normal.elements
 
     def orbit_min(kind: str, x: int) -> int:
         table = gg.action.vertex if kind == "v" else gg.action.half
@@ -649,18 +613,15 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: Subgroup) -> AdmissibleGGraph
         if gq < 0:
             raise CoverError(f"vertex {c}: negative quotient genus")
         new_genera.append(gq)
-    # new monodromy datum and canonical legs
-    new_xi = tuple(q.project(h) for h in gg.space.xi)
-    new_space = HurwitzSpaceId(_quotient_source_genus(gg, normal), q.group, new_xi)
-    blocks = new_space.leg_blocks()
-    stabs = new_space.stabilizers()
-    old_dist = gg.space.distinguished_positions()
+    # canonical legs: the leg of quotient coset c in block i is the image of
+    # the distinguished leg under a lift of c
     new_leg_vertex = []
     mon_leg = []
-    for i, block in enumerate(blocks):
-        for c in block:
-            t = q.rep_of(c)
-            old_leg = gg.space.canonical_leg_action(t)[old_dist[i]]
+    for i, table in enumerate(new_space.cosets):
+        for c in table.reps:
+            old_leg = gg.space.distinguished_positions[i] + coset_index(
+                gg.space.cosets[i], q.rep_of(c)
+            )
             new_leg_vertex.append(v_index[v_rep[graph.leg_vertex[old_leg]]])
             mon_leg.append(q.project(gg.mon_leg[old_leg]))
     new_graph = StableGraph(
@@ -690,12 +651,11 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: Subgroup) -> AdmissibleGGraph
     return result
 
 
-def _quotient_source_genus(gg: AdmissibleGGraph, normal: Subgroup) -> int:
+def _quotient_source_genus(space: HurwitzSpaceId, normal: FiniteGroup) -> int:
     """Genus of the partial quotient by global Riemann-Hurwitz."""
-    group = gg.group
-    g = gg.space.genus
-    total = Fraction(2 * g - 2, len(normal))
-    for h in gg.space.xi:
+    group = space.group
+    total = Fraction(2 * space.genus - 2, len(normal))
+    for h in space.xi:
         e = cyclic_meet_order(group, h, normal)
         n_points = len(group) // perm_order(h)
         total -= Fraction(n_points * (e - 1), len(normal))
@@ -817,7 +777,7 @@ def _force_g_structure(
         gamma,
         action,
         tuple(mon_half),
-        tuple(space.canonical_leg_monodromy()),
+        space.canonical_leg_monodromy,
     )
     if validate_admissible_g_graph(candidate):
         return None
@@ -855,7 +815,7 @@ def _equivariant_morphism(
 
 def restriction_boundary_exponents(
     gamma: AdmissibleGGraph,
-    subgroup: Subgroup,
+    subgroup: FiniteGroup,
     alpha: GraphMorphism,
 ) -> list[tuple[tuple[int, int], int]]:
     """Excess exponents k for a restricted-graph morphism onto a stratum.
@@ -867,7 +827,6 @@ def restriction_boundary_exponents(
     (-psi - psi')^(k-1).
     """
     image = alpha.edge_image()
-    sub_elements = sorted(subgroup.members)
     reps = gamma.action.edge_orbit_representatives()
     out = []
     for rep in reps:
@@ -880,7 +839,7 @@ def restriction_boundary_exponents(
         sub_orbits = set()
         for e in hit:
             sub_orbit = frozenset(
-                gamma.graph.edge_of(gamma.action.half[t][e[0]]) for t in sub_elements
+                gamma.graph.edge_of(gamma.action.half[t][e[0]]) for t in subgroup.elements
             )
             sub_orbits.add(sub_orbit)
         out.append((rep, len(sub_orbits)))
@@ -916,7 +875,7 @@ def graph_automorphisms_G(gg: AdmissibleGGraph) -> list[tuple[tuple[int, ...], t
 
 def corestriction_boundary_multiplicity(
     gg: AdmissibleGGraph,
-    normal: Subgroup,
+    normal: FiniteGroup,
     a: AdmissibleGGraph,
     alpha: GraphMorphism,
 ) -> tuple[Fraction, int]:
@@ -935,9 +894,8 @@ def corestriction_boundary_multiplicity(
     alpha.validate()
     if not _equivariant_morphism(quotient_graph, a, alpha):
         raise CoverError("alpha is not an isomorphism of admissible quotient graphs")
-    group = gg.group
     # match quotient half-edges back to orbits of gg half-edges
-    n_members = sorted(normal.members)
+    n_members = normal.elements
     h_rep = [
         min(gg.action.half[t][h] for t in n_members)
         for h in range(gg.graph.n_half_edges)
@@ -1005,7 +963,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
         return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
     if kind == "corestriction":
         group: FiniteGroup = params["group"]
-        normal: Subgroup = params["normal"]
+        normal: FiniteGroup = params["normal"]
         check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
@@ -1027,8 +985,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
                 ),
             )
         h = params["h"]
-        stab = group.cyclic_subgroup(h)
-        reps = left_cosets(group, stab)
+        reps = left_cosets(group, group.cyclic_subgroup(h)).reps
         terms: list[tuple[str, str, Fraction]] = [("psi", "same point", Fraction(1))]
         for rep in reps:
             terms.append(
@@ -1073,8 +1030,8 @@ def normal_bundle_chern_H(gg: AdmissibleGGraph) -> list[list[tuple[Fraction, tup
 
 def rescores_degree(
     ambient: FiniteGroup,
-    k1: Subgroup,
-    k2: Subgroup,
+    k1: FiniteGroup,
+    k2: FiniteGroup,
     monodromy: list[Perm],
     quotient_index: int,
 ) -> int:
@@ -1084,7 +1041,7 @@ def rescores_degree(
     The factor is #(K2 / <h> ∩ K2) * (#(K1 / <h> ∩ K1))^quotient_index per
     monodromy element h, with quotient_index = #H2 / #G.
     """
-    if not set(k1.members) <= set(k2.members):
+    if not all(x in k2 for x in k1.generators):
         raise CoverError("K1 must be contained in K2")
     total = 1
     for h in monodromy:

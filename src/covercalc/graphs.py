@@ -597,10 +597,11 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
         autos = [isomorphism_as_morphism(gamma, gamma, s) for s in gamma.automorphism_group()]
         # pairs met in the Aut(gamma)-orbit of a pair already emitted
         seen_pairs = set()
+        b_images = [fb.edge_image() for fb in to_b_list]
         for fa in to_a_list:
-            for fb in to_b_list:
-                covered = fa.edge_image() | fb.edge_image()
-                if len(covered) != gamma.n_edges:
+            a_image = fa.edge_image()
+            for fb, b_image in zip(to_b_list, b_images):
+                if len(a_image | b_image) != gamma.n_edges:
                     continue
                 if (fa.encode(), fb.encode()) in seen_pairs:
                     continue

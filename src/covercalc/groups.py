@@ -5,12 +5,18 @@ few thousand), with elements represented as tuples of 0-based images.  The
 element list is kept in lexicographic order so that coset representatives,
 orbit representatives, and quotient constructions are deterministic across
 runs.
+
+There is one group type: a subgroup is a `FiniteGroup` of the same degree,
+closed from its generators.  There is one coset table: `left_cosets` builds
+a `Cosets` (identity-first representatives plus the coset id of every
+element of G) once per pair (G, H), and orbits on cosets, quotients and the
+callers in `gcover` all look cosets up in it through `coset_index`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Sequence
 
 from covercalc.errors import InvariantError
@@ -40,11 +46,7 @@ def invert(a: Perm) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    k, p, e = 1, a, identity_perm(len(a))
-    while p != e:
-        p = compose(a, p)
-        k += 1
-    return k
+    return lcm(*cycle_type(a))
 
 
 def cycle_type(a: Perm) -> tuple[int, ...]:
@@ -120,24 +122,30 @@ class NotNormalError(GroupError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group of permutations of {0..degree-1}, fully enumerated."""
+    """A finite group of permutations of {0..degree-1}, fully enumerated.
+
+    `position` maps each element to its place in `elements`, so membership
+    is one dict lookup.  Subgroups are groups of the same degree, built
+    from their generators."""
 
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...] = field(init=False)
+    position: dict[Perm, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for g in self.generators:
             if not is_perm(g, self.degree):
                 raise GroupError(f"not a permutation of degree {self.degree}: {g}")
-        elements = _closure(identity_perm(self.degree), self.generators)
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        elements = tuple(sorted(_closure(identity_perm(self.degree), self.generators)))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "position", {g: i for i, g in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: Perm) -> bool:
-        return g in set(self.elements)
+        return g in self.position
 
     @property
     def identity(self) -> Perm:
@@ -148,17 +156,20 @@ class FiniteGroup:
             raise GroupError("element does not belong to the group")
         return perm_order(g)
 
-    def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
-        return Subgroup(self, frozenset(_closure(self.identity, tuple(gens))))
+    def generated_subgroup(self, gens: Iterable[Perm]) -> "FiniteGroup":
+        gens = tuple(gens)
+        if not all(g in self for g in gens):
+            raise GroupError("subgroup elements must lie in the parent group")
+        return FiniteGroup(self.degree, gens)
 
-    def cyclic_subgroup(self, g: Perm) -> "Subgroup":
+    def cyclic_subgroup(self, g: Perm) -> "FiniteGroup":
         return self.generated_subgroup([g])
 
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(self.elements))
+    def full_subgroup(self) -> "FiniteGroup":
+        return self
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset([self.identity]))
+    def trivial_subgroup(self) -> "FiniteGroup":
+        return FiniteGroup(self.degree, ())
 
     def to_json(self) -> dict:
         return {
@@ -174,113 +185,81 @@ class FiniteGroup:
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: frozenset[Perm]
+class Cosets:
+    """The left cosets gH of a subgroup H in G.
 
-    def __post_init__(self) -> None:
-        parent_set = set(self.parent.elements)
-        if not self.members <= parent_set:
-            raise GroupError("subgroup elements must lie in the parent group")
-        if self.parent.identity not in self.members:
-            raise GroupError("subgroup must contain the identity")
-        for a in self.members:
-            if invert(a) not in self.members:
-                raise GroupError(f"subgroup not closed under inverse at {a}")
-            for b in self.members:
-                if compose(a, b) not in self.members:
-                    raise GroupError(f"subgroup not closed under product at {a}*{b}")
-        if len(self.parent) % len(self.members) != 0:
-            raise GroupError("Lagrange violated; enumeration is corrupt")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.members
-
-    def sorted_members(self) -> list[Perm]:
-        return sorted(self.members)
-
-    def as_group(self) -> FiniteGroup:
-        """The subgroup reified as a group in its own right (same degree)."""
-        return FiniteGroup(self.parent.degree, tuple(self.sorted_members()))
-
-
-def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[Perm]:
-    """Deterministic left-coset representatives gH, one per coset.
-
-    Representatives are the lexicographically first elements, scanned in
-    canonical element order, so the identity's coset always comes first.
+    reps[k] is the lexicographically first element of coset k and ids[i]
+    the coset of group.elements[i].  Cosets are numbered in the order of
+    their first elements, so the identity's coset is 0.
     """
-    if sub.parent is not group and sub.parent != group:
+
+    group: FiniteGroup
+    reps: tuple[Perm, ...]
+    ids: tuple[int, ...]
+
+
+def left_cosets(group: FiniteGroup, sub: FiniteGroup) -> Cosets:
+    """The coset table of sub in group, one pass over the elements of G."""
+    if sub.degree != group.degree or not all(g in group for g in sub.generators):
         raise GroupError("subgroup belongs to a different group")
-    covered: set[Perm] = set()
+    ids = [-1] * len(group)
     reps = []
-    for g in group.elements:
-        if g not in covered:
+    for i, g in enumerate(group.elements):
+        if ids[i] < 0:
+            for h in sub.elements:
+                ids[group.position[compose(g, h)]] = len(reps)
             reps.append(g)
-            for h in sub.members:
-                covered.add(compose(g, h))
     index = len(group) // len(sub)
     if len(reps) != index:
         raise InvariantError(f"{len(reps)} coset representatives for index {index}")
-    return reps
+    return Cosets(group, tuple(reps), tuple(ids))
 
 
-def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: Subgroup) -> int:
+def coset_index(cosets: Cosets, g: Perm) -> int:
+    """The id of the coset gH."""
+    pos = cosets.group.position.get(g)
+    if pos is None:
+        raise GroupError("element not covered by coset representatives")
+    return cosets.ids[pos]
+
+
+def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: FiniteGroup) -> int:
     """#(<h> ∩ sub), with <h> generated inside group: GroupError when h is
     not an element of group."""
-    return sum(1 for x in group.cyclic_subgroup(h).members if x in sub)
+    return sum(1 for x in group.cyclic_subgroup(h).elements if x in sub)
 
 
-def coset_index(group: FiniteGroup, sub: Subgroup, reps: Sequence[Perm], g: Perm) -> int:
-    """Index of the coset gH in the representative list."""
-    target = frozenset(compose(g, h) for h in sub.members)
-    for i, r in enumerate(reps):
-        if r in target:
-            return i
-    raise GroupError("element not covered by coset representatives")
+def orbit_on_cosets(acting: FiniteGroup, cosets: Cosets) -> list[list[int]]:
+    """Orbits of the left action of `acting` on the coset space G/H.
 
-
-def orbit_on_cosets(
-    acting: Subgroup, group: FiniteGroup, stab: Subgroup
-) -> list[list[Perm]]:
-    """Orbits of the left action of `acting` on the coset space G/stab.
-
-    Returns a list of orbits; each orbit is a list of coset representatives
-    with the orbit representative (deterministically the first coset touched
-    in canonical order) in position 0.  Orbits are ordered by representative.
+    Each orbit is the sorted list of its coset ids, so its representative
+    (the first coset touched in canonical order) comes first; orbits are
+    ordered by representative.
     """
-    reps = left_cosets(group, stab)
-    assigned = [False] * len(reps)
+    seen = [False] * len(cosets.reps)
     orbits = []
-    for i, r in enumerate(reps):
-        if assigned[i]:
+    for i in range(len(cosets.reps)):
+        if seen[i]:
             continue
-        orbit_idx = []
-        frontier = [i]
-        assigned[i] = True
-        while frontier:
-            j = frontier.pop()
-            orbit_idx.append(j)
-            for h in acting.members:
-                k = coset_index(group, stab, reps, compose(h, reps[j]))
-                if not assigned[k]:
-                    assigned[k] = True
-                    frontier.append(k)
-        orbit_idx.sort()
-        orbits.append([reps[j] for j in orbit_idx])
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            for t in acting.generators:
+                k = coset_index(cosets, compose(t, cosets.reps[j]))
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        orbits.append(sorted(orbit))
     return orbits
 
 
-def check_normal(group: FiniteGroup, sub: Subgroup) -> None:
+def check_normal(group: FiniteGroup, sub: FiniteGroup) -> None:
     """NotNormalError, with a generator of G as witness, unless gNg^-1 ⊆ N
     for every generator g: in a finite group that makes N normal."""
     for g in group.generators:
         gi = invert(g)
-        for n in sub.members:
-            if compose(g, compose(n, gi)) not in sub.members:
+        for n in sub.elements:
+            if compose(g, compose(n, gi)) not in sub:
                 raise NotNormalError(g, n)
 
 
@@ -289,42 +268,29 @@ class QuotientGroup:
     """G/N realized as a permutation group acting on the coset space."""
 
     parent: FiniteGroup
-    normal_subgroup: Subgroup
-    coset_reps: tuple[Perm, ...] = field(init=False)
+    normal_subgroup: FiniteGroup
+    cosets: Cosets = field(init=False)
     group: FiniteGroup = field(init=False)
 
     def __post_init__(self) -> None:
         check_normal(self.parent, self.normal_subgroup)
-        reps = tuple(left_cosets(self.parent, self.normal_subgroup))
-        object.__setattr__(self, "coset_reps", reps)
-        gens = []
-        for g in self.parent.generators:
-            gens.append(self._perm_of(g, reps))
+        object.__setattr__(self, "cosets", left_cosets(self.parent, self.normal_subgroup))
+        gens = [self.project(g) for g in self.parent.generators]
         if not gens:
-            gens.append(identity_perm(len(reps)))
-        object.__setattr__(self, "group", FiniteGroup(len(reps), tuple(gens)))
-
-    def _perm_of(self, g: Perm, reps: Sequence[Perm]) -> Perm:
-        return tuple(
-            coset_index(self.parent, self.normal_subgroup, reps, compose(g, r))
-            for r in reps
-        )
+            gens.append(identity_perm(len(self.cosets.reps)))
+        object.__setattr__(self, "group", FiniteGroup(len(self.cosets.reps), tuple(gens)))
 
     def project(self, g: Perm) -> Perm:
         """The image of a parent element in the quotient group."""
-        return self._perm_of(g, self.coset_reps)
+        return tuple(coset_index(self.cosets, compose(g, r)) for r in self.cosets.reps)
 
     def rep_of(self, q: Perm) -> Perm:
-        """A parent-group representative of a quotient element."""
-        # q sends the identity coset (index of identity's coset) to the
-        # coset it represents
-        e_idx = coset_index(
-            self.parent, self.normal_subgroup, self.coset_reps, self.parent.identity
-        )
-        return self.coset_reps[q[e_idx]]
+        """A parent-group representative of a quotient element: q sends the
+        identity's coset 0 to the coset it represents."""
+        return self.cosets.reps[q[0]]
 
 
-def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
+def quotient(group: FiniteGroup, normal: FiniteGroup) -> QuotientGroup:
     return QuotientGroup(group, normal)
 
 
@@ -349,79 +315,3 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(1, (identity_perm(1),))
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """G1 x G2 acting on the disjoint union of the two point sets."""
-    n1, n2 = g1.degree, g2.degree
-    gens = []
-    for a in g1.generators:
-        gens.append(tuple(list(a) + [n1 + i for i in range(n2)]))
-    for b in g2.generators:
-        gens.append(tuple(list(range(n1)) + [n1 + b[i] for i in range(n2)]))
-    return FiniteGroup(n1 + n2, tuple(gens))
-
-
-def product_embed(g1: FiniteGroup, g2: FiniteGroup, a: Perm, b: Perm) -> Perm:
-    """The element (a, b) of direct_product(g1, g2)."""
-    return tuple(list(a) + [g1.degree + b[i] for i in range(g2.degree)])
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """A homomorphism given by its full value table."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    table: dict
-
-    def __post_init__(self) -> None:
-        for a in self.source.elements:
-            for b in self.source.elements:
-                if compose(self.table[a], self.table[b]) != self.table[compose(a, b)]:
-                    raise GroupError("value table is not a homomorphism")
-
-    def __call__(self, g: Perm) -> Perm:
-        return self.table[g]
-
-    def is_surjective(self) -> bool:
-        return set(self.table.values()) == set(self.target.elements)
-
-    @staticmethod
-    def from_generator_images(
-        source: FiniteGroup, target: FiniteGroup, images: dict
-    ) -> "GroupHom":
-        table = {source.identity: target.identity}
-        frontier = [source.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in source.generators:
-                    b = compose(g, a)
-                    img = compose(images[g], table[a])
-                    if b not in table:
-                        table[b] = img
-                        nxt.append(b)
-                    elif table[b] != img:
-                        raise GroupError("generator images do not define a homomorphism")
-            frontier = nxt
-        return GroupHom(source, target, table)
-
-
-def fiber_product_subgroup(
-    g1: FiniteGroup, g2: FiniteGroup, phi1: GroupHom, phi2: GroupHom
-) -> tuple[FiniteGroup, Subgroup]:
-    """H1 x_G H2 inside the direct product permutation action.
-
-    phi1: g1 -> Q and phi2: g2 -> Q must share the target Q.  Returns the
-    ambient product group and the fiber product as its subgroup.
-    """
-    if phi1.target != phi2.target:
-        raise GroupError("fiber product needs homomorphisms to a common target")
-    dp = direct_product(g1, g2)
-    members = frozenset(
-        product_embed(g1, g2, a, b)
-        for a, b in itertools.product(g1.elements, g2.elements)
-        if phi1(a) == phi2(b)
-    )
-    return dp, Subgroup(dp, members)

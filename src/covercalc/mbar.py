@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
@@ -142,15 +141,6 @@ def integrate_psi(g: int, exponents) -> Fraction:
             f"psi degree {sum(exponents)} is not top degree {3 * g - 3 + n}"
         )
     return correlator(g, exponents)
-
-
-def genus0_closed_form(exponents) -> Fraction:
-    """(n-3)! / prod(a_i!) for sum(a_i) = n - 3: the genus-0 closed form."""
-    exponents = tuple(exponents)
-    n = len(exponents)
-    if sum(exponents) != n - 3:
-        raise IntegralError("not a top-degree genus-0 exponent vector")
-    return Fraction(factorial(n - 3), prod(factorial(a) for a in exponents))
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,33 @@
+"""Closed-form oracles for the mbar and d-elliptic layers.
+
+Each is an identity from the literature that the package never uses
+itself: the tests check the package's recursions against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
+
+from covercalc.delliptic import PipelineError, am_bn_splits
+from covercalc.mbar import IntegralError
+
+
+def genus0_closed_form(exponents) -> Fraction:
+    """(n-3)! / prod(a_i!) for sum(a_i) = n - 3: the genus-0 closed form."""
+    exponents = tuple(exponents)
+    n = len(exponents)
+    if sum(exponents) != n - 3:
+        raise IntegralError("not a top-degree genus-0 exponent vector")
+    return Fraction(factorial(n - 3), prod(factorial(a) for a in exponents))
+
+
+def david_identity(d: int) -> Fraction:
+    """sum over am+bn=d (all positive) of (mn - am) min(a,b); always zero."""
+    if d < 1:
+        raise PipelineError("degree must be positive")
+    return Fraction(sum((m * n - a * m) * min(a, b) for a, b, m, n in am_bn_splits(d)))
+
+
+def david_identity_mirror(d: int) -> Fraction:
+    return Fraction(sum((m * n - b * n) * min(a, b) for a, b, m, n in am_bn_splits(d)))

@@ -84,7 +84,7 @@ def _s3_three_cycle_legs(extra: int) -> AdmissibleGGraph:
     }
     action = GAction.from_generators(graph, s3, gen_images)
     return AdmissibleGGraph(
-        space, graph, action, (), tuple(space.canonical_leg_monodromy())
+        space, graph, action, (), space.canonical_leg_monodromy
     )
 
 

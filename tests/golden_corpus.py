@@ -75,7 +75,7 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
 def build_entries() -> list[tuple[str, list[str], dict]]:
     """(name, argv, files) for every corpus entry, in a fixed order."""
     from gg_factory import MUTATION_KINDS, _polygon, _z2_fixed_edge, _z2_gp, mutate
-    from gg_factory import _z2_loop_orbit, random_valid_graph
+    from gg_factory import _edgeless, _s3_three_cycle_legs, _z2_loop_orbit, random_valid_graph
     from covercalc.delliptic import normalized_series
     from covercalc.graphs import StableGraph
 
@@ -115,6 +115,12 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
     for kind in MUTATION_KINDS:
         files = {"in": mutate(kind, rng)[0].to_json()}
         entries.append((f"validate-ggraph mutation-{kind}", ["validate-ggraph", "@in"], files))
+    for label, gg in (
+        ("s3-three-cycle-legs-0", _s3_three_cycle_legs(0)),
+        ("s3-three-cycle-legs-1", _s3_three_cycle_legs(1)),
+        ("edgeless-s3-2", _edgeless("s3", 2)),
+    ):
+        entries.append((f"validate-ggraph {label}", ["validate-ggraph", "@in"], {"in": gg.to_json()}))
     separating = StableGraph((1, 1), (0, 1), (1, 0), (0, 1))
     irreducible = StableGraph((1,), (0, 0), (1, 0), (0, 0))
     entries.append((

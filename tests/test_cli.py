@@ -241,11 +241,36 @@ def _extra_leg_monodromy(gg):
     gg["monodromy_legs"].append(gg["monodromy_legs"][0])
 
 
+def _xi_with_a_repeated_point(gg):
+    gg["space"]["xi"][0] = [1, 1]
+
+
+def _xi_with_a_zero_point(gg):
+    gg["space"]["xi"][0] = [2, 0]
+
+
+def _xi_of_larger_degree(gg):
+    gg["space"]["xi"][0] = [2, 1, 3]
+
+
+def _xi_of_smaller_degree(gg):
+    gg["space"]["xi"][0] = [1]
+
+
+MALFORMED_XI = [
+    _xi_with_a_repeated_point,
+    _xi_with_a_zero_point,
+    _xi_of_larger_degree,
+    _xi_of_smaller_degree,
+]
+
+
 @pytest.mark.parametrize("damage", [
     _cut_half_edge_monodromy,
     _action_image_out_of_range,
     _monodromy_of_wrong_degree,
     _extra_leg_monodromy,
+    *MALFORMED_XI,
 ])
 def test_validate_ggraph_rejects_malformed_shapes(tmp_path, capsys, damage):
     from gg_factory import _z2_gp
@@ -257,3 +282,19 @@ def test_validate_ggraph_rejects_malformed_shapes(tmp_path, capsys, damage):
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith("CoverError")
+
+
+@pytest.mark.parametrize("damage", MALFORMED_XI)
+def test_intersect_ggraph_rejects_malformed_xi(tmp_path, capsys, damage):
+    from gg_factory import _z2_gp
+
+    good = _z2_gp(1).to_json()
+    bad = _z2_gp(1).to_json()
+    damage(bad)
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["intersect-ggraph", "--a", "@a", "--b", "@b"], {"a": bad, "b": good}
+    )
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("CoverError: xi entry")

@@ -5,13 +5,12 @@ from math import factorial, gcd, lcm
 import pytest
 
 import covercalc.delliptic as delliptic
+from closed_forms import david_identity, david_identity_mirror
 from covercalc.cli import main
 from covercalc.delliptic import (
     PipelineError,
     am_bn_splits,
     chain_splits,
-    david_identity,
-    david_identity_mirror,
     delta00_closed_form,
     delta00_contributions,
     delta00_number,

@@ -10,7 +10,7 @@ from covercalc.gcover import (
     CoverError,
     GAction,
     HurwitzSpaceId,
-    MonodromyDatum,
+    RelabelingData,
     boundary_intersection_H,
     canonical_relabeling,
     corestrict_graph,
@@ -47,38 +47,78 @@ def test_riemann_hurwitz_examples():
         riemann_hurwitz_target(2, z2, (s,))
 
 
+def test_space_rejects_xi_outside_the_group():
+    s3 = symmetric_group(3)
+    a3 = s3.generated_subgroup([(1, 2, 0)])
+    t = (1, 0, 2)
+    assert HurwitzSpaceId(4, s3, (t, t)).n_source_marks == 6
+    with pytest.raises(CoverError, match="not an element of the group"):
+        HurwitzSpaceId(4, a3, (t, t))
+    for bad in ((0, 0, 1), (1, 0), (1, 0, 2, 3), (1, 0, -1)):
+        with pytest.raises(CoverError, match="not a permutation of degree 3"):
+            HurwitzSpaceId(4, s3, (bad, t))
+
+
 def test_restriction_monodromy_examples():
+    # Z/4 over P^1 branched at two points (z -> z^4): genus 0
     z4 = cyclic_group(4)
     h = z4.generators[0]
     sub = z4.cyclic_subgroup((2, 3, 0, 1))
-    new, ledger = restriction_monodromy(MonodromyDatum(z4, (h,)), sub)
-    assert new.elements == ((2, 3, 0, 1),)
-    assert [entry[3] for entry in ledger] == [2]
+    new, ledger = restriction_monodromy(HurwitzSpaceId(0, z4, (h, compose(h, compose(h, h)))), sub)
+    assert new.xi == ((2, 3, 0, 1), (2, 3, 0, 1))
+    assert new.group == sub and new.genus == 0 and new.target_genus == 0
+    assert [entry[3] for entry in ledger] == [2, 2]
 
+    # S3 branched at two transpositions over an elliptic curve: genus 4
     s3 = symmetric_group(3)
     a3 = s3.generated_subgroup([(1, 2, 0)])
-    new2, ledger2 = restriction_monodromy(MonodromyDatum(s3, ((1, 0, 2),)), a3)
-    assert new2.elements == (s3.identity,)
-    assert [entry[3] for entry in ledger2] == [2]
+    t = (1, 0, 2)
+    space = HurwitzSpaceId(4, s3, (t, t))
+    new2, ledger2 = restriction_monodromy(space, a3)
+    assert new2.xi == (s3.identity, s3.identity)
+    assert new2.target_genus == 2
+    assert [entry[3] for entry in ledger2] == [2, 2]
 
     # G1 = G with canonical relabeling: unchanged
-    new3, _ = restriction_monodromy(MonodromyDatum(s3, ((1, 0, 2),)), s3.full_subgroup())
-    assert new3.elements == ((1, 0, 2),)
+    new3, _ = restriction_monodromy(space, s3.full_subgroup())
+    assert new3 == space and new3.xi == (t, t)
+
+
+def test_relabeling_is_checked_against_the_coset_table():
+    s3 = symmetric_group(3)
+    t = (1, 0, 2)
+    space = HurwitzSpaceId(4, s3, (t, t))
+    z2 = s3.cyclic_subgroup(t)
+    canonical = canonical_relabeling(space, z2)
+    # <(12)> has two orbits on the three cosets of <(12)>: {<t>} and the rest
+    assert canonical.reps == ((s3.identity, (0, 2, 1)),) * 2
+    new, _ = restriction_monodromy(space, z2)
+    # any other representatives of the same orbits give the same orbit count
+    other = RelabelingData(((s3.identity, (2, 1, 0)), ((1, 2, 0), s3.identity)))
+    moved, _ = restriction_monodromy(space, z2, other)
+    assert len(moved.xi) == len(new.xi) == 4
+    for bad in (
+        RelabelingData(((s3.identity, (0, 2, 1)),)),
+        RelabelingData(((s3.identity, s3.identity), (s3.identity, (0, 2, 1)))),
+        RelabelingData(((s3.identity, (0, 2, 1, 3)), (s3.identity, (0, 2, 1)))),
+    ):
+        with pytest.raises(CoverError):
+            restriction_monodromy(space, z2, bad)
 
 
 def test_corestriction_monodromy_examples():
     s3 = symmetric_group(3)
     a3 = s3.generated_subgroup([(1, 2, 0)])
     t = (1, 0, 2)
-    new, q = corestriction_monodromy(MonodromyDatum(s3, (t, t)), a3)
-    assert len(new.group) == 2
-    assert new.elements[0] == new.elements[1] != new.group.identity
-    trivial_new, _ = corestriction_monodromy(
-        MonodromyDatum(s3, (t,)), s3.trivial_subgroup()
-    )
-    assert len(trivial_new.group) == 6
-    full_new, _ = corestriction_monodromy(MonodromyDatum(s3, (t,)), s3.full_subgroup())
-    assert full_new.elements == (full_new.group.identity,)
+    space = HurwitzSpaceId(4, s3, (t, t))
+    new, q = corestriction_monodromy(space, a3)
+    assert len(new.group) == 2 and new.genus == 2 and new.target_genus == 1
+    assert new.xi[0] == new.xi[1] != new.group.identity
+    trivial_new, _ = corestriction_monodromy(space, s3.trivial_subgroup())
+    assert len(trivial_new.group) == 6 and trivial_new.genus == 4
+    full_new, _ = corestriction_monodromy(space, s3.full_subgroup())
+    assert full_new.xi == (full_new.group.identity,) * 2
+    assert full_new.genus == full_new.target_genus == 1
 
 
 def test_validator_accepts_factory_graphs():
@@ -129,13 +169,14 @@ def test_corestrict_after_restrict_composes_on_monodromy():
     s3 = symmetric_group(3)
     a3 = s3.generated_subgroup([(1, 2, 0)])
     rot = (1, 2, 0)
-    datum = MonodromyDatum(s3, (rot, invert_perm(rot)))
-    restricted, _ = restriction_monodromy(datum, a3)
+    space = HurwitzSpaceId(5, s3, (rot, invert_perm(rot)))
+    restricted, _ = restriction_monodromy(space, a3)
     a3_group = restricted.group
     collapsed, _ = corestriction_monodromy(
         restricted, a3_group.full_subgroup()
     )
-    assert all(h == collapsed.group.identity for h in collapsed.elements)
+    assert all(h == collapsed.group.identity for h in collapsed.xi)
+    assert collapsed.genus == space.target_genus == 1
 
 
 def invert_perm(p):

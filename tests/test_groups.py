@@ -2,24 +2,23 @@ import random
 
 import pytest
 
+from group_oracles import GroupHom, direct_product, fiber_product_subgroup
 from covercalc.groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     NotNormalError,
-    Subgroup,
     centralizer,
     check_normal,
     compose,
+    coset_index,
     cycle_type,
     cyclic_group,
     cyclic_meet_order,
-    direct_product,
-    fiber_product_subgroup,
     left_cosets,
     orbit_on_cosets,
     invert,
     perm_from_cycles,
+    perm_order,
     quotient,
     symmetric_group,
     trivial_group,
@@ -47,28 +46,29 @@ def test_element_enumeration_sizes():
 
 def test_left_cosets_examples():
     g = s3()
-    assert left_cosets(g, g.full_subgroup()) == [g.identity]
+    assert left_cosets(g, g.full_subgroup()).reps == (g.identity,)
     h = g.cyclic_subgroup((1, 0, 2))
-    reps = left_cosets(g, h)
+    reps = left_cosets(g, h).reps
     assert len(reps) == 3
     # representatives pairwise in distinct cosets
-    cosets = [frozenset(compose(r, x) for x in h.members) for r in reps]
+    cosets = [frozenset(compose(r, x) for x in h.elements) for r in reps]
     assert len(set(cosets)) == 3
     z4 = cyclic_group(4)
     h2 = z4.cyclic_subgroup((2, 3, 0, 1))  # (13)(24) as rotation^2
-    assert len(left_cosets(z4, h2)) == 2
+    assert len(left_cosets(z4, h2).reps) == 2
 
 
 def test_orbit_on_cosets():
     g = s3()
     k = g.cyclic_subgroup((1, 0, 2))
+    cosets = left_cosets(g, k)
     # H = G: transitive
-    assert len(orbit_on_cosets(g.full_subgroup(), g, k)) == 1
+    assert len(orbit_on_cosets(g.full_subgroup(), cosets)) == 1
     # H = 1: each coset alone
-    assert len(orbit_on_cosets(g.trivial_subgroup(), g, k)) == 3
+    assert len(orbit_on_cosets(g.trivial_subgroup(), cosets)) == 3
     # H = A3: one orbit of size 3
     a3 = g.generated_subgroup([(1, 2, 0)])
-    orbits = orbit_on_cosets(a3, g, k)
+    orbits = orbit_on_cosets(a3, cosets)
     assert len(orbits) == 1 and len(orbits[0]) == 3
 
 
@@ -108,8 +108,14 @@ def test_quotient_projection_is_homomorphism():
 
 def test_lagrange_enforced_on_construction():
     g = s3()
-    with pytest.raises(Exception):
-        Subgroup(g, frozenset([g.identity, (1, 0, 2), (1, 2, 0)]))  # not closed
+    # a subgroup is the closure of its generators: never a bare subset
+    assert len(g.generated_subgroup([(1, 0, 2), (1, 2, 0)])) == 6
+    with pytest.raises(GroupError, match="subgroup elements must lie in the parent group"):
+        g.generated_subgroup([(1, 0, 2, 3)])
+    with pytest.raises(GroupError, match="subgroup elements must lie in the parent group"):
+        cyclic_group(3).generated_subgroup([(1, 0, 2)])
+    s4, subgroups = _s4_subgroups_and_cyclics()
+    assert all(len(s4) % len(k) == 0 for k in subgroups)
 
 
 def test_orbit_sizes_sum():
@@ -117,8 +123,13 @@ def test_orbit_sizes_sum():
     k = g.cyclic_subgroup(perm_from_cycles(4, [(0, 1, 2)]))
     for hgens in [[(1, 0, 2, 3)], [(1, 2, 3, 0)], [(0, 2, 1, 3), (1, 0, 2, 3)]]:
         h = g.generated_subgroup([tuple(p) for p in hgens])
-        orbits = orbit_on_cosets(h, g, k)
+        cosets = left_cosets(g, k)
+        orbits = orbit_on_cosets(h, cosets)
         assert sum(len(o) for o in orbits) == len(g) // len(k)
+        # each orbit is the set of cosets t.rH over all t in h, not just generators
+        for orbit in orbits:
+            rep = cosets.reps[orbit[0]]
+            assert {coset_index(cosets, compose(t, rep)) for t in h.elements} == set(orbit)
 
 
 def test_cycle_type():
@@ -161,7 +172,7 @@ def test_centralizer_matches_definition_on_s4():
         conjugates = {compose(z, compose(x, invert(z))) for z in g.elements}
         assert len(fixing) * len(conjugates) == len(g)
         for k in subgroups:
-            candidates = k.sorted_members()
+            candidates = list(k.elements)
             assert centralizer(candidates, [x]) == [z for z in candidates if z in fixing]
     pair = [(1, 0, 2, 3), (0, 1, 3, 2)]
     assert centralizer(g.elements, pair) == [
@@ -177,17 +188,17 @@ def test_cyclic_meet_order_matches_definition_on_s4():
             p = compose(h, p)
             powers.add(p)
         for k in subgroups:
-            assert cyclic_meet_order(g, h, k) == len(powers & k.members)
+            assert cyclic_meet_order(g, h, k) == len(powers & set(k.elements))
     a4 = subgroups[2]
     with pytest.raises(GroupError):
-        cyclic_meet_order(a4.as_group(), (1, 0, 2, 3), a4)
+        cyclic_meet_order(a4, (1, 0, 2, 3), a4)
 
 
 def test_check_normal_matches_definition_on_s4():
     g, subgroups = _s4_subgroups()
     for k in subgroups + [g.cyclic_subgroup(x) for x in g.elements]:
         normal = all(
-            compose(z, compose(n, invert(z))) in k for z in g.elements for n in k.members
+            compose(z, compose(n, invert(z))) in k for z in g.elements for n in k.elements
         )
         if normal:
             check_normal(g, k)
@@ -197,3 +208,69 @@ def test_check_normal_matches_definition_on_s4():
         witness_g, witness_n = err.value.witness
         assert witness_g in g.generators and witness_n in k
         assert compose(witness_g, compose(witness_n, invert(witness_g))) not in k
+
+
+def _s4_subgroups_and_cyclics():
+    g, subgroups = _s4_subgroups()
+    return g, subgroups + [g.cyclic_subgroup(x) for x in g.elements]
+
+
+def test_coset_table_on_s4_subgroups():
+    g, subgroups = _s4_subgroups_and_cyclics()
+    for k in subgroups:
+        cosets = left_cosets(g, k)
+        index = len(g) // len(k)
+        # the ids run 0..index-1, numbered by first element, identity first
+        assert cosets.reps[0] == g.identity == g.elements[0]
+        first_seen = list(dict.fromkeys(cosets.ids))
+        assert first_seen == list(range(index)) and len(cosets.reps) == index
+        for i, rep in enumerate(cosets.reps):
+            assert coset_index(cosets, rep) == i
+            assert rep == min(compose(rep, x) for x in k.elements)
+        # each element's id names the coset that contains it
+        for x in g.elements:
+            rep = cosets.reps[coset_index(cosets, x)]
+            assert compose(invert(rep), x) in k
+    with pytest.raises(GroupError):
+        left_cosets(g, symmetric_group(3))
+
+
+def test_generated_subgroups_are_closed():
+    g, subgroups = _s4_subgroups_and_cyclics()
+    s6 = symmetric_group(6)
+    a6 = s6.generated_subgroup(
+        [perm_from_cycles(6, [(0, 1, 2)]), perm_from_cycles(6, [(0, 1), (2, 3, 4, 5)])]
+    )
+    assert len(a6) == 360
+    for k in subgroups + [a6]:
+        members = set(k.elements)
+        assert k.elements == tuple(sorted(members))
+        assert all(k.position[x] == i for i, x in enumerate(k.elements))
+        assert all(invert(a) in members for a in members)
+        assert all(compose(a, b) in members for a in members for b in k.generators)
+        assert all(compose(a, b) in members for a in members for b in members)
+
+
+def test_rep_of_is_a_section():
+    s4 = symmetric_group(4)
+    v4 = s4.generated_subgroup([(1, 0, 3, 2), (2, 3, 0, 1)])
+    s6 = symmetric_group(6)
+    a6 = s6.generated_subgroup(
+        [perm_from_cycles(6, [(0, 1, 2)]), perm_from_cycles(6, [(0, 1), (2, 3, 4, 5)])]
+    )
+    for group, normal, order in ((s4, v4, 6), (s6, a6, 2)):
+        q = quotient(group, normal)
+        assert len(q.group) == order
+        for x in q.group.elements:
+            assert q.project(q.rep_of(x)) == x
+        assert q.rep_of(q.group.identity) == group.identity
+
+
+def test_perm_order_matches_repeated_powers():
+    for x in symmetric_group(5).elements + symmetric_group(6).elements:
+        k, p = 1, x
+        while p != tuple(range(len(x))):
+            p, k = compose(x, p), k + 1
+        assert perm_order(x) == k
+    # tuples that are not permutations still get an answer
+    assert perm_order((0, 0)) == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from closed_forms import genus0_closed_form
 from covercalc.graphs import StableGraph, enumerate_stable_graphs, trivial_graph
 from covercalc.mbar import (
     Decoration,
@@ -12,7 +13,6 @@ from covercalc.mbar import (
     boundary_intersection,
     boundary_intersection_pushforward,
     correlator,
-    genus0_closed_form,
     integrate_psi,
     integrate_psi_kappa,
     integrate_stratum_class,
