@@ -29,7 +29,7 @@ from covercalc.gcover import (
     validate_admissible_g_graph,
 )
 from covercalc.graphs import GraphError, StableGraph
-from covercalc.groups import FiniteGroup, GroupError
+from covercalc.groups import FiniteGroup, GroupError, perm_from_json
 from covercalc.hurwitz import HurwitzError, hurwitz_cover_count
 from covercalc.mbar import (
     IntegralError,
@@ -150,10 +150,10 @@ def cmd_pullback(args) -> int:
         group = FiniteGroup.from_json(payload["group"])
         params["group"] = group
         if "normal" in payload:
-            gens = [tuple(i - 1 for i in perm) for perm in payload["normal"]]
+            gens = [perm_from_json(perm) for perm in payload["normal"]]
             params["normal"] = group.generated_subgroup(gens)
         if "h" in payload:
-            params["h"] = tuple(i - 1 for i in payload["h"])
+            params["h"] = perm_from_json(payload["h"])
     if "index" in payload:
         params["index"] = payload["index"]
     formula = pullback_psi_kappa_hurwitz(kind, **params)

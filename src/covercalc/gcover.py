@@ -16,6 +16,13 @@ frame loses nothing and keeps every construction reproducible.
 stabilizer, the block offsets and the canonical leg monodromy.  Subgroups
 (for restriction and corestriction) are groups in their own right, and
 restriction and corestriction map one `HurwitzSpaceId` to another.
+
+Every orbit and stabilizer of points comes from `GAction.orbit` and
+`GAction.stabilizer`, which take the point kind ("vertex", "half" or
+"leg") and the acting subgroup: G, a normal N or a restriction subgroup.
+`edge_orbit`, `edge_orbit_representatives` and the N-orbit numbering
+`orbit_labels` are built on them.  Every Riemann-Hurwitz solve, global or
+vertexwise, is `quotient_genus`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from covercalc.graphs import (
     GraphMorphism,
     StableGraph,
     enumerate_generic_AB,
+    isomorphism_as_morphism,
 )
 from covercalc.groups import (
     Cosets,
@@ -43,6 +51,7 @@ from covercalc.groups import (
     is_perm,
     left_cosets,
     orbit_on_cosets,
+    perm_from_json,
     perm_order,
     quotient,
 )
@@ -52,24 +61,30 @@ class CoverError(ValueError):
     pass
 
 
+def quotient_genus(genus: int, order: int, ramification: int) -> Fraction:
+    """Riemann-Hurwitz for a quotient by a group of the given order: the g'
+    with 2g - 2 = order (2g' - 2) + ramification, where ramification sums
+    (stabilizer order - 1) over the points.  Callers reject a g' that is
+    not integral or is negative, each with its own message."""
+    return Fraction(2 * genus - 2 - ramification, 2 * order) + 1
+
+
 def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, int]:
     """Solve for (target genus g', marked source points r, branch points b).
 
-    2g - 2 = #G [ (2g' - 2) + sum (ord(h_i) - 1)/ord(h_i) ]; raises when no
-    integral non-negative solution exists.
+    Over branch point i lie #G/ord(h_i) points with stabilizer <h_i>, for
+    xi entries in the group; raises when no integral non-negative g' exists.
     """
     xi = tuple(xi)
     orders = [perm_order(h) for h in xi]
-    rhs = sum((Fraction(o - 1, o) for o in orders), Fraction(0))
-    two_gp_minus_2 = Fraction(2 * g - 2, len(group)) - rhs
-    gp = two_gp_minus_2 / 2 + 1
+    points = [len(group) // o for o in orders]
+    gp = quotient_genus(g, len(group), sum(n * (o - 1) for n, o in zip(points, orders)))
     if gp.denominator != 1 or gp < 0:
         raise CoverError(
-            f"no integral target genus: 2g'-2 = {two_gp_minus_2} is not an "
+            f"no integral target genus: 2g'-2 = {2 * gp - 2} is not an "
             "even non-negative solution"
         )
-    r = sum(len(group) // o for o in orders)
-    return int(gp), r, len(xi)
+    return int(gp), sum(points), len(xi)
 
 
 @dataclass(frozen=True)
@@ -140,7 +155,7 @@ class HurwitzSpaceId:
         return HurwitzSpaceId(
             int(data["genus"]),
             FiniteGroup.from_json(data["group"]),
-            tuple(tuple(i - 1 for i in h) for h in data["xi"]),
+            tuple(perm_from_json(h) for h in data["xi"]),
         )
 
 
@@ -150,7 +165,13 @@ class ActionError(CoverError):
 
 @dataclass(frozen=True)
 class GAction:
-    """A G-action on a stable graph by structure-preserving permutations."""
+    """A G-action on a stable graph by structure-preserving permutations.
+
+    `vertex`, `half` and `leg` map each group element to its permutation of
+    that kind of point.  `orbit` and `stabilizer` take the kind by the same
+    name and an acting subgroup (G by default); every orbit and stabilizer
+    in this module comes from them.
+    """
 
     graph: StableGraph
     group: FiniteGroup
@@ -221,23 +242,40 @@ class GAction:
                 if graph.leg_vertex[lp[l]] != vp[graph.leg_vertex[l]]:
                     raise ActionError(f"leg attachment not preserved at leg {l}")
 
-    def half_stabilizer(self, h: int) -> list[Perm]:
-        return [t for t in self.group.elements if self.half[t][h] == h]
+    def orbit(self, kind: str, x: int, acting: FiniteGroup | None = None) -> list[int]:
+        """The sorted orbit of point x of kind "vertex", "half" or "leg"."""
+        table = getattr(self, kind)
+        return sorted({table[t][x] for t in (acting or self.group).elements})
 
-    def leg_stabilizer(self, l: int) -> list[Perm]:
-        return [t for t in self.group.elements if self.leg[t][l] == l]
+    def stabilizer(self, kind: str, x: int, acting: FiniteGroup | None = None) -> list[Perm]:
+        """The elements of the acting group that fix point x, in order."""
+        table = getattr(self, kind)
+        return [t for t in (acting or self.group).elements if table[t][x] == x]
 
-    def edge_orbit(self, edge: tuple[int, int]) -> frozenset[tuple[int, int]]:
-        graph = self.graph
-        return frozenset(graph.edge_of(self.half[t][edge[0]]) for t in self.group.elements)
+    def orbit_labels(self, kind: str, acting: FiniteGroup) -> tuple[list[int], list[int]]:
+        """The orbit id of every point of a kind and the least point of each
+        orbit, with orbits numbered by their least points."""
+        count = len(getattr(self, kind)[self.group.identity])
+        least = [self.orbit(kind, x, acting)[0] for x in range(count)]
+        reps = sorted(set(least))
+        index = {x: i for i, x in enumerate(reps)}
+        return [index[x] for x in least], reps
 
-    def edge_orbit_representatives(self) -> list[tuple[int, int]]:
+    def edge_orbit(
+        self, edge: tuple[int, int], acting: FiniteGroup | None = None
+    ) -> frozenset[tuple[int, int]]:
+        return frozenset(self.graph.edge_of(h) for h in self.orbit("half", edge[0], acting))
+
+    def edge_orbit_representatives(
+        self, edges=None, acting: FiniteGroup | None = None
+    ) -> list[tuple[int, int]]:
+        """The first edge of each orbit met, walking edges (default: all)."""
         seen: set[tuple[int, int]] = set()
         reps = []
-        for e in self.graph.edges():
+        for e in self.graph.edges() if edges is None else edges:
             if e not in seen:
                 reps.append(e)
-                seen |= self.edge_orbit(e)
+                seen |= self.edge_orbit(e, acting)
         return reps
 
 
@@ -263,9 +301,6 @@ class AdmissibleGGraph:
     @property
     def group(self) -> FiniteGroup:
         return self.space.group
-
-    def monodromy_of(self, kind: str, idx: int) -> Perm:
-        return self.mon_leg[idx] if kind == "leg" else self.mon_half[idx]
 
     def to_json(self) -> dict:
         gens = self.group.generators
@@ -322,20 +357,16 @@ class AdmissibleGGraph:
         ):
             if len(data[part]) != size:
                 raise CoverError(f"{part} has {len(data[part])} entries for {size} points")
-            perms = tuple(tuple(i - 1 for i in h) for h in data[part])
+            perms = tuple(perm_from_json(h) for h in data[part])
             if not all(is_perm(h, degree) for h in perms):
                 raise CoverError(f"{part} holds a non-permutation of degree {degree}")
             monodromy.append(perms)
         return AdmissibleGGraph(space, graph, action, *monodromy)
 
 
-def validate_admissible_g_graph(
-    gg: AdmissibleGGraph, space: HurwitzSpaceId | None = None
-) -> list[Violation]:
+def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
     """All violations of the admissibility conditions (empty list = valid)."""
-    if space is None:
-        space = gg.space
-    graph, action, group = gg.graph, gg.action, space.group
+    space, graph, action, group = gg.space, gg.graph, gg.action, gg.group
     out: list[Violation] = []
     if graph.n_legs != space.n_source_marks:
         out.append(
@@ -361,15 +392,13 @@ def validate_admissible_g_graph(
         out.append(
             Violation("genus", f"graph genus {graph.genus()} != source genus {space.genus}")
         )
-    # stabilizer condition: <h_l> equals the stabilizer, for every point
-    for kind, count, stab_of in (
-        ("half", graph.n_half_edges, action.half_stabilizer),
-        ("leg", graph.n_legs, action.leg_stabilizer),
-    ):
-        for idx in range(count):
-            h = gg.monodromy_of(kind, idx)
-            stab = set(stab_of(idx))
-            if h not in group or set(group.cyclic_subgroup(h).elements) != stab:
+    points = (("half", "half-edge", gg.mon_half), ("leg", "leg", gg.mon_leg))
+    # stabilizer condition: <h_l> equals the stabilizer, for every point;
+    # h_l fixes l, so <h_l> lies in it and the orders decide
+    for kind, _, mon in points:
+        for idx, h in enumerate(mon):
+            stab = action.stabilizer(kind, idx)
+            if h not in stab or len(stab) != perm_order(h):
                 out.append(
                     Violation(
                         "stabilizer",
@@ -388,27 +417,19 @@ def validate_admissible_g_graph(
     # conjugation equivariance along generator moves
     for t in group.generators:
         ti = invert(t)
-        for h in range(graph.n_half_edges):
-            expected = compose(t, compose(gg.mon_half[h], ti))
-            if gg.mon_half[action.half[t][h]] != expected:
-                out.append(
-                    Violation(
-                        "equivariance",
-                        f"half-edge {h} moved by a generator breaks h_(t.l) = t h t^-1",
+        for kind, name, mon in points:
+            moved = getattr(action, kind)[t]
+            for idx, h in enumerate(mon):
+                if mon[moved[idx]] != compose(t, compose(h, ti)):
+                    out.append(
+                        Violation(
+                            "equivariance",
+                            f"{name} {idx} moved by a generator breaks h_(t.l) = t h t^-1",
+                        )
                     )
-                )
-        for l in range(graph.n_legs):
-            expected = compose(t, compose(gg.mon_leg[l], ti))
-            if gg.mon_leg[action.leg[t][l]] != expected:
-                out.append(
-                    Violation(
-                        "equivariance",
-                        f"leg {l} moved by a generator breaks h_(t.l) = t h t^-1",
-                    )
-                )
     # no edge collapsed by the action
     for h, hp in graph.edges():
-        if any(action.half[t][h] == hp for t in group.elements):
+        if hp in action.orbit("half", h):
             out.append(
                 Violation("edge-collapse", f"the action maps half-edge {h} to its partner {hp}")
             )
@@ -565,54 +586,28 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
     actual cover and raise.
     """
     new_space, q = corestriction_monodromy(gg.space, normal)
-    graph = gg.graph
-    n_members = normal.elements
-
-    def orbit_min(kind: str, x: int) -> int:
-        table = gg.action.vertex if kind == "v" else gg.action.half
-        return min(table[n][x] for n in n_members)
-
-    v_rep = [orbit_min("v", v) for v in range(graph.n_vertices)]
-    v_classes = sorted(set(v_rep))
-    v_index = {c: i for i, c in enumerate(v_classes)}
-    h_rep = [orbit_min("h", h) for h in range(graph.n_half_edges)]
-    h_classes = sorted(set(h_rep))
-    h_index = {c: i for i, c in enumerate(h_classes)}
+    graph, action = gg.graph, gg.action
+    v_label, v_classes = action.orbit_labels("vertex", normal)
+    h_label, h_classes = action.orbit_labels("half", normal)
     # involution descends; edge-collapse condition guarantees no fixed point
-    new_inv = []
-    new_hv = []
-    for c in h_classes:
-        new_inv.append(h_index[h_rep[graph.involution[c]]])
-        new_hv.append(v_index[v_rep[graph.half_edge_vertex[c]]])
-    # vertexwise Riemann-Hurwitz for the quotient genus
+    new_inv = [h_label[graph.involution[c]] for c in h_classes]
+    new_hv = [v_label[graph.half_edge_vertex[c]] for c in h_classes]
+    # vertexwise Riemann-Hurwitz for the quotient genus; a point at c fixed
+    # by an element of N lies in c's stabilizer
     new_genera = []
     for c in v_classes:
-        stab_v = [
-            t for t in n_members if gg.action.vertex[t][c] == c
-        ]
-        ram = 0
-        for h in range(graph.n_half_edges):
-            if graph.half_edge_vertex[h] == c:
-                e = sum(
-                    1
-                    for t in stab_v
-                    if gg.action.half[t][h] == h
-                )
-                ram += e - 1
-        for l in range(graph.n_legs):
-            if graph.leg_vertex[l] == c:
-                e = sum(1 for t in stab_v if gg.action.leg[t][l] == l)
-                ram += e - 1
-        numerator = 2 * graph.genera[c] - 2 - ram
-        quot, rem = divmod(numerator, len(stab_v))
-        if rem != 0 or (quot + 2) % 2 != 0:
+        order = len(action.stabilizer("vertex", c, normal))
+        ram = sum(
+            len(action.stabilizer(kind, x, normal)) - 1 for kind, x in graph.vertex_points(c)
+        )
+        gq = quotient_genus(graph.genera[c], order, ram)
+        if gq.denominator != 1:
             raise CoverError(
                 f"vertex {c}: quotient genus is not integral (Riemann-Hurwitz)"
             )
-        gq = (quot + 2) // 2
         if gq < 0:
             raise CoverError(f"vertex {c}: negative quotient genus")
-        new_genera.append(gq)
+        new_genera.append(int(gq))
     # canonical legs: the leg of quotient coset c in block i is the image of
     # the distinguished leg under a lift of c
     new_leg_vertex = []
@@ -622,7 +617,7 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
             old_leg = gg.space.distinguished_positions[i] + coset_index(
                 gg.space.cosets[i], q.rep_of(c)
             )
-            new_leg_vertex.append(v_index[v_rep[graph.leg_vertex[old_leg]]])
+            new_leg_vertex.append(v_label[graph.leg_vertex[old_leg]])
             mon_leg.append(q.project(gg.mon_leg[old_leg]))
     new_graph = StableGraph(
         tuple(new_genera), tuple(new_hv), tuple(new_inv), tuple(new_leg_vertex)
@@ -632,10 +627,8 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
     gen_images = {}
     for qg in q.group.generators:
         t = q.rep_of(qg)
-        vperm = tuple(
-            v_index[v_rep[gg.action.vertex[t][c]]] for c in v_classes
-        )
-        hperm = tuple(h_index[h_rep[gg.action.half[t][c]]] for c in h_classes)
+        vperm = tuple(v_label[action.vertex[t][c]] for c in v_classes)
+        hperm = tuple(h_label[action.half[t][c]] for c in h_classes)
         gen_images[qg] = (vperm, hperm, new_space.canonical_leg_action(qg))
     new_action = GAction.from_generators(new_graph, q.group, gen_images)
     mon_half = tuple(q.project(gg.mon_half[c]) for c in h_classes)
@@ -652,14 +645,14 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
 
 
 def _quotient_source_genus(space: HurwitzSpaceId, normal: FiniteGroup) -> int:
-    """Genus of the partial quotient by global Riemann-Hurwitz."""
+    """Genus of the partial quotient by global Riemann-Hurwitz: over branch
+    point i lie #G/ord(h_i) points, each with stabilizer <h_i> ∩ N."""
     group = space.group
-    total = Fraction(2 * space.genus - 2, len(normal))
-    for h in space.xi:
-        e = cyclic_meet_order(group, h, normal)
-        n_points = len(group) // perm_order(h)
-        total -= Fraction(n_points * (e - 1), len(normal))
-    gq = Fraction(total, 2) + 1
+    ramification = sum(
+        len(group) // perm_order(h) * (cyclic_meet_order(group, h, normal) - 1)
+        for h in space.xi
+    )
+    gq = quotient_genus(space.genus, len(normal), ramification)
     if gq.denominator != 1 or gq < 0:
         raise CoverError("partial quotient has no integral genus")
     return int(gq)
@@ -697,17 +690,10 @@ def boundary_intersection_H(
     space = a.space
     out = []
     for triple in enumerate_generic_AB(a.graph, b.graph):
-        gamma = triple.gamma
         enriched = _force_g_structure(space, triple, a, b)
         if enriched is None:
             continue
-        common = triple.common_edges()
-        orbit_reps = []
-        seen: set[tuple[int, int]] = set()
-        for e in common:
-            if e not in seen:
-                orbit_reps.append(e)
-                seen |= enriched.action.edge_orbit(e)
+        orbit_reps = enriched.action.edge_orbit_representatives(triple.common_edges())
         out.append(HBoundaryTerm(enriched, triple.to_A, triple.to_B, tuple(orbit_reps)))
     return out
 
@@ -734,9 +720,7 @@ def _force_g_structure(
                 if hperm[h] is not None and hperm[h] != candidate:
                     return None
                 hperm[h] = candidate
-        if any(x is None for x in hperm) or sorted(hperm) != list(
-            range(gamma.n_half_edges)
-        ):
+        if not is_perm(hperm, gamma.n_half_edges):
             return None
         lperm = space.canonical_leg_action(t)
         vperm = [None] * gamma.n_vertices
@@ -752,9 +736,7 @@ def _force_g_structure(
             vperm[v] = w
         if gamma.n_vertices == 1 and vperm[0] is None:
             vperm[0] = 0
-        if any(x is None for x in vperm) or sorted(vperm) != list(
-            range(gamma.n_vertices)
-        ):
+        if not is_perm(vperm, gamma.n_vertices):
             return None
         gen_images[t] = (tuple(vperm), tuple(hperm), lperm)
     try:
@@ -827,50 +809,27 @@ def restriction_boundary_exponents(
     (-psi - psi')^(k-1).
     """
     image = alpha.edge_image()
-    reps = gamma.action.edge_orbit_representatives()
+    action = gamma.action
     out = []
-    for rep in reps:
-        orbit = gamma.action.edge_orbit(rep)
-        hit = sorted(orbit & image)
+    for rep in action.edge_orbit_representatives():
+        hit = sorted(action.edge_orbit(rep) & image)
         if not hit:
             raise CoverError(
                 f"edge orbit of {rep} is missed by the stratum map (genericity fails)"
             )
-        sub_orbits = set()
-        for e in hit:
-            sub_orbit = frozenset(
-                gamma.graph.edge_of(gamma.action.half[t][e[0]]) for t in subgroup.elements
-            )
-            sub_orbits.add(sub_orbit)
-        out.append((rep, len(sub_orbits)))
+        out.append((rep, len(action.edge_orbit_representatives(hit, subgroup))))
     return out
 
 
 def graph_automorphisms_G(gg: AdmissibleGGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Automorphisms of the admissible G-graph: equivariant, monodromy
     preserving, legs fixed pointwise."""
-    out = []
-    group = gg.group
-    for vperm, hperm in gg.graph.automorphism_group():
-        if any(gg.mon_half[hperm[h]] != gg.mon_half[h] for h in range(gg.graph.n_half_edges)):
-            continue
-        ok = True
-        for t in group.generators:
-            for h in range(gg.graph.n_half_edges):
-                if hperm[gg.action.half[t][h]] != gg.action.half[t][hperm[h]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for v in range(gg.graph.n_vertices):
-                if vperm[gg.action.vertex[t][v]] != gg.action.vertex[t][vperm[v]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((vperm, hperm))
-    return out
+    graph = gg.graph
+    return [
+        iso
+        for iso in graph.automorphism_group()
+        if _equivariant_morphism(gg, gg, isomorphism_as_morphism(graph, graph, iso))
+    ]
 
 
 def corestriction_boundary_multiplicity(
@@ -894,13 +853,9 @@ def corestriction_boundary_multiplicity(
     alpha.validate()
     if not _equivariant_morphism(quotient_graph, a, alpha):
         raise CoverError("alpha is not an isomorphism of admissible quotient graphs")
-    # match quotient half-edges back to orbits of gg half-edges
-    n_members = normal.elements
-    h_rep = [
-        min(gg.action.half[t][h] for t in n_members)
-        for h in range(gg.graph.n_half_edges)
-    ]
-    h_classes = sorted(set(h_rep))
+    # match quotient half-edges back to N-orbits of gg half-edges
+    v_label, _ = gg.action.orbit_labels("vertex", normal)
+    h_label, h_classes = gg.action.orbit_labels("half", normal)
     mult = Fraction(1)
     for rep_edge in a.action.edge_orbit_representatives():
         h_a = rep_edge[0]
@@ -914,12 +869,8 @@ def corestriction_boundary_multiplicity(
     aut_alpha = 0
     for vperm, hperm in graph_automorphisms_G(gg):
         descends_trivially = all(
-            h_rep[hperm[h]] == h_rep[h] for h in range(gg.graph.n_half_edges)
-        ) and all(
-            min(gg.action.vertex[t][vperm[v]] for t in n_members)
-            == min(gg.action.vertex[t][v] for t in n_members)
-            for v in range(gg.graph.n_vertices)
-        )
+            h_label[hperm[h]] == h_label[h] for h in range(gg.graph.n_half_edges)
+        ) and all(v_label[vperm[v]] == v_label[v] for v in range(gg.graph.n_vertices))
         if descends_trivially:
             aut_alpha += 1
     return mult, aut_alpha

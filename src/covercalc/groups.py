@@ -25,8 +25,17 @@ Perm = tuple[int, ...]
 
 
 def is_perm(a: Sequence[int], n: int) -> bool:
-    """Whether a lists each of 0..n-1 exactly once."""
-    return sorted(a) == list(range(n))
+    """Whether a lists each of 0..n-1 exactly once, as ints (not floats or bools)."""
+    return all(type(x) is int for x in a) and sorted(a) == list(range(n))
+
+
+def perm_from_json(entries: Sequence[int]) -> Perm:
+    """The 0-based form of a 1-based JSON permutation.  It must be a list of
+    ints (not floats or bools), GroupError otherwise; whether they form a
+    permutation is left to the caller."""
+    if not isinstance(entries, (list, tuple)) or not all(type(i) is int for i in entries):
+        raise GroupError(f"permutation must be a list of integers: {entries}")
+    return tuple(i - 1 for i in entries)
 
 
 def identity_perm(n: int) -> Perm:
@@ -180,8 +189,7 @@ class FiniteGroup:
     @staticmethod
     def from_json(data: dict) -> "FiniteGroup":
         degree = int(data["degree"])
-        gens = tuple(tuple(i - 1 for i in g) for g in data["generators"])
-        return FiniteGroup(degree, gens)
+        return FiniteGroup(degree, tuple(perm_from_json(g) for g in data["generators"]))
 
 
 @dataclass(frozen=True)

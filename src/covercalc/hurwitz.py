@@ -64,15 +64,17 @@ def _perms_of_type(d: int, parts: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 def is_transitive(d: int, perms) -> bool:
+    """Whether <perms> is transitive on 0..d-1.  Forward images suffice: in
+    a finite group the orbit under the generators is closed under inverses."""
     reach = {0}
     frontier = [0]
     while frontier:
         x = frontier.pop()
         for p in perms:
-            for y in (p[x], invert(p)[x]):
-                if y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
+            y = p[x]
+            if y not in reach:
+                reach.add(y)
+                frontier.append(y)
     return len(reach) == d
 
 
@@ -116,7 +118,9 @@ def hurwitz_cover_count(
             tup = (first, *middle, last)
         if not is_transitive(d, tup):
             continue
-        stab = centralizer(z_first, tup)
+        # z_first commutes with tup[0], and tup[-1] is the inverse of the
+        # product of the others, so the middle entries decide
+        stab = centralizer(z_first, middle)
         orbit_count += Fraction(len(stab), len(z_first))
         weighted_count += Fraction(1, len(z_first))
     return weighted_count if weighted else orbit_count

@@ -76,8 +76,7 @@ def quasimodular_basis(weight_bound: int, order: int) -> list[tuple[BasisMonomia
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Solve an overdetermined exact linear system; None when inconsistent.
 
-    Returns (solution list, free-column indices); free variables are set
-    to zero.
+    Returns the solution list, with free variables set to zero.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
     a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
@@ -104,8 +103,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     solution = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         solution[c] = a[i][n]
-    free = [c for c in range(n) if c not in pivots]
-    return solution, free
+    return solution
 
 
 @dataclass(frozen=True)
@@ -156,13 +154,12 @@ def is_quasimodular(
         )
     rows = [[b.coeffs[k] for _, b in basis] for k in range(fit_len)]
     rhs = [series.coeffs[k] for k in range(fit_len)]
-    solved = solve_exact(rows, rhs)
-    if solved is None:
+    solution = solve_exact(rows, rhs)
+    if solution is None:
         return MembershipReport(
             False, weight_bound, fit_len, holdout_len, None,
             "no exact solution on the fitted coefficients",
         )
-    solution, _ = solved
     for k in range(fit_len, needed):
         predicted = sum(
             (c * b.coeffs[k] for c, (_, b) in zip(solution, basis)), Fraction(0)

@@ -7,7 +7,8 @@ entry and demands the same exit code and byte-identical stdout, so a
 refactor that changes any emitted byte fails loudly.
 
 The digests were captured from a known-good tree.  Recapture only when an
-output is meant to change, and say which in the change log:
+output is meant to change, and say which in the change log.  One command
+rewrites this corpus and the gcover library corpus (`gcover_corpus.py`):
 
     PYTHONPATH=src:tests python tests/golden_corpus.py
 """
@@ -163,9 +164,15 @@ def capture(workdir: Path) -> list[dict]:
 if __name__ == "__main__":
     import tempfile
 
+    import gcover_corpus
+
     with tempfile.TemporaryDirectory() as tmp:
         corpus = capture(Path(tmp))
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     for entry in corpus:
         print(entry["exit"], entry["sha256"][:16], entry["name"])
+    library = gcover_corpus.capture()
+    gcover_corpus.CORPUS.write_text(json.dumps(library, indent=1, sort_keys=True) + "\n")
+    print(f"{len(library)} gcover library entries, "
+          f"{sum(len(e['outputs']) for e in library)} outputs")

@@ -298,3 +298,53 @@ def test_intersect_ggraph_rejects_malformed_xi(tmp_path, capsys, damage):
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith("CoverError: xi entry")
+
+
+def _set(path, value):
+    """A damage that replaces the entry of the G-graph JSON at path."""
+    def damage(gg):
+        target = gg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return damage
+
+
+XI = ("space", "xi", 0)
+GENERATOR = ("space", "group", "generators", 0)
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (XI, [2.0, 1.0], "GroupError"),
+    (XI, [2, True], "GroupError"),
+    (XI, 3, "GroupError"),
+    (GENERATOR, [2.0, 1.0], "GroupError"),
+    (GENERATOR, [2, True], "GroupError"),
+    (("action_generators", 0, "vertices"), [1.0, 0.0, 2.0], "CoverError"),
+    (("action_generators", 0, "legs"), [False, True], "CoverError"),
+    (("monodromy_legs", 0), [2.0, 1.0], "GroupError"),
+])
+def test_validate_ggraph_rejects_non_integer_permutation_entries(
+    tmp_path, capsys, path, value, error
+):
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1).to_json()
+    _set(path, value)(gg)
+    code, out = _run_with_inputs(tmp_path, capsys, ["validate-ggraph", "@in"], {"in": gg})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith(error)
+
+
+@pytest.mark.parametrize("field, value", [("h", [2.0, 3, 4, 1]), ("normal", [[2, 1, 4, True]])])
+def test_pullback_rejects_non_integer_permutation_entries(tmp_path, capsys, field, value):
+    s4 = {"degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
+    payload = {"kind": "corestriction", "cls": "psi", "group": s4,
+               "normal": [[2, 1, 4, 3], [3, 4, 1, 2]], "h": [2, 3, 4, 1], field: value}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": payload})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("GroupError: permutation must be a list of integers")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcover_corpus import subgroups_of
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.gcover import (
     AdmissibleGGraph,
@@ -18,6 +19,7 @@ from covercalc.gcover import (
     corestriction_monodromy,
     normal_bundle_chern_H,
     pullback_psi_kappa_hurwitz,
+    quotient_genus,
     rescores_degree,
     corescores_degree,
     resres_count,
@@ -373,3 +375,45 @@ def test_admissible_graph_json_round_trip():
     assert back.mon_half == gg.mon_half
     assert back.mon_leg == gg.mon_leg
     assert validate_admissible_g_graph(back) == []
+
+
+def test_orbits_and_stabilizers_match_their_definitions():
+    rng = random.Random(17)
+    for _ in range(20):
+        gg = random_valid_graph(rng)
+        action = gg.action
+        counts = {"vertex": gg.graph.n_vertices, "half": gg.graph.n_half_edges,
+                  "leg": gg.graph.n_legs}
+        for sub in subgroups_of(gg.group):
+            for kind, count in counts.items():
+                table = getattr(action, kind)
+                labels, reps = action.orbit_labels(kind, sub)
+                for x in range(count):
+                    orbit = action.orbit(kind, x, sub)
+                    stab = action.stabilizer(kind, x, sub)
+                    assert orbit == sorted({table[t][x] for t in sub.elements})
+                    assert stab == [t for t in sub.elements if table[t][x] == x]
+                    assert len(orbit) * len(stab) == len(sub)
+                    assert reps[labels[x]] == orbit[0]
+            reps = action.edge_orbit_representatives(acting=sub)
+            orbits = [action.edge_orbit(e, sub) for e in reps]
+            assert sorted(e for orbit in orbits for e in orbit) == list(gg.graph.edges())
+
+
+def test_quotient_genus_solves_riemann_hurwitz():
+    # the hyperelliptic involution of genus 2: six fixed points over P^1
+    assert quotient_genus(2, 2, 6) == 0
+    # a free Z/3 action on genus 4 has quotient genus 2
+    assert quotient_genus(4, 3, 0) == 2
+    assert quotient_genus(3, 2, 2) == Fraction(3, 2)
+
+
+def test_corestrict_graph_rejects_a_vertex_without_integral_quotient_genus():
+    from gg_factory import _z2_fixed_edge
+
+    gg = _z2_fixed_edge(2, 2)
+    graph = StableGraph((3, 2), gg.graph.half_edge_vertex, gg.graph.involution, gg.graph.leg_vertex)
+    action = GAction(graph, gg.group, gg.action.vertex, gg.action.half, gg.action.leg)
+    bad = AdmissibleGGraph(gg.space, graph, action, gg.mon_half, gg.mon_leg)
+    with pytest.raises(CoverError, match="vertex 0: quotient genus is not integral"):
+        corestrict_graph(bad, gg.group.full_subgroup())

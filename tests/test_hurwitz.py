@@ -74,3 +74,17 @@ def test_nodal_target_degree_bookkeeping_structure():
         result = nodal_target_degree(a, a)
         assert set(result["by_node_type"]) == {(2 * a,)}
         assert result["by_node_type"][(2 * a,)] == 2 * a
+
+
+def test_is_transitive_matches_the_orbit_of_the_generated_group():
+    import random
+
+    from covercalc.groups import FiniteGroup
+    from covercalc.hurwitz import is_transitive
+
+    rng = random.Random(3)
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        perms = [tuple(rng.sample(range(d), d)) for _ in range(rng.randint(1, 3))]
+        orbit = {g[0] for g in FiniteGroup(d, tuple(perms)).elements}
+        assert is_transitive(d, perms) == (len(orbit) == d)
