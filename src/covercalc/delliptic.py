@@ -17,8 +17,19 @@ aggregates, ledger rows and the normalized series (`pairing_series`) all
 derive from that pass, and `quasimodularity_report` takes the two series
 it produced.
 
-The marked-point factor (d-2)!^2 from labeling the unramified points is
-kept explicit everywhere; "normalized" values divide it out.
+Every row total is the marked-point factor (d-2)!^2, from labeling the
+unramified points, times an integer closed form: 2mb (polygon pairs),
+4m(am-1) (polygon bridges), 4m(n+1)(a+b), 4(m+1)n(a+b), 8k(m+1)b and
+8(k-1)m b (the four three-chain point subcases), -8max(a,b)mn (profile
+family), -8(a+b)mn and -16bkm (nodal family).  So a row holds integers
+with the mark taken out: the numerator and denominator of its count,
+its reduced degree, multiplicity and excess, and its normalized total.
+The row check is an integer cross-multiplication, and the family sums,
+both closed-form checks and the cancellation run on normalized integers.
+The mark is put back only at output: once per degree for the pairing
+values and aggregates, and in a row's `Fraction` fields when they are
+read (`--ledger`).  "Normalized" values are the ones with the mark divided
+out.
 """
 
 from __future__ import annotations
@@ -26,7 +37,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from functools import lru_cache
+from math import factorial, gcd, lcm, prod
+from typing import NamedTuple
 
 from covercalc.errors import InvariantError
 from covercalc.exact import QSeries, divisors, rat_to_str, sigma1
@@ -48,27 +61,59 @@ def normalization_branches(node_indices: list[list[int]]) -> int:
     for indices in node_indices:
         if not indices:
             continue
-        prod = 1
-        for e in indices:
-            if e < 1:
-                raise PipelineError("ramification indices must be positive")
-            prod *= e
-        total *= prod // lcm(*indices)
+        if min(indices) < 1:
+            raise PipelineError("ramification indices must be positive")
+        total *= prod(indices) // lcm(*indices)
     return total
 
 
-@dataclass(frozen=True)
-class StratumContribution:
+class StratumContribution(NamedTuple):
+    """One ledger row, held as integers with the mark factor taken out.
+
+    The public values are read as `Fraction`s, the mark put back:
+    count = mark * count_num / count_den, reduced_degree = reduced,
+    multiplicity = mult_num / mult_den, excess_value = excess_num /
+    excess_den (None for isolated points) and total = mark *
+    normalized_total, the row's closed form.
+    """
+
     stratum: str
     subcase: str
     params: tuple[int, ...]
-    count: Fraction
-    reduced_degree: Fraction
-    multiplicity: Fraction
-    excess_value: Fraction | None
-    total: Fraction
+    mark: int
+    count_num: int
+    count_den: int
+    reduced: int
+    mult_num: int
+    mult_den: int
+    excess_num: int | None
+    excess_den: int
+    normalized_total: int
+
+    @property
+    def count(self) -> Fraction:
+        return Fraction(self.mark * self.count_num, self.count_den)
+
+    @property
+    def reduced_degree(self) -> Fraction:
+        return Fraction(self.reduced)
+
+    @property
+    def multiplicity(self) -> Fraction:
+        return Fraction(self.mult_num, self.mult_den)
+
+    @property
+    def excess_value(self) -> Fraction | None:
+        if self.excess_num is None:
+            return None
+        return Fraction(self.excess_num, self.excess_den)
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self.mark * self.normalized_total)
 
     def to_json(self) -> dict:
+        excess = self.excess_value
         return {
             "stratum": self.stratum,
             "subcase": self.subcase,
@@ -76,7 +121,7 @@ class StratumContribution:
             "count": rat_to_str(self.count),
             "reduced_degree": rat_to_str(self.reduced_degree),
             "multiplicity": rat_to_str(self.multiplicity),
-            "excess_value": None if self.excess_value is None else rat_to_str(self.excess_value),
+            "excess_value": None if excess is None else rat_to_str(excess),
             "total": rat_to_str(self.total),
         }
 
@@ -85,11 +130,32 @@ def _mark_factor(d: int) -> int:
     return factorial(d - 2) ** 2
 
 
-def _checked_row(total: Fraction, closed: int, subcase: str, params: tuple) -> Fraction:
-    """A row's total, once it is seen to equal the row's closed form."""
-    if total != closed:
-        raise InvariantError(f"{subcase} row {params}: total {total} != closed form {closed}")
-    return total
+def _check_row(num: int, den: int, closed: int, subcase: str, params: tuple) -> None:
+    """Raise unless a row's normalized total num/den equals its closed form."""
+    if num != closed * den:
+        raise InvariantError(
+            f"{subcase} row {params}: normalized total {Fraction(num, den)} "
+            f"!= closed form {closed}"
+        )
+
+
+def _point_row(stratum, subcase, params, mark, count_num, count_den, reduced,
+               mult_num, mult_den, closed) -> StratumContribution:
+    """An isolated-point row, checked: count * reduced * multiplicity."""
+    _check_row(count_num * reduced * mult_num, count_den * mult_den, closed, subcase, params)
+    return StratumContribution(stratum, subcase, params, mark, count_num, count_den,
+                               reduced, mult_num, mult_den, None, 1, closed)
+
+
+def _family_row(subcase, params, mark, count_num, count_den, reduced, mult_num,
+                mult_den, excess: Fraction, monomial: int, closed) -> StratumContribution:
+    """An excess row, checked: count * excess, the excess being the family's
+    per-monomial value times the chain monomial."""
+    excess_num = excess.numerator * monomial
+    _check_row(count_num * excess_num, count_den * excess.denominator, closed, subcase, params)
+    return StratumContribution("delta00", subcase, params, mark, count_num, count_den,
+                               reduced, mult_num, mult_den, excess_num, excess.denominator,
+                               closed)
 
 
 def am_bn_splits(d: int) -> Iterator[tuple[int, int, int, int]]:
@@ -133,6 +199,7 @@ def _segre_chain(
     return psi1 * integral_psi
 
 
+@lru_cache(maxsize=None)
 def segre_excess_contribution(a: int, b: int, variant: str) -> Fraction:
     """Per-component excess value, per unit of the chain monomial.
 
@@ -152,6 +219,7 @@ def segre_excess_contribution(a: int, b: int, variant: str) -> Fraction:
     raise PipelineError(f"unknown excess variant {variant!r}")
 
 
+@lru_cache(maxsize=None)
 def _segre_chain_secondary(a: int, b: int) -> Fraction:
     """three-chain family with the chosen nodes of ramification a+b and a."""
     L = lcm(a, b, a + b)
@@ -170,39 +238,34 @@ def delta01_contributions(d: int) -> list[StratumContribution]:
     out = []
     for params in am_bn_splits(d):
         a, b, m, n = params
-        count = Fraction(2 * m * mark, a ** (m - 1) * b ** (n - 1))
-        reduced = Fraction(normalization_branches([[a] * m + [b] * n]))
-        multiplicity = Fraction(lcm(a, b), a)
-        total = _checked_row(
-            count * reduced * multiplicity, 2 * mark * m * b, "polygon-pair", params
-        )
-        out.append(
-            StratumContribution(
-                "delta01", "polygon-pair", params, count, reduced, multiplicity, None, total
-            )
-        )
+        reduced = normalization_branches([[a] * m + [b] * n])
+        out.append(_point_row(
+            "delta01", "polygon-pair", params, mark, 2 * m, a ** (m - 1) * b ** (n - 1),
+            reduced, lcm(a, b), a, 2 * m * b,
+        ))
     return out
 
 
+def _normalized_delta01_closed_form(d: int) -> int:
+    return 2 * sum(sigma1(d1) * sigma1(d - d1) for d1 in range(1, d))
+
+
 def delta01_closed_form(d: int) -> Fraction:
-    return Fraction(
-        2
-        * _mark_factor(d)
-        * sum(sigma1(d1) * sigma1(d - d1) for d1 in range(1, d))
-    )
+    return Fraction(_mark_factor(d) * _normalized_delta01_closed_form(d))
 
 
 def delta01_number(d: int) -> Fraction:
     """The separating-node pairing, via strata, checked against the closed form."""
-    return _checked_delta01(d, delta01_contributions(d))
+    return Fraction(_mark_factor(d) * _checked_delta01(d, delta01_contributions(d)))
 
 
-def _checked_delta01(d: int, rows: list[StratumContribution]) -> Fraction:
-    stratum_sum = sum((c.total for c in rows), Fraction(0))
-    closed = delta01_closed_form(d)
+def _checked_delta01(d: int, rows: list[StratumContribution]) -> int:
+    """The normalized stratum sum, once it equals the normalized closed form."""
+    stratum_sum = sum(c.normalized_total for c in rows)
+    closed = _normalized_delta01_closed_form(d)
     if stratum_sum != closed:
         raise PipelineError(
-            f"d={d}: stratum route {stratum_sum} disagrees with closed form {closed}"
+            f"d={d}: normalized stratum route {stratum_sum} disagrees with closed form {closed}"
         )
     return stratum_sum
 
@@ -217,16 +280,13 @@ def _delta00_type1(d: int) -> list[StratumContribution]:
     out = []
     for a in divisors(d):
         m = d // a
-        count = 4 * mark * m * (m - 1) * Fraction(a) ** (2 - m) + 4 * mark * (
-            a - 1
-        ) * m * Fraction(a) ** (1 - m)
-        reduced = Fraction(normalization_branches([[a] * m]))
-        total = _checked_row(count * reduced, 4 * mark * m * (a * m - 1), "polygon-bridge", (a, m))
-        out.append(
-            StratumContribution(
-                "delta00", "polygon-bridge", (a, m), count, reduced, Fraction(1), None, total
-            )
-        )
+        # 4 m (m-1) a^(2-m) + 4 (a-1) m a^(1-m), over the common a^(m-1)
+        count_num = 4 * m * (m - 1) * a + 4 * (a - 1) * m
+        reduced = normalization_branches([[a] * m])
+        out.append(_point_row(
+            "delta00", "polygon-bridge", (a, m), mark, count_num, a ** (m - 1),
+            reduced, 1, 1, 4 * m * (a * m - 1),
+        ))
     return out
 
 
@@ -236,43 +296,26 @@ def _delta00_type2(d: int) -> list[StratumContribution]:
     out = []
     for params in chain_splits(d):
         a, b, k, m, n = params
-        aut = Fraction((a + b) ** (2 * k - 2) * a ** (2 * m) * b ** (2 * n))
+        aut = (a + b) ** (2 * k - 2) * a ** (2 * m) * b ** (2 * n)
         plus_nodes = [a + b] * k + [a] * m + [b] * n
         minus_nodes = [a + b] * (k - 1) + [a] * (m + 1) + [b] * (n + 1)
-        reduced = Fraction(normalization_branches([plus_nodes, minus_nodes]))
-        l_plus = lcm(*plus_nodes)
-        l_minus = lcm(*minus_nodes)
-        # multiplicity factors use each target node's own common
-        # ramification; one chosen node smooths on each side
-        for subcase, choices, mult in (
-            ("a-over-plus", 4 * m * (n + 1), Fraction(l_plus, a) * Fraction(l_minus, b)),
-            ("b-over-plus", 4 * (m + 1) * n, Fraction(l_plus, b) * Fraction(l_minus, a)),
-            (
-                "full-node-plus",
-                8 * k * (m + 1),
-                Fraction(l_plus, a + b) * Fraction(l_minus, a),
-            ),
-            (
-                "full-node-minus",
-                8 * (k - 1) * m,
-                Fraction(l_minus, a + b) * Fraction(l_plus, a),
-            ),
+        reduced = normalization_branches([plus_nodes, minus_nodes])
+        lcms = lcm(*plus_nodes) * lcm(*minus_nodes)
+        # multiplicity (l_+/e_+)(l_-/e_-): each target node's own common
+        # ramification over the index of the node chosen to smooth on that
+        # side; the closed form is choices * factor
+        for subcase, choices, mult_den, factor in (
+            ("a-over-plus", 4 * m * (n + 1), a * b, a + b),
+            ("b-over-plus", 4 * (m + 1) * n, a * b, a + b),
+            ("full-node-plus", 8 * k * (m + 1), (a + b) * a, b),
+            ("full-node-minus", 8 * (k - 1) * m, (a + b) * a, b),
         ):
             if choices == 0:
                 continue
-            count = Fraction(choices * mark) / aut
-            out.append(
-                StratumContribution(
-                    "delta00",
-                    f"three-chain/{subcase}",
-                    params,
-                    count,
-                    reduced,
-                    mult,
-                    None,
-                    count * reduced * mult,
-                )
-            )
+            out.append(_point_row(
+                "delta00", f"three-chain/{subcase}", params, mark, choices, aut,
+                reduced, lcms, mult_den, choices * factor,
+            ))
     return out
 
 
@@ -283,24 +326,12 @@ def _delta00_type3(d: int) -> list[StratumContribution]:
     for params in am_bn_splits(d):
         a, b, m, n = params
         monomial = a ** (m - 1) * b ** (n - 1)
-        count = Fraction(2 * m * n * mark, monomial)
-        reduced = Fraction(normalization_branches([[a] * m + [b] * n]))
-        excess = segre_excess_contribution(a, b, "node-profile") * monomial
-        total = _checked_row(
-            count * excess, -8 * mark * max(a, b) * m * n, "profile-family", params
-        )
-        out.append(
-            StratumContribution(
-                "delta00",
-                "profile-family",
-                params,
-                count,
-                reduced,
-                Fraction(lcm(a, b), max(a, b)),
-                excess,
-                total,
-            )
-        )
+        reduced = normalization_branches([[a] * m + [b] * n])
+        out.append(_family_row(
+            "profile-family", params, mark, 2 * m * n, monomial, reduced,
+            lcm(a, b), max(a, b), segre_excess_contribution(a, b, "node-profile"),
+            monomial, -8 * max(a, b) * m * n,
+        ))
     return out
 
 
@@ -313,45 +344,17 @@ def _delta00_type4(d: int) -> list[StratumContribution]:
         if m == 0 or n == 0:
             continue
         monomial = a ** (m - 1) * b ** (n - 1) * (a + b) ** (k - 1)
-        reduced = Fraction(normalization_branches([[a + b] * k + [a] * m + [b] * n]))
+        reduced = normalization_branches([[a + b] * k + [a] * m + [b] * n])
         big_l = lcm(a, b, a + b)
-        count_main = Fraction(4 * m * n * mark, monomial)
-        excess_main = segre_excess_contribution(a, b, "three-chain") * monomial
-        total_main = _checked_row(
-            count_main * excess_main,
-            -8 * mark * (a + b) * m * n,
-            "nodal-family/profile-edges",
-            params,
-        )
-        out.append(
-            StratumContribution(
-                "delta00",
-                "nodal-family/profile-edges",
-                params,
-                count_main,
-                reduced,
-                Fraction(big_l, max(a, b)),
-                excess_main,
-                total_main,
-            )
-        )
-        count_sec = Fraction(8 * k * m * mark, monomial)
-        excess_sec = _segre_chain_secondary(a, b) * monomial
-        total_sec = _checked_row(
-            count_sec * excess_sec, -16 * mark * b * k * m, "nodal-family/full-edge", params
-        )
-        out.append(
-            StratumContribution(
-                "delta00",
-                "nodal-family/full-edge",
-                params,
-                count_sec,
-                reduced,
-                Fraction(big_l, a + b),
-                excess_sec,
-                total_sec,
-            )
-        )
+        out.append(_family_row(
+            "nodal-family/profile-edges", params, mark, 4 * m * n, monomial, reduced,
+            big_l, max(a, b), segre_excess_contribution(a, b, "three-chain"), monomial,
+            -8 * (a + b) * m * n,
+        ))
+        out.append(_family_row(
+            "nodal-family/full-edge", params, mark, 8 * k * m, monomial, reduced,
+            big_l, a + b, _segre_chain_secondary(a, b), monomial, -16 * b * k * m,
+        ))
     return out
 
 
@@ -366,36 +369,43 @@ def delta00_contributions(d: int) -> list[StratumContribution]:
 def delta00_stratum_aggregates(d: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four family subtotals, in the fixed order: polygon-bridge,
     three-chain points, profile family, nodal family."""
-    return _family_sums(delta00_contributions(d))
+    mark = _mark_factor(d)
+    return tuple(Fraction(mark * x) for x in _family_sums(delta00_contributions(d)))
 
 
-def _family_sums(rows: list[StratumContribution]) -> tuple[Fraction, ...]:
-    sums = dict.fromkeys(
-        ("polygon-bridge", "three-chain", "profile-family", "nodal-family"), Fraction(0)
-    )
+def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
+    """The normalized family subtotals of a delta00 ledger."""
+    sums = dict.fromkeys(("polygon-bridge", "three-chain", "profile-family", "nodal-family"), 0)
     for c in rows:
-        sums[c.subcase.split("/")[0]] += c.total
+        sums[c.subcase.partition("/")[0]] += c.normalized_total
     return tuple(sums.values())
 
 
+def _normalized_delta00_closed_form(d: int) -> int:
+    return 4 * (d - 1) * sigma1(d)
+
+
 def delta00_closed_form(d: int) -> Fraction:
-    return Fraction(4 * _mark_factor(d) * (d - 1) * sigma1(d))
+    return Fraction(_mark_factor(d) * _normalized_delta00_closed_form(d))
 
 
 def delta00_number(d: int) -> Fraction:
     """The irreducible-node pairing: stratum sum, checked against the closed
     form (the last three aggregates cancel exactly)."""
-    return _checked_delta00(d, delta00_stratum_aggregates(d))
+    rows = delta00_contributions(d)
+    return Fraction(_mark_factor(d) * _checked_delta00(d, _family_sums(rows)))
 
 
-def _checked_delta00(d: int, aggregates: tuple[Fraction, ...]) -> Fraction:
-    total = sum(aggregates, Fraction(0))
-    closed = delta00_closed_form(d)
+def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
+    """The normalized stratum sum, once it equals the normalized closed form
+    and the three correction aggregates cancel."""
+    total = sum(aggregates)
+    closed = _normalized_delta00_closed_form(d)
     if total != closed:
         raise PipelineError(
-            f"d={d}: stratum route {total} disagrees with closed form {closed}"
+            f"d={d}: normalized stratum route {total} disagrees with closed form {closed}"
         )
-    if sum(aggregates[1:], Fraction(0)) != 0:
+    if sum(aggregates[1:]) != 0:
         raise PipelineError(f"d={d}: correction aggregates fail to cancel")
     return total
 
@@ -421,8 +431,15 @@ def degree_ledger(d: int) -> DegreeLedger:
     rows00 = delta00_contributions(d)
     rows01 = delta01_contributions(d)
     aggregates = _family_sums(rows00)
+    total00 = _checked_delta00(d, aggregates)
+    total01 = _checked_delta01(d, rows01)
+    mark = _mark_factor(d)
     return DegreeLedger(
-        rows00, rows01, aggregates, _checked_delta00(d, aggregates), _checked_delta01(d, rows01)
+        rows00,
+        rows01,
+        tuple(Fraction(mark * x) for x in aggregates),
+        Fraction(mark * total00),
+        Fraction(mark * total01),
     )
 
 

@@ -1,21 +1,28 @@
 """Exact rational arithmetic, divisor sums, and truncated q-series.
 
-Rationals are `fractions.Fraction` throughout; the stdlib type already
-guarantees lowest terms and a positive denominator, which is exactly the
-invariant the rest of the package relies on.  Serialization is "p/q"
-(or "p" for integers) so that every emitted number is exact.
+An exact number is a plain `int` where the value is known to be integral
+and a `fractions.Fraction` otherwise.  The stdlib type guarantees lowest
+terms and a positive denominator, the invariant the rest of the package
+relies on; the integer kernels (the E2/E4/E6 basis, the fraction-free
+solve, the d-elliptic ledger rows) stay in `int`s, which are far cheaper,
+and meet `Fraction`s only where a value is read or printed.
+Serialization is "p/q" (or "p" for integers) so that every emitted number
+is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p"; a zero denominator is a ValueError like any other
-    malformed string."""
+    """Parse "p/q" or "p"; a zero denominator or a value that is not a
+    string is a ValueError like any other malformed string."""
+    if not isinstance(s, str):
+        raise ValueError(f"exact rational {s!r} is not a string")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
@@ -64,22 +71,31 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def convolve(a: Sequence, b: Sequence, order: int) -> tuple:
+    """Coefficients q^0..q^order of the product of two truncated series,
+    given as coefficient sequences known at least to that order."""
+    return tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(order + 1))
+
+
 @dataclass(frozen=True)
 class QSeries:
     """Truncated power series in q with exact rational coefficients.
 
     ``coeffs[k]`` is the coefficient of q^k; the series is known exactly up
-    to and including q^order.  Arithmetic between two series truncates to
-    the smaller order: the result is only claimed where both inputs are
-    known.
+    to and including q^order.  An `int` coefficient stays an `int` (so an
+    integral series multiplies in integers); any other becomes a `Fraction`.
+    Arithmetic between two series truncates to the smaller order: the result
+    is only claimed where both inputs are known.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a QSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is int else Fraction(c) for c in self.coeffs)
+        )
 
     @property
     def order(self) -> int:
@@ -99,11 +115,7 @@ class QSeries:
     def zero(order: int) -> "QSeries":
         return QSeries(tuple([Fraction(0)] * (order + 1)))
 
-    @staticmethod
-    def one(order: int) -> "QSeries":
-        return QSeries((Fraction(1),) + tuple([Fraction(0)] * order))
-
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int | Fraction:
         if k < 0 or k > self.order:
             raise IndexError(f"coefficient q^{k} not known at truncation order {self.order}")
         return self.coeffs[k]
@@ -124,28 +136,7 @@ class QSeries:
         return QSeries(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return QSeries(tuple(out))
-
-    def pow(self, e: int) -> "QSeries":
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = QSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return QSeries(convolve(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -156,7 +147,9 @@ class QSeries:
     @staticmethod
     def from_json(data: dict) -> "QSeries":
         coeffs = [rat_from_str(s) for s in data["coefficients"]]
-        order = int(data["order"])
+        order = data["order"]
+        if type(order) is not int:
+            raise ValueError(f"order {order!r} is not an integer")
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the stated order")
         return QSeries(tuple(coeffs))

@@ -152,8 +152,11 @@ class HurwitzSpaceId:
 
     @staticmethod
     def from_json(data: dict) -> "HurwitzSpaceId":
+        genus = data["genus"]
+        if type(genus) is not int:
+            raise CoverError(f"genus {genus!r} is not an integer")
         return HurwitzSpaceId(
-            int(data["genus"]),
+            genus,
             FiniteGroup.from_json(data["group"]),
             tuple(perm_from_json(h) for h in data["xi"]),
         )

@@ -188,7 +188,9 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteGroup":
-        degree = int(data["degree"])
+        degree = data["degree"]
+        if type(degree) is not int:
+            raise GroupError(f"group degree {degree!r} is not an integer")
         return FiniteGroup(degree, tuple(perm_from_json(g) for g in data["generators"]))
 
 

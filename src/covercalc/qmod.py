@@ -1,11 +1,20 @@
 """Quasimodular forms: Eisenstein q-expansions and exact membership tests.
 
-The ring of quasimodular forms is generated by E2, E4, E6 (weights 2, 4, 6).
-Membership of a rational q-series is tested by an exact linear solve of the
-first `fit_len` coefficients against the graded monomial basis up to a
-weight bound, then exact verification on held-out coefficients.  A `True`
-verdict is an exact identity on every supplied coefficient; it is evidence
-up to the truncation order, not a proof.
+The ring of quasimodular forms is generated by E2, E4, E6 (weights 2, 4, 6;
+Kaneko-Zagier 1995).  Membership of a rational q-series is tested by an
+exact linear solve of the first `fit_len` coefficients against the graded
+monomial basis up to a weight bound, then exact verification on held-out
+coefficients.  A `True` verdict is an exact identity on every supplied
+coefficient; it is evidence up to the truncation order, not a proof.
+
+Both kernels run in integers.  The basis E2^a E4^b E6^c has integer
+coefficients and is built from shared powers: each power of E2, E4 and E6
+once, each product E4^b E6^c once, then one product per monomial.  The
+solve clears the denominators of each row and runs fraction-free (Bareiss)
+elimination, in which every entry stays an integer minor of the scaled
+system (Bareiss, Math. Comp. 22, 1968); only the solution itself is a
+`Fraction`.  Holdout coefficients are compared over that solution's common
+denominator.
 """
 
 from __future__ import annotations
@@ -13,8 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from covercalc.exact import QSeries, sigma
+from covercalc.errors import InvariantError
+from covercalc.exact import QSeries, convolve, rat_to_str, sigma
 
 
 def eisenstein(k: int, order: int) -> QSeries:
@@ -29,9 +40,7 @@ def eisenstein(k: int, order: int) -> QSeries:
         weight_coeff, power = -504, 5
     else:
         raise ValueError(f"Eisenstein weight {k} not in {{2, 4, 6}}")
-    coeffs = [Fraction(1)] + [
-        Fraction(weight_coeff * sigma(n, power)) for n in range(1, order + 1)
-    ]
+    coeffs = [1] + [weight_coeff * sigma(n, power) for n in range(1, order + 1)]
     return QSeries(tuple(coeffs))
 
 
@@ -55,54 +64,97 @@ class BasisMonomial:
         return "*".join(parts) if parts else "1"
 
 
+def _powers(base: tuple[int, ...], top: int, order: int) -> list[tuple[int, ...]]:
+    """base^0 .. base^top to q^order, each from the one before."""
+    out = [(1,) + (0,) * order]
+    for _ in range(top):
+        out.append(convolve(out[-1], base, order))
+    return out
+
+
 def quasimodular_basis(weight_bound: int, order: int) -> list[tuple[BasisMonomial, QSeries]]:
-    """Monomials in E2, E4, E6 of weight <= bound, with their q-series."""
+    """Monomials in E2, E4, E6 of weight <= bound, with their integer q-series."""
+    e2, e4, e6 = (eisenstein(k, order).coeffs for k in (2, 4, 6))
+    p2 = _powers(e2, weight_bound // 2, order)
+    p4 = _powers(e4, weight_bound // 4, order)
+    p6 = _powers(e6, weight_bound // 6, order)
+    e46 = {}
     out = []
-    e2 = eisenstein(2, order)
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    max2 = weight_bound // 2
     for a, b, c in itertools.product(
-        range(max2 + 1), range(weight_bound // 4 + 1), range(weight_bound // 6 + 1)
+        range(weight_bound // 2 + 1), range(weight_bound // 4 + 1), range(weight_bound // 6 + 1)
     ):
         mono = BasisMonomial(a, b, c)
-        if mono.weight <= weight_bound:
-            series = e2.pow(a) * e4.pow(b) * e6.pow(c)
-            out.append((mono, series))
+        if mono.weight > weight_bound:
+            continue
+        # a power of exponent 0 is 1: no product is taken with it
+        if (b, c) not in e46:
+            e46[b, c] = convolve(p4[b], p6[c], order) if b and c else p4[b] if b else p6[c]
+        series = e46[b, c]
+        if a:
+            series = convolve(p2[a], series, order) if b or c else p2[a]
+        out.append((mono, QSeries(series)))
     out.sort(key=lambda item: (item[0].weight, item[0].e2, item[0].e4, item[0].e6))
     return out
+
+
+def _integer_row(row: list, rhs) -> list[int]:
+    """The row with its right-hand side appended, times the lcm of their
+    denominators."""
+    scale = lcm(*(x.denominator for x in row), rhs.denominator)
+    return [x.numerator * (scale // x.denominator) for x in row] + [
+        rhs.numerator * (scale // rhs.denominator)
+    ]
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Solve an overdetermined exact linear system; None when inconsistent.
 
-    Returns the solution list, with free variables set to zero.
+    Returns the solution list, with free variables set to zero.  Entries may
+    be ints or Fractions.  Fraction-free elimination with column-order
+    pivots: after the step on pivot p, every entry below it is
+    (p * entry - factor * pivot_row_entry) / previous pivot, an exact
+    integer division.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    a = [_integer_row(row, rhs[i]) for i, row in enumerate(rows)]
     pivots = []
+    prev = 1
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        scale = a[r][c]
-        a[r] = [x / scale for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        top = a[r]
+        p = top[c]
+        tail = top[c:]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = row[:c] + [(p * x - f * y) // prev for x, y in zip(row[c:], tail)]
+            elif p != prev:  # a zero in the pivot column still scales by p / prev
+                a[i] = row[:c] + [p * x // prev for x in row[c:]]
         pivots.append(c)
+        prev = p
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    if any(a[i][n] for i in range(r, m)):
+        return None
+    # Back substitution: prev is the determinant of the pivot block, so
+    # prev * x is an integer vector (Cramer); each step divides exactly.
+    scaled = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = a[i]
+        acc = prev * row[n] - sum(row[pivots[j]] * scaled[j] for j in range(i + 1, r))
+        q, rem = divmod(acc, row[pivots[i]])
+        if rem:
+            raise InvariantError(f"back substitution left remainder {rem} in row {i}")
+        scaled[i] = q
     solution = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        solution[c] = a[i][n]
+        solution[c] = Fraction(scaled[i], prev)
     return solution
 
 
@@ -116,8 +168,6 @@ class MembershipReport:
     failure_witness: str | None
 
     def to_json(self) -> dict:
-        from covercalc.exact import rat_to_str
-
         return {
             "is_member": self.is_member,
             "weight_bound": self.weight_bound,
@@ -152,7 +202,8 @@ def is_quasimodular(
             f"fit length {fit_len} below the basis size {len(basis)}; "
             "the solve would be underdetermined"
         )
-    rows = [[b.coeffs[k] for _, b in basis] for k in range(fit_len)]
+    columns = [b.coeffs for _, b in basis]
+    rows = [[col[k] for col in columns] for k in range(fit_len)]
     rhs = [series.coeffs[k] for k in range(fit_len)]
     solution = solve_exact(rows, rhs)
     if solution is None:
@@ -160,15 +211,17 @@ def is_quasimodular(
             False, weight_bound, fit_len, holdout_len, None,
             "no exact solution on the fitted coefficients",
         )
+    # compare over the solution's common denominator: integers only
+    den = lcm(*(c.denominator for c in solution))
+    nums = [c.numerator * (den // c.denominator) for c in solution]
     for k in range(fit_len, needed):
-        predicted = sum(
-            (c * b.coeffs[k] for c, (_, b) in zip(solution, basis)), Fraction(0)
-        )
-        if predicted != series.coeffs[k]:
+        scaled = sum(num * col[k] for num, col in zip(nums, columns))
+        target = series.coeffs[k]
+        if scaled * target.denominator != target.numerator * den:
             return MembershipReport(
                 False, weight_bound, fit_len, holdout_len, None,
-                f"holdout mismatch at q^{k}: fit gives {predicted}, series has "
-                f"{series.coeffs[k]}",
+                f"holdout mismatch at q^{k}: fit gives {Fraction(scaled, den)}, series has "
+                f"{target}",
             )
     coeffs = tuple(
         (mono.name(), c) for c, (mono, _) in zip(solution, basis) if c != 0

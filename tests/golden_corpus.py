@@ -149,7 +149,34 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         ["qmod-check", "--weight", "4", "--fit", "20", "--holdout", "18", "--input", "@in"],
         {"in": series},
     ))
+    for weight, seed in ((8, 8), (14, 14)):
+        member, perturbed = _qmod_combination(weight, seed)
+        argv = ["qmod-check", "--weight", str(weight), "--fit", "40", "--holdout", "30",
+                "--input", "@in"]
+        entries.append((f"qmod-check weight {weight} member", argv, {"in": member}))
+        entries.append((f"qmod-check weight {weight} perturbed", argv, {"in": perturbed}))
+    flags = ["--dmax", "50", "--series", "--qmod"]
+    entries.append(("delliptic " + " ".join(flags), ["delliptic", *flags], {}))
     return entries
+
+
+def _qmod_combination(weight: int, seed: int) -> tuple[dict, dict]:
+    """A seeded rational combination of every E2/E4/E6 monomial of weight <=
+    `weight` to q^69, and a copy with one held-out coefficient moved."""
+    from fractions import Fraction
+
+    from covercalc.exact import QSeries
+    from qmod_oracles import oracle_basis
+
+    rng = random.Random(seed)
+    order = 69
+    total = [Fraction(0)] * (order + 1)
+    for _, series in oracle_basis(weight, order):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        total = [t + c * x for t, x in zip(total, series.coeffs)]
+    moved = list(total)
+    moved[rng.randrange(40, 70)] += Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return QSeries(tuple(total)).to_json(), QSeries(tuple(moved)).to_json()
 
 
 def capture(workdir: Path) -> list[dict]:

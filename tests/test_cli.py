@@ -201,6 +201,50 @@ def test_qmod_check_rejects_zero_denominator(tmp_path, capsys):
     check_schema("error", json.loads(out))
 
 
+@pytest.mark.parametrize("path, value, error", [
+    (("space", "group", "degree"), 2.7, "GroupError: group degree 2.7 is not an integer"),
+    (("space", "group", "degree"), True, "GroupError: group degree True is not an integer"),
+    (("space", "group", "degree"), "2", "GroupError: group degree '2' is not an integer"),
+    (("space", "genus"), 2.9, "CoverError: genus 2.9 is not an integer"),
+    (("space", "genus"), 2.0, "CoverError: genus 2.0 is not an integer"),
+    (("space", "genus"), True, "CoverError: genus True is not an integer"),
+])
+def test_validate_ggraph_rejects_non_integer_degree_and_genus(
+    tmp_path, capsys, path, value, error
+):
+    # int(...) used to truncate these, and 2.7 or 2.9 printed "ok": true
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1).to_json()
+    _set(path, value)(gg)
+    code, out = _run_with_inputs(tmp_path, capsys, ["validate-ggraph", "@in"], {"in": gg})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == error
+
+
+@pytest.mark.parametrize("order, coefficients, error", [
+    (40.0, ["1"] * 41, "ValueError: order 40.0 is not an integer"),
+    (True, ["1", "1"], "ValueError: order True is not an integer"),
+    ("40", ["1"] * 41, "ValueError: order '40' is not an integer"),
+    (1, [1, 2], "ValueError: exact rational 1 is not a string"),
+])
+def test_qmod_check_rejects_non_integer_order_and_non_string_coefficients(
+    tmp_path, capsys, order, coefficients, error
+):
+    series = {"order": order, "coefficients": coefficients}
+    code, out = _run_with_inputs(
+        tmp_path, capsys,
+        ["qmod-check", "--weight", "0", "--fit", "1", "--holdout", "1", "--input", "@in"],
+        {"in": series},
+    )
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == error
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 

@@ -23,6 +23,7 @@ from covercalc.delliptic import (
     quasimodularity_report,
     segre_excess_contribution,
 )
+from covercalc.errors import InvariantError
 from covercalc.exact import sigma1
 
 
@@ -106,13 +107,42 @@ def test_segre_excess_contributions():
         segre_excess_contribution(1, 1, "bogus")
 
 
+# The normalized total of each three-chain point row, by subcase.
+THREE_CHAIN_CLOSED_FORMS = {
+    "a-over-plus": lambda a, b, k, m, n: 4 * m * (n + 1) * (a + b),
+    "b-over-plus": lambda a, b, k, m, n: 4 * (m + 1) * n * (a + b),
+    "full-node-plus": lambda a, b, k, m, n: 8 * k * (m + 1) * b,
+    "full-node-minus": lambda a, b, k, m, n: 8 * (k - 1) * m * b,
+}
+
+
 def test_ledger_totals_assemble():
-    for d in (3, 5):
+    three_chain_rows = 0
+    for d in range(2, 21):
+        mark = factorial(d - 2) ** 2
         for row in delta00_contributions(d) + delta01_contributions(d):
             if row.excess_value is None:
                 assert row.total == row.count * row.reduced_degree * row.multiplicity
             else:
                 assert row.total == row.count * row.excess_value
+            family, _, subcase = row.subcase.partition("/")
+            if family == "three-chain":
+                assert row.total == mark * THREE_CHAIN_CLOSED_FORMS[subcase](*row.params)
+                three_chain_rows += 1
+    assert three_chain_rows > 0
+
+
+def test_three_chain_rows_are_checked_one_by_one(monkeypatch):
+    # only the three-chain points have two target nodes: break their
+    # reduced degree alone, and the first such row must raise
+    real = delliptic.normalization_branches
+
+    def broken(nodes):
+        return real(nodes) * (2 if len(nodes) == 2 else 1)
+
+    monkeypatch.setattr(delliptic, "normalization_branches", broken)
+    with pytest.raises(InvariantError, match=r"^three-chain/b-over-plus row \(1, 1, 1, 0, 1\)"):
+        delta00_contributions(3)
 
 
 def test_normalized_series_values():

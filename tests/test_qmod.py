@@ -2,9 +2,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from covercalc.exact import QSeries, sigma, sigma1
-from covercalc.qmod import eisenstein, is_quasimodular, quasimodular_basis
+from covercalc.qmod import eisenstein, is_quasimodular, quasimodular_basis, solve_exact
+from qmod_oracles import oracle_basis, oracle_solve
 
 
 ORDER = 45
@@ -34,7 +36,8 @@ def test_basis_grading():
 
 
 def test_e2_squared_is_member():
-    s = eisenstein(2, ORDER).pow(2)
+    e2 = eisenstein(2, ORDER)
+    s = e2 * e2
     report = is_quasimodular(s, weight_bound=4, fit_len=20, holdout_len=18)
     assert report.is_member
     assert dict(report.coefficients) == {"E2^2": Fraction(1)}
@@ -66,7 +69,8 @@ def test_every_basis_monomial_is_member():
 
 
 def test_e4_squared_in_weight8_span():
-    s = eisenstein(4, ORDER).pow(2)
+    e4 = eisenstein(4, ORDER)
+    s = e4 * e4
     report = is_quasimodular(s, weight_bound=8, fit_len=22, holdout_len=18)
     assert report.is_member
     assert dict(report.coefficients) == {"E4^2": Fraction(1)}
@@ -86,3 +90,134 @@ def test_insufficient_truncation_rejected():
     s = eisenstein(2, 10)
     with pytest.raises(ValueError):
         is_quasimodular(s, weight_bound=4, fit_len=20, holdout_len=18)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the rational oracles they replaced
+
+small_rationals = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+)
+
+
+def _vector(draw, n):
+    return draw(st.lists(small_rationals, min_size=n, max_size=n))
+
+
+def _matrix(draw, m, n):
+    return draw(st.lists(st.lists(small_rationals, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+def _product(rows, x):
+    return [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+
+
+def _assert_solves(rows, rhs):
+    solution = solve_exact(rows, rhs)
+    assert solution == oracle_solve(rows, rhs)
+    assert solution is not None
+    assert all(type(c) is Fraction for c in solution)
+    assert _product(rows, solution) == [Fraction(b) for b in rhs]
+
+
+@st.composite
+def full_rank_systems(draw):
+    # a unit lower-triangular block over random rows: rank n, consistent
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, n + 4))
+    rows = _matrix(draw, m, n)
+    for i in range(n):
+        rows[i] = [0] * i + [draw(st.integers(1, 9))] + rows[i][i + 1:]
+    x = _vector(draw, n)
+    return rows, _product(rows, x)
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    # rows combined from r < n random rows, with a consistent right side
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n - 1))
+    m = draw(st.integers(r, n + 4))
+    base = _matrix(draw, r, n)
+    weights = _matrix(draw, m, r)
+    rows = [[sum(Fraction(w) * row[j] for w, row in zip(ws, base)) for j in range(n)]
+            for ws in weights]
+    x = _vector(draw, n)
+    return rows, _product(rows, x)
+
+
+@st.composite
+def inconsistent_systems(draw):
+    # a repeated row with a different right side
+    rows, rhs = draw(st.one_of(full_rank_systems(), rank_deficient_systems()))
+    i = draw(st.integers(0, len(rows) - 1))
+    return rows + [list(rows[i])], rhs + [rhs[i] + draw(st.integers(1, 9))]
+
+
+@st.composite
+def systems_with_zero_columns(draw):
+    rows, rhs = draw(st.one_of(full_rank_systems(), rank_deficient_systems()))
+    n = len(rows[0])
+    zeros = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    return [[0 if j in zeros else x for j, x in enumerate(row)] for row in rows], zeros, rhs
+
+
+@st.composite
+def wide_systems(draw):
+    # fewer equations than unknowns, consistent
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + 1, m + 4))
+    rows = _matrix(draw, m, n)
+    x = _vector(draw, n)
+    return rows, _product(rows, x)
+
+
+@given(full_rank_systems())
+def test_solve_matches_oracle_on_full_rank_systems(system):
+    _assert_solves(*system)
+
+
+@given(rank_deficient_systems())
+def test_solve_matches_oracle_on_rank_deficient_systems(system):
+    _assert_solves(*system)
+
+
+@given(inconsistent_systems())
+def test_solve_matches_oracle_on_inconsistent_systems(system):
+    rows, rhs = system
+    assert solve_exact(rows, rhs) is None
+    assert oracle_solve(rows, rhs) is None
+
+
+@given(systems_with_zero_columns())
+def test_solve_matches_oracle_with_zero_columns(system):
+    rows, zeros, rhs = system
+    solution = solve_exact(rows, rhs)
+    assert solution == oracle_solve(rows, rhs)
+    if solution is not None:
+        # a zero column is a free variable, and free variables are 0
+        assert all(solution[j] == 0 for j in zeros)
+        assert _product(rows, solution) == [Fraction(b) for b in rhs]
+
+
+@given(wide_systems())
+def test_solve_matches_oracle_on_wide_systems(system):
+    _assert_solves(*system)
+
+
+def test_solve_on_empty_and_zero_systems():
+    assert solve_exact([], []) == oracle_solve([], []) == []
+    assert solve_exact([[0, 0]], [0]) == oracle_solve([[0, 0]], [0]) == [0, 0]
+    assert solve_exact([[0, 0]], [Fraction(1, 2)]) is None
+
+
+def test_integer_basis_matches_oracle_up_to_weight_14():
+    # the oracle computes every monomial on its own, so its basis for a
+    # smaller bound is the prefix of weight <= bound of the bound-14 one
+    order = 69
+    oracle = oracle_basis(14, order)
+    for weight in range(15):
+        basis = quasimodular_basis(weight, order)
+        assert basis == [item for item in oracle if item[0].weight <= weight]
+        assert all(type(c) is int for _, series in basis for c in series.coeffs)
