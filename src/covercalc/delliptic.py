@@ -27,9 +27,9 @@ its reduced degree, multiplicity and excess, and its normalized total.
 The row check is an integer cross-multiplication, and the family sums,
 both closed-form checks and the cancellation run on normalized integers.
 The mark is put back only at output: once per degree for the pairing
-values and aggregates, and in a row's `Fraction` fields when they are
-read (`--ledger`).  "Normalized" values are the ones with the mark divided
-out.
+values and aggregates (`degree_ledger`), and in a row's `Fraction` fields
+when they are read (`--ledger`).  "Normalized" values are the ones with
+the mark divided out.
 """
 
 from __future__ import annotations
@@ -250,15 +250,6 @@ def _normalized_delta01_closed_form(d: int) -> int:
     return 2 * sum(sigma1(d1) * sigma1(d - d1) for d1 in range(1, d))
 
 
-def delta01_closed_form(d: int) -> Fraction:
-    return Fraction(_mark_factor(d) * _normalized_delta01_closed_form(d))
-
-
-def delta01_number(d: int) -> Fraction:
-    """The separating-node pairing, via strata, checked against the closed form."""
-    return Fraction(_mark_factor(d) * _checked_delta01(d, delta01_contributions(d)))
-
-
 def _checked_delta01(d: int, rows: list[StratumContribution]) -> int:
     """The normalized stratum sum, once it equals the normalized closed form."""
     stratum_sum = sum(c.normalized_total for c in rows)
@@ -366,13 +357,6 @@ def delta00_contributions(d: int) -> list[StratumContribution]:
     )
 
 
-def delta00_stratum_aggregates(d: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The four family subtotals, in the fixed order: polygon-bridge,
-    three-chain points, profile family, nodal family."""
-    mark = _mark_factor(d)
-    return tuple(Fraction(mark * x) for x in _family_sums(delta00_contributions(d)))
-
-
 def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
     """The normalized family subtotals of a delta00 ledger."""
     sums = dict.fromkeys(("polygon-bridge", "three-chain", "profile-family", "nodal-family"), 0)
@@ -383,17 +367,6 @@ def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
 
 def _normalized_delta00_closed_form(d: int) -> int:
     return 4 * (d - 1) * sigma1(d)
-
-
-def delta00_closed_form(d: int) -> Fraction:
-    return Fraction(_mark_factor(d) * _normalized_delta00_closed_form(d))
-
-
-def delta00_number(d: int) -> Fraction:
-    """The irreducible-node pairing: stratum sum, checked against the closed
-    form (the last three aggregates cancel exactly)."""
-    rows = delta00_contributions(d)
-    return Fraction(_mark_factor(d) * _checked_delta00(d, _family_sums(rows)))
 
 
 def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
@@ -416,7 +389,10 @@ def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class DegreeLedger:
-    """Both pairings at one degree, from one build of each ledger."""
+    """Both pairings at one degree, from one build of each ledger.
+
+    delta00_aggregates are the four family subtotals, in the fixed order:
+    polygon-bridge, three-chain points, profile family, nodal family."""
 
     delta00_rows: list[StratumContribution]
     delta01_rows: list[StratumContribution]
@@ -449,12 +425,6 @@ def pairing_series(numbers: Sequence[Fraction]) -> QSeries:
     coeffs = [Fraction(0), Fraction(0)]
     coeffs.extend(x / _mark_factor(d) for d, x in enumerate(numbers, start=2))
     return QSeries(tuple(coeffs))
-
-
-def normalized_series(kind: str, d_max: int) -> QSeries:
-    """Sum over d >= 2 of (pairing number)/(d-2)!^2 q^d, to order d_max."""
-    number = {"delta00": delta00_number, "delta01": delta01_number}[kind]
-    return pairing_series([number(d) for d in range(2, d_max + 1)])
 
 
 @dataclass(frozen=True)

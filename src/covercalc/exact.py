@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -84,8 +84,8 @@ class QSeries:
     ``coeffs[k]`` is the coefficient of q^k; the series is known exactly up
     to and including q^order.  An `int` coefficient stays an `int` (so an
     integral series multiplies in integers); any other becomes a `Fraction`.
-    Arithmetic between two series truncates to the smaller order: the result
-    is only claimed where both inputs are known.
+    A product of two series truncates to the smaller order: the result is
+    only claimed where both inputs are known.
     """
 
     coeffs: tuple[int | Fraction, ...]
@@ -101,45 +101,8 @@ class QSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[Fraction | int], order: int | None = None) -> "QSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if order + 1 < len(cs):
-                cs = cs[: order + 1]
-            else:
-                cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        return QSeries(tuple(cs))
-
-    @staticmethod
-    def zero(order: int) -> "QSeries":
-        return QSeries(tuple([Fraction(0)] * (order + 1)))
-
-    def coefficient(self, k: int) -> int | Fraction:
-        if k < 0 or k > self.order:
-            raise IndexError(f"coefficient q^{k} not known at truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-c for c in self.coeffs))
-
-    def scale(self, c: Fraction | int) -> "QSeries":
-        c = Fraction(c)
-        return QSeries(tuple(c * x for x in self.coeffs))
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         return QSeries(convolve(self.coeffs, other.coeffs, min(self.order, other.order)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def to_json(self) -> dict:
         return {"order": self.order, "coefficients": [rat_to_str(c) for c in self.coeffs]}

@@ -906,7 +906,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
 
     kinds: "restriction" (identity coefficients), "corestriction"
     (psi scaled by the order drop, kappa by 1/#N), "forgetful"
-    (psi minus the orbit of section divisors, kappa minus #G psi^i).
+    (psi minus the orbit of section divisors, kappa_i minus #G psi^i, i >= 1).
     """
     cls = params.get("cls")
     if cls not in ("psi", "kappa"):
@@ -930,7 +930,11 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
     if kind == "forgetful":
         group = params["group"]
         if cls == "kappa":
-            i = int(params["index"])
+            i = params["index"]
+            if type(i) is not int or i < 1:
+                raise CoverError(
+                    f"kappa index {i!r} must be an integer >= 1 (kappa_0 is a constant)"
+                )
             return PullbackFormula(
                 kind,
                 (

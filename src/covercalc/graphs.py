@@ -88,7 +88,7 @@ class StableGraph:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, allow_disconnected: bool = False) -> None:
+    def validate(self) -> None:
         nv, nh = self.n_vertices, self.n_half_edges
         if nv == 0:
             raise GraphError("a stable graph needs at least one vertex")
@@ -108,7 +108,7 @@ class StableGraph:
         for v in range(nv):
             if 2 * self.genera[v] - 2 + self.valence(v) <= 0:
                 raise GraphError(f"vertex {v} violates stability")
-        if not allow_disconnected and not self.is_connected():
+        if not self.is_connected():
             raise GraphError("graph is not connected")
 
     def is_connected(self) -> bool:
@@ -190,9 +190,6 @@ class StableGraph:
             off += len(cls)
         best = min(self._relabel_key(s) for s in _class_bijections(classes, blocks))
         return (self.n_legs, best)
-
-    def is_isomorphic(self, other: "StableGraph") -> bool:
-        return self.canonical_key() == other.canonical_key()
 
     # -- isomorphisms ------------------------------------------------------
 
@@ -376,15 +373,6 @@ class GraphMorphism:
 
     def encode(self) -> tuple:
         return (self.vertex_map, self.half_edge_map)
-
-
-def identity_morphism(graph: StableGraph) -> GraphMorphism:
-    return GraphMorphism(
-        graph,
-        graph,
-        tuple(range(graph.n_vertices)),
-        tuple(range(graph.n_half_edges)),
-    )
 
 
 def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:

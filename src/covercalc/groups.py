@@ -73,22 +73,6 @@ def cycle_type(a: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def cycles(a: Perm) -> list[tuple[int, ...]]:
-    """Cycles of the permutation, each starting at its minimal point."""
-    seen = [False] * len(a)
-    out = []
-    for i in range(len(a)):
-        if not seen[i]:
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = a[j]
-            out.append(tuple(cyc))
-    return out
-
-
 def perm_from_cycles(n: int, cyc_list: Sequence[Sequence[int]]) -> Perm:
     out = list(range(n))
     for cyc in cyc_list:
@@ -160,11 +144,6 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
-    def order_of(self, g: Perm) -> int:
-        if g not in self:
-            raise GroupError("element does not belong to the group")
-        return perm_order(g)
-
     def generated_subgroup(self, gens: Iterable[Perm]) -> "FiniteGroup":
         gens = tuple(gens)
         if not all(g in self for g in gens):
@@ -173,12 +152,6 @@ class FiniteGroup:
 
     def cyclic_subgroup(self, g: Perm) -> "FiniteGroup":
         return self.generated_subgroup([g])
-
-    def full_subgroup(self) -> "FiniteGroup":
-        return self
-
-    def trivial_subgroup(self) -> "FiniteGroup":
-        return FiniteGroup(self.degree, ())
 
     def to_json(self) -> dict:
         return {

@@ -1,8 +1,8 @@
 """Tautological classes on moduli of stable curves.
 
-Decorated boundary strata with exact rational coefficients: psi/kappa
-pullback rules along forgetful and boundary maps, the excess-intersection
-formula for two boundary strata, and top-degree integration.
+Decorated boundary strata with exact rational coefficients: the psi/kappa
+pullback to a boundary stratum, the excess-intersection formula for two
+boundary strata, and top-degree integration.
 
 Integrals of psi monomials are computed by the string/dilaton equations on
 top of the KdV-style recursion; the two base constants <tau_0^3>_0 = 1 and
@@ -25,7 +25,6 @@ from covercalc.graphs import (
     GraphError,
     StableGraph,
     enumerate_generic_AB,
-    trivial_graph,
 )
 
 
@@ -253,23 +252,6 @@ class StratumClass:
             if graph.genus() != self.genus or graph.n_legs != self.n_legs:
                 raise GraphError("term does not live on the ambient space")
 
-    def __add__(self, other: "StratumClass") -> "StratumClass":
-        if (self.genus, self.n_legs) != (other.genus, other.n_legs):
-            raise GraphError("ambient spaces differ")
-        return StratumClass(self.genus, self.n_legs, self.terms + other.terms)
-
-    def scale(self, c) -> "StratumClass":
-        c = Fraction(c)
-        return StratumClass(
-            self.genus,
-            self.n_legs,
-            tuple((c * coeff, g, d) for coeff, g, d in self.terms),
-        )
-
-    @staticmethod
-    def zero(g: int, n: int) -> "StratumClass":
-        return StratumClass(g, n, ())
-
     def to_json(self) -> dict:
         return {
             "genus": self.genus,
@@ -283,45 +265,6 @@ class StratumClass:
                 for c, graph, dec in self.terms
             ],
         }
-
-
-def psi_class(g: int, n: int, i: int, power: int = 1) -> StratumClass:
-    graph = trivial_graph(g, n)
-    dec = Decoration.trivial(graph).with_psi_leg(i - 1, power)
-    return StratumClass(g, n, ((Fraction(1), graph, dec),))
-
-
-def kappa_class(g: int, n: int, index: int, power: int = 1) -> StratumClass:
-    graph = trivial_graph(g, n)
-    dec = Decoration.trivial(graph).with_kappa(0, index, power)
-    return StratumClass(g, n, ((Fraction(1), graph, dec),))
-
-
-def rational_tail_divisor(g: int, n: int, i: int) -> StableGraph:
-    """D_{i,n+1} on M_{g,n+1}: rational tail carrying legs i and n+1."""
-    legs = [0] * (n + 1)
-    legs[i - 1] = 1
-    legs[n] = 1
-    graph = StableGraph((g, 0), (0, 1), (1, 0), tuple(legs))
-    graph.validate()
-    return graph
-
-
-def pullback_psi_forgetful(g: int, n: int, i: int) -> StratumClass:
-    """pi^*(psi_i) = psi_i - [D_{i,n+1}] on M_{g,n+1}."""
-    if not 1 <= i <= n:
-        raise IntegralError(f"marked point index {i} out of range 1..{n}")
-    d_graph = rational_tail_divisor(g, n, i)
-    return psi_class(g, n + 1, i) + StratumClass(
-        g, n + 1, ((Fraction(-1), d_graph, Decoration.trivial(d_graph)),)
-    )
-
-
-def pullback_kappa_forgetful(g: int, n: int, i: int) -> StratumClass:
-    """pi^*(kappa_i) = kappa_i - psi_{n+1}^i on M_{g,n+1}."""
-    if i < 1:
-        raise IntegralError("kappa_0 is the constant 2g-2+n; index must be >= 1")
-    return kappa_class(g, n + 1, i) + psi_class(g, n + 1, n + 1, i).scale(-1)
 
 
 def pullback_by_boundary(
@@ -436,40 +379,3 @@ def _integrate_term(
             return Fraction(0)
         value *= factor
     return value
-
-
-def pair_boundary_pushforwards(
-    a: StableGraph,
-    b: StableGraph,
-    theta_psi_leg: int | None = None,
-    theta_kappa_power: int = 0,
-    max_vertex_genus: int = 2,
-) -> Fraction:
-    """Number pairing <xi_A^* xi_B* (1), theta> on M_{g,n}.
-
-    theta is psi_1^D (D = complementary degree) when the space has legs, or
-    kappa_1^D otherwise.  Genus-2 vertices are allowed here: the pairing is
-    used by the bivariant-symmetry checks whose corpora include them.
-    """
-    g, n = a.genus(), a.n_legs
-    dim = 3 * g - 3 + n
-    d = dim - a.n_edges - b.n_edges
-    if d < 0:
-        return Fraction(0)
-    cls = boundary_intersection_pushforward(a, b)
-    terms = []
-    for coeff, gamma, dec in cls.terms:
-        if n >= 1:
-            decorated = [(coeff, dec.with_psi_leg(0, d) if d else dec)]
-        else:
-            decorated = [(coeff, dec)]
-            for _ in range(d):
-                decorated = [
-                    (c, dd.with_kappa(v, 1, 1))
-                    for c, dd in decorated
-                    for v in range(gamma.n_vertices)
-                ]
-        for c, dd in decorated:
-            terms.append((c, gamma, dd))
-    full = StratumClass(g, n, tuple(terms))
-    return integrate_stratum_class(full, max_vertex_genus=max_vertex_genus)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from covercalc.delliptic import PipelineError, am_bn_splits
+from covercalc.exact import sigma1
 from covercalc.mbar import IntegralError
 
 
@@ -31,3 +32,14 @@ def david_identity(d: int) -> Fraction:
 
 def david_identity_mirror(d: int) -> Fraction:
     return Fraction(sum((m * n - b * n) * min(a, b) for a, b, m, n in am_bn_splits(d)))
+
+
+def delta00_closed_form(d: int) -> Fraction:
+    """The irreducible-node pairing: (d-2)!^2 * 4(d-1) sigma1(d)."""
+    return Fraction(factorial(d - 2) ** 2 * 4 * (d - 1) * sigma1(d))
+
+
+def delta01_closed_form(d: int) -> Fraction:
+    """The separating-node pairing: (d-2)!^2 * 2 sum_{0<e<d} sigma1(e) sigma1(d-e)."""
+    convolution = sum(sigma1(e) * sigma1(d - e) for e in range(1, d))
+    return Fraction(factorial(d - 2) ** 2 * 2 * convolution)

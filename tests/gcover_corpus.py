@@ -46,7 +46,7 @@ def _digest(fn) -> str:
 
 def subgroups_of(group) -> list:
     """Trivial, full, then every cyclic subgroup in order of first generator."""
-    out = [group.trivial_subgroup(), group]
+    out = [group.generated_subgroup(()), group]
     seen = {frozenset(s.elements) for s in out}
     for g in group.elements:
         sub = group.cyclic_subgroup(g)
@@ -56,10 +56,21 @@ def subgroups_of(group) -> list:
     return out
 
 
+def identity_morphism(graph):
+    """The identity GraphMorphism of a stable graph."""
+    from covercalc.graphs import GraphMorphism
+
+    return GraphMorphism(
+        graph,
+        graph,
+        tuple(range(graph.n_vertices)),
+        tuple(range(graph.n_half_edges)),
+    )
+
+
 def evaluate(graph_json: dict, subgroup_gens: list) -> dict[str, str]:
     """Digest of every recorded output for one graph."""
     from covercalc import gcover
-    from covercalc.graphs import identity_morphism
 
     gg = gcover.AdmissibleGGraph.from_json(graph_json)
     out = {

@@ -77,7 +77,7 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
     """(name, argv, files) for every corpus entry, in a fixed order."""
     from gg_factory import MUTATION_KINDS, _polygon, _z2_fixed_edge, _z2_gp, mutate
     from gg_factory import _edgeless, _s3_three_cycle_legs, _z2_loop_orbit, random_valid_graph
-    from covercalc.delliptic import normalized_series
+    from covercalc.delliptic import degree_ledger, pairing_series
     from covercalc.graphs import StableGraph
 
     entries: list[tuple[str, list[str], dict]] = []
@@ -143,7 +143,7 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
             ["intersect-boundary", "--a", "@a", "--b", "@b"],
             {"a": a.to_json(), "b": b.to_json()},
         ))
-    series = normalized_series("delta01", 40).to_json()
+    series = pairing_series([degree_ledger(d).delta01 for d in range(2, 41)]).to_json()
     entries.append((
         "qmod-check delta01 normalized to q^40",
         ["qmod-check", "--weight", "4", "--fit", "20", "--holdout", "18", "--input", "@in"],

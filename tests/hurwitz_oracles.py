@@ -1,0 +1,148 @@
+"""The degree of the 4-pointed target map, counted on the degenerate fiber.
+
+`covercalc.delliptic.segre_excess_contribution("node-profile")` takes the
+degree of the target map of covers with profile (a, b) over two points
+and one simple branch point to be 2 max(a, b).  `nodal_target_degree`
+counts that degree independently, by degeneration bookkeeping over a
+two-component nodal target: marked covers are pairs of one-sided tuples
+glued along a matching of node fibers, each counted with multiplicity the
+product of the node ramification indices and weight 1/#Aut.  This is the
+computation that pins the target-map degree conventions the zero-cycle
+pipeline uses.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import factorial, prod
+
+from covercalc.errors import InvariantError
+from covercalc.groups import Perm, compose, cycle_type, invert
+
+
+def cycles(a: Perm) -> list[list[int]]:
+    """Cycles of the permutation, each starting at its minimal point."""
+    seen, out = set(), []
+    for i in range(len(a)):
+        if i not in seen:
+            cyc = [i]
+            while a[cyc[-1]] != i:
+                cyc.append(a[cyc[-1]])
+            seen.update(cyc)
+            out.append(cyc)
+    return out
+
+
+def _components(n: int, edges) -> list[set[int]]:
+    """Connected components of the graph on 0..n-1 with the given edges."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    comps: dict[int, set[int]] = {}
+    for x in range(n):
+        comps.setdefault(find(x), set()).add(x)
+    return list(comps.values())
+
+
+def _perms_of_type(d: int, parts: tuple[int, ...]) -> list[Perm]:
+    return [p for p in itertools.permutations(range(d)) if cycle_type(p) == parts]
+
+
+def _one_sided_summaries(a: int, b: int) -> dict:
+    """Summaries of covers of one target component, bucketed with counts.
+
+    A one-sided cover is a pair (rho, tau) in S_d with rho of type (a, b)
+    (the marked profile fiber) and tau a transposition; the node monodromy
+    is mu = (rho tau)^{-1}.  The summary records, per connected component
+    of the cover: its genus and the lengths of its mu-cycles, tagged so
+    matchings can be enumerated.  Counts include the 2 markings of the
+    profile fiber when a = b.
+    """
+    d = a + b
+    label_factor = 2 if a == b else 1
+    buckets: dict[tuple, int] = {}
+    for rho in _perms_of_type(d, tuple(sorted((a, b), reverse=True))):
+        for tau in _perms_of_type(d, (2,) + (1,) * (d - 2)):
+            summary = _cover_summary(d, (rho, tau, invert(compose(rho, tau))))
+            buckets[summary] = buckets.get(summary, 0) + label_factor
+    return buckets
+
+
+def _cover_summary(d: int, monodromy: tuple[Perm, Perm, Perm]) -> tuple:
+    """Per connected component of the cover with monodromy (rho, tau, mu):
+    (genus, mu-cycle lengths), sorted."""
+    mu = monodromy[-1]
+    comp_data = []
+    for pts in _components(d, [(x, p[x]) for p in monodromy for x in range(d)]):
+        ram = sum(len(pts) - sum(c[0] in pts for c in cycles(p)) for p in monodromy)
+        genus2 = ram - 2 * len(pts)  # 2g - 2 over the genus-0 component
+        if genus2 % 2:
+            raise InvariantError(f"odd Riemann-Hurwitz sum {genus2} on a component")
+        mu_cycles = sorted((len(c) for c in cycles(mu) if c[0] in pts), reverse=True)
+        comp_data.append((genus2 // 2 + 1, tuple(mu_cycles)))
+    return tuple(sorted(comp_data, reverse=True))
+
+
+def nodal_target_degree(a: int, b: int) -> dict:
+    """Degree of the 4-pointed target map computed on the degenerate fiber.
+
+    The target is two lines glued at a node, each carrying one simple branch
+    point and one (a, b)-profile point.  Marked admissible covers of it are
+    (left cover, right cover, matching of node fibers); each contributes
+    (product of node ramification indices) / #Aut.  Returns the total and
+    the subtotal per node-fiber cycle type, which exhibits the lemma-level
+    bookkeeping: one cover type totally ramified over the node contributing
+    a+b, and for a != b one of type (|a-b|, min, min) contributing |a-b|
+    after the 1/min^2 automorphism correction.
+    """
+    d = a + b
+    buckets = _one_sided_summaries(a, b)
+    dd = Fraction(1, factorial(d) ** 2)
+    total = Fraction(0)
+    by_type: dict[tuple[int, ...], Fraction] = {}
+    for left, left_count in buckets.items():
+        for right, right_count in buckets.items():
+            contribution = _glued_contribution(left, right)
+            if contribution == 0:
+                continue
+            value = dd * left_count * right_count * contribution
+            mu_type = tuple(sorted((l for _, cyc in left for l in cyc), reverse=True))
+            total += value
+            by_type[mu_type] = by_type.get(mu_type, Fraction(0)) + value
+    return {"total": total, "by_node_type": by_type}
+
+
+def _glued_contribution(left: tuple, right: tuple) -> int:
+    """Sum over valid matchings of the node-index product.
+
+    Valid: every node cycle matched to one of equal length, glued curve
+    connected and of arithmetic genus 0.
+    """
+    left_cycles = [(ci, length) for ci, (_, cyc) in enumerate(left) for length in cyc]
+    right_cycles = [(ci, length) for ci, (_, cyc) in enumerate(right) for length in cyc]
+    if sorted(l for _, l in left_cycles) != sorted(l for _, l in right_cycles):
+        return 0
+    genus_sum = sum(g for g, _ in left) + sum(g for g, _ in right)
+    n_nodes = len(left_cycles)
+    n_comps = len(left) + len(right)
+    # arithmetic genus of the glued curve
+    if genus_sum + n_nodes - n_comps + 1 != 0:
+        return 0
+    mult = prod(length for _, length in left_cycles)
+    total = 0
+    for perm in itertools.permutations(range(len(right_cycles))):
+        if any(left_cycles[i][1] != right_cycles[perm[i]][1] for i in range(n_nodes)):
+            continue
+        # connectivity of the bipartite gluing graph
+        gluing = [(u, len(left) + right_cycles[perm[i]][0])
+                  for i, (u, _) in enumerate(left_cycles)]
+        if len(_components(n_comps, gluing)) == 1:
+            total += mult
+    return total

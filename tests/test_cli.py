@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,7 +10,7 @@ import pytest
 
 from gg_factory import mutate, random_valid_graph
 from covercalc.cli import main
-from covercalc.delliptic import normalized_series
+from covercalc.delliptic import degree_ledger, pairing_series
 from covercalc.graphs import StableGraph
 
 REPO = Path(__file__).resolve().parent.parent
@@ -139,7 +142,7 @@ def test_delliptic_human_table(capsys):
 
 
 def test_qmod_check_roundtrip(tmp_path, capsys):
-    series = normalized_series("delta01", 40)
+    series = pairing_series([degree_ledger(d).delta01 for d in range(2, 41)])
     path = tmp_path / "series.json"
     path.write_text(json.dumps(series.to_json()))
     code, out = run_cli(
@@ -392,3 +395,51 @@ def test_pullback_rejects_non_integer_permutation_entries(tmp_path, capsys, fiel
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith("GroupError: permutation must be a list of integers")
+
+
+MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]
+
+
+@pytest.mark.parametrize("types", MALFORMED_TYPES)
+def test_hurwitz_count_rejects_types_that_are_not_lists_of_integers(capsys, types):
+    # int(...) used to read 2.5 as 2, true as 1 and "2" as 2, and print a count
+    code, out = run_cli(capsys, ["hurwitz-count", "--degree", "2", "--types", types])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("HurwitzError")
+
+
+MALFORMED_KAPPA_INDICES = [2.7, True, "4", 0, -3]
+
+
+@pytest.mark.parametrize("index", MALFORMED_KAPPA_INDICES)
+def test_pullback_forgetful_kappa_rejects_a_bad_index(tmp_path, capsys, index):
+    # int(...) used to read 2.7 as 2, true as 1 and "4" as 4; 0 and -3 printed
+    # a formula although kappa_0 is a constant
+    payload = {"kind": "forgetful", "cls": "kappa", "group": S3, "index": index}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": payload})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("CoverError: kappa index")
+
+
+def test_malformed_types_and_kappa_indices_exit_2_under_python_O(tmp_path):
+    # the checks raise domain errors, not asserts, so -O keeps them
+    runs = [["hurwitz-count", "--degree", "2", "--types", t] for t in MALFORMED_TYPES]
+    for i, index in enumerate(MALFORMED_KAPPA_INDICES):
+        path = tmp_path / f"kappa{i}.json"
+        path.write_text(json.dumps({"kind": "forgetful", "cls": "kappa", "group": S3, "index": index}))
+        runs.append(["pullback", str(path)])
+    script = ("import json, sys\nfrom covercalc.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    print(main(argv), end='\\0')\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    chunks = done.stdout.split("\0")[:-1]
+    assert len(chunks) == len(runs)
+    for chunk in chunks:
+        out, code = chunk.rsplit("\n", 1)
+        assert code == "2"
+        check_schema("error", json.loads(out))

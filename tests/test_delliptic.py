@@ -1,25 +1,26 @@
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 import pytest
 
 import covercalc.delliptic as delliptic
-from closed_forms import david_identity, david_identity_mirror
+from closed_forms import (
+    david_identity,
+    david_identity_mirror,
+    delta00_closed_form,
+    delta01_closed_form,
+)
 from covercalc.cli import main
 from covercalc.delliptic import (
     PipelineError,
     am_bn_splits,
     chain_splits,
-    delta00_closed_form,
+    degree_ledger,
     delta00_contributions,
-    delta00_number,
-    delta00_stratum_aggregates,
-    delta01_closed_form,
     delta01_contributions,
-    delta01_number,
     normalization_branches,
-    normalized_series,
+    pairing_series,
     quasimodularity_report,
     segre_excess_contribution,
 )
@@ -40,9 +41,9 @@ def test_normalization_branches():
 
 
 def test_delta01_spot_values():
-    assert delta01_number(2) == 2
-    assert delta01_number(3) == 12
-    assert delta01_number(4) == 136  # 2 (2!)^2 (4 + 9 + 4)
+    assert degree_ledger(2).delta01 == 2
+    assert degree_ledger(3).delta01 == 12
+    assert degree_ledger(4).delta01 == 136  # 2 (2!)^2 (4 + 9 + 4)
 
 
 def test_delta01_ledger_row():
@@ -56,27 +57,27 @@ def test_delta01_ledger_row():
 
 def test_delta01_routes_agree_up_to_12():
     for d in range(2, 13):
-        assert delta01_number(d) == delta01_closed_form(d)
+        assert degree_ledger(d).delta01 == delta01_closed_form(d)
 
 
 def test_delta00_spot_values():
-    assert delta00_number(2) == 12
-    assert delta00_number(3) == 32
-    assert delta00_number(4) == 336
-    assert delta00_number(5) == 3456  # 4 (3!)^2 4 sigma1(5)
+    assert degree_ledger(2).delta00 == 12
+    assert degree_ledger(3).delta00 == 32
+    assert degree_ledger(4).delta00 == 336
+    assert degree_ledger(5).delta00 == 3456  # 4 (3!)^2 4 sigma1(5)
 
 
 def test_delta00_aggregates_examples():
-    assert delta00_stratum_aggregates(2) == (12, 8, -8, 0)
-    assert delta00_stratum_aggregates(3) == (32, 64, -64, 0)
+    assert degree_ledger(2).delta00_aggregates == (12, 8, -8, 0)
+    assert degree_ledger(3).delta00_aggregates == (32, 64, -64, 0)
     # the fourth family needs (a+b)k + am + bn >= 4 with k,m,n >= 1
     for d in (2, 3):
-        assert delta00_stratum_aggregates(d)[3] == 0
+        assert degree_ledger(d).delta00_aggregates[3] == 0
 
 
 def test_delta00_routes_and_cancellation_up_to_12():
     for d in range(2, 13):
-        aggregates = delta00_stratum_aggregates(d)
+        aggregates = degree_ledger(d).delta00_aggregates
         assert sum(aggregates) == delta00_closed_form(d)
         assert sum(aggregates[1:]) == 0
 
@@ -145,19 +146,24 @@ def test_three_chain_rows_are_checked_one_by_one(monkeypatch):
         delta00_contributions(3)
 
 
+def _pairing_series(d_max: int):
+    """The normalized delta00 and delta01 series to order d_max."""
+    ledgers = [degree_ledger(d) for d in range(2, d_max + 1)]
+    return (pairing_series([x.delta00 for x in ledgers]),
+            pairing_series([x.delta01 for x in ledgers]))
+
+
 def test_normalized_series_values():
-    s = normalized_series("delta00", 6)
+    s, _ = _pairing_series(6)
     mark = lambda d: factorial(d - 2) ** 2
     for d in (2, 3, 4):
-        assert s.coefficient(d) == delta00_number(d) / mark(d)
-        assert s.coefficient(d) == 4 * (d - 1) * sigma1(d)
-    assert s.coefficient(0) == 0 and s.coefficient(1) == 0
+        assert s.coeffs[d] == degree_ledger(d).delta00 / mark(d)
+        assert s.coeffs[d] == 4 * (d - 1) * sigma1(d)
+    assert s.coeffs[0] == 0 and s.coeffs[1] == 0
 
 
 def test_quasimodularity_report():
-    rep = quasimodularity_report(
-        normalized_series("delta00", 40), normalized_series("delta01", 40)
-    )
+    rep = quasimodularity_report(*_pairing_series(40))
     assert rep.delta00.is_member and rep.delta01.is_member
     assert rep.split_stable
     assert dict(rep.delta01.coefficients) == {

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcover_corpus import subgroups_of
+from gcover_corpus import identity_morphism, subgroups_of
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.gcover import (
     AdmissibleGGraph,
@@ -30,7 +30,7 @@ from covercalc.gcover import (
     validate_admissible_g_graph,
     wrap_trivial_group,
 )
-from covercalc.graphs import StableGraph, enumerate_stable_graphs, identity_morphism
+from covercalc.graphs import StableGraph, enumerate_stable_graphs
 from covercalc.groups import (
     compose,
     cyclic_group,
@@ -82,7 +82,7 @@ def test_restriction_monodromy_examples():
     assert [entry[3] for entry in ledger2] == [2, 2]
 
     # G1 = G with canonical relabeling: unchanged
-    new3, _ = restriction_monodromy(space, s3.full_subgroup())
+    new3, _ = restriction_monodromy(space, s3)
     assert new3 == space and new3.xi == (t, t)
 
 
@@ -116,9 +116,9 @@ def test_corestriction_monodromy_examples():
     new, q = corestriction_monodromy(space, a3)
     assert len(new.group) == 2 and new.genus == 2 and new.target_genus == 1
     assert new.xi[0] == new.xi[1] != new.group.identity
-    trivial_new, _ = corestriction_monodromy(space, s3.trivial_subgroup())
+    trivial_new, _ = corestriction_monodromy(space, s3.generated_subgroup(()))
     assert len(trivial_new.group) == 6 and trivial_new.genus == 4
-    full_new, _ = corestriction_monodromy(space, s3.full_subgroup())
+    full_new, _ = corestriction_monodromy(space, s3)
     assert full_new.xi == (full_new.group.identity,) * 2
     assert full_new.genus == full_new.target_genus == 1
 
@@ -154,11 +154,11 @@ def test_restrict_graph_round_trips():
         gg = random_valid_graph(rng)
         group = gg.group
         # restriction to the full group is a relabeling of the same graph
-        full = restrict_graph(gg, group.full_subgroup())
+        full = restrict_graph(gg, group)
         assert validate_admissible_g_graph(full) == []
         assert full.graph.genera == gg.graph.genera
         # restriction to the trivial subgroup forgets the action
-        triv = restrict_graph(gg, group.trivial_subgroup())
+        triv = restrict_graph(gg, group.generated_subgroup(()))
         assert validate_admissible_g_graph(triv) == []
         assert len(triv.group) == 1
         assert triv.graph.n_legs == gg.graph.n_legs
@@ -175,7 +175,7 @@ def test_corestrict_after_restrict_composes_on_monodromy():
     restricted, _ = restriction_monodromy(space, a3)
     a3_group = restricted.group
     collapsed, _ = corestriction_monodromy(
-        restricted, a3_group.full_subgroup()
+        restricted, a3_group
     )
     assert all(h == collapsed.group.identity for h in collapsed.xi)
     assert collapsed.genus == space.target_genus == 1
@@ -194,17 +194,17 @@ def test_corestrict_graph_examples():
     from gg_factory import _polygon
 
     gg = _polygon(4, 1, with_legs=False)
-    qq = corestrict_graph(gg, gg.group.full_subgroup())
+    qq = corestrict_graph(gg, gg.group)
     assert qq.graph.n_vertices == 1 and qq.graph.n_edges == 1
     assert validate_admissible_g_graph(qq) == []
     # trivial normal subgroup: isomorphic graph
-    same = corestrict_graph(gg, gg.group.trivial_subgroup())
-    assert same.graph.is_isomorphic(gg.graph)
+    same = corestrict_graph(gg, gg.group.generated_subgroup(()))
+    assert same.graph.canonical_key() == gg.graph.canonical_key()
     # GP graph: quotient is (genus h) -- (genus 0 with both legs)
     from gg_factory import _z2_gp
 
     gp = _z2_gp(2)
-    qgp = corestrict_graph(gp, gp.group.full_subgroup())
+    qgp = corestrict_graph(gp, gp.group)
     assert sorted(qgp.graph.genera) == [0, 2]
     assert qgp.graph.n_edges == 1
     assert validate_admissible_g_graph(qgp) == []
@@ -214,7 +214,7 @@ def test_corestrict_outputs_validate_randomized():
     rng = random.Random(13)
     for _ in range(20):
         gg = random_valid_graph(rng)
-        qq = corestrict_graph(gg, gg.group.full_subgroup())
+        qq = corestrict_graph(gg, gg.group)
         assert validate_admissible_g_graph(qq) == []
 
 
@@ -259,13 +259,13 @@ def test_restriction_boundary_exponents():
 
     gp = _z2_gp(1)
     z2 = gp.group
-    rest = restrict_graph(gp, z2.trivial_subgroup())
+    rest = restrict_graph(gp, z2.generated_subgroup(()))
     alpha = identity_morphism(rest.graph)
-    ks = restriction_boundary_exponents(gp, z2.trivial_subgroup(), alpha)
+    ks = restriction_boundary_exponents(gp, z2.generated_subgroup(()), alpha)
     assert [k for _, k in ks] == [2]
-    full = restrict_graph(gp, z2.full_subgroup())
+    full = restrict_graph(gp, z2)
     alpha_full = identity_morphism(full.graph)
-    ks_full = restriction_boundary_exponents(gp, z2.full_subgroup(), alpha_full)
+    ks_full = restriction_boundary_exponents(gp, z2, alpha_full)
     assert [k for _, k in ks_full] == [1]
     # a stratum map missing an orbit is rejected
     smooth = StableGraph((2,), (), (), (0, 0))
@@ -275,24 +275,24 @@ def test_restriction_boundary_exponents():
 
     bad_alpha = enumerate_morphisms(gp.graph, smooth)[0]
     with pytest.raises(CoverError):
-        restriction_boundary_exponents(gp, z2.trivial_subgroup(), bad_alpha)
+        restriction_boundary_exponents(gp, z2.generated_subgroup(()), bad_alpha)
 
 
 def test_corestriction_boundary_multiplicity():
     from gg_factory import _z2_fixed_edge, _z2_gp
 
     gp = _z2_gp(1)
-    q = corestrict_graph(gp, gp.group.full_subgroup())
+    q = corestrict_graph(gp, gp.group)
     mult, aut = corestriction_boundary_multiplicity(
-        gp, gp.group.full_subgroup(), q, identity_morphism(q.graph)
+        gp, gp.group, q, identity_morphism(q.graph)
     )
     assert mult == 1  # unramified edge orbit: orders match
     assert aut == 2  # the component swap descends to the identity
 
     ramified = _z2_fixed_edge(2, 2)
-    q2 = corestrict_graph(ramified, ramified.group.full_subgroup())
+    q2 = corestrict_graph(ramified, ramified.group)
     mult2, aut2 = corestriction_boundary_multiplicity(
-        ramified, ramified.group.full_subgroup(), q2, identity_morphism(q2.graph)
+        ramified, ramified.group, q2, identity_morphism(q2.graph)
     )
     assert mult2 == 2  # order-2 monodromy over a trivial quotient monodromy
     assert aut2 == 1
@@ -301,9 +301,9 @@ def test_corestriction_boundary_multiplicity():
     rng = random.Random(3)
     for _ in range(10):
         gg = random_valid_graph(rng)
-        qq = corestrict_graph(gg, gg.group.trivial_subgroup())
+        qq = corestrict_graph(gg, gg.group.generated_subgroup(()))
         m, _ = corestriction_boundary_multiplicity(
-            gg, gg.group.trivial_subgroup(), qq, identity_morphism(qq.graph)
+            gg, gg.group.generated_subgroup(()), qq, identity_morphism(qq.graph)
         )
         assert m == 1
 
@@ -355,10 +355,8 @@ def test_normal_bundle_chern():
 
 def test_gc_degree_formulas():
     z4 = cyclic_group(4)
-    assert (
-        rescores_degree(z4, z4.trivial_subgroup(), z4.trivial_subgroup(), [z4.generators[0]], 2)
-        == 1
-    )
+    trivial = z4.generated_subgroup(())
+    assert rescores_degree(z4, trivial, trivial, [z4.generators[0]], 2) == 1
     assert corescores_degree(6, 6, 1) == 6
     assert corescores_degree(4, 2, 3) == 16
     assert resres_count(6, [(3, 1)]) == 2
@@ -416,4 +414,4 @@ def test_corestrict_graph_rejects_a_vertex_without_integral_quotient_genus():
     action = GAction(graph, gg.group, gg.action.vertex, gg.action.half, gg.action.leg)
     bad = AdmissibleGGraph(gg.space, graph, action, gg.mon_half, gg.mon_leg)
     with pytest.raises(CoverError, match="vertex 0: quotient genus is not integral"):
-        corestrict_graph(bad, gg.group.full_subgroup())
+        corestrict_graph(bad, gg.group)

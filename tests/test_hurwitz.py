@@ -3,19 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from covercalc.hurwitz import (
-    HurwitzError,
-    hurwitz_cover_count,
-    nodal_target_degree,
-    totally_ramified_profile_count,
-)
+from covercalc.hurwitz import HurwitzError, hurwitz_cover_count
+from hurwitz_oracles import nodal_target_degree
 
 
 def test_lemma_configuration_unique_small():
     # totally ramified / simple / (a,b): unique cover up to conjugation
-    assert totally_ramified_profile_count(2, 1) == 1
-    assert totally_ramified_profile_count(1, 1) == 1
-    assert totally_ramified_profile_count(2, 2) == 1
+    for a, b in [(2, 1), (1, 1), (2, 2)]:
+        d = a + b
+        assert hurwitz_cover_count(d, [[d], [2] + [1] * (d - 2), [a, b]]) == 1
 
 
 def test_two_transpositions_degree_two():

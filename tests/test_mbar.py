@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from closed_forms import genus0_closed_form
+from covercalc.gcover import CoverError, pullback_psi_kappa_hurwitz
 from covercalc.graphs import StableGraph, enumerate_stable_graphs, trivial_graph
+from covercalc.groups import trivial_group
 from covercalc.mbar import (
     Decoration,
     IntegralError,
@@ -16,14 +18,9 @@ from covercalc.mbar import (
     integrate_psi,
     integrate_psi_kappa,
     integrate_stratum_class,
-    kappa_class,
-    pair_boundary_pushforwards,
-    psi_class,
     pullback_by_boundary,
-    pullback_kappa_forgetful,
-    pullback_psi_forgetful,
-    rational_tail_divisor,
 )
+from mbar_oracles import pair_boundary_pushforwards
 
 
 def compositions(total, parts):
@@ -115,64 +112,55 @@ def test_kappa_integrals():
     assert integrate_psi_kappa(0, (0,) * 7, (1, 1, 1, 1)) == 1379
 
 
+def _forgetful(cls: str, **params):
+    """The terms of the forgetful pullback rule for the trivial group."""
+    formula = pullback_psi_kappa_hurwitz("forgetful", cls=cls, group=trivial_group(), **params)
+    return list(formula.terms)
+
+
 def test_pullback_psi_forgetful_examples():
-    cls = pullback_psi_forgetful(0, 3, 1)
-    assert cls.genus == 0 and cls.n_legs == 4
-    assert len(cls.terms) == 2
-    coeffs = sorted(c for c, _, _ in cls.terms)
-    assert coeffs == [Fraction(-1), Fraction(1)]
-    d_term = next(t for t in cls.terms if t[0] == -1)
-    assert d_term[1].is_isomorphic(rational_tail_divisor(0, 3, 1))
-    cls2 = pullback_psi_forgetful(1, 1, 1)
-    assert cls2.n_legs == 2
-    with pytest.raises(IntegralError):
-        pullback_psi_forgetful(1, 1, 2)
+    # pi^*(psi_i) = psi_i - [D_{i,n+1}]: one section divisor for G trivial
+    assert _forgetful("psi", h=(0,)) == [
+        ("psi", "same point", 1),
+        ("section-divisor", "relabeled section at coset of (1,)", -1),
+    ]
+    with pytest.raises(CoverError):
+        _forgetful("psi", h=(1, 0))  # not an element of the group
 
 
 def test_pullback_kappa_forgetful_examples():
-    cls = pullback_kappa_forgetful(1, 1, 1)
-    assert len(cls.terms) == 2
-    kinds = set()
-    for c, graph, dec in cls.terms:
-        assert graph.n_edges == 0
-        if dec.psi_leg == (0, 1):
-            kinds.add(("psi", c))
-        else:
-            kinds.add(("kappa", c))
-    assert kinds == {("psi", Fraction(-1)), ("kappa", Fraction(1))}
-    cls2 = pullback_kappa_forgetful(2, 0, 2)
-    psi_term = next(t for t in cls2.terms if t[2].psi_leg != (0,))
-    assert psi_term[2].psi_leg == (2,)
-    with pytest.raises(IntegralError):
-        pullback_kappa_forgetful(1, 1, 0)
+    # pi^*(kappa_i) = kappa_i - psi_{n+1}^i
+    for i in (1, 2):
+        assert _forgetful("kappa", index=i) == [
+            ("kappa", f"index {i}", 1),
+            ("psi-new-point-power", f"exponent {i}", -1),
+        ]
+    with pytest.raises(CoverError):
+        _forgetful("kappa", index=0)  # kappa_0 is a constant
+
+
+def _smooth_class(g: int, n: int, coeff, dec_of) -> StratumClass:
+    """coeff times one decoration of the smooth graph of M_{g,n}."""
+    smooth = trivial_graph(g, n)
+    return StratumClass(g, n, ((Fraction(coeff), smooth, dec_of(Decoration.trivial(smooth))),))
 
 
 def test_pullback_psi_forgetful_pushforward_consistency():
-    # pi_*(pi^* psi_1 . psi_2) = psi_1 . pi_*(psi_2-part): integrate both on
-    # M_{1,2}: int pi^*(psi_1) psi_2 = int psi_1 * kappa_0... cleanest exact
-    # check: int_{M_{1,2}} pi^*(psi_1)^2 = 0 (pullback from a curve).
-    cls = pullback_psi_forgetful(1, 1, 1)
-    # square the two-term class by expanding: (psi - D)^2 = psi^2 - 2 psi D + D^2
-    # D = rational tail with both legs: psi_1|_D = 0, D^2 = -psi at the node
-    psi2 = StratumClass(
-        1, 2, tuple((c * cp, g, d.with_psi_leg(0, dp.psi_leg[0]))
-                    for (c, g, d) in cls.terms if g.n_edges == 0
-                    for (cp, gp, dp) in cls.terms if gp.n_edges == 0)
-    )
+    # the D-free part of pi^*(psi_1) on M_{1,2} is psi_1 with coefficient 1;
+    # D restricts psi_1 to zero, so int pi^*(psi_1)^2 = int_{M_{1,2}} psi_1^2
+    c = _forgetful("psi", h=(0,))[0][2]
+    psi2 = _smooth_class(1, 2, c * c, lambda dec: dec.with_psi_leg(0, 2))
     assert integrate_stratum_class(psi2) == Fraction(1, 24)
-    # and int pi^*(psi_1) . psi_1 = psi_1^2 - D.psi_1 with psi_1|_D = 0
-    # known: int_{M_{1,2}} psi_1^2 = 1/24, int_D psi_1| = 0 so the product
-    # pairing gives 1/24 - 0 = 1/24 = int_{M_{1,1}} psi_1 . kappa_0-free part
 
 
 def test_pullback_by_boundary_routing():
     sep = StableGraph((1, 0), (0, 1), (1, 0), (1, 1))  # legs 1,2 on the genus-0 side
-    cls = psi_class(1, 2, 1)
+    cls = _smooth_class(1, 2, 1, lambda dec: dec.with_psi_leg(0, 1))
     routed = pullback_by_boundary(cls, sep)
     assert len(routed) == 1
     coeff, dec = routed[0]
     assert coeff == 1 and dec.psi_leg == (1, 0)
-    kappa = kappa_class(1, 2, 1)
+    kappa = _smooth_class(1, 2, 1, lambda dec: dec.with_kappa(0, 1, 1))
     routed = pullback_by_boundary(kappa, sep)
     assert len(routed) == 2  # kappa_1 x 1 + 1 x kappa_1
     with pytest.raises(IntegralError):
@@ -187,7 +175,7 @@ def test_boundary_intersection_edgeless():
     terms = boundary_intersection(t, sep)
     assert len(terms) == 1
     triple, excess = terms[0]
-    assert triple.gamma.is_isomorphic(sep) and excess == ()
+    assert triple.gamma.canonical_key() == sep.canonical_key() and excess == ()
 
 
 def test_boundary_intersection_loop_genus11():
@@ -215,8 +203,8 @@ def test_integrate_stratum_class_examples():
     g = trivial_graph(0, 4)
     cls = StratumClass(0, 4, ((Fraction(1), g, Decoration.trivial(g).with_psi_leg(0, 1)),))
     assert integrate_stratum_class(cls) == 1
-    assert integrate_stratum_class(StratumClass.zero(1, 1)) == 0
-    kl = kappa_class(1, 1, 1)
+    assert integrate_stratum_class(StratumClass(1, 1, ())) == 0
+    kl = _smooth_class(1, 1, 1, lambda dec: dec.with_kappa(0, 1, 1))
     assert integrate_stratum_class(kl) == Fraction(1, 24)
     deep = trivial_graph(2, 1)
     too_deep = StratumClass(
