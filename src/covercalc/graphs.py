@@ -12,17 +12,21 @@ morphism is a contraction followed by an isomorphism: contract the source
 edges outside a choice of |E(target)| edges, then map the contracted graph
 isomorphically onto the target.
 
-Enumeration is exhaustive and desk-scale; duplicate elimination goes
-through a canonical key (minimum over genus/valence-preserving vertex
-relabelings), falling back on nothing fancier because the graphs involved
-stay tiny.
+Graphs are built by one-edge degenerations (a genus-reducing loop or a
+vertex split) and told apart by a canonical key: the least edge list over
+the vertex relabelings that keep each (genus, valence, legs) class
+together.  The generic (A,B)-graphs are searched among the classes both A
+and B degenerate to, not over the whole space: only those go to the
+morphism search, and a walk from the smooth graph through their
+contractions alone gives each its label.  The graphs stay desk-sized, so
+the key needs nothing finer than those classes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from covercalc.errors import InvariantError
 from covercalc.groups import invert
@@ -61,24 +65,36 @@ class StableGraph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (h, h') pairs with h < h', in increasing order."""
-        return tuple(
-            (h, self.involution[h])
-            for h in range(self.n_half_edges)
-            if h < self.involution[h]
-        )
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((h, hp) for h, hp in enumerate(self.involution) if h < hp)
 
     def edge_of(self, h: int) -> tuple[int, int]:
         hp = self.involution[h]
         return (h, hp) if h < hp else (hp, h)
 
+    @cached_property
+    def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Half-edges and legs at each vertex, built once per graph; entries
+        naming a missing vertex are left for `validate` to reject."""
+        halves: list[list[int]] = [[] for _ in self.genera]
+        legs: list[list[int]] = [[] for _ in self.genera]
+        for points, attached in ((halves, self.half_edge_vertex), (legs, self.leg_vertex)):
+            for x, v in enumerate(attached):
+                if 0 <= v < len(points):
+                    points[v].append(x)
+        return tuple(map(tuple, halves)), tuple(map(tuple, legs))
+
     def half_edges_at(self, v: int) -> tuple[int, ...]:
-        return tuple(h for h, w in enumerate(self.half_edge_vertex) if w == v)
+        return self._incidence[0][v]
 
     def legs_at(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.leg_vertex) if w == v)
+        return self._incidence[1][v]
 
     def valence(self, v: int) -> int:
-        return len(self.half_edges_at(v)) + len(self.legs_at(v))
+        return len(self._incidence[0][v]) + len(self._incidence[1][v])
 
     def vertex_points(self, v: int) -> tuple[tuple[str, int], ...]:
         """Marked points of the moduli factor at v: legs first, then half-edges."""
@@ -143,24 +159,15 @@ class StableGraph:
             self.legs_at(v),
         )
 
-    def _relabel_key(self, sigma: tuple[int, ...]) -> tuple:
-        """Key of the graph with vertex v renamed sigma[v]."""
-        genera = [0] * self.n_vertices
-        for v, g in enumerate(self.genera):
-            genera[sigma[v]] = g
-        edge_multiset = sorted(
-            tuple(
-                sorted(
-                    (
-                        sigma[self.half_edge_vertex[h]],
-                        sigma[self.half_edge_vertex[hp]],
-                    )
-                )
-            )
-            for h, hp in self.edges()
-        )
-        legs = tuple(sigma[v] for v in self.leg_vertex)
-        return (tuple(genera), tuple(map(tuple, edge_multiset)), legs)
+    def _relabeled_edges(self, sigma: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """Sorted end pairs of the edges once vertex v is renamed sigma[v]."""
+        hv = self.half_edge_vertex
+        pairs = []
+        for h, hp in self.edges():
+            a, b = sigma[hv[h]], sigma[hv[hp]]
+            pairs.append((a, b) if a <= b else (b, a))
+        pairs.sort()
+        return tuple(pairs)
 
     def _invariant_classes(self) -> dict[tuple, list[int]]:
         """Vertices grouped by (genus, valence, legs), in increasing invariant order."""
@@ -168,6 +175,11 @@ class StableGraph:
         for v in range(self.n_vertices):
             classes.setdefault(self._vertex_invariant(v), []).append(v)
         return {k: classes[k] for k in sorted(classes)}
+
+    def _signature(self) -> tuple:
+        """Each (genus, valence, legs) class with its size: the same for
+        isomorphic graphs, and cheaper than the canonical key."""
+        return tuple((k, len(cls)) for k, cls in self._invariant_classes().items())
 
     def _parallel_classes(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Edges grouped by their sorted pair of end vertices, in increasing order."""
@@ -180,16 +192,22 @@ class StableGraph:
     def canonical_key(self) -> tuple:
         """Hashable isomorphism invariant that determines the graph up to iso.
 
-        Minimum of the relabel key over all vertex bijections sending each
-        (genus, valence, legs) invariant class onto its block of positions.
+        (n_legs, (genera, edges, legs)) of the relabeling that sends each
+        (genus, valence, legs) invariant class onto its block of positions,
+        in increasing invariant order, with the least sorted edge list.  A
+        vertex with a leg is alone in its class, so the genera and the legs
+        read the same under every such relabeling, and only the edges are
+        minimized.
         """
-        classes = list(self._invariant_classes().values())
-        blocks, off = [], 0
-        for cls in classes:
-            blocks.append(range(off, off + len(cls)))
-            off += len(cls)
-        best = min(self._relabel_key(s) for s in _class_bijections(classes, blocks))
-        return (self.n_legs, best)
+        classes = self._invariant_classes()
+        genera, legs, blocks = [], [0] * self.n_legs, []
+        for (g, _, at), cls in classes.items():
+            for i in at:
+                legs[i] = len(genera)
+            blocks.append(range(len(genera), len(genera) + len(cls)))
+            genera.extend([g] * len(cls))
+        edges = min(self._relabeled_edges(s) for s in _class_bijections(classes.values(), blocks))
+        return (self.n_legs, (tuple(genera), edges, tuple(legs)))
 
     # -- isomorphisms ------------------------------------------------------
 
@@ -206,9 +224,11 @@ class StableGraph:
         shape = [(k, len(c)) for k, c in mine.items()]
         if shape != [(k, len(c)) for k, c in theirs.items()]:
             return
-        target_key = other._relabel_key(tuple(range(other.n_vertices)))
+        # classes go onto classes of the same invariant, so genera and legs
+        # are carried over; only the edges can fail to match
+        target_edges = other._relabeled_edges(tuple(range(other.n_vertices)))
         for sigma in _class_bijections(mine.values(), theirs.values()):
-            if self._relabel_key(sigma) == target_key:
+            if self._relabeled_edges(sigma) == target_edges:
                 for hperm in self._half_edge_perms_over(sigma, other):
                     yield sigma, hperm
 
@@ -266,10 +286,18 @@ class StableGraph:
 
     @staticmethod
     def from_json(data: dict) -> "StableGraph":
-        genera = tuple(data["vertex_genera"])
-        hv = tuple(data["half_edge_vertex"])
+        """Read the JSON form.  Genera, attachments, involution pairs and legs
+        must be lists of non-bool ints, each pair and leg [label, vertex]
+        exactly two of them; anything else raises GraphError."""
+        if not isinstance(data, dict):
+            raise GraphError("a stable graph must be a JSON object")
+        genera = _json_ints(data["vertex_genera"], "vertex_genera")
+        hv = _json_ints(data["half_edge_vertex"], "half_edge_vertex")
+        pairs = [_json_ints(e, "an involution pair", 2)
+                 for e in _json_list(data["involution_pairs"], "involution_pairs")]
+        legs = [_json_ints(e, "a leg", 2) for e in _json_list(data["legs"], "legs")]
         inv = [-1] * len(hv)
-        for h, hp in data["involution_pairs"]:
+        for h, hp in pairs:
             if not (0 <= h < len(hv) and 0 <= hp < len(hv)) or h == hp:
                 raise GraphError(f"involution pair {[h, hp]} is out of range or self-paired")
             if inv[h] != -1 or inv[hp] != -1:
@@ -277,12 +305,28 @@ class StableGraph:
             inv[h], inv[hp] = hp, h
         if -1 in inv:
             raise GraphError(f"half-edge {inv.index(-1)} is in no involution pair")
-        legs_sorted = sorted(data["legs"])
+        legs_sorted = sorted(legs)
         if [lab for lab, _ in legs_sorted] != list(range(1, len(legs_sorted) + 1)):
             raise GraphError("leg labels must be 1..n")
         graph = StableGraph(genera, hv, tuple(inv), tuple(v for _, v in legs_sorted))
         graph.validate()
         return graph
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise GraphError(f"{what} must be a list: {value!r}")
+    return list(value)
+
+
+def _json_ints(value, what: str, size: int | None = None) -> tuple[int, ...]:
+    """A JSON list of ints (not floats or bools), of length `size` if given."""
+    entries = _json_list(value, what)
+    if not all(type(x) is int for x in entries):
+        raise GraphError(f"{what} must be a list of integers: {value!r}")
+    if size is not None and len(entries) != size:
+        raise GraphError(f"{what} must have {size} entries: {value!r}")
+    return tuple(entries)
 
 
 def _class_bijections(classes, targets):
@@ -402,6 +446,9 @@ def contract_edges(
     """Contract a set of edges; loops raise genus, bridges merge vertices.
 
     Returns the contracted graph and the morphism from `graph` onto it.
+    Neither is validated here: contracting edges of a stable graph leaves it
+    stable and connected, and `enumerate_morphisms` validates each morphism
+    it composes from this one.
     """
     edge_set = {graph.edge_of(h) for h, _ in edge_set} if edge_set else set()
     parent = list(range(graph.n_vertices))
@@ -435,14 +482,12 @@ def contract_edges(
     inv = tuple(new_h_index[graph.involution[h]] for h in kept)
     legs = tuple(new_index[find(v)] for v in graph.leg_vertex)
     contracted = StableGraph(tuple(genera), hv, inv, legs)
-    contracted.validate()
     morphism = GraphMorphism(
         graph,
         contracted,
         tuple(new_index[find(v)] for v in range(graph.n_vertices)),
         tuple(kept),
     )
-    morphism.validate()
     return contracted, morphism
 
 
@@ -491,97 +536,186 @@ class GenericABGraph:
 
 
 @lru_cache(maxsize=None)
-def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph, ...]:
-    """All stable graphs of genus g with n legs and at most max_edges edges.
+def enumerate_stable_graphs(
+    g: int, n: int, max_edges: int, *, within: frozenset | None = None
+) -> tuple[StableGraph, ...]:
+    """All stable graphs of genus g with n legs and at most max_edges edges,
+    in canonical-key order.
 
     Breadth-first closure under one-edge degenerations (vertex splitting and
     genus-reducing loops), starting from the smooth graph; complete because
-    every stable graph contracts one edge at a time down to it.
+    every stable graph contracts one edge at a time down to it.  Each class
+    is represented by the first graph the walk meets in it: of the earliest
+    frontier graph that reaches it, the first degeneration that does.
+
+    With `within`, a set of canonical keys, only the graphs of those classes
+    come back, each with the representative the full walk gives it.  The walk
+    then passes only through those classes and their contractions, which is
+    enough: the first graph to reach a class is one of its one-edge
+    contractions, and all of those are among them.
     """
     try:
         start = trivial_graph(g, n)
     except GraphError:
         return ()
-    seen = {start.canonical_key(): start}
-    frontier = [start]
-    for _ in range(max_edges):
-        nxt = []
-        for graph in frontier:
-            for degen in _one_edge_degenerations(graph):
-                key = degen.canonical_key()
-                if key not in seen:
-                    seen[key] = degen
-                    nxt.append(degen)
-        frontier = nxt
+    if within is None:
+        seen = _degeneration_walk(start, max_edges)
+    else:
+        seen = _walk_towards(start, max_edges, within)
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _degeneration_walk(start: StableGraph, steps: int) -> dict[tuple, StableGraph]:
+    """The first graph met in each class within `steps` one-edge
+    degenerations of `start`, by canonical key, breadth first."""
+    seen = {start.canonical_key(): start}
+    frontier = [start]
+    for _ in range(steps):
+        nxt = []
+        for graph in frontier:
+            for key, degen in zip(_degeneration_keys(graph), _one_edge_degenerations(graph)):
+                if key not in seen:
+                    seen[key] = degen
+                    nxt.append(degen)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
+def _walk_towards(start: StableGraph, steps: int, targets: frozenset) -> dict[tuple, StableGraph]:
+    """`_degeneration_walk` restricted to the classes of `targets` and their
+    contractions, giving the graphs of the targets.
+
+    Each class is built from its key and contracted edge by edge, which
+    gives the classes one edge above every class met.  A frontier graph then
+    builds its degenerations only until it has met each class above it that
+    is still new, and keys only those whose vertex classes match one.
+    """
+    above: dict[tuple, set[tuple]] = {}
+    signatures: dict[tuple, tuple] = {}
+    todo = list(targets)
+    while todo:
+        key = todo.pop()
+        if key in signatures:
+            continue
+        graph = _graph_of_key(key)
+        signatures[key] = graph._signature()
+        for edge in graph.edges():
+            below = contract_edges(graph, {edge})[0].canonical_key()
+            above.setdefault(below, set()).add(key)
+            todo.append(below)
+    key = start.canonical_key()
+    if key not in signatures:
+        return {}
+    seen = {key: start}
+    frontier = [(key, start)]
+    for _ in range(steps):
+        nxt = []
+        for key, graph in frontier:
+            wanted = {k for k in above.get(key, ()) if k not in seen}
+            if not wanted:
+                continue
+            wanted_signatures = {signatures[k] for k in wanted}
+            for degen in _one_edge_degenerations(graph):
+                if degen._signature() not in wanted_signatures:
+                    continue
+                found = degen.canonical_key()
+                if found in wanted:
+                    seen[found] = degen
+                    nxt.append((found, degen))
+                    wanted.remove(found)
+                    if not wanted:
+                        break
+        frontier = nxt
+    return {k: seen[k] for k in targets if k in seen}
+
+
+def _graph_of_key(key: tuple) -> StableGraph:
+    """The graph a canonical key spells out: the key's vertex positions,
+    with edge j on half-edges 2j and 2j+1."""
+    _, (genera, edges, legs) = key
+    half_edge_vertex = tuple(v for edge in edges for v in edge)
+    involution = tuple(h ^ 1 for h in range(len(half_edge_vertex)))
+    return StableGraph(genera, half_edge_vertex, involution, legs)
+
+
+@lru_cache(maxsize=None)
+def _degeneration_keys(graph: StableGraph) -> tuple[tuple, ...]:
+    """Canonical key of each one-edge degeneration, in the order they come,
+    once per graph; the graphs themselves are cheap to rebuild, and are not
+    kept."""
+    return tuple(degen.canonical_key() for degen in _one_edge_degenerations(graph))
+
+
 def _one_edge_degenerations(graph: StableGraph):
-    nH = graph.n_half_edges
+    """Genus-reducing loops and vertex splits of a stable graph, vertex by
+    vertex, each split over the subsets of the vertex's half-edges and legs
+    that move to the new vertex.
+
+    A loop keeps 2g-2+n at its vertex and a split keeps the graph connected,
+    so only the two vertices of a split can be unstable; nothing else is
+    checked.
+    """
+    nH, w = graph.n_half_edges, graph.n_vertices
+    inv = graph.involution + (nH + 1, nH)
     for v in range(graph.n_vertices):
-        # genus-reducing loop
         if graph.genera[v] >= 1:
             genera = list(graph.genera)
             genera[v] -= 1
-            candidate = StableGraph(
-                tuple(genera),
-                graph.half_edge_vertex + (v, v),
-                graph.involution + (nH + 1, nH),
-                graph.leg_vertex,
-            )
-            try:
-                candidate.validate()
-                yield candidate
-            except GraphError:
-                pass
-        # vertex splitting
+            yield StableGraph(tuple(genera), graph.half_edge_vertex + (v, v), inv, graph.leg_vertex)
         items = [("half", h) for h in graph.half_edges_at(v)] + [
             ("leg", i) for i in graph.legs_at(v)
         ]
         for g1 in range(graph.genera[v] + 1):
             g2 = graph.genera[v] - g1
             for mask in range(1 << len(items)):
-                side2 = [items[i] for i in range(len(items)) if mask >> i & 1]
+                moved = mask.bit_count()
+                # v keeps len(items) - moved points, w gets moved, both the node
+                if 2 * g1 - 1 + len(items) - moved <= 0 or 2 * g2 - 1 + moved <= 0:
+                    continue
                 genera = list(graph.genera)
                 genera[v] = g1
                 genera.append(g2)
-                w = graph.n_vertices
                 hv = list(graph.half_edge_vertex)
                 legs = list(graph.leg_vertex)
-                for kind, idx in side2:
-                    if kind == "half":
-                        hv[idx] = w
-                    else:
-                        legs[idx] = w
-                candidate = StableGraph(
-                    tuple(genera),
-                    tuple(hv) + (v, w),
-                    graph.involution + (nH + 1, nH),
-                    tuple(legs),
-                )
-                try:
-                    candidate.validate()
-                    yield candidate
-                except GraphError:
-                    pass
+                for i, (kind, idx) in enumerate(items):
+                    if mask >> i & 1:
+                        if kind == "half":
+                            hv[idx] = w
+                        else:
+                            legs[idx] = w
+                yield StableGraph(tuple(genera), tuple(hv) + (v, w), inv, tuple(legs))
 
 
 def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]:
     """Complete, duplicate-free list of generic (A,B)-graphs.
 
     Triples (gamma, gamma->A, gamma->B) with every edge of gamma coming from
-    A or B, up to isomorphism of triples.
+    A or B, up to isomorphism of triples.  Such a gamma has at most
+    |E_A|+|E_B| edges and maps to both A and B, so its class is reached from
+    A in at most |E_B| one-edge degenerations and from B in at most |E_A|;
+    only the classes both reach go to the morphism search.  Each is taken in
+    the representative `enumerate_stable_graphs(..., within=...)` gives it,
+    so the triples come in canonical-key order of gamma, with the labels a
+    walk of the whole space gives.
     """
     if a.genus() != b.genus() or a.n_legs != b.n_legs:
         raise GraphError("A and B must have the same genus and leg count")
+    a.validate()
+    b.validate()
+    from_b = _degeneration_walk(b, a.n_edges)
+    common = {k: gamma for k, gamma in _degeneration_walk(a, b.n_edges).items() if k in from_b}
+    if not common:
+        return []
+    max_edges = max(gamma.n_edges for gamma in common.values())
+    gammas = enumerate_stable_graphs(a.genus(), a.n_legs, max_edges, within=frozenset(common))
+    if len(gammas) != len(common):
+        raise InvariantError("the restricted walk missed a common degeneration of A and B")
     out = []
-    for gamma in enumerate_stable_graphs(a.genus(), a.n_legs, a.n_edges + b.n_edges):
+    for gamma in gammas:
         to_a_list = enumerate_morphisms(gamma, a)
-        if not to_a_list:
-            continue
         to_b_list = enumerate_morphisms(gamma, b)
-        if not to_b_list:
-            continue
         autos = [isomorphism_as_morphism(gamma, gamma, s) for s in gamma.automorphism_group()]
         # pairs met in the Aut(gamma)-orbit of a pair already emitted
         seen_pairs = set()

@@ -157,7 +157,38 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         entries.append((f"qmod-check weight {weight} perturbed", argv, {"in": perturbed}))
     flags = ["--dmax", "50", "--series", "--qmod"]
     entries.append(("delliptic " + " ".join(flags), ["delliptic", *flags], {}))
+    entries.extend(_legged_boundary_entries())
+    gg = _z2_gp(2)
+    files = {"a": gg.to_json(), "b": gg.to_json()}
+    entries.append(("intersect-ggraph z2-gp-2", ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
     return entries
+
+
+def _legged_boundary_entries() -> list[tuple[str, list[str], dict]]:
+    """`intersect-boundary` on spaces with legs, where the generic (A,B)
+    search runs over 4-6 edges; the M_2,4 pair splits the legs {1,2}|{3,4}
+    and {1,3}|{2,4}, so no graph degenerates from both and no term prints."""
+    from covercalc.graphs import StableGraph
+
+    pairs = (
+        ("M_2,4 crossing splits 2+2",
+         StableGraph((0, 1, 1), (0, 1, 1, 2), (1, 0, 3, 2), (0, 0, 2, 2)),
+         StableGraph((0, 1, 1), (0, 1, 1, 2), (1, 0, 3, 2), (0, 2, 0, 2))),
+        ("M_2,3 loop-and-bridge x 3 edges",
+         StableGraph((0, 1), (0, 0, 0, 1), (1, 0, 3, 2), (1, 0, 0)),
+         StableGraph((0, 1, 0), (2, 0, 2, 1, 0, 2), (1, 0, 3, 2, 5, 4), (2, 2, 0))),
+        ("M_1,5 banana x bridge",
+         StableGraph((0, 0), (1, 0, 0, 1), (1, 0, 3, 2), (0, 1, 0, 0, 0)),
+         StableGraph((0, 1), (0, 1), (1, 0), (0, 1, 1, 0, 1))),
+        ("M_3,1 3+3",
+         StableGraph((0, 1, 1), (1, 0, 0, 1, 1, 2), (1, 0, 3, 2, 5, 4), (0,)),
+         StableGraph((0, 1), (1, 1, 0, 0, 0, 1), (1, 0, 3, 2, 5, 4), (1,))),
+    )
+    return [
+        (f"intersect-boundary {label}", ["intersect-boundary", "--a", "@a", "--b", "@b"],
+         {"a": a.to_json(), "b": b.to_json()})
+        for label, a, b in pairs
+    ]
 
 
 def _qmod_combination(weight: int, seed: int) -> tuple[dict, dict]:

@@ -14,7 +14,15 @@ package used to:
   every orientation, contracts the complement each time, derives the
   forced vertex map by hand and keeps the candidates that validate.
 
-Both emit their results in the order the package promises, so the tests
+Two more replay the package's earlier searches, which the package now
+narrows:
+
+* `oracle_one_edge_degenerations` builds every loop and vertex-split
+  candidate and keeps those that pass the full `StableGraph.validate()`;
+* `oracle_generic_AB` walks every stable graph of the space with at most
+  |E_A|+|E_B| edges and searches morphisms to A and to B on each.
+
+All emit their results in the order the package promises, so the tests
 compare whole lists.
 """
 
@@ -22,7 +30,17 @@ from __future__ import annotations
 
 import itertools
 
-from covercalc.graphs import GraphError, GraphMorphism, StableGraph, contract_edges
+from covercalc.graphs import (
+    GenericABGraph,
+    GraphError,
+    GraphMorphism,
+    StableGraph,
+    compose_morphisms,
+    contract_edges,
+    enumerate_morphisms,
+    enumerate_stable_graphs,
+    isomorphism_as_morphism,
+)
 
 
 def _vertex_classes(graph: StableGraph) -> list[list[int]]:
@@ -142,4 +160,84 @@ def oracle_morphisms(source: StableGraph, target: StableGraph) -> list[GraphMorp
             except GraphError:
                 continue
             out.append(morphism)
+    return out
+
+
+def oracle_one_edge_degenerations(graph: StableGraph):
+    """Genus-reducing loops and vertex splits of a stable graph, vertex by
+    vertex, each candidate kept when the whole graph validates."""
+    nH = graph.n_half_edges
+    for v in range(graph.n_vertices):
+        if graph.genera[v] >= 1:
+            genera = list(graph.genera)
+            genera[v] -= 1
+            candidate = StableGraph(
+                tuple(genera),
+                graph.half_edge_vertex + (v, v),
+                graph.involution + (nH + 1, nH),
+                graph.leg_vertex,
+            )
+            try:
+                candidate.validate()
+                yield candidate
+            except GraphError:
+                pass
+        items = [("half", h) for h in graph.half_edges_at(v)] + [
+            ("leg", i) for i in graph.legs_at(v)
+        ]
+        for g1 in range(graph.genera[v] + 1):
+            g2 = graph.genera[v] - g1
+            for mask in range(1 << len(items)):
+                side2 = [items[i] for i in range(len(items)) if mask >> i & 1]
+                genera = list(graph.genera)
+                genera[v] = g1
+                genera.append(g2)
+                w = graph.n_vertices
+                hv = list(graph.half_edge_vertex)
+                legs = list(graph.leg_vertex)
+                for kind, idx in side2:
+                    if kind == "half":
+                        hv[idx] = w
+                    else:
+                        legs[idx] = w
+                candidate = StableGraph(
+                    tuple(genera),
+                    tuple(hv) + (v, w),
+                    graph.involution + (nH + 1, nH),
+                    tuple(legs),
+                )
+                try:
+                    candidate.validate()
+                    yield candidate
+                except GraphError:
+                    pass
+
+
+def oracle_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]:
+    """Generic (A,B)-graphs by a walk of the whole space: every stable graph
+    with at most |E_A|+|E_B| edges, in canonical-key order, paired with each
+    of its generic (gamma->A, gamma->B) maps up to Aut(gamma)."""
+    out = []
+    for gamma in enumerate_stable_graphs(a.genus(), a.n_legs, a.n_edges + b.n_edges):
+        to_a_list = enumerate_morphisms(gamma, a)
+        if not to_a_list:
+            continue
+        to_b_list = enumerate_morphisms(gamma, b)
+        if not to_b_list:
+            continue
+        autos = [isomorphism_as_morphism(gamma, gamma, s) for s in gamma.automorphism_group()]
+        seen_pairs = set()
+        b_images = [fb.edge_image() for fb in to_b_list]
+        for fa in to_a_list:
+            a_image = fa.edge_image()
+            for fb, b_image in zip(to_b_list, b_images):
+                if len(a_image | b_image) != gamma.n_edges:
+                    continue
+                if (fa.encode(), fb.encode()) in seen_pairs:
+                    continue
+                seen_pairs.update(
+                    (compose_morphisms(fa, s).encode(), compose_morphisms(fb, s).encode())
+                    for s in autos
+                )
+                out.append(GenericABGraph(gamma, fa, fb))
     return out

@@ -186,6 +186,47 @@ def test_intersect_boundary_rejects_bad_involution_pairs(tmp_path, capsys, pairs
     check_schema("error", json.loads(out))
 
 
+LEGGED = dict(SEPARATING, legs=[[1, 0]])
+# Each used to print terms with exit 0 (bools and floats read as ints), exit 2
+# only through a bare TypeError, or raise "too many values to unpack".
+MALFORMED_GRAPHS = {
+    "bool genus": dict(SEPARATING, vertex_genera=[True, 1]),
+    "float leg label": dict(LEGGED, legs=[[1.0, 0]]),
+    "bool leg label": dict(LEGGED, legs=[[True, 0]]),
+    "bool leg vertex": dict(LEGGED, legs=[[1, False]]),
+    "string genera": dict(SEPARATING, vertex_genera="11"),
+    "float half-edge vertex": dict(SEPARATING, half_edge_vertex=[0.0, 1]),
+    "float in a pair": dict(SEPARATING, involution_pairs=[[0.0, 1]]),
+    "top-level list": [SEPARATING],
+    "three-member pair": dict(SEPARATING, involution_pairs=[[0, 1, 0]]),
+    "three-member leg": dict(LEGGED, legs=[[1, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("graph", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS.keys())
+def test_intersect_boundary_rejects_graphs_that_are_not_integer_lists(tmp_path, capsys, graph):
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["intersect-boundary", "--a", "@a", "--b", "@a"], {"a": graph},
+    )
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("GraphError")
+
+
+def test_malformed_graphs_exit_2_under_python_O(tmp_path):
+    runs = []
+    for i, graph in enumerate(MALFORMED_GRAPHS.values()):
+        path = tmp_path / f"graph{i}.json"
+        path.write_text(json.dumps(graph))
+        runs.append(["intersect-boundary", "--a", str(path), "--b", str(path)])
+    for out, code in _run_under_python_O(runs):
+        assert code == "2"
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"].startswith("GraphError")
+
+
 def test_pullback_rejects_h_outside_the_group(tmp_path, capsys):
     s4 = {"degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
     payload = {"kind": "corestriction", "cls": "psi", "group": s4,
@@ -426,12 +467,19 @@ def test_pullback_forgetful_kappa_rejects_a_bad_index(tmp_path, capsys, index):
 
 
 def test_malformed_types_and_kappa_indices_exit_2_under_python_O(tmp_path):
-    # the checks raise domain errors, not asserts, so -O keeps them
     runs = [["hurwitz-count", "--degree", "2", "--types", t] for t in MALFORMED_TYPES]
     for i, index in enumerate(MALFORMED_KAPPA_INDICES):
         path = tmp_path / f"kappa{i}.json"
         path.write_text(json.dumps({"kind": "forgetful", "cls": "kappa", "group": S3, "index": index}))
         runs.append(["pullback", str(path)])
+    for out, code in _run_under_python_O(runs):
+        assert code == "2"
+        check_schema("error", json.loads(out))
+
+
+def _run_under_python_O(runs: list[list[str]]) -> list[tuple[str, str]]:
+    """(stdout, exit code) of each argv, run through main() in one `python -O`
+    process; the checks raise domain errors, not asserts, so -O keeps them."""
     script = ("import json, sys\nfrom covercalc.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print(main(argv), end='\\0')\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
@@ -439,7 +487,4 @@ def test_malformed_types_and_kappa_indices_exit_2_under_python_O(tmp_path):
                           capture_output=True, text=True, env=env, check=True)
     chunks = done.stdout.split("\0")[:-1]
     assert len(chunks) == len(runs)
-    for chunk in chunks:
-        out, code = chunk.rsplit("\n", 1)
-        assert code == "2"
-        check_schema("error", json.loads(out))
+    return [tuple(chunk.rsplit("\n", 1)) for chunk in chunks]

@@ -1,13 +1,22 @@
-"""The isomorphism enumerator against brute-force oracles and literature counts."""
+"""The isomorphism enumerator and the generic (A,B) search against brute-force
+oracles and literature counts."""
 
 import random
 
 import pytest
 
-from graph_oracles import oracle_automorphisms, oracle_morphisms
+from graph_oracles import (
+    oracle_automorphisms,
+    oracle_generic_AB,
+    oracle_morphisms,
+    oracle_one_edge_degenerations,
+)
 from covercalc.graphs import (
     GraphMorphism,
     StableGraph,
+    _one_edge_degenerations,
+    contract_edges,
+    enumerate_generic_AB,
     enumerate_morphisms,
     enumerate_stable_graphs,
 )
@@ -32,6 +41,67 @@ def test_morphisms_match_the_permutation_search(g, n):
 def test_automorphisms_match_the_vertex_walk(g, n):
     for graph in enumerate_stable_graphs(g, n, 3):
         assert graph.automorphism_group() == oracle_automorphisms(graph)
+
+
+def _triples(found):
+    return [(t.gamma.to_json(), t.to_A.encode(), t.to_B.encode()) for t in found]
+
+
+@pytest.mark.parametrize("g,n", SWEEP)
+def test_generic_ab_matches_the_whole_space_search(g, n):
+    graphs = enumerate_stable_graphs(g, n, 3)
+    for a in graphs:
+        for b in graphs:
+            if a.n_edges + b.n_edges <= 3:
+                assert _triples(enumerate_generic_AB(a, b)) == _triples(oracle_generic_AB(a, b))
+
+
+# spaces of the sampled deeper pairs: (largest |E_A|+|E_B|, pairs drawn)
+DEEP = {(2, 3): (5, 10), (2, 4): (4, 5), (1, 5): (4, 5), (3, 1): (6, 10)}
+
+
+def _deep_pairs():
+    """Seeded pairs with 4 to 6 edges in all.  Random pairs, which mostly
+    share no degeneration, alternate with pairs contracted from one graph
+    gamma onto complementary edge sets, at most one edge kept on both."""
+    rng = random.Random(8)
+    for (g, n), (most, count) in DEEP.items():
+        pool = enumerate_stable_graphs(g, n, most)
+        for i in range(count):
+            total = rng.randint(4, most)
+            if i % 2 == 0:
+                a = rng.choice([x for x in pool if 1 <= x.n_edges < total])
+                b = rng.choice([x for x in pool if x.n_edges == total - a.n_edges])
+                yield a, b
+                continue
+            gamma = rng.choice([x for x in pool if total - 1 <= x.n_edges <= total])
+            edges = list(gamma.edges())
+            rng.shuffle(edges)
+            cut = rng.randint(1, len(edges) - 1)
+            shared = edges[: total - len(edges)]
+            yield (contract_edges(gamma, set(edges[cut:]))[0],
+                   contract_edges(gamma, set(edges[:cut]) - set(shared))[0])
+
+
+def test_generic_ab_matches_the_whole_space_search_on_deeper_pairs():
+    sizes = []
+    for a, b in _deep_pairs():
+        assert 4 <= a.n_edges + b.n_edges <= 6
+        found = _triples(enumerate_generic_AB(a, b))
+        assert found == _triples(oracle_generic_AB(a, b)), (a, b)
+        sizes.append(len(found))
+    assert len(sizes) >= 30
+    # the sample holds pairs with no common degeneration, and pairs with one
+    assert 0 in sizes and max(sizes) > 0
+
+
+@pytest.mark.parametrize("g,n", SWEEP)
+def test_one_edge_degenerations_match_the_validating_generator(g, n):
+    for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+        found = list(_one_edge_degenerations(graph))
+        assert found == list(oracle_one_edge_degenerations(graph))
+        for degen in found:
+            degen.validate()
 
 
 @pytest.mark.parametrize(

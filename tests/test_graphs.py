@@ -89,6 +89,7 @@ def test_contraction_preserves_genus_randomized():
             continue
         subset = {e for e in edges if rng.random() < 0.5}
         contracted, morphism = contract_edges(graph, subset)
+        contracted.validate()
         morphism.validate()
         assert contracted.genus() == graph.genus()
 
