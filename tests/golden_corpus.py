@@ -161,6 +161,13 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
     gg = _z2_gp(2)
     files = {"a": gg.to_json(), "b": gg.to_json()}
     entries.append(("intersect-ggraph z2-gp-2", ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
+    # an error message that echoes non-ASCII input, U+2028 included, and
+    # the largest ledger the benchmark prints (about 5 MB of stdout)
+    types = json.dumps([["é", "\u2028"]], ensure_ascii=False)
+    entries.append(("hurwitz-count d=2 non-ASCII types",
+                    ["hurwitz-count", "--degree", "2", "--types", types], {}))
+    flags = ["--dmax", "20", "--ledger"]
+    entries.append(("delliptic " + " ".join(flags), ["delliptic", *flags], {}))
     return entries
 
 
