@@ -2,9 +2,7 @@
 
 Everything is computed over exact rationals: stable-graph boundary
 intersections, admissible cover combinatorics, Hurwitz counts, the genus-2
-d-elliptic pipeline, and quasimodularity membership tests.
+d-elliptic pipeline, and quasimodularity membership tests.  The layers are
+the modules of this package; importing the package itself loads none of
+them.
 """
-
-from covercalc.exact import QSeries, sigma1
-
-__all__ = ["QSeries", "sigma1"]

@@ -4,6 +4,19 @@ Exit codes: 0 on success, 2 on malformed input or validation failure,
 3 on an internal invariant breach (an `InvariantError`, which survives
 `python -O` where a bare assert would not).  Output is deterministic
 (sorted keys), so regression tests can diff bytes.
+
+Output goes through one writer, `_emit`.  Its bytes are exactly those of
+`json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every type a
+command emits: `str` (escaped by the same `encode_basestring_ascii`), `int`,
+`bool`, `None`, lists, tuples, and dicts with `str` keys.  Any other type is
+an `InvariantError` (a bug: no command emits one; blocks written before it
+stay written).  It writes stdout in blocks as it goes, so a multi-megabyte
+ledger is never held as one string or as a list of all its tokens.
+
+Each call is a fresh process, so importing is part of every call's cost.
+This module imports no layer at load time: each command imports the layers
+it uses, and the exception classes every layer raises live in
+`covercalc.errors`, which imports nothing.
 """
 
 from __future__ import annotations
@@ -11,31 +24,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
-from covercalc.delliptic import (
-    PipelineError,
-    degree_ledger,
-    pairing_series,
-    quasimodularity_report,
-)
-from covercalc.errors import InvariantError
-from covercalc.exact import QSeries, rat_to_str
-from covercalc.gcover import (
-    AdmissibleGGraph,
+from covercalc.errors import (
     CoverError,
-    boundary_intersection_H,
-    pullback_psi_kappa_hurwitz,
-    validate_admissible_g_graph,
-)
-from covercalc.graphs import GraphError, StableGraph
-from covercalc.groups import FiniteGroup, GroupError, perm_from_json
-from covercalc.hurwitz import HurwitzError, hurwitz_cover_count
-from covercalc.mbar import (
+    GraphError,
+    GroupError,
+    HurwitzError,
     IntegralError,
-    boundary_intersection_pushforward,
-    integrate_psi,
+    InvariantError,
+    PipelineError,
 )
-from covercalc.qmod import is_quasimodular
 
 USER_ERRORS = (
     CoverError,
@@ -50,9 +49,77 @@ USER_ERRORS = (
     json.JSONDecodeError,
 )
 
+# Pieces of output text gathered before they are written to stdout as one block.
+_BLOCK = 8192
+
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write `payload` as indented JSON with sorted keys, and a newline."""
+    out = sys.stdout
+    pieces: list[str] = []
+    _write_json(payload, "\n", pieces, out.write)
+    pieces.append("\n")
+    out.write("".join(pieces))
+
+
+def _write_json(value, newline: str, pieces: list[str], write) -> None:
+    """Append the JSON text of `value` to `pieces`, its nested lines indented
+    from `newline`; pass full blocks of pieces to `write`.  A str or int
+    member of a container is formatted in place, without a call."""
+    kind = type(value)
+    if kind is str:
+        pieces.append(_json_string(value))
+    elif kind is int:
+        pieces.append(int.__repr__(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif kind is dict:
+        if not value:
+            pieces.append("{}")
+            return
+        for key in value:
+            if type(key) is not str:
+                raise InvariantError(f"JSON object key {key!r} is not a string")
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                pieces.append(f"{lead}{_json_string(key)}: {_json_string(item)}")
+            elif kind is int:
+                pieces.append(f"{lead}{_json_string(key)}: {int.__repr__(item)}")
+            else:
+                pieces.append(f"{lead}{_json_string(key)}: ")
+                _write_json(item, inner, pieces, write)
+            lead = "," + inner
+        pieces.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                pieces.append(lead + _json_string(item))
+            elif kind is int:
+                pieces.append(lead + int.__repr__(item))
+            else:
+                pieces.append(lead)
+                _write_json(item, inner, pieces, write)
+            lead = "," + inner
+            if len(pieces) >= _BLOCK:
+                write("".join(pieces))
+                pieces.clear()
+        pieces.append(newline + "]")
+    else:
+        raise InvariantError(f"no JSON form for a {kind.__name__} in the output")
 
 
 def _load_json(path: str) -> dict:
@@ -63,6 +130,9 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_integrate(args) -> int:
+    from covercalc.exact import rat_to_str
+    from covercalc.mbar import integrate_psi
+
     exponents = [int(x) for x in args.exponents.split(",") if x != ""]
     value = integrate_psi(args.genus, exponents)
     _emit(
@@ -76,6 +146,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_intersect_boundary(args) -> int:
+    from covercalc.graphs import StableGraph
+    from covercalc.mbar import boundary_intersection_pushforward
+
     a = StableGraph.from_json(_load_json(args.a))
     b = StableGraph.from_json(_load_json(args.b))
     cls = boundary_intersection_pushforward(a, b)
@@ -90,6 +163,8 @@ def cmd_intersect_boundary(args) -> int:
 
 
 def cmd_validate_ggraph(args) -> int:
+    from covercalc.gcover import AdmissibleGGraph, validate_admissible_g_graph
+
     gg = AdmissibleGGraph.from_json(_load_json(args.input))
     violations = validate_admissible_g_graph(gg)
     payload = {
@@ -101,6 +176,9 @@ def cmd_validate_ggraph(args) -> int:
 
 
 def cmd_hurwitz_count(args) -> int:
+    from covercalc.exact import rat_to_str
+    from covercalc.hurwitz import hurwitz_cover_count
+
     types = json.loads(args.types)
     count = hurwitz_cover_count(args.degree, types, weighted=args.weighted)
     _emit(
@@ -115,6 +193,8 @@ def cmd_hurwitz_count(args) -> int:
 
 
 def cmd_intersect_ggraph(args) -> int:
+    from covercalc.gcover import AdmissibleGGraph, boundary_intersection_H
+
     a = AdmissibleGGraph.from_json(_load_json(args.a))
     b = AdmissibleGGraph.from_json(_load_json(args.b))
     terms = boundary_intersection_H(a, b)
@@ -142,6 +222,9 @@ def cmd_intersect_ggraph(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from covercalc.gcover import pullback_psi_kappa_hurwitz
+    from covercalc.groups import FiniteGroup, perm_from_json
+
     payload = _load_json(args.input)
     kind = payload["kind"]
     params: dict = {"cls": payload["cls"]}
@@ -161,6 +244,9 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_delliptic(args) -> int:
+    from covercalc.delliptic import degree_ledger, pairing_series, quasimodularity_report
+    from covercalc.exact import rat_to_str
+
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
     values, ledgers, numbers00, numbers01 = {}, {}, [], []
@@ -207,6 +293,9 @@ def _print_delliptic_table(values: dict) -> None:
 
 
 def cmd_qmod_check(args) -> int:
+    from covercalc.exact import QSeries
+    from covercalc.qmod import is_quasimodular
+
     data = _load_json(args.input)
     series = QSeries.from_json(data)
     report = is_quasimodular(

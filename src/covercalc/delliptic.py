@@ -27,9 +27,9 @@ its reduced degree, multiplicity and excess, and its normalized total.
 The row check is an integer cross-multiplication, and the family sums,
 both closed-form checks and the cancellation run on normalized integers.
 The mark is put back only at output: once per degree for the pairing
-values and aggregates (`degree_ledger`), and in a row's `Fraction` fields
-when they are read (`--ledger`).  "Normalized" values are the ones with
-the mark divided out.
+values and aggregates (`degree_ledger`), and in a row's printed values
+(`--ledger`), which are formatted from its integers.  "Normalized" values
+are the ones with the mark divided out.
 """
 
 from __future__ import annotations
@@ -41,13 +41,9 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from covercalc.errors import InvariantError
-from covercalc.exact import QSeries, divisors, rat_to_str, sigma1
+from covercalc.errors import InvariantError, PipelineError
+from covercalc.exact import QSeries, divisors, ratio_to_str, sigma1
 from covercalc.qmod import MembershipReport, is_quasimodular
-
-
-class PipelineError(ValueError):
-    pass
 
 
 def normalization_branches(node_indices: list[list[int]]) -> int:
@@ -70,11 +66,10 @@ def normalization_branches(node_indices: list[list[int]]) -> int:
 class StratumContribution(NamedTuple):
     """One ledger row, held as integers with the mark factor taken out.
 
-    The public values are read as `Fraction`s, the mark put back:
-    count = mark * count_num / count_den, reduced_degree = reduced,
-    multiplicity = mult_num / mult_den, excess_value = excess_num /
-    excess_den (None for isolated points) and total = mark *
-    normalized_total, the row's closed form.
+    Its printed values put the mark back: count = mark * count_num /
+    count_den, reduced_degree = reduced, multiplicity = mult_num / mult_den,
+    excess_value = excess_num / excess_den (None for isolated points) and
+    total = mark * normalized_total, the row's closed form.
     """
 
     stratum: str
@@ -90,39 +85,17 @@ class StratumContribution(NamedTuple):
     excess_den: int
     normalized_total: int
 
-    @property
-    def count(self) -> Fraction:
-        return Fraction(self.mark * self.count_num, self.count_den)
-
-    @property
-    def reduced_degree(self) -> Fraction:
-        return Fraction(self.reduced)
-
-    @property
-    def multiplicity(self) -> Fraction:
-        return Fraction(self.mult_num, self.mult_den)
-
-    @property
-    def excess_value(self) -> Fraction | None:
-        if self.excess_num is None:
-            return None
-        return Fraction(self.excess_num, self.excess_den)
-
-    @property
-    def total(self) -> Fraction:
-        return Fraction(self.mark * self.normalized_total)
-
     def to_json(self) -> dict:
-        excess = self.excess_value
+        excess = self.excess_num
         return {
             "stratum": self.stratum,
             "subcase": self.subcase,
             "params": list(self.params),
-            "count": rat_to_str(self.count),
-            "reduced_degree": rat_to_str(self.reduced_degree),
-            "multiplicity": rat_to_str(self.multiplicity),
-            "excess_value": None if excess is None else rat_to_str(excess),
-            "total": rat_to_str(self.total),
+            "count": ratio_to_str(self.mark * self.count_num, self.count_den),
+            "reduced_degree": str(self.reduced),
+            "multiplicity": ratio_to_str(self.mult_num, self.mult_den),
+            "excess_value": None if excess is None else ratio_to_str(excess, self.excess_den),
+            "total": str(self.mark * self.normalized_total),
         }
 
 

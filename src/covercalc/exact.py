@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -30,10 +31,24 @@ def rat_from_str(s: str) -> Fraction:
 
 
 def rat_to_str(x: Fraction | int) -> str:
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """num/den in lowest terms, as `rat_to_str` prints the `Fraction`, but
+    reduced and signed in integers without building one."""
+    if den == 0:
+        raise ZeroDivisionError(f"ratio {num}/0")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    if den == g:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def sigma(n: int, k: int = 1) -> int:

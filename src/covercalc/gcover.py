@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from covercalc.errors import ActionError, CoverError, GraphError
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
-    GraphError,
     GraphMorphism,
     StableGraph,
     enumerate_generic_AB,
@@ -55,10 +55,6 @@ from covercalc.groups import (
     perm_order,
     quotient,
 )
-
-
-class CoverError(ValueError):
-    pass
 
 
 def quotient_genus(genus: int, order: int, ramification: int) -> Fraction:
@@ -160,10 +156,6 @@ class HurwitzSpaceId:
             FiniteGroup.from_json(data["group"]),
             tuple(perm_from_json(h) for h in data["xi"]),
         )
-
-
-class ActionError(CoverError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from covercalc.errors import InvariantError
+from covercalc.errors import GraphError, InvariantError
 from covercalc.groups import invert
-
-
-class GraphError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

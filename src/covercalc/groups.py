@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Sequence
 
-from covercalc.errors import InvariantError
+from covercalc.errors import GroupError, InvariantError, NotNormalError
 
 Perm = tuple[int, ...]
 
@@ -101,16 +101,6 @@ def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
                     nxt.append(b)
         frontier = nxt
     return seen
-
-
-class GroupError(ValueError):
-    pass
-
-
-class NotNormalError(GroupError):
-    def __init__(self, g: Perm, n: Perm):
-        self.witness = (g, n)
-        super().__init__(f"subgroup is not normal: conjugating {n} by {g} leaves it")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ up to simultaneous conjugation (plain mode) or weighted by centralizers
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
+from covercalc.errors import HurwitzError
 from covercalc.groups import (
     Perm,
     centralizer,
@@ -23,8 +26,10 @@ from covercalc.groups import (
 )
 
 
-class HurwitzError(ValueError):
-    pass
+# The enumeration visits each tuple of middle entries at about 10 us a
+# tuple: the cap keeps a call under about 10 s (degree 6 with 7 simple
+# branch points is 15^5 = 759,375 tuples; with 8 it would be 11.4 million).
+TUPLE_CAP = 10**6
 
 
 def _normalize_type(d: int, ctype) -> tuple[int, ...]:
@@ -46,6 +51,13 @@ def canonical_of_type(d: int, parts: tuple[int, ...]) -> Perm:
         out.append(tuple(range(start, start + p)))
         start += p
     return perm_from_cycles(d, out)
+
+
+def class_size(d: int, parts: tuple[int, ...]) -> int:
+    """The number of permutations of S_d with cycle type `parts`: d!/z,
+    z = prod over part sizes i of i^m_i m_i!, m_i parts of size i."""
+    z = prod(i**m * factorial(m) for i, m in Counter(parts).items())
+    return factorial(d) // z
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +90,8 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
     generating a transitive subgroup of S_d, up to simultaneous conjugation.
 
     With `weighted=True` each class is weighted by 1/#centralizer (the
-    stack-degree convention).  Enumeration bound: d <= 7.
+    stack-degree convention).  Enumeration bounds: d <= 7, and at most
+    TUPLE_CAP tuples of middle entries, the product of their class sizes.
     """
     if d < 1 or d > 7:
         raise HurwitzError(f"degree {d} outside the enumeration range 1..7")
@@ -87,22 +100,28 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
     types = [_normalize_type(d, c) for c in cycle_types]
     if len(types) < 1:
         raise HurwitzError("at least one branch point is required")
+    middle_types = types[1:-1]
+    tuples = prod(class_size(d, t) for t in middle_types)
+    if tuples > TUPLE_CAP:
+        raise HurwitzError(
+            f"{tuples} tuples of middle branch points to enumerate, over the cap of "
+            f"{TUPLE_CAP}; counts this large need the character formula (ROADMAP item 5)"
+        )
     first = canonical_of_type(d, types[0])
     z_first = centralizer(_all_perms(d), (first,))
     orbit_count = Fraction(0)
     weighted_count = Fraction(0)
-    middle_types = types[1:-1]
     last_type = types[-1] if len(types) >= 2 else None
     for middle in itertools.product(*[_perms_of_type(d, t) for t in middle_types]):
-        prod = first
+        product = first
         for m in middle:
-            prod = compose(prod, m)
+            product = compose(product, m)
         if last_type is None:
-            if prod != identity_perm(d):
+            if product != identity_perm(d):
                 continue
             tup = (first,)
         else:
-            last = invert(prod)
+            last = invert(product)
             if cycle_type(last) != last_type:
                 continue
             tup = (first, *middle, last)

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from covercalc.errors import GraphError, IntegralError
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
     GenericABGraph,
-    GraphError,
     StableGraph,
     enumerate_generic_AB,
 )
-
-
-class IntegralError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

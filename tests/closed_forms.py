@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from types import SimpleNamespace
 
 from covercalc.delliptic import PipelineError, am_bn_splits
 from covercalc.exact import sigma1
@@ -43,3 +44,19 @@ def delta01_closed_form(d: int) -> Fraction:
     """The separating-node pairing: (d-2)!^2 * 2 sum_{0<e<d} sigma1(e) sigma1(d-e)."""
     convolution = sum(sigma1(e) * sigma1(d - e) for e in range(1, d))
     return Fraction(factorial(d - 2) ** 2 * 2 * convolution)
+
+
+def row_values(row) -> SimpleNamespace:
+    """A d-elliptic ledger row with its values as `Fraction`s, the mark put
+    back, read from the row's integer fields: count, reduced_degree,
+    multiplicity, excess_value (None for isolated points) and total, next to
+    the row's own fields."""
+    excess = None if row.excess_num is None else Fraction(row.excess_num, row.excess_den)
+    return SimpleNamespace(
+        **row._asdict(),
+        count=Fraction(row.mark * row.count_num, row.count_den),
+        reduced_degree=Fraction(row.reduced),
+        multiplicity=Fraction(row.mult_num, row.mult_den),
+        excess_value=excess,
+        total=Fraction(row.mark * row.normalized_total),
+    )

@@ -3,13 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gg_factory import mutate, random_valid_graph
+from covercalc import cli
 from covercalc.cli import main
+from covercalc.errors import InvariantError
 from covercalc.delliptic import degree_ledger, pairing_series
 from covercalc.graphs import StableGraph
 
@@ -488,3 +492,101 @@ def _run_under_python_O(runs: list[list[str]]) -> list[tuple[str, str]]:
     chunks = done.stdout.split("\0")[:-1]
     assert len(chunks) == len(runs)
     return [tuple(chunk.rsplit("\n", 1)) for chunk in chunks]
+
+
+# degree 6 with 8 simple branch points: 15^6 middle tuples, over the cap
+TOO_MANY_TRANSPOSITIONS = json.dumps([[2, 1, 1, 1, 1]] * 8)
+
+
+def test_hurwitz_count_rejects_an_enumeration_over_the_tuple_cap(capsys):
+    # this enumeration would take about 100 s, and 10 transpositions hours
+    argv = ["hurwitz-count", "--degree", "6", "--types", TOO_MANY_TRANSPOSITIONS]
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("HurwitzError: 11390625 tuples")
+    assert "ROADMAP item 5" in payload["error"]
+
+
+def test_hurwitz_tuple_cap_holds_under_python_O():
+    argv = ["hurwitz-count", "--degree", "6", "--types", TOO_MANY_TRANSPOSITIONS]
+    [(out, code)] = _run_under_python_O([argv])
+    assert code == "2"
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith("HurwitzError: 11390625 tuples")
+
+
+# Characters that JSON escapes, or that an encoder could get wrong: quotes,
+# controls, the line separators U+2028/U+2029, lone surrogates (the two
+# halves of U+1F600 can meet in one string) and a character beyond the BMP.
+AWKWARD_CHARACTERS = ['"', "\\", "/", "\x00", "\t", "\n", "\x1f", "\x7f", "é", "\u2028",
+                      "\u2029", "\ud83d", "\ude00", "\udfff", "\U0001f600", "\uffff"]
+json_text = st.text(st.one_of(st.characters(codec=None, exclude_categories=()),
+                              st.sampled_from(AWKWARD_CHARACTERS)), max_size=12)
+json_scalars = st.one_of(
+    json_text, st.integers(), st.integers(min_value=-10**100, max_value=10**100),
+    st.booleans(), st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(json_text, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+# a small value repeated so often that the output spans several blocks
+json_long_lists = st.tuples(
+    st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=4),
+    st.integers(cli._BLOCK, 2 * cli._BLOCK),
+).map(lambda value_count: [value_count[0]] * value_count[1])
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _emitted(payload) -> list[str]:
+    out = _Writes()
+    with redirect_stdout(out):
+        cli._emit(payload)
+    return out.writes
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_emit_writes_exactly_what_json_dumps_writes(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert "".join(_emitted(payload)) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(json_long_lists)
+def test_emit_writes_exactly_what_json_dumps_writes_across_blocks(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    writes = _emitted(payload)
+    assert "".join(writes) == expected
+    # each item adds at least one piece, so a block holds at most _BLOCK items
+    assert len(writes) > len(payload) // cli._BLOCK
+
+
+@pytest.mark.parametrize("payload", [
+    {"value": 0.5},
+    {"value": [1, 2.0]},
+    {1: "an int key"},
+    {"value": {(1, 2): "a tuple key"}},
+    {"value": {1, 2}},
+    {"value": frozenset()},
+], ids=["float", "nested float", "int key", "nested tuple key", "set", "frozenset"])
+def test_emit_refuses_values_json_output_never_holds(payload):
+    with pytest.raises(InvariantError):
+        _emitted(payload)

@@ -10,6 +10,7 @@ from closed_forms import (
     david_identity_mirror,
     delta00_closed_form,
     delta01_closed_form,
+    row_values,
 )
 from covercalc.cli import main
 from covercalc.delliptic import (
@@ -49,7 +50,7 @@ def test_delta01_spot_values():
 def test_delta01_ledger_row():
     rows = delta01_contributions(2)
     assert len(rows) == 1
-    row = rows[0]
+    row = row_values(rows[0])
     assert row.params == (1, 1, 1, 1)
     assert row.count == 2 and row.reduced_degree == 1 and row.multiplicity == 1
     assert row.total == 2
@@ -121,7 +122,7 @@ def test_ledger_totals_assemble():
     three_chain_rows = 0
     for d in range(2, 21):
         mark = factorial(d - 2) ** 2
-        for row in delta00_contributions(d) + delta01_contributions(d):
+        for row in map(row_values, delta00_contributions(d) + delta01_contributions(d)):
             if row.excess_value is None:
                 assert row.total == row.count * row.reduced_degree * row.multiplicity
             else:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from covercalc.exact import QSeries, divisors, rat_from_str, rat_to_str, sigma1
+from covercalc.exact import QSeries, divisors, rat_from_str, rat_to_str, ratio_to_str, sigma1
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -88,6 +88,17 @@ def test_series_mul_associative_commutative(xs, ys, zs):
 def test_serialization_round_trip():
     assert rat_to_str(Fraction(-3, 6)) == "-1/2"
     assert rat_to_str(Fraction(4, 2)) == "2"
+    assert rat_to_str(-12) == "-12" and rat_to_str(True) == "1"
     assert rat_from_str("7/3") == Fraction(7, 3)
     s = QSeries((Fraction(1), Fraction(-1, 2), 0, 0))
     assert QSeries.from_json(s.to_json()) == s
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_ratio_to_str_prints_the_reduced_fraction(num, den):
+    assert ratio_to_str(num, den) == rat_to_str(Fraction(num, den))
+
+
+def test_ratio_to_str_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        ratio_to_str(3, 0)

@@ -1,12 +1,17 @@
 """Source-level guards: no bare asserts, no benchmark counter left
-pointing at a name covercalc no longer has, and no package code that only
-tests reach."""
+pointing at a name covercalc no longer has, no package code that only
+tests reach, no layer a command does not use loaded by it, and no user
+error class the CLI would let through."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -145,3 +150,54 @@ def test_only_cli_reachable_definitions_in_the_package():
     assert set(NOT_YET_REACHED) & _reached(defs, on_import, commands) == set()
     reached = _reached(defs, on_import, commands + list(NOT_YET_REACHED))
     assert [q for q in defs if q not in reached and not _is_dunder(q)] == []
+
+
+_LOADED_MODULES = """
+import io, json, sys
+from contextlib import redirect_stdout
+from covercalc.cli import main
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    with redirect_stdout(io.StringIO()):
+        main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "covercalc")))
+"""
+
+
+def _covercalc_modules_loaded(argv) -> set[str]:
+    """The covercalc modules a fresh interpreter holds after importing the
+    CLI and, unless argv is None, running one command."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    return {name.removeprefix("covercalc.") for name in json.loads(done.stdout)}
+
+
+def test_each_command_imports_only_its_layers():
+    # every CLI call is a fresh process, so a layer it does not use is pure cost
+    assert _covercalc_modules_loaded(None) == {"covercalc", "cli", "errors"}
+    hurwitz = _covercalc_modules_loaded(
+        ["hurwitz-count", "--degree", "4", "--types", "[[4], [2, 1, 1], [3, 1]]"])
+    assert "hurwitz" in hurwitz
+    assert hurwitz & {"graphs", "gcover", "mbar", "delliptic", "qmod"} == set()
+    delliptic = _covercalc_modules_loaded(["delliptic", "--dmax", "8", "--ledger", "--series"])
+    assert "delliptic" in delliptic
+    assert delliptic & {"graphs", "gcover", "groups", "hurwitz", "mbar"} == set()
+
+
+def test_the_cli_catches_every_user_error_class():
+    from covercalc import errors
+    from covercalc.cli import USER_ERRORS
+
+    classes = [obj for obj in vars(errors).values()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__]
+    assert errors.InvariantError in classes and len(classes) > 1
+    assert not issubclass(errors.InvariantError, USER_ERRORS)
+    assert [c.__name__ for c in classes
+            if c is not errors.InvariantError and not issubclass(c, USER_ERRORS)] == []
+    # the layers that raise them still export them
+    for layer, name in [("groups", "GroupError"), ("groups", "NotNormalError"),
+                        ("graphs", "GraphError"), ("mbar", "IntegralError"),
+                        ("gcover", "CoverError"), ("gcover", "ActionError"),
+                        ("hurwitz", "HurwitzError"), ("delliptic", "PipelineError")]:
+        assert getattr(importlib.import_module(f"covercalc.{layer}"), name) is getattr(errors, name)

@@ -1,9 +1,15 @@
+import ast
 import itertools
+import json
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
-from covercalc.hurwitz import HurwitzError, hurwitz_cover_count
+from covercalc.groups import cycle_type
+from covercalc.hurwitz import TUPLE_CAP, HurwitzError, class_size, hurwitz_cover_count
 from hurwitz_oracles import nodal_target_degree
 
 
@@ -84,3 +90,39 @@ def test_is_transitive_matches_the_orbit_of_the_generated_group():
         perms = [tuple(rng.sample(range(d), d)) for _ in range(rng.randint(1, 3))]
         orbit = {g[0] for g in FiniteGroup(d, tuple(perms)).elements}
         assert is_transitive(d, perms) == (len(orbit) == d)
+
+
+def test_class_sizes_count_the_permutations_of_each_cycle_type():
+    for d in range(1, 7):
+        counted = Counter(cycle_type(p) for p in itertools.permutations(range(d)))
+        assert {parts: class_size(d, parts) for parts in counted} == counted
+        assert sum(counted.values()) == factorial(d)
+
+
+def _middle_tuples(d, types) -> int:
+    return prod(class_size(d, tuple(sorted(t, reverse=True))) for t in types[1:-1])
+
+
+def test_every_golden_and_benchmark_shape_is_under_the_tuple_cap():
+    repo = Path(__file__).resolve().parent.parent
+    shapes = [
+        (int(e["argv"][2]), json.loads(e["argv"][4]))
+        for e in json.loads((repo / "tests" / "golden" / "corpus.json").read_text())
+        if e["argv"][0] == "hurwitz-count" and e["exit"] == 0
+    ]
+    # the benchmark's HURWITZ_SHAPES, and its d^(d-3) tree counts for d = 5, 6
+    source = (repo / "perfbench" / "workloads.py").read_text()
+    [listed] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "HURWITZ_SHAPES"]
+    shapes += listed + [(d, [[d]] + [[2] + [1] * (d - 2)] * (d - 1)) for d in (5, 6)]
+    assert len(shapes) == 12
+    assert max(_middle_tuples(d, types) for d, types in shapes) == 15**4 < TUPLE_CAP
+
+
+def test_enumerations_over_the_tuple_cap_are_refused():
+    # degree 6: 7 transpositions are 15^5 middle tuples, 8 are 15^6
+    simple = [2, 1, 1, 1, 1]
+    assert _middle_tuples(6, [simple] * 7) == 759375 <= TUPLE_CAP
+    with pytest.raises(HurwitzError, match="11390625 tuples"):
+        hurwitz_cover_count(6, [simple] * 8)
