@@ -127,10 +127,6 @@ class HurwitzSpaceId:
             for rep in table.reps
         ))
 
-    @property
-    def b(self) -> int:
-        return len(self.xi)
-
     def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
         """The action of t on leg positions through the coset layout."""
         return tuple(

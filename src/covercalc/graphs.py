@@ -15,11 +15,15 @@ isomorphically onto the target.
 Graphs are built by one-edge degenerations (a genus-reducing loop or a
 vertex split) and told apart by a canonical key: the least edge list over
 the vertex relabelings that keep each (genus, valence, legs) class
-together.  The generic (A,B)-graphs are searched among the classes both A
-and B degenerate to, not over the whole space: only those go to the
-morphism search, and a walk from the smooth graph through their
-contractions alone gives each its label.  The graphs stay desk-sized, so
-the key needs nothing finer than those classes.
+together.  Each class is labelled by the graph the breadth-first walk from
+the smooth graph first meets in it.  The walk meets classes in
+lexicographic order of their place, the path of degeneration indices that
+leads to them, so a recursion memoized per class finds that graph without
+the walk: the first degeneration into the class of the graph of the class
+one edge below with the least place.  The generic (A,B)-graphs are
+searched among the classes both A and B degenerate to, not over the whole
+space.  The graphs stay desk-sized, so the key needs nothing finer than
+those classes.
 """
 
 from __future__ import annotations
@@ -148,12 +152,16 @@ class StableGraph:
 
     # -- canonical form ----------------------------------------------------
 
-    def _vertex_invariant(self, v: int) -> tuple:
-        return (
-            self.genera[v],
-            len(self.half_edges_at(v)),
-            self.legs_at(v),
-        )
+    def _vertex_invariants(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(genus, valence, legs) of each vertex, the valence counting
+        half-edges only."""
+        valence = [0] * self.n_vertices
+        for v in self.half_edge_vertex:
+            valence[v] += 1
+        legs: list[tuple[int, ...]] = [()] * self.n_vertices
+        for i, v in enumerate(self.leg_vertex):
+            legs[v] += (i,)
+        return list(zip(self.genera, valence, legs))
 
     def _relabeled_edges(self, sigma: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """Sorted end pairs of the edges once vertex v is renamed sigma[v]."""
@@ -165,17 +173,19 @@ class StableGraph:
         pairs.sort()
         return tuple(pairs)
 
+    @cached_property
     def _invariant_classes(self) -> dict[tuple, list[int]]:
-        """Vertices grouped by (genus, valence, legs), in increasing invariant order."""
+        """Vertices grouped by (genus, valence, legs), in increasing invariant
+        order, built once per graph."""
         classes: dict[tuple, list[int]] = {}
-        for v in range(self.n_vertices):
-            classes.setdefault(self._vertex_invariant(v), []).append(v)
+        for v, invariant in enumerate(self._vertex_invariants()):
+            classes.setdefault(invariant, []).append(v)
         return {k: classes[k] for k in sorted(classes)}
 
-    def _signature(self) -> tuple:
-        """Each (genus, valence, legs) class with its size: the same for
-        isomorphic graphs, and cheaper than the canonical key."""
-        return tuple((k, len(cls)) for k, cls in self._invariant_classes().items())
+    def _signature(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The sorted vertex invariants: the same for isomorphic graphs, and
+        cheaper than the canonical key."""
+        return sorted(self._vertex_invariants())
 
     def _parallel_classes(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Edges grouped by their sorted pair of end vertices, in increasing order."""
@@ -195,7 +205,7 @@ class StableGraph:
         read the same under every such relabeling, and only the edges are
         minimized.
         """
-        classes = self._invariant_classes()
+        classes = self._invariant_classes
         genera, legs, blocks = [], [0] * self.n_legs, []
         for (g, _, at), cls in classes.items():
             for i in at:
@@ -216,7 +226,7 @@ class StableGraph:
         lexicographic order), then by hperm as `_half_edge_perms_over` meets
         them.
         """
-        mine, theirs = self._invariant_classes(), other._invariant_classes()
+        mine, theirs = self._invariant_classes, other._invariant_classes
         shape = [(k, len(c)) for k, c in mine.items()]
         if shape != [(k, len(c)) for k, c in theirs.items()]:
             return
@@ -541,23 +551,22 @@ def enumerate_stable_graphs(
     Breadth-first closure under one-edge degenerations (vertex splitting and
     genus-reducing loops), starting from the smooth graph; complete because
     every stable graph contracts one edge at a time down to it.  Each class
-    is represented by the first graph the walk meets in it: of the earliest
-    frontier graph that reaches it, the first degeneration that does.
+    is represented by the first graph the walk meets in it.  A class's place
+    is the index path, through each graph's `_one_edge_degenerations` in
+    order, of that first meeting; the walk meets classes in lexicographic
+    order of place.
 
     With `within`, a set of canonical keys, only the graphs of those classes
-    come back, each with the representative the full walk gives it.  The walk
-    then passes only through those classes and their contractions, which is
-    enough: the first graph to reach a class is one of its one-edge
-    contractions, and all of those are among them.
+    come back, each the one the walk gives it, found by `_first_met` without
+    the walk.
     """
+    if within is not None:
+        return tuple(_first_met(key)[1] for key in sorted(within))
     try:
         start = trivial_graph(g, n)
     except GraphError:
         return ()
-    if within is None:
-        seen = _degeneration_walk(start, max_edges)
-    else:
-        seen = _walk_towards(start, max_edges, within)
+    seen = _degeneration_walk(start, max_edges)
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -579,52 +588,25 @@ def _degeneration_walk(start: StableGraph, steps: int) -> dict[tuple, StableGrap
     return seen
 
 
-def _walk_towards(start: StableGraph, steps: int, targets: frozenset) -> dict[tuple, StableGraph]:
-    """`_degeneration_walk` restricted to the classes of `targets` and their
-    contractions, giving the graphs of the targets.
+@lru_cache(maxsize=None)
+def _first_met(key: tuple) -> tuple[tuple[int, ...], StableGraph]:
+    """(place, graph) of a class in the walk of `enumerate_stable_graphs`.
 
-    Each class is built from its key and contracted edge by edge, which
-    gives the classes one edge above every class met.  A frontier graph then
-    builds its degenerations only until it has met each class above it that
-    is still new, and keys only those whose vertex classes match one.
+    The smooth class has place ().  Any other class is first met from the
+    class one edge below it with the least place, at that graph's first
+    degeneration into the class; the classes one edge below are those of
+    the graph's one-edge contractions.
     """
-    above: dict[tuple, set[tuple]] = {}
-    signatures: dict[tuple, tuple] = {}
-    todo = list(targets)
-    while todo:
-        key = todo.pop()
-        if key in signatures:
-            continue
-        graph = _graph_of_key(key)
-        signatures[key] = graph._signature()
-        for edge in graph.edges():
-            below = contract_edges(graph, {edge})[0].canonical_key()
-            above.setdefault(below, set()).add(key)
-            todo.append(below)
-    key = start.canonical_key()
-    if key not in signatures:
-        return {}
-    seen = {key: start}
-    frontier = [(key, start)]
-    for _ in range(steps):
-        nxt = []
-        for key, graph in frontier:
-            wanted = {k for k in above.get(key, ()) if k not in seen}
-            if not wanted:
-                continue
-            wanted_signatures = {signatures[k] for k in wanted}
-            for degen in _one_edge_degenerations(graph):
-                if degen._signature() not in wanted_signatures:
-                    continue
-                found = degen.canonical_key()
-                if found in wanted:
-                    seen[found] = degen
-                    nxt.append((found, degen))
-                    wanted.remove(found)
-                    if not wanted:
-                        break
-        frontier = nxt
-    return {k: seen[k] for k in targets if k in seen}
+    graph = _graph_of_key(key)
+    if not graph.n_edges:
+        return (), graph
+    below = {contract_edges(graph, {edge})[0].canonical_key() for edge in graph.edges()}
+    place, parent = min(map(_first_met, below), key=lambda found: found[0])
+    signature = graph._signature()
+    for i, degen in enumerate(_one_edge_degenerations(parent)):
+        if degen._signature() == signature and degen.canonical_key() == key:
+            return place + (i,), degen
+    raise InvariantError("no one-edge degeneration of a contraction reaches its class")
 
 
 def _graph_of_key(key: tuple) -> StableGraph:
@@ -706,8 +688,6 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
         return []
     max_edges = max(gamma.n_edges for gamma in common.values())
     gammas = enumerate_stable_graphs(a.genus(), a.n_legs, max_edges, within=frozenset(common))
-    if len(gammas) != len(common):
-        raise InvariantError("the restricted walk missed a common degeneration of A and B")
     out = []
     for gamma in gammas:
         to_a_list = enumerate_morphisms(gamma, a)

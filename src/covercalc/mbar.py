@@ -220,7 +220,7 @@ class Decoration:
             tuple(tuple(sorted(kv.items())) for kv in kappas),
         )
 
-    def to_json(self, graph: StableGraph) -> dict:
+    def to_json(self) -> dict:
         return {
             "psi_legs": {str(i + 1): e for i, e in enumerate(self.psi_leg) if e},
             "psi_half_edges": {str(h): e for h, e in enumerate(self.psi_half) if e},
@@ -256,7 +256,7 @@ class StratumClass:
                 {
                     "coefficient": rat_to_str(c),
                     "graph": graph.to_json(),
-                    "decoration": dec.to_json(graph),
+                    "decoration": dec.to_json(),
                 }
                 for c, graph, dec in self.terms
             ],

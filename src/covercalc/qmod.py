@@ -191,6 +191,8 @@ def is_quasimodular(
     is True only when a solution exists and reproduces all holdout
     coefficients exactly.
     """
+    if holdout_len < 0:
+        raise ValueError(f"holdout length {holdout_len} is negative")
     needed = fit_len + holdout_len
     if series.order + 1 < needed:
         raise ValueError(

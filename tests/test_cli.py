@@ -293,6 +293,22 @@ def test_qmod_check_rejects_non_integer_order_and_non_string_coefficients(
     assert payload["error"] == error
 
 
+@pytest.mark.parametrize("fit, holdout", [(20, -5), (10, -3)])
+def test_qmod_check_rejects_a_negative_holdout(tmp_path, capsys, fit, holdout):
+    # a negative holdout once read past the series (IndexError) or, with a
+    # shorter fit, reported membership without checking any held-out term
+    series = {"order": 14, "coefficients": ["1"] + ["0"] * 14}
+    code, out = _run_with_inputs(
+        tmp_path, capsys,
+        ["qmod-check", "--fit", str(fit), "--holdout", str(holdout), "--input", "@in"],
+        {"in": series},
+    )
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == f"ValueError: holdout length {holdout} is negative"
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 

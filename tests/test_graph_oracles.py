@@ -1,7 +1,12 @@
 """The isomorphism enumerator and the generic (A,B) search against brute-force
 oracles and literature counts."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +115,40 @@ def test_one_edge_degenerations_match_the_validating_generator(g, n):
 )
 def test_stratum_counts_match_the_literature(g, n, count):
     assert len(enumerate_stable_graphs(g, n, 3 * g - 3 + n)) == count
+
+
+# Each space with its largest edge count: the SWEEP spaces in full, then
+# M̄_{0,6} and M̄_{2,3} up to four edges
+WITHIN_SPACES = [(g, n, 3 * g - 3 + n) for g, n in SWEEP] + [(0, 6, 4), (2, 3, 4)]
+
+_ONE_CLASS_AT_A_TIME = """
+import json, sys
+from covercalc.graphs import enumerate_stable_graphs
+found = []
+for (g, n, e), order in json.loads(sys.argv[1]):
+    keys = [graph.canonical_key() for graph in enumerate_stable_graphs(g, n, e)]
+    found.append([enumerate_stable_graphs(g, n, e, within=frozenset({keys[i]}))[0].to_json()
+                  for i in order])
+print(json.dumps(found))
+"""
+
+
+def test_each_class_alone_gets_its_graph_from_the_whole_space_walk():
+    # a fresh interpreter, so no earlier call has met any class: each answer
+    # is built from nothing but the one key asked for, in either order
+    rng = random.Random(10)
+    whole = [enumerate_stable_graphs(*space) for space in WITHIN_SPACES]
+    orders = [rng.sample(range(len(graphs)), len(graphs)) for graphs in whole]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for flip in (False, True):
+        asked = [order[::-1] if flip else order for order in orders]
+        done = subprocess.run(
+            [sys.executable, "-c", _ONE_CLASS_AT_A_TIME,
+             json.dumps(list(zip(WITHIN_SPACES, asked)))],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        for graphs, order, found in zip(whole, asked, json.loads(done.stdout)):
+            assert found == [graphs[i].to_json() for i in order]
 
 
 def test_automorphism_counts_of_theta_and_dumbbell():
