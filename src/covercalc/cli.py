@@ -1,9 +1,10 @@
 """Command-line interface: JSON in, JSON out, exact numbers as "p/q".
 
-Exit codes: 0 on success, 2 on malformed input or validation failure,
-3 on an internal invariant breach (an `InvariantError`, which survives
-`python -O` where a bare assert would not).  Output is deterministic
-(sorted keys), so regression tests can diff bytes.
+Exit codes: 0 on success, 2 on malformed input, a malformed command line
+or a validation failure, 3 on an internal invariant breach (an
+`InvariantError`, which survives `python -O` where a bare assert would
+not).  Output is deterministic (sorted keys), so regression tests can diff
+bytes.
 
 Output goes through one writer, `_emit`.  Its bytes are exactly those of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every type a
@@ -34,6 +35,7 @@ from covercalc.errors import (
     IntegralError,
     InvariantError,
     PipelineError,
+    UsageError,
 )
 
 USER_ERRORS = (
@@ -43,6 +45,7 @@ USER_ERRORS = (
     HurwitzError,
     IntegralError,
     PipelineError,
+    UsageError,
     KeyError,
     TypeError,
     ValueError,
@@ -305,8 +308,21 @@ def cmd_qmod_check(args) -> int:
     return 0
 
 
+def _refuse_usage(parser: argparse.ArgumentParser, message: str):
+    raise UsageError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print
+    usage to stderr and exit, so that `main` reports it as JSON.  argparse
+    reports every refusal through `error`, and makes subcommand parsers of
+    the parser's own class.  `--help` still prints and exits 0."""
+
+    error = _refuse_usage
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covercalc",
         description="Exact intersection calculus for admissible cover moduli.",
     )
@@ -363,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except USER_ERRORS as err:
         _emit({"error": f"{type(err).__name__}: {err}"})

@@ -46,3 +46,8 @@ class HurwitzError(ValueError):
 
 class PipelineError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    """A command line the argument parser refuses: an unknown or missing
+    command, a missing option, or a value of the wrong type."""

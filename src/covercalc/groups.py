@@ -81,11 +81,6 @@ def perm_from_cycles(n: int, cyc_list: Sequence[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
-def centralizer(candidates: Iterable[Perm], elems: Sequence[Perm]) -> list[Perm]:
-    """The candidates that commute with every element of elems, in order."""
-    return [z for z in candidates if all(compose(z, a) == compose(a, z) for a in elems)]
-
-
 def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
     """Everything gens generate: breadth-first closure of the identity under
     left multiplication."""

@@ -1,17 +1,24 @@
 """Group constructions that only the tests use, kept as named oracles.
 
 A homomorphism by its full value table, the direct product acting on the
-disjoint union of the point sets, and the fiber product H1 x_Q H2 inside
-it.  The package itself never builds these; the tests use them to make
-groups and subgroups with a known structure.
+disjoint union of the point sets, the fiber product H1 x_Q H2 inside it,
+and the centralizer by filtering candidates.  The package itself never
+builds these; the tests use them to make groups and subgroups with a known
+structure, and the Hurwitz enumeration oracle uses the centralizer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from covercalc.groups import FiniteGroup, GroupError, Perm, compose
+
+
+def centralizer(candidates: Iterable[Perm], elems: Sequence[Perm]) -> list[Perm]:
+    """The candidates that commute with every element of elems, in order."""
+    return [z for z in candidates if all(compose(z, a) == compose(a, z) for a in elems)]
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:

@@ -1,4 +1,10 @@
-"""The degree of the 4-pointed target map, counted on the degenerate fiber.
+"""Hurwitz counts by enumeration, and the degree of the 4-pointed target
+map counted on the degenerate fiber.
+
+`oracle_hurwitz_cover_count` is the enumeration `covercalc.hurwitz` used
+before the character and Burnside formulas: it fixes the first entry, runs
+over every tuple of middle entries in S_d and solves for the last.  It is
+the second algorithm the formulas are checked against.
 
 `covercalc.delliptic.segre_excess_contribution("node-profile")` takes the
 degree of the target map of covers with profile (a, b) over two points
@@ -15,10 +21,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
-from covercalc.errors import InvariantError
-from covercalc.groups import Perm, compose, cycle_type, invert
+from covercalc.errors import HurwitzError, InvariantError
+from covercalc.groups import Perm, compose, cycle_type, identity_perm, invert, perm_from_cycles
+from covercalc.hurwitz import TUPLE_CAP, _normalize_type, class_size, is_transitive
+from group_oracles import centralizer
 
 
 def cycles(a: Perm) -> list[list[int]]:
@@ -51,8 +60,74 @@ def _components(n: int, edges) -> list[set[int]]:
     return list(comps.values())
 
 
-def _perms_of_type(d: int, parts: tuple[int, ...]) -> list[Perm]:
-    return [p for p in itertools.permutations(range(d)) if cycle_type(p) == parts]
+@lru_cache(maxsize=None)
+def _all_perms(d: int) -> tuple[Perm, ...]:
+    return tuple(itertools.permutations(range(d)))
+
+
+@lru_cache(maxsize=None)
+def _perms_of_type(d: int, parts: tuple[int, ...]) -> tuple[Perm, ...]:
+    return tuple(p for p in _all_perms(d) if cycle_type(p) == parts)
+
+
+def canonical_of_type(d: int, parts: tuple[int, ...]) -> Perm:
+    """A canonical permutation with the given cycle type."""
+    out = []
+    start = 0
+    for p in parts:
+        out.append(tuple(range(start, start + p)))
+        start += p
+    return perm_from_cycles(d, out)
+
+
+def oracle_hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction:
+    """Count tuples (s_1..s_k) of the given cycle types with product one,
+    generating a transitive subgroup of S_d, up to simultaneous conjugation.
+
+    With `weighted=True` each class is weighted by 1/#centralizer (the
+    stack-degree convention).  Enumeration bounds: d <= 7, and at most
+    TUPLE_CAP tuples of middle entries, the product of their class sizes.
+    """
+    if d < 1 or d > 7:
+        raise HurwitzError(f"degree {d} outside the enumeration range 1..7")
+    if not isinstance(cycle_types, (list, tuple)):
+        raise HurwitzError(f"cycle types {cycle_types!r} are not a list of lists")
+    types = [_normalize_type(d, c) for c in cycle_types]
+    if len(types) < 1:
+        raise HurwitzError("at least one branch point is required")
+    middle_types = types[1:-1]
+    tuples = prod(class_size(d, t) for t in middle_types)
+    if tuples > TUPLE_CAP:
+        raise HurwitzError(
+            f"{tuples} tuples of middle branch points to enumerate, over the cap of "
+            f"{TUPLE_CAP}; counts this large need the character formula (ROADMAP item 5)"
+        )
+    first = canonical_of_type(d, types[0])
+    z_first = centralizer(_all_perms(d), (first,))
+    orbit_count = Fraction(0)
+    weighted_count = Fraction(0)
+    last_type = types[-1] if len(types) >= 2 else None
+    for middle in itertools.product(*[_perms_of_type(d, t) for t in middle_types]):
+        product = first
+        for m in middle:
+            product = compose(product, m)
+        if last_type is None:
+            if product != identity_perm(d):
+                continue
+            tup = (first,)
+        else:
+            last = invert(product)
+            if cycle_type(last) != last_type:
+                continue
+            tup = (first, *middle, last)
+        if not is_transitive(d, tup):
+            continue
+        # z_first commutes with tup[0], and tup[-1] is the inverse of the
+        # product of the others, so the middle entries decide
+        stab = centralizer(z_first, middle)
+        orbit_count += Fraction(len(stab), len(z_first))
+        weighted_count += Fraction(1, len(z_first))
+    return weighted_count if weighted else orbit_count
 
 
 def _one_sided_summaries(a: int, b: int) -> dict:

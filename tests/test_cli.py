@@ -510,6 +510,48 @@ def _run_under_python_O(runs: list[list[str]]) -> list[tuple[str, str]]:
     return [tuple(chunk.rsplit("\n", 1)) for chunk in chunks]
 
 
+# Command lines argparse refuses, and the start of each error: they used to
+# print usage to stderr and leave stdout empty
+USAGE_ERRORS = [
+    (["hurwitz-count", "--degree", "x", "--types", "[[2],[2]]"],
+     "UsageError: argument --degree: invalid int value: 'x'"),
+    (["hurwitz-count", "--degree", "2"],
+     "UsageError: the following arguments are required: --types"),
+    (["frobnicate"], "UsageError: argument command: invalid choice: 'frobnicate'"),
+    ([], "UsageError: the following arguments are required: command"),
+    (["integrate", "--genus", "0", "--exponents", "1,0,0,0", "--bogus"],
+     "UsageError: unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS, ids=[" ".join(a) or "no command"
+                                                            for a, _ in USAGE_ERRORS])
+def test_usage_errors_are_json_errors(capsys, argv, error):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    check_schema("error", payload)
+    assert payload["error"].startswith(error)
+
+
+def test_usage_errors_exit_2_under_python_O():
+    results = _run_under_python_O([argv for argv, _ in USAGE_ERRORS])
+    for (out, code), (_, error) in zip(results, USAGE_ERRORS):
+        assert code == "2"
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"].startswith(error)
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["hurwitz-count", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: covercalc hurwitz-count")
+
+
 # degree 6 with 8 simple branch points: 15^6 middle tuples, over the cap
 TOO_MANY_TRANSPOSITIONS = json.dumps([[2, 1, 1, 1, 1]] * 8)
 

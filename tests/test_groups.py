@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from group_oracles import GroupHom, direct_product, fiber_product_subgroup
+from group_oracles import GroupHom, centralizer, direct_product, fiber_product_subgroup
 from covercalc.groups import (
     FiniteGroup,
     GroupError,
     NotNormalError,
-    centralizer,
     check_normal,
     compose,
     coset_index,

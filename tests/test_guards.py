@@ -199,5 +199,6 @@ def test_the_cli_catches_every_user_error_class():
     for layer, name in [("groups", "GroupError"), ("groups", "NotNormalError"),
                         ("graphs", "GraphError"), ("mbar", "IntegralError"),
                         ("gcover", "CoverError"), ("gcover", "ActionError"),
-                        ("hurwitz", "HurwitzError"), ("delliptic", "PipelineError")]:
+                        ("hurwitz", "HurwitzError"), ("delliptic", "PipelineError"),
+                        ("cli", "UsageError")]:
         assert getattr(importlib.import_module(f"covercalc.{layer}"), name) is getattr(errors, name)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -8,9 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from covercalc.groups import cycle_type
-from covercalc.hurwitz import TUPLE_CAP, HurwitzError, class_size, hurwitz_cover_count
-from hurwitz_oracles import nodal_target_degree
+from covercalc.groups import cycle_type, perm_from_cycles
+from covercalc.hurwitz import (
+    TUPLE_CAP,
+    HurwitzError,
+    character,
+    class_size,
+    hurwitz_cover_count,
+    partitions,
+    semiregular_centralizer,
+)
+from group_oracles import centralizer
+from hurwitz_oracles import nodal_target_degree, oracle_hurwitz_cover_count
 
 
 def test_lemma_configuration_unique_small():
@@ -103,19 +113,24 @@ def _middle_tuples(d, types) -> int:
     return prod(class_size(d, tuple(sorted(t, reverse=True))) for t in types[1:-1])
 
 
-def test_every_golden_and_benchmark_shape_is_under_the_tuple_cap():
+def _golden_and_benchmark_shapes() -> list[tuple[int, list]]:
+    """The (degree, types) of every golden hurwitz-count entry that exits 0,
+    the benchmark's HURWITZ_SHAPES, and its d^(d-3) tree counts for d = 5, 6."""
     repo = Path(__file__).resolve().parent.parent
     shapes = [
         (int(e["argv"][2]), json.loads(e["argv"][4]))
         for e in json.loads((repo / "tests" / "golden" / "corpus.json").read_text())
         if e["argv"][0] == "hurwitz-count" and e["exit"] == 0
     ]
-    # the benchmark's HURWITZ_SHAPES, and its d^(d-3) tree counts for d = 5, 6
     source = (repo / "perfbench" / "workloads.py").read_text()
     [listed] = [ast.literal_eval(node.value) for node in ast.parse(source).body
                 if isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "HURWITZ_SHAPES"]
-    shapes += listed + [(d, [[d]] + [[2] + [1] * (d - 2)] * (d - 1)) for d in (5, 6)]
+    return shapes + listed + [(d, [[d]] + [[2] + [1] * (d - 2)] * (d - 1)) for d in (5, 6)]
+
+
+def test_every_golden_and_benchmark_shape_is_under_the_tuple_cap():
+    shapes = _golden_and_benchmark_shapes()
     assert len(shapes) == 12
     assert max(_middle_tuples(d, types) for d, types in shapes) == 15**4 < TUPLE_CAP
 
@@ -126,3 +141,98 @@ def test_enumerations_over_the_tuple_cap_are_refused():
     assert _middle_tuples(6, [simple] * 7) == 759375 <= TUPLE_CAP
     with pytest.raises(HurwitzError, match="11390625 tuples"):
         hurwitz_cover_count(6, [simple] * 8)
+
+
+def _assert_matches_the_enumeration(d, types):
+    for weighted in (False, True):
+        assert (hurwitz_cover_count(d, types, weighted=weighted)
+                == oracle_hurwitz_cover_count(d, types, weighted=weighted)), (d, types, weighted)
+
+
+def test_every_type_list_of_degree_at_most_5_matches_the_enumeration():
+    # every multiset of at most 4 cycle types, in a seeded order: the
+    # Burnside count treats the first and last entries apart from the rest
+    rng = random.Random(11)
+    lists = 0
+    for d in range(1, 6):
+        for n in range(1, 5):
+            for combo in itertools.combinations_with_replacement(partitions(d), n):
+                types = [list(t) for t in combo]
+                rng.shuffle(types)
+                _assert_matches_the_enumeration(d, types)
+                lists += 1
+    assert lists == 506
+
+
+def test_sampled_type_lists_of_degree_6_and_7_match_the_enumeration():
+    # lists with under 10^4 middle tuples whose Riemann-Hurwitz genus is a
+    # whole number >= 0, so that most counts are not zero
+    rng = random.Random(7)
+    for d, samples in ((6, 10), (7, 6)):
+        shapes = partitions(d)[:-1]  # no identity entries
+        done = 0
+        while done < samples:
+            types = [list(rng.choice(shapes)) for _ in range(rng.randint(3, 5))]
+            ramification = sum(d - len(t) for t in types)
+            if (_middle_tuples(d, types) < 10**4 and ramification % 2 == 0
+                    and ramification >= 2 * d - 2):
+                _assert_matches_the_enumeration(d, types)
+                done += 1
+
+
+def test_golden_and_benchmark_shapes_match_the_enumeration():
+    shapes = {json.dumps(shape) for shape in _golden_and_benchmark_shapes()}
+    # the four golden entries are two of HURWITZ_SHAPES, each in both modes
+    assert len(shapes) == 8
+    for d, types in map(json.loads, sorted(shapes)):
+        _assert_matches_the_enumeration(d, types)
+
+
+@pytest.mark.parametrize("d, types, plain, weighted", [
+    (2, [[2], [2]], 1, Fraction(1, 2)),
+    (4, [[2, 2]] * 3, 1, Fraction(1, 4)),
+    (3, [[3], [3]], 1, Fraction(1, 3)),
+])
+def test_covers_with_automorphisms(d, types, plain, weighted):
+    # one cover each, with automorphism group Z/2, Z/2 x Z/2 and Z/3: the
+    # Burnside terms for k >= 2 are what lifts the weighted count to 1
+    assert hurwitz_cover_count(d, types) == plain == oracle_hurwitz_cover_count(d, types)
+    assert (hurwitz_cover_count(d, types, weighted=True) == weighted
+            == oracle_hurwitz_cover_count(d, types, weighted=True))
+
+
+def test_semiregular_centralizers_are_the_centralizers_in_s_d():
+    # built from three generators, they equal the filter of S_d
+    for d in range(2, 8):
+        for k in range(2, d + 1):
+            if d % k == 0:
+                c = perm_from_cycles(d, [range(b, b + k) for b in range(0, d, k)])
+                expected = centralizer(itertools.permutations(range(d)), [c])
+                assert list(semiregular_centralizer(d, k).elements) == expected
+
+
+def _hook_lengths_dimension(shape) -> int:
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    hooks = prod(part - j + columns[j] - i - 1
+                 for i, part in enumerate(shape) for j in range(part))
+    return factorial(sum(shape)) // hooks
+
+
+def _centralizer_order(parts) -> int:
+    return prod(i**m * factorial(m) for i, m in Counter(parts).items())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_characters_satisfy_the_hook_length_formula_and_orthogonality(d):
+    shapes = partitions(d)
+    assert len(shapes) == [1, 2, 3, 5, 7, 11, 15, 22][d - 1]
+    identity = (1,) * d
+    dims = [character(shape, identity) for shape in shapes]
+    assert dims == [_hook_lengths_dimension(shape) for shape in shapes]
+    assert sum(x * x for x in dims) == factorial(d)
+    # column orthogonality: the sum over shapes of chi(mu) chi(nu) is z_mu
+    # when mu = nu and 0 otherwise
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(character(shape, mu) * character(shape, nu) for shape in shapes)
+            assert total == (_centralizer_order(mu) if mu == nu else 0), (mu, nu)
