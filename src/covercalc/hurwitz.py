@@ -30,8 +30,10 @@ m = d/k, so with c_k one of them
     orbits = Σ_{k | d} |Fix(c_k)| / (k^m m!),
 
 and the k = 1 term is the weighted count.  For k ≥ 2 the tuples fixed by
-c_k have their entries in the centralizer C(c_k) = Z/k ≀ S_m, of order at
-most 48 for d ≤ 7, and are counted inside it.
+c_k have their entries in the centralizer C(c_k) = Z/k ≀ S_m, and are
+counted inside it by one pass over the entries.  Both counts cost
+polynomially in the number of branch points.  The degree stays at most 7:
+C(c_k) has k^m m! elements, 3840 at d = 10.
 """
 
 from __future__ import annotations
@@ -43,13 +45,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
-from covercalc.groups import FiniteGroup, Perm, compose, cycle_type, invert, perm_from_cycles
-
-
-# Neither formula needs this cap: the enumeration it bounds, of the middle
-# entries inside C(c_k), is never longer than the S_d product it measures.
-# It stays so that the inputs refused, and their messages, do not change.
-TUPLE_CAP = 10**6
+from covercalc.groups import FiniteGroup, Perm, compose, cycle_type, identity_perm, perm_from_cycles
 
 
 def _normalize_type(d: int, ctype) -> tuple[int, ...]:
@@ -70,19 +66,28 @@ def class_size(d: int, parts: tuple[int, ...]) -> int:
     return factorial(d) // z
 
 
+def _orbit_cycle(d: int, perms) -> Perm:
+    """The permutation that takes each point of 0..d-1 to the next larger
+    point of its orbit under <perms>, and the largest back to the smallest:
+    one key for the orbit partition.  Forward images suffice: in a finite
+    group the orbit under the generators is closed under inverses."""
+    image = [-1] * d
+    for start in range(d):
+        if image[start] < 0:
+            orbit, frontier = {start}, {start}
+            while frontier:
+                frontier = {p[x] for p in perms for x in frontier} - orbit
+                orbit |= frontier
+            ordered = sorted(orbit)
+            for x, y in zip(ordered, ordered[1:] + ordered[:1]):
+                image[x] = y
+    return tuple(image)
+
+
 def is_transitive(d: int, perms) -> bool:
-    """Whether <perms> is transitive on 0..d-1.  Forward images suffice: in
-    a finite group the orbit under the generators is closed under inverses."""
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for p in perms:
-            y = p[x]
-            if y not in reach:
-                reach.add(y)
-                frontier.append(y)
-    return len(reach) == d
+    """Whether <perms> is transitive on 0..d-1: whether its orbit cycle is
+    the d-cycle (0 1 .. d−1)."""
+    return _orbit_cycle(d, perms) == (*range(1, d), 0)
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +153,9 @@ def _product_one_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
 def _splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each (sub, rest) with sub a sub-multiset of `parts` of size k and rest
     the parts left over."""
-    counts = sorted(Counter(parts).items(), reverse=True)
-    out = []
-    for picks in itertools.product(*(range(m + 1) for _, m in counts)):
-        if sum(p * n for (p, _), n in zip(counts, picks)) == k:
-            sub = tuple(p for (p, _), n in zip(counts, picks) for _ in range(n))
-            rest = tuple(p for (p, m), n in zip(counts, picks) for _ in range(m - n))
-            out.append((sub, rest))
-    return tuple(out)
+    subs = {sub for n in range(len(parts) + 1)
+            for sub in itertools.combinations(parts, n) if sum(sub) == k}
+    return tuple((sub, tuple((Counter(parts) - Counter(sub)).elements())) for sub in sorted(subs))
 
 
 @lru_cache(maxsize=None)
@@ -164,10 +164,15 @@ def _transitive_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
     transitive on 0..d-1.  `types` is sorted, as both counts are symmetric."""
     total = _product_one_tuples(d, types)
     for k in range(1, d):
-        # splits that differ only in order give equal terms
-        terms = Counter()
-        for split in itertools.product(*(_splits(t, k) for t in types)):
-            terms[tuple(sorted(s for s, _ in split)), tuple(sorted(r for _, r in split))] += 1
+        # the ways to split each type in turn, by (sorted subs, sorted
+        # rests): splits that differ only in order give equal terms
+        terms = Counter({((), ()): 1})
+        for t in types:
+            after = Counter()
+            for (subs, rests), ways in terms.items():
+                for sub, rest in _splits(t, k):
+                    after[tuple(sorted((*subs, sub))), tuple(sorted((*rests, rest)))] += ways
+            terms = after
         for (subs, rests), ways in terms.items():
             total -= (ways * comb(d - 1, k - 1)
                       * _transitive_tuples(k, subs) * _product_one_tuples(d - k, rests))
@@ -196,48 +201,24 @@ def _fixed_tuples(d: int, k: int, types: list[tuple[int, ...]]) -> int:
     """|Fix(c_k)|: the transitive product-one tuples of these cycle types with
     every entry in C(c_k).
 
-    The first entry runs over representatives of its C(c_k)-conjugacy
-    classes, each counted with its class size; the last entry is the inverse
-    of the product of the others.  A tuple is counted at its shortest prefix
-    that is transitive: from there, any middle entries whose product leaves a
-    last entry of its type complete it.  A prefix of every entry but the last
-    that is not transitive completes nothing, since the last entry lies in
-    the group it generates.
+    One pass over every entry but the last counts the prefixes by their
+    orbit cycle and product.  The last entry is the inverse of the product,
+    so it has the product's cycle type and lies in the group the prefix
+    generates: the prefix's orbits decide transitivity.
     """
-    group = semiregular_centralizer(d, k)
     members: dict[tuple[int, ...], list[Perm]] = {}
-    for g in group.elements:
+    for g in semiregular_centralizer(d, k).elements:
         members.setdefault(cycle_type(g), []).append(g)
-    classes = [members.get(t, []) for t in types]
-    # no tuple: a type C(c_k) lacks, or a single entry, which product one
-    # makes the identity, not transitive for d >= 2
-    if len(classes) < 2 or not all(classes):
-        return 0
-    # completions[j][p]: the ways to pick the middle entries after the j-th
-    # such that the last entry, (p times their product)^-1, has its type
-    last = set(classes[-1])
-    completions = [{p: int(invert(p) in last) for p in group.elements}]
-    for middle in reversed(classes[1:-1]):
-        after = completions[-1]
-        completions.append({p: sum(after[compose(p, s)] for s in middle)
-                            for p in group.elements})
-    completions.reverse()
-    total = 0
-    seen: set[Perm] = set()
-    for first in classes[0]:
-        if first in seen:
-            continue
-        conjugates = {compose(g, compose(first, invert(g))) for g in group.elements}
-        seen |= conjugates
-        stack = [((first,), first)]
-        while stack:
-            prefix, product = stack.pop()
-            chosen = len(prefix) - 1
-            if is_transitive(d, prefix):
-                total += len(conjugates) * completions[chosen][product]
-            elif chosen < len(classes) - 2:
-                stack.extend(((*prefix, s), compose(product, s)) for s in classes[chosen + 1])
-    return total
+    identity = identity_perm(d)
+    states = Counter({(identity, identity): 1})
+    for t in types[:-1]:
+        after = Counter()
+        for (orbits, product), ways in states.items():
+            for s in members.get(t, ()):
+                after[_orbit_cycle(d, (orbits, s)), compose(product, s)] += ways
+        states = after
+    return sum(ways for (orbits, product), ways in states.items()
+               if cycle_type(product) == types[-1] and is_transitive(d, (orbits,)))
 
 
 def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction:
@@ -249,8 +230,8 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
     With `weighted=True` each class is weighted by 1/#centralizer (the
     stack-degree convention), which sums to T/d!, T the number of transitive
     tuples, from S_d characters by inclusion–exclusion over the orbit of the
-    point 0.  Bounds kept from the enumeration this replaced: d <= 7, and at
-    most TUPLE_CAP tuples of middle entries, the product of their class sizes.
+    point 0.  The degree is at most 7, so that the centralizers C(c_k) the
+    Burnside terms list stay small.
     """
     if d < 1 or d > 7:
         raise HurwitzError(f"degree {d} outside the enumeration range 1..7")
@@ -259,12 +240,6 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
     types = [_normalize_type(d, c) for c in cycle_types]
     if len(types) < 1:
         raise HurwitzError("at least one branch point is required")
-    tuples = prod(class_size(d, t) for t in types[1:-1])
-    if tuples > TUPLE_CAP:
-        raise HurwitzError(
-            f"{tuples} tuples of middle branch points to enumerate, over the cap of "
-            f"{TUPLE_CAP}; counts this large need the character formula (ROADMAP item 5)"
-        )
     transitive = _transitive_tuples(d, tuple(sorted(types)))
     count = Fraction(transitive, factorial(d))
     if weighted or transitive == 0:

@@ -18,14 +18,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from covercalc.errors import GraphError, IntegralError
 from covercalc.exact import rat_to_str
-from covercalc.graphs import (
-    GenericABGraph,
-    StableGraph,
-    enumerate_generic_AB,
-)
+
+if TYPE_CHECKING:
+    from covercalc.graphs import GenericABGraph, StableGraph
+
+
+def __getattr__(name: str):
+    # graphs, and groups under it, load on the first boundary intersection, not
+    # for `integrate`; perfbench's tracer tests reach this re-exported name
+    if name == "enumerate_generic_AB":
+        from covercalc.graphs import enumerate_generic_AB
+
+        return enumerate_generic_AB
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +314,8 @@ def boundary_intersection(a: StableGraph, b: StableGraph) -> list[
     Each term pushes forward the product over its excess edges (h, h') of
     (-psi_h - psi_{h'}); `as_pushforward_class` expands that product.
     """
+    from covercalc.graphs import enumerate_generic_AB
+
     return [(t, t.common_edges()) for t in enumerate_generic_AB(a, b)]
 
 

@@ -72,6 +72,14 @@ def _powers(base: tuple[int, ...], top: int, order: int) -> list[tuple[int, ...]
     return out
 
 
+def _basis_size(weight_bound: int) -> int:
+    """The number of monomials E2^a E4^b E6^c of weight <= bound, counted
+    without building their series."""
+    return sum((weight_bound - 4 * b - 6 * c) // 2 + 1
+               for c in range(weight_bound // 6 + 1)
+               for b in range((weight_bound - 6 * c) // 4 + 1))
+
+
 def quasimodular_basis(weight_bound: int, order: int) -> list[tuple[BasisMonomial, QSeries]]:
     """Monomials in E2, E4, E6 of weight <= bound, with their integer q-series."""
     e2, e4, e6 = (eisenstein(k, order).coeffs for k in (2, 4, 6))
@@ -198,12 +206,15 @@ def is_quasimodular(
         raise ValueError(
             f"series known to order {series.order} but {needed} coefficients required"
         )
-    basis = quasimodular_basis(weight_bound, series.order)
-    if fit_len < len(basis):
+    if weight_bound < 0:
+        raise ValueError(f"weight bound {weight_bound} is negative")
+    size = _basis_size(weight_bound)
+    if fit_len < size:
         raise ValueError(
-            f"fit length {fit_len} below the basis size {len(basis)}; "
+            f"fit length {fit_len} below the basis size {size}; "
             "the solve would be underdetermined"
         )
+    basis = quasimodular_basis(weight_bound, series.order)
     columns = [b.coeffs for _, b in basis]
     rows = [[col[k] for col in columns] for k in range(fit_len)]
     rhs = [series.coeffs[k] for k in range(fit_len)]

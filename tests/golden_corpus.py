@@ -168,6 +168,11 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
                     ["hurwitz-count", "--degree", "2", "--types", types], {}))
     flags = ["--dmax", "20", "--ledger"]
     entries.append(("delliptic " + " ".join(flags), ["delliptic", *flags], {}))
+    # 10 transpositions in degree 6: 15^8 middle tuples, a count the
+    # enumeration oracle cannot reach, checked against Hurwitz's formula
+    argv = ["hurwitz-count", "--degree", "6", "--types", json.dumps([[2, 1, 1, 1, 1]] * 10)]
+    entries.append(("hurwitz-count d=6 10 transpositions", argv, {}))
+    entries.append(("hurwitz-count d=6 10 transpositions weighted", argv + ["--weighted"], {}))
     return entries
 
 

@@ -26,8 +26,11 @@ from math import factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
 from covercalc.groups import Perm, compose, cycle_type, identity_perm, invert, perm_from_cycles
-from covercalc.hurwitz import TUPLE_CAP, _normalize_type, class_size, is_transitive
+from covercalc.hurwitz import _normalize_type, class_size, is_transitive
 from group_oracles import centralizer
+
+# The enumeration lists every tuple of middle entries, about 10 µs each.
+TUPLE_CAP = 10**6
 
 
 def cycles(a: Perm) -> list[list[int]]:
@@ -98,10 +101,8 @@ def oracle_hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> F
     middle_types = types[1:-1]
     tuples = prod(class_size(d, t) for t in middle_types)
     if tuples > TUPLE_CAP:
-        raise HurwitzError(
-            f"{tuples} tuples of middle branch points to enumerate, over the cap of "
-            f"{TUPLE_CAP}; counts this large need the character formula (ROADMAP item 5)"
-        )
+        raise HurwitzError(f"{tuples} tuples of middle branch points to enumerate, "
+                           f"over the cap of {TUPLE_CAP}")
     first = canonical_of_type(d, types[0])
     z_first = centralizer(_all_perms(d), (first,))
     orbit_count = Fraction(0)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -309,6 +310,38 @@ def test_qmod_check_rejects_a_negative_holdout(tmp_path, capsys, fit, holdout):
     assert payload["error"] == f"ValueError: holdout length {holdout} is negative"
 
 
+def test_qmod_check_rejects_a_negative_weight(tmp_path, capsys):
+    # a negative weight once answered "is_member": false over an empty basis
+    series = {"order": 40, "coefficients": ["1"] + ["0"] * 40}
+    argv = ["qmod-check", "--weight", "-2", "--input", "@in"]
+    code, out = _run_with_inputs(tmp_path, capsys, argv, {"in": series})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == "ValueError: weight bound -2 is negative"
+    # weight 0 is the constants, and 1 is one
+    code, out = _run_with_inputs(tmp_path, capsys, argv[:2] + ["0"] + argv[3:], {"in": series})
+    assert code == 0
+    payload = json.loads(out)
+    check_schema("qmod-check", payload)
+    assert payload["is_member"] is True
+
+
+def test_qmod_check_refuses_a_large_weight_before_building_the_basis(tmp_path, capsys):
+    # building the 234073 monomials to q^40 once took over 20 s
+    series = {"order": 40, "coefficients": ["1"] + ["0"] * 40}
+    start = time.perf_counter()
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["qmod-check", "--weight", "400", "--input", "@in"], {"in": series},
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == ("ValueError: fit length 20 below the basis size 234073; "
+                                "the solve would be underdetermined")
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 
@@ -552,28 +585,24 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: covercalc hurwitz-count")
 
 
-# degree 6 with 8 simple branch points: 15^6 middle tuples, over the cap
-TOO_MANY_TRANSPOSITIONS = json.dumps([[2, 1, 1, 1, 1]] * 8)
+def test_hurwitz_count_of_too_few_transpositions_is_zero(capsys):
+    # degree 6 with 8 simple branch points: Riemann-Hurwitz genus -1, so no cover
+    types = json.dumps([[2, 1, 1, 1, 1]] * 8)
+    for flags in ([], ["--weighted"]):
+        code, out = run_cli(capsys, ["hurwitz-count", "--degree", "6", "--types", types, *flags])
+        assert code == 0
+        payload = json.loads(out)
+        check_schema("hurwitz-count", payload)
+        assert payload["count"] == "0"
 
 
-def test_hurwitz_count_rejects_an_enumeration_over_the_tuple_cap(capsys):
-    # this enumeration would take about 100 s, and 10 transpositions hours
-    argv = ["hurwitz-count", "--degree", "6", "--types", TOO_MANY_TRANSPOSITIONS]
-    code, out = run_cli(capsys, argv)
-    assert code == 2
-    payload = json.loads(out)
-    check_schema("error", payload)
-    assert payload["error"].startswith("HurwitzError: 11390625 tuples")
-    assert "ROADMAP item 5" in payload["error"]
-
-
-def test_hurwitz_tuple_cap_holds_under_python_O():
-    argv = ["hurwitz-count", "--degree", "6", "--types", TOO_MANY_TRANSPOSITIONS]
+def test_hurwitz_degree_bound_holds_under_python_O():
+    argv = ["hurwitz-count", "--degree", "8", "--types", "[[8], [8]]"]
     [(out, code)] = _run_under_python_O([argv])
     assert code == "2"
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"].startswith("HurwitzError: 11390625 tuples")
+    assert payload["error"] == "HurwitzError: degree 8 outside the enumeration range 1..7"
 
 
 # Characters that JSON escapes, or that an encoder could get wrong: quotes,

@@ -180,6 +180,9 @@ def test_each_command_imports_only_its_layers():
         ["hurwitz-count", "--degree", "4", "--types", "[[4], [2, 1, 1], [3, 1]]"])
     assert "hurwitz" in hurwitz
     assert hurwitz & {"graphs", "gcover", "mbar", "delliptic", "qmod"} == set()
+    integrate = _covercalc_modules_loaded(["integrate", "--genus", "1", "--exponents", "1"])
+    assert "mbar" in integrate
+    assert integrate & {"graphs", "gcover", "groups", "hurwitz", "delliptic", "qmod"} == set()
     delliptic = _covercalc_modules_loaded(["delliptic", "--dmax", "8", "--ledger", "--series"])
     assert "delliptic" in delliptic
     assert delliptic & {"graphs", "gcover", "groups", "hurwitz", "mbar"} == set()

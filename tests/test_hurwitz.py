@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import random
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from covercalc.cli import main
 from covercalc.groups import cycle_type, perm_from_cycles
 from covercalc.hurwitz import (
-    TUPLE_CAP,
     HurwitzError,
     character,
     class_size,
@@ -20,7 +21,7 @@ from covercalc.hurwitz import (
     semiregular_centralizer,
 )
 from group_oracles import centralizer
-from hurwitz_oracles import nodal_target_degree, oracle_hurwitz_cover_count
+from hurwitz_oracles import TUPLE_CAP, nodal_target_degree, oracle_hurwitz_cover_count
 
 
 def test_lemma_configuration_unique_small():
@@ -113,20 +114,30 @@ def _middle_tuples(d, types) -> int:
     return prod(class_size(d, tuple(sorted(t, reverse=True))) for t in types[1:-1])
 
 
+def _transpositions(d: int) -> list[list[int]]:
+    """2d - 2 simple branch points: the genus-0 covers of Hurwitz's formula."""
+    return [[2] + [1] * (d - 2)] * (2 * d - 2)
+
+
+def _golden_hurwitz_entries() -> list[dict]:
+    """The golden hurwitz-count entries that exit 0."""
+    repo = Path(__file__).resolve().parent.parent
+    return [e for e in json.loads((repo / "tests" / "golden" / "corpus.json").read_text())
+            if e["argv"][0] == "hurwitz-count" and e["exit"] == 0]
+
+
 def _golden_and_benchmark_shapes() -> list[tuple[int, list]]:
     """The (degree, types) of every golden hurwitz-count entry that exits 0,
-    the benchmark's HURWITZ_SHAPES, and its d^(d-3) tree counts for d = 5, 6."""
+    except those Hurwitz's formula checks, the benchmark's HURWITZ_SHAPES,
+    and its d^(d-3) tree counts for d = 5, 6."""
     repo = Path(__file__).resolve().parent.parent
-    shapes = [
-        (int(e["argv"][2]), json.loads(e["argv"][4]))
-        for e in json.loads((repo / "tests" / "golden" / "corpus.json").read_text())
-        if e["argv"][0] == "hurwitz-count" and e["exit"] == 0
-    ]
+    shapes = [(int(e["argv"][2]), json.loads(e["argv"][4])) for e in _golden_hurwitz_entries()]
     source = (repo / "perfbench" / "workloads.py").read_text()
     [listed] = [ast.literal_eval(node.value) for node in ast.parse(source).body
                 if isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "HURWITZ_SHAPES"]
-    return shapes + listed + [(d, [[d]] + [[2] + [1] * (d - 2)] * (d - 1)) for d in (5, 6)]
+    return ([(d, types) for d, types in shapes if types != _transpositions(d)] + listed
+            + [(d, [[d]] + [[2] + [1] * (d - 2)] * (d - 1)) for d in (5, 6)])
 
 
 def test_every_golden_and_benchmark_shape_is_under_the_tuple_cap():
@@ -135,12 +146,34 @@ def test_every_golden_and_benchmark_shape_is_under_the_tuple_cap():
     assert max(_middle_tuples(d, types) for d, types in shapes) == 15**4 < TUPLE_CAP
 
 
-def test_enumerations_over_the_tuple_cap_are_refused():
-    # degree 6: 7 transpositions are 15^5 middle tuples, 8 are 15^6
-    simple = [2, 1, 1, 1, 1]
-    assert _middle_tuples(6, [simple] * 7) == 759375 <= TUPLE_CAP
-    with pytest.raises(HurwitzError, match="11390625 tuples"):
-        hurwitz_cover_count(6, [simple] * 8)
+def test_too_few_transpositions_give_no_cover():
+    # degree 6 with 8 simple branch points: Riemann-Hurwitz genus -1
+    for weighted in (False, True):
+        assert hurwitz_cover_count(6, [[2, 1, 1, 1, 1]] * 8, weighted=weighted) == 0
+
+
+def _hurwitz_formula(d: int) -> Fraction:
+    """Hurwitz's weighted count of genus-0 covers with simple branching,
+    (2d-2)! d^(d-3) / d!."""
+    return factorial(2 * d - 2) * Fraction(d) ** (d - 3) / factorial(d)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_transposition_counts_follow_hurwitzs_formula(d):
+    # the degree-2 cover has automorphism group Z/2; larger ones have none
+    assert hurwitz_cover_count(d, _transpositions(d), weighted=True) == _hurwitz_formula(d)
+    assert hurwitz_cover_count(d, _transpositions(d)) == (1 if d == 2 else _hurwitz_formula(d))
+
+
+def test_golden_transposition_counts_follow_hurwitzs_formula(capsys):
+    entries = [e for e in _golden_hurwitz_entries()
+               if json.loads(e["argv"][4]) == _transpositions(int(e["argv"][2]))]
+    assert len(entries) == 2
+    for entry in entries:
+        assert main(entry["argv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+        assert Fraction(json.loads(out)["count"]) == _hurwitz_formula(int(entry["argv"][2]))
 
 
 def _assert_matches_the_enumeration(d, types):

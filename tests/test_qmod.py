@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covercalc.exact import QSeries, sigma, sigma1
-from covercalc.qmod import eisenstein, is_quasimodular, quasimodular_basis, solve_exact
+from covercalc.qmod import (
+    _basis_size,
+    eisenstein,
+    is_quasimodular,
+    quasimodular_basis,
+    solve_exact,
+)
 from qmod_oracles import oracle_basis, oracle_solve
 
 
@@ -220,4 +226,5 @@ def test_integer_basis_matches_oracle_up_to_weight_14():
     for weight in range(15):
         basis = quasimodular_basis(weight, order)
         assert basis == [item for item in oracle if item[0].weight <= weight]
+        assert _basis_size(weight) == len(basis)
         assert all(type(c) is int for _, series in basis for c in series.coeffs)
