@@ -30,15 +30,23 @@ The mark is put back only at output: once per degree for the pairing
 values and aggregates (`degree_ledger`), and in a row's printed values
 (`--ledger`), which are formatted from its integers.  "Normalized" values
 are the ones with the mark divided out.
+
+A split's rows share its values, computed once per split: its powers of
+a, b and a+b give the automorphism factor ((a+b)^(k-1) a^m b^n, squared)
+or the chain monomial (a^(m-1) b^(n-1), times (a+b)^(k-1) on a three-chain
+family); one `normalization_branches` call on the split's (index, count)
+target nodes gives the reduced degree; and the lcm of the distinct
+indices on each target node gives the multiplicity numerator.  Each row
+is checked the moment it is built, so rows are checked in printed order
+and a breach names the first row that fails.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from functools import lru_cache, partial
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from covercalc.errors import InvariantError, PipelineError
@@ -46,20 +54,25 @@ from covercalc.exact import QSeries, divisors, ratio_to_str, sigma1
 from covercalc.qmod import MembershipReport, is_quasimodular
 
 
-def normalization_branches(node_indices: list[list[int]]) -> int:
+def normalization_branches(nodes: Sequence[Sequence[tuple[int, int]]]) -> int:
     """Branches of the local ring with one power relation per target node.
 
-    For nodes of ramification indices e_1..e_r over one target node the
-    local equation t_1^{e_1} = ... = t_r^{e_r} normalizes into
-    prod(e_i)/lcm(e_i) branches; independent target nodes multiply.
+    Each target node is given as (ramification index e, count c) pairs: c
+    nodes of index e over it.  For nodes of indices e_1..e_r over one target
+    node the local equation t_1^{e_1} = ... = t_r^{e_r} normalizes into
+    prod(e_i)/lcm(e_i) branches, that is prod(e^c) / lcm(e with c > 0);
+    independent target nodes multiply.
     """
     total = 1
-    for indices in node_indices:
-        if not indices:
-            continue
-        if min(indices) < 1:
-            raise PipelineError("ramification indices must be positive")
-        total *= prod(indices) // lcm(*indices)
+    for node in nodes:
+        size = common = 1
+        for e, c in node:
+            if e < 1:
+                raise PipelineError("ramification indices must be positive")
+            if c:
+                size *= e ** c
+                common = lcm(common, e)
+        total *= size // common
     return total
 
 
@@ -99,6 +112,17 @@ class StratumContribution(NamedTuple):
         }
 
 
+# The delta00 family each row's subcase sums into: polygon-bridge,
+# three-chain points, profile family, nodal family.
+_FAMILY_OF = {
+    "polygon-bridge": 0,
+    "three-chain/a-over-plus": 1, "three-chain/b-over-plus": 1,
+    "three-chain/full-node-plus": 1, "three-chain/full-node-minus": 1,
+    "profile-family": 2,
+    "nodal-family/profile-edges": 3, "nodal-family/full-edge": 3,
+}
+
+
 def _mark_factor(d: int) -> int:
     return factorial(d - 2) ** 2
 
@@ -112,23 +136,8 @@ def _check_row(num: int, den: int, closed: int, subcase: str, params: tuple) -> 
         )
 
 
-def _point_row(stratum, subcase, params, mark, count_num, count_den, reduced,
-               mult_num, mult_den, closed) -> StratumContribution:
-    """An isolated-point row, checked: count * reduced * multiplicity."""
-    _check_row(count_num * reduced * mult_num, count_den * mult_den, closed, subcase, params)
-    return StratumContribution(stratum, subcase, params, mark, count_num, count_den,
-                               reduced, mult_num, mult_den, None, 1, closed)
-
-
-def _family_row(subcase, params, mark, count_num, count_den, reduced, mult_num,
-                mult_den, excess: Fraction, monomial: int, closed) -> StratumContribution:
-    """An excess row, checked: count * excess, the excess being the family's
-    per-monomial value times the chain monomial."""
-    excess_num = excess.numerator * monomial
-    _check_row(count_num * excess_num, count_den * excess.denominator, closed, subcase, params)
-    return StratumContribution("delta00", subcase, params, mark, count_num, count_den,
-                               reduced, mult_num, mult_den, excess_num, excess.denominator,
-                               closed)
+# A row from its twelve fields, without NamedTuple's Python-level __new__.
+_new_row = partial(tuple.__new__, StratumContribution)
 
 
 def am_bn_splits(d: int) -> Iterator[tuple[int, int, int, int]]:
@@ -211,11 +220,16 @@ def delta01_contributions(d: int) -> list[StratumContribution]:
     out = []
     for params in am_bn_splits(d):
         a, b, m, n = params
-        reduced = normalization_branches([[a] * m + [b] * n])
-        out.append(_point_row(
-            "delta01", "polygon-pair", params, mark, 2 * m, a ** (m - 1) * b ** (n - 1),
-            reduced, lcm(a, b), a, 2 * m * b,
-        ))
+        count_num = 2 * m
+        count_den = a ** (m - 1) * b ** (n - 1)
+        reduced = normalization_branches((((a, m), (b, n)),))
+        mult_num = lcm(a, b)
+        closed = 2 * m * b
+        # isolated point: count * reduced * multiplicity
+        _check_row(count_num * reduced * mult_num, count_den * a, closed, "polygon-pair",
+                   params)
+        out.append(_new_row(("delta01", "polygon-pair", params, mark, count_num, count_den,
+                             reduced, mult_num, a, None, 1, closed)))
     return out
 
 
@@ -244,13 +258,15 @@ def _delta00_type1(d: int) -> list[StratumContribution]:
     out = []
     for a in divisors(d):
         m = d // a
+        params = (a, m)
         # 4 m (m-1) a^(2-m) + 4 (a-1) m a^(1-m), over the common a^(m-1)
         count_num = 4 * m * (m - 1) * a + 4 * (a - 1) * m
-        reduced = normalization_branches([[a] * m])
-        out.append(_point_row(
-            "delta00", "polygon-bridge", (a, m), mark, count_num, a ** (m - 1),
-            reduced, 1, 1, 4 * m * (a * m - 1),
-        ))
+        count_den = a ** (m - 1)
+        reduced = normalization_branches((((a, m),),))
+        closed = 4 * m * (a * m - 1)
+        _check_row(count_num * reduced, count_den, closed, "polygon-bridge", params)
+        out.append(_new_row(("delta00", "polygon-bridge", params, mark, count_num, count_den,
+                             reduced, 1, 1, None, 1, closed)))
     return out
 
 
@@ -260,26 +276,30 @@ def _delta00_type2(d: int) -> list[StratumContribution]:
     out = []
     for params in chain_splits(d):
         a, b, k, m, n = params
-        aut = (a + b) ** (2 * k - 2) * a ** (2 * m) * b ** (2 * n)
-        plus_nodes = [a + b] * k + [a] * m + [b] * n
-        minus_nodes = [a + b] * (k - 1) + [a] * (m + 1) + [b] * (n + 1)
-        reduced = normalization_branches([plus_nodes, minus_nodes])
-        lcms = lcm(*plus_nodes) * lcm(*minus_nodes)
+        s = a + b
+        # the plus node carries k, m, n nodes of index a+b, a, b; the minus
+        # node k-1, m+1, n+1
+        root = s ** (k - 1) * a ** m * b ** n
+        aut = root * root
+        reduced = normalization_branches(
+            (((s, k), (a, m), (b, n)), ((s, k - 1), (a, m + 1), (b, n + 1)))
+        )
+        lcms = lcm(s, a if m else 1, b if n else 1) * lcm(a, b, s if k > 1 else 1)
+        point = reduced * lcms
         # multiplicity (l_+/e_+)(l_-/e_-): each target node's own common
         # ramification over the index of the node chosen to smooth on that
         # side; the closed form is choices * factor
         for subcase, choices, mult_den, factor in (
-            ("a-over-plus", 4 * m * (n + 1), a * b, a + b),
-            ("b-over-plus", 4 * (m + 1) * n, a * b, a + b),
-            ("full-node-plus", 8 * k * (m + 1), (a + b) * a, b),
-            ("full-node-minus", 8 * (k - 1) * m, (a + b) * a, b),
+            ("three-chain/a-over-plus", 4 * m * (n + 1), a * b, s),
+            ("three-chain/b-over-plus", 4 * (m + 1) * n, a * b, s),
+            ("three-chain/full-node-plus", 8 * k * (m + 1), s * a, b),
+            ("three-chain/full-node-minus", 8 * (k - 1) * m, s * a, b),
         ):
-            if choices == 0:
-                continue
-            out.append(_point_row(
-                "delta00", f"three-chain/{subcase}", params, mark, choices, aut,
-                reduced, lcms, mult_den, choices * factor,
-            ))
+            if choices:
+                closed = choices * factor
+                _check_row(choices * point, aut * mult_den, closed, subcase, params)
+                out.append(_new_row(("delta00", subcase, params, mark, choices, aut,
+                                     reduced, lcms, mult_den, None, 1, closed)))
     return out
 
 
@@ -290,12 +310,19 @@ def _delta00_type3(d: int) -> list[StratumContribution]:
     for params in am_bn_splits(d):
         a, b, m, n = params
         monomial = a ** (m - 1) * b ** (n - 1)
-        reduced = normalization_branches([[a] * m + [b] * n])
-        out.append(_family_row(
-            "profile-family", params, mark, 2 * m * n, monomial, reduced,
-            lcm(a, b), max(a, b), segre_excess_contribution(a, b, "node-profile"),
-            monomial, -8 * max(a, b) * m * n,
-        ))
+        reduced = normalization_branches((((a, m), (b, n)),))
+        top = max(a, b)
+        count_num = 2 * m * n
+        excess = segre_excess_contribution(a, b, "node-profile")
+        excess_num, excess_den = excess.as_integer_ratio()
+        excess_num *= monomial
+        closed = -8 * top * m * n
+        # family: count * excess, the family's per-monomial excess times
+        # the chain monomial
+        _check_row(count_num * excess_num, monomial * excess_den, closed, "profile-family",
+                   params)
+        out.append(_new_row(("delta00", "profile-family", params, mark, count_num, monomial,
+                             reduced, lcm(a, b), top, excess_num, excess_den, closed)))
     return out
 
 
@@ -307,18 +334,21 @@ def _delta00_type4(d: int) -> list[StratumContribution]:
         a, b, k, m, n = params
         if m == 0 or n == 0:
             continue
-        monomial = a ** (m - 1) * b ** (n - 1) * (a + b) ** (k - 1)
-        reduced = normalization_branches([[a + b] * k + [a] * m + [b] * n])
-        big_l = lcm(a, b, a + b)
-        out.append(_family_row(
-            "nodal-family/profile-edges", params, mark, 4 * m * n, monomial, reduced,
-            big_l, max(a, b), segre_excess_contribution(a, b, "three-chain"), monomial,
-            -8 * (a + b) * m * n,
-        ))
-        out.append(_family_row(
-            "nodal-family/full-edge", params, mark, 8 * k * m, monomial, reduced,
-            big_l, a + b, _segre_chain_secondary(a, b), monomial, -16 * b * k * m,
-        ))
+        s = a + b
+        monomial = s ** (k - 1) * a ** (m - 1) * b ** (n - 1)
+        reduced = normalization_branches((((s, k), (a, m), (b, n)),))
+        big_l = lcm(a, b, s)
+        for subcase, count_num, mult_den, excess, closed in (
+            ("nodal-family/profile-edges", 4 * m * n, max(a, b),
+             segre_excess_contribution(a, b, "three-chain"), -8 * s * m * n),
+            ("nodal-family/full-edge", 8 * k * m, s, _segre_chain_secondary(a, b),
+             -16 * b * k * m),
+        ):
+            excess_num, excess_den = excess.as_integer_ratio()
+            excess_num *= monomial
+            _check_row(count_num * excess_num, monomial * excess_den, closed, subcase, params)
+            out.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
+                                 reduced, big_l, mult_den, excess_num, excess_den, closed)))
     return out
 
 
@@ -332,10 +362,10 @@ def delta00_contributions(d: int) -> list[StratumContribution]:
 
 def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
     """The normalized family subtotals of a delta00 ledger."""
-    sums = dict.fromkeys(("polygon-bridge", "three-chain", "profile-family", "nodal-family"), 0)
-    for c in rows:
-        sums[c.subcase.partition("/")[0]] += c.normalized_total
-    return tuple(sums.values())
+    sums = [0, 0, 0, 0]
+    for row in rows:
+        sums[_FAMILY_OF[row.subcase]] += row.normalized_total
+    return tuple(sums)
 
 
 def _normalized_delta00_closed_form(d: int) -> int:
@@ -360,8 +390,7 @@ def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
 # series assembly and the quasimodularity report
 
 
-@dataclass(frozen=True)
-class DegreeLedger:
+class DegreeLedger(NamedTuple):
     """Both pairings at one degree, from one build of each ledger.
 
     delta00_aggregates are the four family subtotals, in the fixed order:
@@ -400,8 +429,7 @@ def pairing_series(numbers: Sequence[Fraction]) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class QuasimodularityReport:
+class QuasimodularityReport(NamedTuple):
     d_max: int
     weight_bound: int
     delta00: MembershipReport

@@ -12,7 +12,6 @@ is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -92,7 +91,6 @@ def convolve(a: Sequence, b: Sequence, order: int) -> tuple:
     return tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(order + 1))
 
 
-@dataclass(frozen=True)
 class QSeries:
     """Truncated power series in q with exact rational coefficients.
 
@@ -100,17 +98,24 @@ class QSeries:
     to and including q^order.  An `int` coefficient stays an `int` (so an
     integral series multiplies in integers); any other becomes a `Fraction`.
     A product of two series truncates to the smaller order: the result is
-    only claimed where both inputs are known.
+    only claimed where both inputs are known.  Two series are equal when
+    their coefficient tuples are.
     """
 
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int | Fraction, ...]) -> None:
+        if not coeffs:
             raise ValueError("a QSeries needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is int else Fraction(c) for c in self.coeffs)
-        )
+        self.coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"QSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

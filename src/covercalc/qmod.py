@@ -20,9 +20,9 @@ denominator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from covercalc.errors import InvariantError
 from covercalc.exact import QSeries, convolve, rat_to_str, sigma
@@ -44,8 +44,7 @@ def eisenstein(k: int, order: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+class BasisMonomial(NamedTuple):
     e2: int
     e4: int
     e6: int
@@ -166,8 +165,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     return solution
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     is_member: bool
     weight_bound: int
     fit_len: int

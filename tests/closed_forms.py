@@ -7,7 +7,7 @@ itself: the tests check the package's recursions against them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from types import SimpleNamespace
 
 from covercalc.delliptic import PipelineError, am_bn_splits
@@ -22,6 +22,19 @@ def genus0_closed_form(exponents) -> Fraction:
     if sum(exponents) != n - 3:
         raise IntegralError("not a top-degree genus-0 exponent vector")
     return Fraction(factorial(n - 3), prod(factorial(a) for a in exponents))
+
+
+def normalization_branches_list_form(node_indices) -> int:
+    """prod(e_i)/lcm(e_i) per target node, independent nodes multiplying,
+    with each node's ramification indices listed once per node over it."""
+    total = 1
+    for indices in node_indices:
+        if not indices:
+            continue
+        if min(indices) < 1:
+            raise PipelineError("ramification indices must be positive")
+        total *= prod(indices) // lcm(*indices)
+    return total
 
 
 def david_identity(d: int) -> Fraction:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -10,6 +11,7 @@ from closed_forms import (
     david_identity_mirror,
     delta00_closed_form,
     delta01_closed_form,
+    normalization_branches_list_form,
     row_values,
 )
 from covercalc.cli import main
@@ -31,14 +33,47 @@ from covercalc.exact import sigma1
 
 def test_normalization_branches():
     # m nodes of index a and n of index b over one target node
-    assert normalization_branches([[2, 2]]) == 2
-    assert normalization_branches([[2, 2, 2]]) == 4
-    assert normalization_branches([[4, 6]]) == 2  # gcd
-    assert normalization_branches([[3] * 2 + [1]]) == 3
-    assert normalization_branches([[2], [1, 1]]) == 1
+    assert normalization_branches([[(2, 2)]]) == 2
+    assert normalization_branches([[(2, 3)]]) == 4
+    assert normalization_branches([[(4, 1), (6, 1)]]) == 2  # gcd
+    assert normalization_branches([[(3, 2), (1, 1)]]) == 3
+    assert normalization_branches([[(2, 1)], [(1, 2)]]) == 1
     for a, b, m, n in [(2, 3, 2, 1), (4, 6, 1, 2), (2, 2, 3, 1)]:
         expect = a ** (m - 1) * b ** (n - 1) * gcd(a, b)
-        assert normalization_branches([[a] * m + [b] * n]) == expect
+        assert normalization_branches([[(a, m), (b, n)]]) == expect
+
+
+def _listed(nodes):
+    """(index, count) target nodes as lists of indices, one per node."""
+    return [[e for e, c in node for _ in range(c)] for node in nodes]
+
+
+def test_normalization_branches_match_the_list_form(monkeypatch):
+    seen = []
+    real = delliptic.normalization_branches
+
+    def recorded(nodes):
+        seen.append(nodes)
+        return real(nodes)
+
+    monkeypatch.setattr(delliptic, "normalization_branches", recorded)
+    for d in range(2, 21):
+        delta00_contributions(d)
+        delta01_contributions(d)
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    rng = random.Random(13)
+    for _ in range(2000):
+        seen.append([[(rng.randint(1, 12), rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
+                     for _ in range(rng.randint(1, 3))])
+    assert any(c == 0 for nodes in seen for node in nodes for _, c in node)
+    for nodes in seen:
+        assert normalization_branches(nodes) == normalization_branches_list_form(_listed(nodes))
+
+
+def test_normalization_branches_rejects_an_index_below_one():
+    with pytest.raises(PipelineError, match="ramification indices must be positive"):
+        normalization_branches([[(2, 1), (0, 1)]])
 
 
 def test_delta01_spot_values():
@@ -145,6 +180,37 @@ def test_three_chain_rows_are_checked_one_by_one(monkeypatch):
     monkeypatch.setattr(delliptic, "normalization_branches", broken)
     with pytest.raises(InvariantError, match=r"^three-chain/b-over-plus row \(1, 1, 1, 0, 1\)"):
         delta00_contributions(3)
+
+
+def _doubled_where(name, broken):
+    """The module function `name`, its value doubled where broken(*args)."""
+    real = getattr(delliptic, name)
+    return lambda *args: real(*args) * (2 if broken(*args) else 1)
+
+
+# Each family's row check, broken alone: the first row of that family in
+# printed order must raise.
+FAMILY_BREACHES = {
+    "profile-family": ("segre_excess_contribution", lambda a, b, v: v == "node-profile",
+                       delta00_contributions, r"profile-family row \(1, 1, 1, 5\)"),
+    "nodal-profile-edges": ("segre_excess_contribution", lambda a, b, v: v == "three-chain",
+                            delta00_contributions,
+                            r"nodal-family/profile-edges row \(1, 1, 1, 1, 3\)"),
+    "nodal-full-edge": ("_segre_chain_secondary", lambda a, b: True, delta00_contributions,
+                        r"nodal-family/full-edge row \(1, 1, 1, 1, 3\)"),
+    "polygon-bridge": ("normalization_branches", lambda nodes: len(nodes) == 1,
+                       delta00_contributions, r"polygon-bridge row \(1, 6\)"),
+    "polygon-pair": ("normalization_branches", lambda nodes: len(nodes) == 1,
+                     delta01_contributions, r"polygon-pair row \(1, 1, 1, 5\)"),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_BREACHES)
+def test_each_family_checks_its_rows(monkeypatch, family):
+    name, broken, build, first_row = FAMILY_BREACHES[family]
+    monkeypatch.setattr(delliptic, name, _doubled_where(name, broken))
+    with pytest.raises(InvariantError, match=f"^{first_row}: normalized total"):
+        build(6)
 
 
 def _pairing_series(d_max: int):

@@ -188,6 +188,27 @@ def test_each_command_imports_only_its_layers():
     assert delliptic & {"graphs", "gcover", "groups", "hurwitz", "mbar"} == set()
 
 
+_DATACLASSES_LOADED = """
+import io, json, sys
+from contextlib import redirect_stdout
+from covercalc.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, "dataclasses" in sys.modules]))
+"""
+
+
+def test_the_qseries_commands_do_not_load_dataclasses(tmp_path):
+    # importing dataclasses (and inspect with it) costs 7-11 ms of each call
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"order": 40, "coefficients": ["1"] + ["0"] * 40}))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for argv in (["delliptic", "--dmax", "2"], ["qmod-check", "--input", str(series)]):
+        done = subprocess.run([sys.executable, "-c", _DATACLASSES_LOADED, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout) == [0, False], argv
+
+
 def test_the_cli_catches_every_user_error_class():
     from covercalc import errors
     from covercalc.cli import USER_ERRORS
