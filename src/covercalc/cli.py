@@ -11,8 +11,18 @@ Output goes through one writer, `_emit`.  Its bytes are exactly those of
 command emits: `str` (escaped by the same `encode_basestring_ascii`), `int`,
 `bool`, `None`, lists, tuples, and dicts with `str` keys.  Any other type is
 an `InvariantError` (a bug: no command emits one; blocks written before it
-stay written).  It writes stdout in blocks as it goes, so a multi-megabyte
-ledger is never held as one string or as a list of all its tokens.
+stay written).  Text is produced in one of two ways:
+
+- a d-elliptic ledger's rows, which `cmd_delliptic` hands over as a
+  `_LedgerRows`, are printed by `_write_ledger_rows`: each row straight from
+  its integers through one template per indent, the bytes `json.dumps` gives
+  the row's object (`StratumContribution` says what each value is);
+- everything else goes through the recursive `_write_json`.
+
+Both write stdout in blocks as they go: the row path once the pending text
+reaches `_ROW_BLOCK` characters (about 200 KB), the rest every `_BLOCK`
+pieces.  So a multi-megabyte ledger is never held as one string, as a list
+of all its tokens or as one object per row.
 
 Each call is a fresh process, so importing is part of every call's cost.
 This module imports no layer at load time: each command imports the layers
@@ -54,6 +64,19 @@ USER_ERRORS = (
 
 # Pieces of output text gathered before they are written to stdout as one block.
 _BLOCK = 8192
+# Characters of ledger row text gathered before they are written as one block,
+# about the size of a block of _BLOCK generic pieces.
+_ROW_BLOCK = 200_000
+
+
+class _LedgerRows:
+    """A d-elliptic ledger's checked rows (`StratumContribution`s) in printed
+    order, which `_write_json` prints as a list of row objects."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list) -> None:
+        self.rows = rows
 
 
 def _emit(payload: dict) -> None:
@@ -121,8 +144,56 @@ def _write_json(value, newline: str, pieces: list[str], write) -> None:
                 write("".join(pieces))
                 pieces.clear()
         pieces.append(newline + "]")
+    elif kind is _LedgerRows:
+        _write_ledger_rows(value.rows, newline, pieces, write)
     else:
         raise InvariantError(f"no JSON form for a {kind.__name__} in the output")
+
+
+def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> None:
+    """Append the JSON text of a ledger's rows, as a list indented from
+    `newline`, to `pieces`; pass each block to `write` once the pending text
+    reaches _ROW_BLOCK characters.  Each row is formatted from its integers
+    through one template: the mark put back into count and total, ratios in
+    lowest terms, stratum and subcase escaped as `_write_json` escapes a str."""
+    from covercalc.exact import ratio_to_str
+
+    if not rows:
+        pieces.append("[]")
+        return
+    item = newline + "  "
+    key = item + "  "
+    param = key + "  "
+    template = (
+        "{}{{" + key + '"count": "{}",' + key + '"excess_value": {},'
+        + key + '"multiplicity": "{}",' + key + '"params": [' + param + "{}" + key + "],"
+        + key + '"reduced_degree": "{}",' + key + '"stratum": {},' + key + '"subcase": {},'
+        + key + '"total": "{}"' + item + "}}"
+    ).format
+    between_params = "," + param
+    lead = "[" + item
+    size = sum(map(len, pieces))  # text still pending from before this ledger
+    for (stratum, subcase, params, mark, count_num, count_den, reduced, mult_num, mult_den,
+         excess_num, excess_den, normalized_total) in rows:
+        text = template(
+            lead,
+            ratio_to_str(mark * count_num, count_den),
+            "null" if excess_num is None else f'"{ratio_to_str(excess_num, excess_den)}"',
+            ratio_to_str(mult_num, mult_den),
+            between_params.join(map(str, params)),
+            reduced,
+            _json_string(stratum),
+            _json_string(subcase),
+            mark * normalized_total,
+        )
+        pieces.append(text)
+        lead = "," + item
+        size += len(text)
+        if size >= _ROW_BLOCK:
+            write("".join(pieces))
+            pieces.clear()
+            size = 0
+    pieces.append(newline + "]")
 
 
 def _load_json(path: str) -> dict:
@@ -262,8 +333,8 @@ def cmd_delliptic(args) -> int:
         }
         if args.ledger:
             ledgers[str(d)] = {
-                "delta00": [c.to_json() for c in ledger.delta00_rows],
-                "delta01": [c.to_json() for c in ledger.delta01_rows],
+                "delta00": _LedgerRows(ledger.delta00_rows),
+                "delta01": _LedgerRows(ledger.delta01_rows),
             }
         numbers00.append(ledger.delta00)
         numbers01.append(ledger.delta01)

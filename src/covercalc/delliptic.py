@@ -28,8 +28,8 @@ The row check is an integer cross-multiplication, and the family sums,
 both closed-form checks and the cancellation run on normalized integers.
 The mark is put back only at output: once per degree for the pairing
 values and aggregates (`degree_ledger`), and in a row's printed values
-(`--ledger`), which are formatted from its integers.  "Normalized" values
-are the ones with the mark divided out.
+(`--ledger`), which the CLI formats straight from the row's integers.
+"Normalized" values are the ones with the mark divided out.
 
 A split's rows share its values, computed once per split: its powers of
 a, b and a+b give the automorphism factor ((a+b)^(k-1) a^m b^n, squared)
@@ -50,7 +50,7 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from covercalc.errors import InvariantError, PipelineError
-from covercalc.exact import QSeries, divisors, ratio_to_str, sigma1
+from covercalc.exact import QSeries, divisors, sigma1
 from covercalc.qmod import MembershipReport, is_quasimodular
 
 
@@ -79,10 +79,12 @@ def normalization_branches(nodes: Sequence[Sequence[tuple[int, int]]]) -> int:
 class StratumContribution(NamedTuple):
     """One ledger row, held as integers with the mark factor taken out.
 
-    Its printed values put the mark back: count = mark * count_num /
+    Its printed values (`delliptic --ledger`, formatted from these integers
+    by the CLI's row template) put the mark back: count = mark * count_num /
     count_den, reduced_degree = reduced, multiplicity = mult_num / mult_den,
     excess_value = excess_num / excess_den (None for isolated points) and
-    total = mark * normalized_total, the row's closed form.
+    total = mark * normalized_total, the row's closed form; each ratio is
+    printed in lowest terms, next to the row's stratum, subcase and params.
     """
 
     stratum: str
@@ -97,19 +99,6 @@ class StratumContribution(NamedTuple):
     excess_num: int | None
     excess_den: int
     normalized_total: int
-
-    def to_json(self) -> dict:
-        excess = self.excess_num
-        return {
-            "stratum": self.stratum,
-            "subcase": self.subcase,
-            "params": list(self.params),
-            "count": ratio_to_str(self.mark * self.count_num, self.count_den),
-            "reduced_degree": str(self.reduced),
-            "multiplicity": ratio_to_str(self.mult_num, self.mult_den),
-            "excess_value": None if excess is None else ratio_to_str(excess, self.excess_den),
-            "total": str(self.mark * self.normalized_total),
-        }
 
 
 # The delta00 family each row's subcase sums into: polygon-bridge,

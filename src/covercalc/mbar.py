@@ -15,10 +15,9 @@ stratum has a genus-2 vertex) uses the Virasoro-style step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from covercalc.errors import GraphError, IntegralError
 from covercalc.exact import rat_to_str
@@ -183,8 +182,7 @@ def integrate_psi_kappa(
 # decorated strata
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(NamedTuple):
     """psi/kappa decoration of a stable graph.
 
     psi_leg[i] is the exponent at leg i, psi_half[h] at half-edge h;
@@ -239,7 +237,6 @@ class Decoration:
         }
 
 
-@dataclass(frozen=True)
 class StratumClass:
     """Formal rational combination of decorated boundary pushforwards.
 
@@ -248,14 +245,20 @@ class StratumClass:
     as written (no automorphism division is baked in).
     """
 
-    genus: int
-    n_legs: int
-    terms: tuple[tuple[Fraction, StableGraph, Decoration], ...]
+    __slots__ = ("genus", "n_legs", "terms")
 
-    def __post_init__(self) -> None:
-        for _, graph, _ in self.terms:
-            if graph.genus() != self.genus or graph.n_legs != self.n_legs:
+    def __init__(
+        self,
+        genus: int,
+        n_legs: int,
+        terms: tuple[tuple[Fraction, StableGraph, Decoration], ...],
+    ) -> None:
+        for _, graph, _ in terms:
+            if graph.genus() != genus or graph.n_legs != n_legs:
                 raise GraphError("term does not live on the ambient space")
+        self.genus = genus
+        self.n_legs = n_legs
+        self.terms = terms
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from math import factorial, lcm, prod
 from types import SimpleNamespace
 
 from covercalc.delliptic import PipelineError, am_bn_splits
-from covercalc.exact import sigma1
+from covercalc.exact import rat_to_str, sigma1
 from covercalc.mbar import IntegralError
 
 
@@ -73,3 +73,22 @@ def row_values(row) -> SimpleNamespace:
         excess_value=excess,
         total=Fraction(row.mark * row.normalized_total),
     )
+
+
+def ledger_row_json(row) -> dict:
+    """The object `delliptic --ledger` prints for a ledger row, built from
+    its `Fraction` values (`row_values`): stratum, subcase and params as they
+    are, every value as "p/q" in lowest terms ("p" when integral), and
+    excess_value None for an isolated point."""
+    values = row_values(row)
+    excess = values.excess_value
+    return {
+        "stratum": values.stratum,
+        "subcase": values.subcase,
+        "params": list(values.params),
+        "count": rat_to_str(values.count),
+        "reduced_degree": rat_to_str(values.reduced_degree),
+        "multiplicity": rat_to_str(values.multiplicity),
+        "excess_value": None if excess is None else rat_to_str(excess),
+        "total": rat_to_str(values.total),
+    }

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_forms import ledger_row_json
 from gg_factory import mutate, random_valid_graph
 from covercalc import cli
 from covercalc.cli import main
@@ -677,3 +679,49 @@ def test_emit_writes_exactly_what_json_dumps_writes_across_blocks(payload):
 def test_emit_refuses_values_json_output_never_holds(payload):
     with pytest.raises(InvariantError):
         _emitted(payload)
+
+
+def test_ledger_rows_print_as_json_dumps_prints_their_oracle_objects():
+    # the ledgers sit where `delliptic --ledger` puts them, so every row is
+    # printed by the row template at the CLI's indent
+    ledgers = {str(d): degree_ledger(d) for d in range(2, 25)}
+    written = _emitted({"ledgers": {
+        d: {"delta00": cli._LedgerRows(x.delta00_rows), "delta01": cli._LedgerRows(x.delta01_rows)}
+        for d, x in ledgers.items()}})
+    objects = {d: {"delta00": [ledger_row_json(r) for r in x.delta00_rows],
+                   "delta01": [ledger_row_json(r) for r in x.delta01_rows]}
+               for d, x in ledgers.items()}
+    assert "".join(written) == json.dumps({"ledgers": objects}, sort_keys=True, indent=2) + "\n"
+    printed = [row for ledger in objects.values() for side in ledger.values() for row in side]
+    assert len({row["subcase"] for row in printed}) == 9
+    assert {row["excess_value"] is None for row in printed} == {True, False}
+    assert any(row["excess_value"].startswith("-") for row in printed if row["excess_value"])
+    # counts held with and without a denominator; the mark (d-2)!^2 clears
+    # every one of them up to d = 24, so none prints as "p/q"
+    rows = [row for x in ledgers.values() for row in x.delta00_rows + x.delta01_rows]
+    assert {row.count_den == 1 for row in rows} == {True, False}
+
+
+class _Sink:
+    """A stdout that discards what it is given and keeps the longest write."""
+
+    def __init__(self):
+        self.longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+
+
+def test_ledger_output_memory_and_writes_stay_bounded():
+    # every degree's rows are held until they are printed, because `values`
+    # sorts after `ledgers`; as integer tuples they take about 3 MB
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(["delliptic", "--dmax", "20", "--ledger"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert 0 < sink.longest <= 2**20
