@@ -27,8 +27,8 @@ vertexwise, is `quotient_genus`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from covercalc.errors import ActionError, CoverError, GraphError
 from covercalc.exact import rat_to_str
@@ -39,8 +39,8 @@ from covercalc.graphs import (
     isomorphism_as_morphism,
 )
 from covercalc.groups import (
-    Cosets,
     FiniteGroup,
+    FrozenRecord,
     Perm,
     QuotientGroup,
     check_normal,
@@ -83,49 +83,44 @@ def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, in
     return int(gp), sum(points), len(xi)
 
 
-@dataclass(frozen=True)
-class HurwitzSpaceId:
+class HurwitzSpaceId(FrozenRecord):
     """The discrete datum (source genus, group, monodromy tuple).
 
     Each xi entry must be an element of the group (CoverError otherwise).
     The canonical leg layout is computed once: `cosets[i]` is the coset
     table of the stabilizer <xi_i>, whose legs form the block starting at
     `distinguished_positions[i]`, and `canonical_leg_monodromy` carries
-    rep xi_i rep^-1 at the leg of each representative.
+    rep xi_i rep^-1 at the leg of each representative.  Equality reads the
+    datum and the genus and mark count it solves for, not the layout.
     """
 
-    genus: int
-    group: FiniteGroup
-    xi: tuple[Perm, ...]
-    target_genus: int = field(init=False)
-    n_source_marks: int = field(init=False)
-    cosets: tuple[Cosets, ...] = field(init=False, repr=False, compare=False)
-    distinguished_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    canonical_leg_monodromy: tuple[Perm, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("genus", "group", "xi", "target_genus", "n_source_marks",
+                 "cosets", "distinguished_positions", "canonical_leg_monodromy")
+    _compared = ("genus", "group", "xi", "target_genus", "n_source_marks")
 
-    def __post_init__(self) -> None:
-        degree = self.group.degree
-        for h in self.xi:
+    def __init__(self, genus: int, group: FiniteGroup, xi: tuple[Perm, ...]) -> None:
+        degree = group.degree
+        for h in xi:
             shown = [i + 1 for i in h]  # the 1-based form of the JSON input
             if not is_perm(h, degree):
                 raise CoverError(f"xi entry {shown} is not a permutation of degree {degree}")
-            if h not in self.group:
+            if h not in group:
                 raise CoverError(f"xi entry {shown} is not an element of the group")
-        gp, r, _ = riemann_hurwitz_target(self.genus, self.group, self.xi)
-        object.__setattr__(self, "target_genus", gp)
-        object.__setattr__(self, "n_source_marks", r)
-        cosets = tuple(left_cosets(self.group, self.group.cyclic_subgroup(h)) for h in self.xi)
+        gp, r, _ = riemann_hurwitz_target(genus, group, xi)
+        cosets = tuple(left_cosets(group, group.cyclic_subgroup(h)) for h in xi)
         offsets, off = [], 0
         for table in cosets:
             offsets.append(off)
             off += len(table.reps)
-        object.__setattr__(self, "cosets", cosets)
-        object.__setattr__(self, "distinguished_positions", tuple(offsets))
-        object.__setattr__(self, "canonical_leg_monodromy", tuple(
-            compose(rep, compose(h, invert(rep)))
-            for h, table in zip(self.xi, cosets)
-            for rep in table.reps
-        ))
+        self._set(
+            genus=genus, group=group, xi=xi, target_genus=gp, n_source_marks=r,
+            cosets=cosets, distinguished_positions=tuple(offsets),
+            canonical_leg_monodromy=tuple(
+                compose(rep, compose(h, invert(rep)))
+                for h, table in zip(xi, cosets)
+                for rep in table.reps
+            ),
+        )
 
     def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
         """The action of t on leg positions through the coset layout."""
@@ -154,8 +149,7 @@ class HurwitzSpaceId:
         )
 
 
-@dataclass(frozen=True)
-class GAction:
+class GAction(NamedTuple):
     """A G-action on a stable graph by structure-preserving permutations.
 
     `vertex`, `half` and `leg` map each group element to its permutation of
@@ -270,8 +264,7 @@ class GAction:
         return reps
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     label: str
     detail: str
 
@@ -279,8 +272,7 @@ class Violation:
         return {"label": self.label, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class AdmissibleGGraph:
+class AdmissibleGGraph(NamedTuple):
     """Stable graph + G-action + monodromy in the canonical leg layout."""
 
     space: HurwitzSpaceId
@@ -445,8 +437,7 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
 # restriction and corestriction
 
 
-@dataclass(frozen=True)
-class RelabelingData:
+class RelabelingData(NamedTuple):
     """Per marked orbit i: ordered representatives of the G1-orbits on
     G/<h_i>, pinning the distinguished points after restriction."""
 
@@ -653,8 +644,7 @@ def _quotient_source_genus(space: HurwitzSpaceId, normal: FiniteGroup) -> int:
 # boundary intersections on cover moduli
 
 
-@dataclass(frozen=True)
-class HBoundaryTerm:
+class HBoundaryTerm(NamedTuple):
     gamma: AdmissibleGGraph
     to_a: GraphMorphism
     to_b: GraphMorphism
@@ -871,8 +861,7 @@ def corestriction_boundary_multiplicity(
 # psi/kappa pullback formulas and normal bundles
 
 
-@dataclass(frozen=True)
-class PullbackFormula:
+class PullbackFormula(NamedTuple):
     """Symbolic right-hand side of a pullback rule: list of (kind, payload,
     coefficient) terms."""
 

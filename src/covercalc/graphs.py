@@ -24,26 +24,41 @@ one edge below with the least place.  The generic (A,B)-graphs are
 searched among the classes both A and B degenerate to, not over the whole
 space.  The graphs stay desk-sized, so the key needs nothing finer than
 those classes.
+
+A morphism's `encode()` is its pair (vertex map, half-edge map), and one
+routine, `_compose_maps`, composes such pairs; `compose_morphisms` wraps it
+for morphisms, and `enumerate_morphisms` builds and validates each morphism
+it returns once.  The (A,B) search keeps a pair (gamma -> A, gamma -> B)
+when the bit masks of its two edge images cover gamma's edges and the pair
+is not in the Aut(gamma)-orbit of one already kept.  Those orbits are
+composed on the encoded pairs, each map's orbit once, and no morphism is
+built for them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from covercalc.errors import GraphError, InvariantError
 from covercalc.groups import invert
 
 
-@dataclass(frozen=True)
-class StableGraph:
-    """Vertices with genera, half-edges with involution, ordered legs."""
-
+class _StableGraphFields(NamedTuple):
     genera: tuple[int, ...]
     half_edge_vertex: tuple[int, ...]
     involution: tuple[int, ...]
     leg_vertex: tuple[int, ...]
+
+
+class StableGraph(_StableGraphFields):
+    """Vertices with genera, half-edges with involution, ordered legs.
+
+    A record like every other one in the package: equal fields give equal
+    graphs with equal hashes, and no field can be rebound.  Unlike the others
+    it keeps an instance `__dict__`, which holds its `cached_property` caches.
+    """
 
     # -- structure ---------------------------------------------------------
 
@@ -354,8 +369,7 @@ def trivial_graph(g: int, n: int) -> StableGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
+class GraphMorphism(NamedTuple):
     """A degeneration morphism: vertex surjection plus half-edge injection."""
 
     source: StableGraph
@@ -429,12 +443,15 @@ def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphi
     """outer o inner, for inner: G -> D and outer: D -> A."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise GraphError("morphisms are not composable")
-    return GraphMorphism(
-        inner.source,
-        outer.target,
-        tuple(outer.vertex_map[v] for v in inner.vertex_map),
-        tuple(inner.half_edge_map[h] for h in outer.half_edge_map),
-    )
+    return GraphMorphism(inner.source, outer.target, *_compose_maps(outer.encode(), inner.encode()))
+
+
+def _compose_maps(outer: tuple, inner: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The `encode()` pair (vertex map, half-edge map) of outer o inner, from
+    the pairs of outer and inner: vertex maps compose forwards, half-edge maps
+    backwards."""
+    return (tuple(map(outer[0].__getitem__, inner[0])),
+            tuple(map(inner[1].__getitem__, outer[1])))
 
 
 def isomorphism_as_morphism(
@@ -527,8 +544,7 @@ def enumerate_morphisms(source: StableGraph, target: StableGraph) -> list[GraphM
     return sorted(out, key=order)
 
 
-@dataclass(frozen=True)
-class GenericABGraph:
+class GenericABGraph(NamedTuple):
     """A mutual degeneration of A and B whose edges all come from A or B."""
 
     gamma: StableGraph
@@ -666,6 +682,12 @@ def _one_edge_degenerations(graph: StableGraph):
                 yield StableGraph(tuple(genera), tuple(hv) + (v, w), inv, tuple(legs))
 
 
+def _edge_mask(f: GraphMorphism, edge_bit: dict[int, int]) -> int:
+    """The source edges f hits, as the sum of their bits: distinct target
+    edges hit distinct source edges."""
+    return sum(edge_bit[f.half_edge_map[h]] for h, _ in f.target.edges())
+
+
 def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]:
     """Complete, duplicate-free list of generic (A,B)-graphs.
 
@@ -692,20 +714,29 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
     for gamma in gammas:
         to_a_list = enumerate_morphisms(gamma, a)
         to_b_list = enumerate_morphisms(gamma, b)
-        autos = [isomorphism_as_morphism(gamma, gamma, s) for s in gamma.automorphism_group()]
-        # pairs met in the Aut(gamma)-orbit of a pair already emitted
+        autos = [(vperm, invert(hperm)) for vperm, hperm in gamma.automorphism_group()]
+        # edge images as bit masks over gamma's edges: a pair is generic when
+        # its two masks cover every edge
+        edge_bit = {h: 1 << i for i, edge in enumerate(gamma.edges()) for h in edge}
+        every_edge = (1 << gamma.n_edges) - 1
+        a_masks = [_edge_mask(fa, edge_bit) for fa in to_a_list]
+        b_masks = [_edge_mask(fb, edge_bit) for fb in to_b_list]
+        a_codes = [fa.encode() for fa in to_a_list]
+        b_codes = [fb.encode() for fb in to_b_list]
+        a_orbits: list = [None] * len(to_a_list)
+        b_orbits: list = [None] * len(to_b_list)
+        # pairs met in the Aut(gamma)-orbit of a pair already emitted; the
+        # orbit of each map is composed once, when a kept pair first needs it
         seen_pairs = set()
-        b_images = [fb.edge_image() for fb in to_b_list]
-        for fa in to_a_list:
-            a_image = fa.edge_image()
-            for fb, b_image in zip(to_b_list, b_images):
-                if len(a_image | b_image) != gamma.n_edges:
+        for i, fa in enumerate(to_a_list):
+            a_mask, a_code = a_masks[i], a_codes[i]
+            for j, fb in enumerate(to_b_list):
+                if a_mask | b_masks[j] != every_edge or (a_code, b_codes[j]) in seen_pairs:
                     continue
-                if (fa.encode(), fb.encode()) in seen_pairs:
-                    continue
-                seen_pairs.update(
-                    (compose_morphisms(fa, s).encode(), compose_morphisms(fb, s).encode())
-                    for s in autos
-                )
+                if a_orbits[i] is None:
+                    a_orbits[i] = [_compose_maps(a_code, s) for s in autos]
+                if b_orbits[j] is None:
+                    b_orbits[j] = [_compose_maps(b_codes[j], s) for s in autos]
+                seen_pairs.update(zip(a_orbits[i], b_orbits[j]))
                 out.append(GenericABGraph(gamma, fa, fb))
     return out

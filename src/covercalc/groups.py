@@ -11,13 +11,17 @@ closed from its generators.  There is one coset table: `left_cosets` builds
 a `Cosets` (identity-first representatives plus the coset id of every
 element of G) once per pair (G, H), and orbits on cosets, quotients and the
 callers in `gcover` all look cosets up in it through `coset_index`.
+
+Records are `NamedTuple`s.  A record that derives fields when it is built
+is a `FrozenRecord` instead: a `__slots__` class that compares and hashes
+the fields it names in `_compared` and raises AttributeError on every
+assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from covercalc.errors import GroupError, InvariantError, NotNormalError
 
@@ -25,8 +29,10 @@ Perm = tuple[int, ...]
 
 
 def is_perm(a: Sequence[int], n: int) -> bool:
-    """Whether a lists each of 0..n-1 exactly once, as ints (not floats or bools)."""
-    return all(type(x) is int for x in a) and sorted(a) == list(range(n))
+    """Whether a lists each of 0..n-1 exactly once, as ints (not floats or
+    bools).  The length is compared first, so a huge n costs nothing when a
+    is short."""
+    return len(a) == n and all(type(x) is int for x in a) and sorted(a) == list(range(n))
 
 
 def perm_from_json(entries: Sequence[int]) -> Perm:
@@ -98,26 +104,65 @@ def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
     return seen
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FrozenRecord:
+    """Base of the records that derive fields when they are built.
+
+    Fields are set once, by `_set`, and never rebound; equality (same class,
+    same `_compared` fields) and hashing read only the fields in
+    `_compared`.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+
+class FiniteGroup(FrozenRecord):
     """A finite group of permutations of {0..degree-1}, fully enumerated.
 
     `position` maps each element to its place in `elements`, so membership
-    is one dict lookup.  Subgroups are groups of the same degree, built
-    from their generators."""
+    is one dict lookup; it takes no part in equality.  Subgroups are groups
+    of the same degree, built from their generators."""
 
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...] = field(init=False)
-    position: dict[Perm, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("degree", "generators", "elements", "position")
+    _compared = ("degree", "generators", "elements")
+
+    def __init__(self, degree: int, generators: tuple[Perm, ...]) -> None:
+        self._set(degree=degree, generators=generators)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the generators and close them into `elements`; perfbench's
+        `groups.elements_built` counter observes this method by name."""
         for g in self.generators:
             if not is_perm(g, self.degree):
                 raise GroupError(f"not a permutation of degree {self.degree}: {g}")
         elements = tuple(sorted(_closure(identity_perm(self.degree), self.generators)))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "position", {g: i for i, g in enumerate(elements)})
+        self._set(elements=elements, position={g: i for i, g in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -146,14 +191,19 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteGroup":
-        degree = data["degree"]
+        """Read {"degree", "generators"}: a degree >= 1 and a non-empty list
+        of 1-based permutations of it, GroupError otherwise."""
+        degree, gens = data["degree"], data["generators"]
         if type(degree) is not int:
             raise GroupError(f"group degree {degree!r} is not an integer")
-        return FiniteGroup(degree, tuple(perm_from_json(g) for g in data["generators"]))
+        if degree < 1:
+            raise GroupError(f"group degree {degree} is not positive")
+        if not isinstance(gens, list) or not gens:
+            raise GroupError("a group needs a non-empty list of generators")
+        return FiniteGroup(degree, tuple(perm_from_json(g) for g in gens))
 
 
-@dataclass(frozen=True)
-class Cosets:
+class Cosets(NamedTuple):
     """The left cosets gH of a subgroup H in G.
 
     reps[k] is the lexicographically first element of coset k and ids[i]
@@ -231,22 +281,19 @@ def check_normal(group: FiniteGroup, sub: FiniteGroup) -> None:
                 raise NotNormalError(g, n)
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(FrozenRecord):
     """G/N realized as a permutation group acting on the coset space."""
 
-    parent: FiniteGroup
-    normal_subgroup: FiniteGroup
-    cosets: Cosets = field(init=False)
-    group: FiniteGroup = field(init=False)
+    __slots__ = _compared = ("parent", "normal_subgroup", "cosets", "group")
 
-    def __post_init__(self) -> None:
-        check_normal(self.parent, self.normal_subgroup)
-        object.__setattr__(self, "cosets", left_cosets(self.parent, self.normal_subgroup))
-        gens = [self.project(g) for g in self.parent.generators]
+    def __init__(self, parent: FiniteGroup, normal_subgroup: FiniteGroup) -> None:
+        check_normal(parent, normal_subgroup)
+        cosets = left_cosets(parent, normal_subgroup)
+        self._set(parent=parent, normal_subgroup=normal_subgroup, cosets=cosets)
+        gens = [self.project(g) for g in parent.generators]
         if not gens:
-            gens.append(identity_perm(len(self.cosets.reps)))
-        object.__setattr__(self, "group", FiniteGroup(len(self.cosets.reps), tuple(gens)))
+            gens.append(identity_perm(len(cosets.reps)))
+        self._set(group=FiniteGroup(len(cosets.reps), tuple(gens)))
 
     def project(self, g: Perm) -> Perm:
         """The image of a parent element in the quotient group."""

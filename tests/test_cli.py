@@ -275,6 +275,62 @@ def test_validate_ggraph_rejects_non_integer_degree_and_genus(
     assert payload["error"] == error
 
 
+# Group data refused before anything of the group's size is built: a large
+# degree used to allocate range(degree) per generator (about 8 GB at 10^9,
+# a MemoryError traceback under a memory cap, and 1 s for 10^7).
+BAD_GROUPS = [
+    ({"degree": 10**9}, "GroupError: not a permutation of degree 1000000000: (1, 0)"),
+    ({"degree": 10**7}, "GroupError: not a permutation of degree 10000000: (1, 0)"),
+    ({"degree": 0}, "GroupError: group degree 0 is not positive"),
+    ({"degree": -3}, "GroupError: group degree -3 is not positive"),
+    ({"generators": []}, "GroupError: a group needs a non-empty list of generators"),
+]
+
+
+def _ggraph_with_group(change: dict) -> dict:
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1).to_json()
+    gg["space"]["group"].update(change)
+    return gg
+
+
+@pytest.mark.parametrize("change, error", BAD_GROUPS)
+def test_a_large_degree_or_empty_group_is_refused_before_it_is_built(
+    tmp_path, capsys, change, error
+):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_ggraph_with_group(change)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["validate-ggraph", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and elapsed < 1.0 and peak < 5_000_000
+    payload = json.loads(capsys.readouterr().out)
+    check_schema("error", payload)
+    assert payload["error"] == error
+
+
+def test_a_large_degree_or_empty_group_is_refused_under_python_O(tmp_path):
+    runs = []
+    for i, (change, _) in enumerate(BAD_GROUPS):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(json.dumps(_ggraph_with_group(change)))
+        runs.append(["validate-ggraph", str(path)])
+    start = time.perf_counter()
+    results = _run_under_python_O(runs)
+    assert time.perf_counter() - start < 1.0 * len(runs)
+    for (out, code), (_, error) in zip(results, BAD_GROUPS):
+        assert code == "2"
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"] == error
+
+
 @pytest.mark.parametrize("order, coefficients, error", [
     (40.0, ["1"] * 41, "ValueError: order 40.0 is not an integer"),
     (True, ["1", "1"], "ValueError: order True is not an integer"),

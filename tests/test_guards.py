@@ -198,15 +198,32 @@ print(json.dumps([code, "dataclasses" in sys.modules]))
 """
 
 
-def test_the_qseries_commands_do_not_load_dataclasses(tmp_path):
-    # importing dataclasses (and inspect with it) costs 7-11 ms of each call;
-    # `integrate` (strata kind3) shares the short-call cost, so it is held
-    # to the same rule
-    series = tmp_path / "series.json"
-    series.write_text(json.dumps({"order": 40, "coefficients": ["1"] + ["0"] * 40}))
+def test_no_command_loads_dataclasses(tmp_path):
+    # importing dataclasses (and inspect with it) costs 7-11 ms of each call,
+    # which is a fresh process; the records are NamedTuples or FrozenRecords
+    from gg_factory import _z2_gp
+
+    inputs = {
+        "series": {"order": 40, "coefficients": ["1"] + ["0"] * 40},
+        "graph": {"vertex_genera": [1, 1], "half_edge_vertex": [0, 1],
+                  "involution_pairs": [[0, 1]], "legs": []},
+        "ggraph": _z2_gp(1).to_json(),
+        "pullback": {"kind": "corestriction", "cls": "psi",
+                     "group": {"degree": 4, "generators": [[2, 3, 4, 1]]},
+                     "normal": [[3, 4, 1, 2]], "h": [2, 3, 4, 1]},
+    }
+    path = {}
+    for name, payload in inputs.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(payload))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    for argv in (["delliptic", "--dmax", "2"], ["qmod-check", "--input", str(series)],
-                 ["integrate", "--genus", "1", "--exponents", "1"]):
+    for argv in (["delliptic", "--dmax", "2"], ["qmod-check", "--input", path["series"]],
+                 ["integrate", "--genus", "1", "--exponents", "1"],
+                 ["intersect-boundary", "--a", path["graph"], "--b", path["graph"]],
+                 ["intersect-ggraph", "--a", path["ggraph"], "--b", path["ggraph"]],
+                 ["validate-ggraph", path["ggraph"]],
+                 ["pullback", path["pullback"]],
+                 ["hurwitz-count", "--degree", "4", "--types", "[[4], [2, 1, 1], [3, 1]]"]):
         done = subprocess.run([sys.executable, "-c", _DATACLASSES_LOADED, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == [0, False], argv
