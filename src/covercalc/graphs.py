@@ -20,10 +20,15 @@ the smooth graph first meets in it.  The walk meets classes in
 lexicographic order of their place, the path of degeneration indices that
 leads to them, so a recursion memoized per class finds that graph without
 the walk: the first degeneration into the class of the graph of the class
-one edge below with the least place.  The generic (A,B)-graphs are
-searched among the classes both A and B degenerate to, not over the whole
-space.  The graphs stay desk-sized, so the key needs nothing finer than
-those classes.
+one edge below with the least place.  The graphs stay desk-sized, so the
+key needs nothing finer than those classes.
+
+The classes of the generic (A,B)-graphs are built from matchings of E_A
+with E_B (Graber–Pandharipande 2003, App. A), not found by a walk.  The k
+edges both maps hit leave a contraction that A and B share, and the other
+edges come from B alone: they open A's vertices into stable graphs of
+those vertices' own spaces.  A glued graph is kept when contracting A's
+unmatched edges gives B.
 
 A morphism's `encode()` is its pair (vertex map, half-edge map), and one
 routine, `_compose_maps`, composes such pairs; `compose_morphisms` wraps it
@@ -473,7 +478,8 @@ def contract_edges(
     stable and connected, and `enumerate_morphisms` validates each morphism
     it composes from this one.
     """
-    edge_set = {graph.edge_of(h) for h, _ in edge_set} if edge_set else set()
+    attached = graph.half_edge_vertex
+    edges = sorted({graph.edge_of(h) for h, _ in edge_set})
     parent = list(range(graph.n_vertices))
 
     def find(v: int) -> int:
@@ -482,36 +488,34 @@ def contract_edges(
             v = parent[v]
         return v
 
-    # merge along a spanning forest of the contracted set; the leftover
-    # contracted edges are loops and each raises the merged genus by one
-    pending = sorted(edge_set)
-    leftover = []
-    for h, hp in pending:
-        u, up = find(graph.half_edge_vertex[h]), find(graph.half_edge_vertex[hp])
+    # merge along a spanning forest of the contracted set, each root the
+    # least vertex of its part; the leftover contracted edges are loops and
+    # each raises the merged genus by one
+    loops = []
+    for h, hp in edges:
+        u, up = find(attached[h]), find(attached[hp])
         if u != up:
             parent[max(u, up)] = min(u, up)
         else:
-            leftover.append((h, hp))
-    roots = sorted({find(v) for v in range(graph.n_vertices)})
-    new_index = {r: i for i, r in enumerate(roots)}
-    genera = [0] * len(roots)
-    for v in range(graph.n_vertices):
-        genera[new_index[find(v)]] += graph.genera[v]
-    for h, hp in leftover:
-        genera[new_index[find(graph.half_edge_vertex[h])]] += 1
-    kept = [h for h in range(graph.n_half_edges) if graph.edge_of(h) not in edge_set]
+            loops.append(h)
+    roots = [find(v) for v in range(graph.n_vertices)]
+    new_index = {r: i for i, r in enumerate(sorted(set(roots)))}
+    vertex_map = tuple(new_index[r] for r in roots)
+    genera = [0] * len(new_index)
+    for v, g in enumerate(graph.genera):
+        genera[vertex_map[v]] += g
+    for h in loops:
+        genera[vertex_map[attached[h]]] += 1
+    cut = {h for edge in edges for h in edge}
+    kept = tuple(h for h in range(graph.n_half_edges) if h not in cut)
     new_h_index = {h: i for i, h in enumerate(kept)}
-    hv = tuple(new_index[find(graph.half_edge_vertex[h])] for h in kept)
-    inv = tuple(new_h_index[graph.involution[h]] for h in kept)
-    legs = tuple(new_index[find(v)] for v in graph.leg_vertex)
-    contracted = StableGraph(tuple(genera), hv, inv, legs)
-    morphism = GraphMorphism(
-        graph,
-        contracted,
-        tuple(new_index[find(v)] for v in range(graph.n_vertices)),
-        tuple(kept),
+    contracted = StableGraph(
+        tuple(genera),
+        tuple(vertex_map[attached[h]] for h in kept),
+        tuple(new_h_index[graph.involution[h]] for h in kept),
+        tuple(vertex_map[v] for v in graph.leg_vertex),
     )
-    return contracted, morphism
+    return contracted, GraphMorphism(graph, contracted, vertex_map, kept)
 
 
 def enumerate_morphisms(source: StableGraph, target: StableGraph) -> list[GraphMorphism]:
@@ -616,7 +620,7 @@ def _first_met(key: tuple) -> tuple[tuple[int, ...], StableGraph]:
     graph = _graph_of_key(key)
     if not graph.n_edges:
         return (), graph
-    below = {contract_edges(graph, {edge})[0].canonical_key() for edge in graph.edges()}
+    below = set(_contraction_keys(graph, graph.n_edges - 1))
     place, parent = min(map(_first_met, below), key=lambda found: found[0])
     signature = graph._signature()
     for i, degen in enumerate(_one_edge_degenerations(parent)):
@@ -692,24 +696,26 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
     """Complete, duplicate-free list of generic (A,B)-graphs.
 
     Triples (gamma, gamma->A, gamma->B) with every edge of gamma coming from
-    A or B, up to isomorphism of triples.  Such a gamma has at most
-    |E_A|+|E_B| edges and maps to both A and B, so its class is reached from
-    A in at most |E_B| one-edge degenerations and from B in at most |E_A|;
-    only the classes both reach go to the morphism search.  Each is taken in
-    the representative `enumerate_stable_graphs(..., within=...)` gives it,
-    so the triples come in canonical-key order of gamma, with the labels a
-    walk of the whole space gives.
+    A or B, up to isomorphism of triples.  Their classes are built from
+    matchings of E_A with E_B by `_generic_classes`: for each contraction
+    onto k edges that A and B share, the vertices of the graph with more
+    edges, say A, are opened by stable graphs of their own spaces that hold
+    B's other |E_B| - k edges, and a glued graph is kept when contracting
+    A's unmatched edges gives B.  Only those classes go to the morphism
+    search.  Each is taken in the representative
+    `enumerate_stable_graphs(..., within=...)` gives it, so the triples come
+    in canonical-key order of gamma, with the labels a walk of the whole
+    space gives.
     """
     if a.genus() != b.genus() or a.n_legs != b.n_legs:
         raise GraphError("A and B must have the same genus and leg count")
     a.validate()
     b.validate()
-    from_b = _degeneration_walk(b, a.n_edges)
-    common = {k: gamma for k, gamma in _degeneration_walk(a, b.n_edges).items() if k in from_b}
+    common = _generic_classes(a, b)
     if not common:
         return []
-    max_edges = max(gamma.n_edges for gamma in common.values())
-    gammas = enumerate_stable_graphs(a.genus(), a.n_legs, max_edges, within=frozenset(common))
+    gammas = enumerate_stable_graphs(a.genus(), a.n_legs, a.n_edges + b.n_edges,
+                                     within=frozenset(common))
     out = []
     for gamma in gammas:
         to_a_list = enumerate_morphisms(gamma, a)
@@ -740,3 +746,104 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
                 seen_pairs.update(zip(a_orbits[i], b_orbits[j]))
                 out.append(GenericABGraph(gamma, fa, fb))
     return out
+
+
+def _generic_classes(a: StableGraph, b: StableGraph) -> set[tuple]:
+    """Canonical keys of the classes that carry a generic (A,B)-triple.
+
+    In such a triple, the k edges of gamma hit by both maps come from k
+    edges S_A of A and S_B of B, and contracting the rest of gamma gives
+    A/(E_A - S_A) = B/(E_B - S_B): that shared contraction is the matching.
+    gamma is A with its vertices opened into stable graphs that hold the
+    |E_B| - k edges from B alone, and contracting E_A - S_A in gamma gives B.
+    So each k-subset S_A whose contraction is one of B's is tried on every
+    such opening of A, and an opening is kept when that contraction is B.
+    The condition is symmetric in A and B, and the graph with more edges is
+    opened, as it takes fewer new edges.
+    """
+    if a.n_edges < b.n_edges:
+        a, b = b, a
+    b_key, b_signature = b.canonical_key(), b._signature()
+    pieces = _vertex_graphs(a, b.n_edges)
+    found = set()
+    for k in range(b.n_edges + 1):
+        shared = set(_contraction_keys(b, k))
+        # the unmatched edges of A, for each matching
+        matchings = [set(a.edges()) - set(kept) for kept, key
+                     in zip(itertools.combinations(a.edges(), k), _contraction_keys(a, k))
+                     if key in shared]
+        if not matchings:
+            continue
+        for gamma in _openings(a, b.n_edges - k, pieces):
+            for unmatched in matchings:
+                contracted = contract_edges(gamma, unmatched)[0]
+                if contracted._signature() == b_signature and contracted.canonical_key() == b_key:
+                    found.add(gamma.canonical_key())
+                    break
+    return found
+
+
+@lru_cache(maxsize=None)
+def _contraction_keys(graph: StableGraph, k: int) -> tuple[tuple, ...]:
+    """The canonical key of the graph with every edge but k contracted, for
+    each k-subset of its edges in `itertools.combinations` order, once per
+    graph."""
+    edges = set(graph.edges())
+    return tuple(contract_edges(graph, edges - set(kept))[0].canonical_key()
+                 for kept in itertools.combinations(graph.edges(), k))
+
+
+def _vertex_graphs(a: StableGraph, most: int) -> list[list[tuple[StableGraph, ...]]]:
+    """For each vertex of A, the stable graphs of its space (its genus, its
+    legs then its half-edges as legs) by edge count, up to `most` edges;
+    each space is walked once."""
+    spaces: dict[tuple[int, int], list[tuple[StableGraph, ...]]] = {}
+    out = []
+    for v in range(a.n_vertices):
+        space = (a.genera[v], a.valence(v))
+        if space not in spaces:
+            graphs = enumerate_stable_graphs(*space, most)
+            spaces[space] = [tuple(x for x in graphs if x.n_edges == e) for e in range(most + 1)]
+        out.append(spaces[space])
+    return out
+
+
+def _openings(a: StableGraph, new_edges: int, pieces):
+    """A with each vertex v replaced by a graph of `pieces[v]`, the new edges
+    `new_edges` in all.  A's half-edges keep their numbers, and each piece's
+    own edges follow them."""
+    for counts in _compositions(new_edges, a.n_vertices):
+        choices = [pieces[v][e] for v, e in enumerate(counts)]
+        for chosen in itertools.product(*choices):
+            yield _glue(a, chosen)
+
+
+def _compositions(total: int, parts: int):
+    """The tuples of `parts` non-negative integers that sum to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _glue(a: StableGraph, chosen) -> StableGraph:
+    """A with vertex v replaced by chosen[v], glued along A's legs and edges:
+    leg i of chosen[v] is the i-th of v's `vertex_points`."""
+    genera: list[int] = []
+    hv = list(a.half_edge_vertex)
+    inv = list(a.involution)
+    legs = list(a.leg_vertex)
+    for v, piece in enumerate(chosen):
+        first = len(genera)
+        genera.extend(piece.genera)
+        at_legs = a.legs_at(v)
+        for i, leg in enumerate(at_legs):
+            legs[leg] = first + piece.leg_vertex[i]
+        for i, h in enumerate(a.half_edges_at(v), len(at_legs)):
+            hv[h] = first + piece.leg_vertex[i]
+        base = len(hv)
+        hv.extend(first + x for x in piece.half_edge_vertex)
+        inv.extend(base + x for x in piece.involution)
+    return StableGraph(tuple(genera), tuple(hv), tuple(inv), tuple(legs))

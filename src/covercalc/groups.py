@@ -160,7 +160,8 @@ class FiniteGroup(FrozenRecord):
         `groups.elements_built` counter observes this method by name."""
         for g in self.generators:
             if not is_perm(g, self.degree):
-                raise GroupError(f"not a permutation of degree {self.degree}: {g}")
+                shown = [i + 1 for i in g]  # the 1-based form of the JSON input
+                raise GroupError(f"not a permutation of degree {self.degree}: {shown}")
         elements = tuple(sorted(_closure(identity_perm(self.degree), self.generators)))
         self._set(elements=elements, position={g: i for i, g in enumerate(elements)})
 

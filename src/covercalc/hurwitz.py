@@ -151,11 +151,16 @@ def _product_one_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each (sub, rest) with sub a sub-multiset of `parts` of size k and rest
-    the parts left over."""
-    subs = {sub for n in range(len(parts) + 1)
-            for sub in itertools.combinations(parts, n) if sum(sub) == k}
-    return tuple((sub, tuple((Counter(parts) - Counter(sub)).elements())) for sub in sorted(subs))
+    """Each (sub, rest) with sub a sub-multiset of the descending `parts` of
+    size k and rest the parts left over, both descending, in increasing
+    order of sub: a choice of how many parts of each size go to sub."""
+    sizes = Counter(parts).items()
+    out = []
+    for taken in itertools.product(*(range(c + 1) for _, c in sizes)):
+        if sum(j * t for (j, _), t in zip(sizes, taken)) == k:
+            out.append((tuple(j for (j, _), t in zip(sizes, taken) for _ in range(t)),
+                        tuple(j for (j, c), t in zip(sizes, taken) for _ in range(c - t))))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

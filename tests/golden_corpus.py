@@ -173,6 +173,13 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
     argv = ["hurwitz-count", "--degree", "6", "--types", json.dumps([[2, 1, 1, 1, 1]] * 10)]
     entries.append(("hurwitz-count d=6 10 transpositions", argv, {}))
     entries.append(("hurwitz-count d=6 10 transpositions weighted", argv + ["--weighted"], {}))
+    # the Z/3 and Z/4 polygons of genus-1 vertices with legs, each against
+    # itself: |E_A|+|E_B| = 6 and 8 edges on M̄_{4,3} and M̄_{5,4}
+    for m in (3, 4):
+        gg = _polygon(m, 1, True)
+        files = {"a": gg.to_json(), "b": gg.to_json()}
+        entries.append((f"intersect-ggraph polygon-{m}-1-legs",
+                        ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
     return entries
 
 

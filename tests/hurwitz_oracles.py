@@ -6,6 +6,10 @@ before the character and Burnside formulas: it fixes the first entry, runs
 over every tuple of middle entries in S_d and solves for the last.  It is
 the second algorithm the formulas are checked against.
 
+`oracle_splits` is the sub-multiset enumeration `covercalc.hurwitz._splits`
+used before it chose a number of parts of each size: every combination of
+the parts, deduplicated.
+
 `covercalc.delliptic.segre_excess_contribution("node-profile")` takes the
 degree of the target map of covers with profile (a, b) over two points
 and one simple branch point to be 2 max(a, b).  `nodal_target_degree`
@@ -20,6 +24,7 @@ pipeline uses.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -222,3 +227,11 @@ def _glued_contribution(left: tuple, right: tuple) -> int:
         if len(_components(n_comps, gluing)) == 1:
             total += mult
     return total
+
+
+def oracle_splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each (sub, rest) with sub a sub-multiset of `parts` of size k and rest
+    the parts left over, from the set of all 2^len(parts) combinations."""
+    subs = {sub for n in range(len(parts) + 1)
+            for sub in itertools.combinations(parts, n) if sum(sub) == k}
+    return tuple((sub, tuple((Counter(parts) - Counter(sub)).elements())) for sub in sorted(subs))

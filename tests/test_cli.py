@@ -279,8 +279,8 @@ def test_validate_ggraph_rejects_non_integer_degree_and_genus(
 # degree used to allocate range(degree) per generator (about 8 GB at 10^9,
 # a MemoryError traceback under a memory cap, and 1 s for 10^7).
 BAD_GROUPS = [
-    ({"degree": 10**9}, "GroupError: not a permutation of degree 1000000000: (1, 0)"),
-    ({"degree": 10**7}, "GroupError: not a permutation of degree 10000000: (1, 0)"),
+    ({"degree": 10**9}, "GroupError: not a permutation of degree 1000000000: [2, 1]"),
+    ({"degree": 10**7}, "GroupError: not a permutation of degree 10000000: [2, 1]"),
     ({"degree": 0}, "GroupError: group degree 0 is not positive"),
     ({"degree": -3}, "GroupError: group degree -3 is not positive"),
     ({"generators": []}, "GroupError: a group needs a non-empty list of generators"),

@@ -1,6 +1,7 @@
 """The isomorphism enumerator and the generic (A,B) search against brute-force
 oracles and literature counts."""
 
+import functools
 import json
 import os
 import random
@@ -16,9 +17,11 @@ from graph_oracles import (
     oracle_morphisms,
     oracle_one_edge_degenerations,
 )
+from covercalc import graphs
 from covercalc.graphs import (
     GraphMorphism,
     StableGraph,
+    _generic_classes,
     _one_edge_degenerations,
     contract_edges,
     enumerate_generic_AB,
@@ -88,16 +91,67 @@ def _deep_pairs():
                    contract_edges(gamma, set(edges[:cut]) - set(shared))[0])
 
 
+@functools.cache
+def _deep_runs() -> tuple:
+    """(A, B, the oracle's triples) on each of the deeper pairs."""
+    return tuple((a, b, tuple(oracle_generic_AB(a, b))) for a, b in _deep_pairs())
+
+
 def test_generic_ab_matches_the_whole_space_search_on_deeper_pairs():
     sizes = []
-    for a, b in _deep_pairs():
+    for a, b, expected in _deep_runs():
         assert 4 <= a.n_edges + b.n_edges <= 6
         found = _triples(enumerate_generic_AB(a, b))
-        assert found == _triples(oracle_generic_AB(a, b)), (a, b)
+        assert found == _triples(expected), (a, b)
         sizes.append(len(found))
     assert len(sizes) >= 30
     # the sample holds pairs with no common degeneration, and pairs with one
     assert 0 in sizes and max(sizes) > 0
+
+
+def _sweep_pairs(most: int):
+    """Every pair of one SWEEP space with at most `most` edges in all."""
+    for g, n in SWEEP:
+        pool = enumerate_stable_graphs(g, n, most)
+        for a in pool:
+            for b in pool:
+                if a.n_edges + b.n_edges <= most:
+                    yield a, b
+
+
+@functools.cache
+def _oracle_runs() -> tuple:
+    """(A, B, the oracle's triples) on every SWEEP pair with at most four
+    edges in all, then on the deeper pairs."""
+    swept = tuple((a, b, tuple(oracle_generic_AB(a, b))) for a, b in _sweep_pairs(4))
+    return swept + _deep_runs()
+
+
+def test_generic_classes_are_the_classes_the_whole_space_search_finds():
+    sizes = []
+    for a, b, expected in _oracle_runs():
+        found = _generic_classes(a, b)
+        assert found == {t.gamma.canonical_key() for t in expected}, (a, b)
+        sizes.append(len(found))
+    assert 0 in sizes and max(sizes) > 1
+
+
+def test_generic_ab_walks_no_degeneration_of_the_pair_space(monkeypatch):
+    # the classes come from matchings, not from walks below A and B; the
+    # vertex spaces A is opened along are smaller, and may still be walked,
+    # as may the smooth graph of a pair of smooth graphs, zero steps deep
+    runs = _oracle_runs()
+    walk = graphs._degeneration_walk
+
+    def refuse_the_pair_space(start, steps):
+        if steps and (start.genus(), start.n_legs) == space:
+            raise AssertionError(f"walked {steps} degenerations below {start}")
+        return walk(start, steps)
+
+    monkeypatch.setattr(graphs, "_degeneration_walk", refuse_the_pair_space)
+    for a, b, expected in runs:
+        space = (a.genus(), a.n_legs)
+        assert _triples(enumerate_generic_AB(a, b)) == _triples(expected), (a, b)
 
 
 @pytest.mark.parametrize("g,n", SWEEP)

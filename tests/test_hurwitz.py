@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -14,6 +15,7 @@ from covercalc.cli import main
 from covercalc.groups import cycle_type, perm_from_cycles
 from covercalc.hurwitz import (
     HurwitzError,
+    _splits,
     character,
     class_size,
     hurwitz_cover_count,
@@ -21,7 +23,12 @@ from covercalc.hurwitz import (
     semiregular_centralizer,
 )
 from group_oracles import centralizer
-from hurwitz_oracles import TUPLE_CAP, nodal_target_degree, oracle_hurwitz_cover_count
+from hurwitz_oracles import (
+    TUPLE_CAP,
+    nodal_target_degree,
+    oracle_hurwitz_cover_count,
+    oracle_splits,
+)
 
 
 def test_lemma_configuration_unique_small():
@@ -108,6 +115,23 @@ def test_class_sizes_count_the_permutations_of_each_cycle_type():
         counted = Counter(cycle_type(p) for p in itertools.permutations(range(d)))
         assert {parts: class_size(d, parts) for parts in counted} == counted
         assert sum(counted.values()) == factorial(d)
+
+
+def test_splits_match_the_combination_set():
+    for d in range(1, 13):
+        for parts in partitions(d):
+            for k in range(d + 1):
+                assert _splits(parts, k) == oracle_splits(parts, k), (parts, k)
+
+
+def test_splits_of_many_equal_parts_are_cheap():
+    # 2^23 combinations for the set the splits were once drawn from; 2 x 23
+    # choices of how many parts of each size
+    parts = (2,) + (1,) * 22
+    start = time.perf_counter()
+    found = _splits(parts, 12)
+    assert time.perf_counter() - start < 1.0
+    assert found == (((1,) * 12, (2,) + (1,) * 10), ((2,) + (1,) * 10, (1,) * 12))
 
 
 def _middle_tuples(d, types) -> int:
