@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -207,12 +208,11 @@ def cmd_integrate(args) -> int:
     from covercalc.exact import rat_to_str
     from covercalc.mbar import integrate_psi
 
-    exponents = [int(x) for x in args.exponents.split(",") if x != ""]
-    value = integrate_psi(args.genus, exponents)
+    value = integrate_psi(args.genus, args.exponents)
     _emit(
         {
             "genus": args.genus,
-            "exponents": exponents,
+            "exponents": args.exponents,
             "value": rat_to_str(value),
         }
     )
@@ -300,6 +300,8 @@ def cmd_pullback(args) -> int:
     from covercalc.groups import FiniteGroup, perm_from_json
 
     payload = _load_json(args.input)
+    if not isinstance(payload, dict):
+        raise CoverError("a pullback payload must be a JSON object")
     kind = payload["kind"]
     params: dict = {"cls": payload["cls"]}
     if "group" in payload:
@@ -379,6 +381,16 @@ def cmd_qmod_check(args) -> int:
     return 0
 
 
+def _exponents(text: str) -> list[int]:
+    """The psi exponents of `integrate --exponents`: every comma-separated
+    entry an integer, an empty one refused rather than skipped."""
+    entries = text.split(",")
+    for entry in entries:
+        if re.fullmatch(r"-?[0-9]+", entry) is None:
+            raise argparse.ArgumentTypeError(f"exponent {entry!r} in {text!r} is not an integer")
+    return [int(entry) for entry in entries]
+
+
 def _refuse_usage(parser: argparse.ArgumentParser, message: str):
     raise UsageError(message)
 
@@ -401,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="top-degree psi integral on M_{g,n}")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--exponents", type=str, required=True,
+    p.add_argument("--exponents", type=_exponents, required=True,
                    help="comma-separated psi exponents, one per marked point")
     p.set_defaults(func=cmd_integrate)
 

@@ -129,6 +129,8 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
+        if not isinstance(data, dict):
+            raise ValueError("a q-series must be a JSON object")
         coeffs = [rat_from_str(s) for s in data["coefficients"]]
         order = data["order"]
         if type(order) is not int:

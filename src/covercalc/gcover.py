@@ -17,11 +17,14 @@ stabilizer, the block offsets and the canonical leg monodromy.  Subgroups
 (for restriction and corestriction) are groups in their own right, and
 restriction and corestriction map one `HurwitzSpaceId` to another.
 
-Every orbit and stabilizer of points comes from `GAction.orbit` and
-`GAction.stabilizer`, which take the point kind ("vertex", "half" or
-"leg") and the acting subgroup: G, a normal N or a restriction subgroup.
-`edge_orbit`, `edge_orbit_representatives` and the N-orbit numbering
-`orbit_labels` are built on them.  Every Riemann-Hurwitz solve, global or
+Every orbit of points comes from `GAction.orbit_labels`, which takes the
+point kind ("vertex", "half" or "leg") and the acting subgroup (G, a
+normal N or a restriction subgroup) and partitions the points over that
+subgroup's generators with `groups.orbit_partition`, the package's one
+orbit routine.  An edge orbit is named by the lesser label of its two
+halves; `edge_orbit_representatives`, the validator's edge-collapse test
+and the excess exponents read those labels.  Every stabilizer comes from
+`GAction.stabilizer`, and every Riemann-Hurwitz solve, global or
 vertexwise, is `quotient_genus`.
 """
 
@@ -51,6 +54,7 @@ from covercalc.groups import (
     is_perm,
     left_cosets,
     orbit_on_cosets,
+    orbit_partition,
     perm_from_json,
     perm_order,
     quotient,
@@ -139,6 +143,8 @@ class HurwitzSpaceId(FrozenRecord):
 
     @staticmethod
     def from_json(data: dict) -> "HurwitzSpaceId":
+        if not isinstance(data, dict):
+            raise CoverError("a Hurwitz space must be a JSON object")
         genus = data["genus"]
         if type(genus) is not int:
             raise CoverError(f"genus {genus!r} is not an integer")
@@ -153,9 +159,9 @@ class GAction(NamedTuple):
     """A G-action on a stable graph by structure-preserving permutations.
 
     `vertex`, `half` and `leg` map each group element to its permutation of
-    that kind of point.  `orbit` and `stabilizer` take the kind by the same
-    name and an acting subgroup (G by default); every orbit and stabilizer
-    in this module comes from them.
+    that kind of point.  `orbit_labels` and `stabilizer` take the kind by
+    the same name and an acting subgroup; every orbit and stabilizer in this
+    module comes from them.
     """
 
     graph: StableGraph
@@ -227,11 +233,6 @@ class GAction(NamedTuple):
                 if graph.leg_vertex[lp[l]] != vp[graph.leg_vertex[l]]:
                     raise ActionError(f"leg attachment not preserved at leg {l}")
 
-    def orbit(self, kind: str, x: int, acting: FiniteGroup | None = None) -> list[int]:
-        """The sorted orbit of point x of kind "vertex", "half" or "leg"."""
-        table = getattr(self, kind)
-        return sorted({table[t][x] for t in (acting or self.group).elements})
-
     def stabilizer(self, kind: str, x: int, acting: FiniteGroup | None = None) -> list[Perm]:
         """The elements of the acting group that fix point x, in order."""
         table = getattr(self, kind)
@@ -239,28 +240,30 @@ class GAction(NamedTuple):
 
     def orbit_labels(self, kind: str, acting: FiniteGroup) -> tuple[list[int], list[int]]:
         """The orbit id of every point of a kind and the least point of each
-        orbit, with orbits numbered by their least points."""
-        count = len(getattr(self, kind)[self.group.identity])
-        least = [self.orbit(kind, x, acting)[0] for x in range(count)]
+        orbit, with orbits numbered by their least points.  The orbits of a
+        finite group are those of its generators."""
+        table = getattr(self, kind)
+        count = len(table[self.group.identity])
+        least = orbit_partition(count, (link for t in acting.generators
+                                        for link in enumerate(table[t])))
         reps = sorted(set(least))
         index = {x: i for i, x in enumerate(reps)}
         return [index[x] for x in least], reps
 
-    def edge_orbit(
-        self, edge: tuple[int, int], acting: FiniteGroup | None = None
-    ) -> frozenset[tuple[int, int]]:
-        return frozenset(self.graph.edge_of(h) for h in self.orbit("half", edge[0], acting))
-
     def edge_orbit_representatives(
         self, edges=None, acting: FiniteGroup | None = None
     ) -> list[tuple[int, int]]:
-        """The first edge of each orbit met, walking edges (default: all)."""
-        seen: set[tuple[int, int]] = set()
+        """The first edge of each orbit met, walking edges (default: all).
+        t takes the edge (h, h') to (t h, t h'), so the lesser label of its
+        two halves names its orbit."""
+        labels, _ = self.orbit_labels("half", acting or self.group)
+        seen: set[int] = set()
         reps = []
-        for e in self.graph.edges() if edges is None else edges:
-            if e not in seen:
-                reps.append(e)
-                seen |= self.edge_orbit(e, acting)
+        for h, hp in self.graph.edges() if edges is None else edges:
+            orbit = min(labels[h], labels[hp])
+            if orbit not in seen:
+                seen.add(orbit)
+                reps.append((h, hp))
         return reps
 
 
@@ -312,6 +315,8 @@ class AdmissibleGGraph(NamedTuple):
         `HurwitzSpaceId` checks that each xi entry lies in the group; the
         group membership of the other monodromies is left to the validator.
         """
+        if not isinstance(data, dict):
+            raise CoverError("an admissible G-graph must be a JSON object")
         space = HurwitzSpaceId.from_json(data["space"])
         graph = StableGraph.from_json(data["graph"])
         gens = space.group.generators
@@ -325,6 +330,8 @@ class AdmissibleGGraph(NamedTuple):
         }
         gen_images = {}
         for g, entry in zip(gens, entries):
+            if not isinstance(entry, dict):
+                raise CoverError(f"action entry {entry!r} is not a JSON object")
             for part, size in sizes.items():
                 if not is_perm(entry[part], size):
                     raise CoverError(
@@ -411,8 +418,9 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
                         )
                     )
     # no edge collapsed by the action
+    labels, _ = action.orbit_labels("half", group)
     for h, hp in graph.edges():
-        if hp in action.orbit("half", h):
+        if labels[h] == labels[hp]:
             out.append(
                 Violation("edge-collapse", f"the action maps half-edge {h} to its partner {hp}")
             )
@@ -537,9 +545,7 @@ def restrict_graph(
     new_graph = StableGraph(
         gg.graph.genera, gg.graph.half_edge_vertex, gg.graph.involution, new_leg_vertex
     )
-    old_to_new = [0] * len(new_to_old)
-    for new_pos, old_pos in enumerate(new_to_old):
-        old_to_new[old_pos] = new_pos
+    old_to_new = invert(new_to_old)
     gen_images = {}
     for s in subgroup.generators:
         old_leg = gg.action.leg[s]
@@ -791,14 +797,18 @@ def restriction_boundary_exponents(
     """
     image = alpha.edge_image()
     action = gamma.action
+    labels, _ = action.orbit_labels("half", gamma.group)
+    sub_labels, _ = action.orbit_labels("half", subgroup)
     out = []
     for rep in action.edge_orbit_representatives():
-        hit = sorted(action.edge_orbit(rep) & image)
+        orbit = min(labels[rep[0]], labels[rep[1]])
+        hit = {min(sub_labels[h], sub_labels[hp])
+               for h, hp in image if min(labels[h], labels[hp]) == orbit}
         if not hit:
             raise CoverError(
                 f"edge orbit of {rep} is missed by the stratum map (genericity fails)"
             )
-        out.append((rep, len(action.edge_orbit_representatives(hit, subgroup))))
+        out.append((rep, len(hit)))
     return out
 
 

@@ -10,7 +10,9 @@ Every bijection comes from one isomorphism enumerator,
 `StableGraph.isomorphisms`.  An automorphism is a self-isomorphism, and a
 morphism is a contraction followed by an isomorphism: contract the source
 edges outside a choice of |E(target)| edges, then map the contracted graph
-isomorphically onto the target.
+isomorphically onto the target.  The parts a contraction merges, and
+whether a graph is connected, come from the package's one orbit routine,
+`groups.orbit_partition`.
 
 Graphs are built by one-edge degenerations (a genus-reducing loop or a
 vertex split) and told apart by a canonical key: the least edge list over
@@ -47,7 +49,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from covercalc.errors import GraphError, InvariantError
-from covercalc.groups import invert
+from covercalc.groups import invert, orbit_partition
 
 
 class _StableGraphFields(NamedTuple):
@@ -144,26 +146,9 @@ class StableGraph(_StableGraphFields):
         for v in range(nv):
             if 2 * self.genera[v] - 2 + self.valence(v) <= 0:
                 raise GraphError(f"vertex {v} violates stability")
-        if not self.is_connected():
+        hv = self.half_edge_vertex
+        if any(orbit_partition(nv, ((hv[h], hv[hp]) for h, hp in self.edges()))):
             raise GraphError("graph is not connected")
-
-    def is_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
-        for h, hp in self.edges():
-            u, v = self.half_edge_vertex[h], self.half_edge_vertex[hp]
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n_vertices
 
     def genus(self) -> int:
         """First Betti number plus the sum of the vertex genera."""
@@ -479,32 +464,16 @@ def contract_edges(
     it composes from this one.
     """
     attached = graph.half_edge_vertex
-    edges = sorted({graph.edge_of(h) for h, _ in edge_set})
-    parent = list(range(graph.n_vertices))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    # merge along a spanning forest of the contracted set, each root the
-    # least vertex of its part; the leftover contracted edges are loops and
-    # each raises the merged genus by one
-    loops = []
-    for h, hp in edges:
-        u, up = find(attached[h]), find(attached[hp])
-        if u != up:
-            parent[max(u, up)] = min(u, up)
-        else:
-            loops.append(h)
-    roots = [find(v) for v in range(graph.n_vertices)]
+    edges = {graph.edge_of(h) for h, _ in edge_set}
+    # the parts the contracted edges join, numbered by their least vertices;
+    # a part with V vertices and E edges gets genus sum(g) + E - V + 1
+    roots = orbit_partition(graph.n_vertices, ((attached[h], attached[hp]) for h, hp in edges))
     new_index = {r: i for i, r in enumerate(sorted(set(roots)))}
     vertex_map = tuple(new_index[r] for r in roots)
-    genera = [0] * len(new_index)
+    genera = [1] * len(new_index)
     for v, g in enumerate(graph.genera):
-        genera[vertex_map[v]] += g
-    for h in loops:
+        genera[vertex_map[v]] += g - 1
+    for h, _ in edges:
         genera[vertex_map[attached[h]]] += 1
     cut = {h for edge in edges for h in edge}
     kept = tuple(h for h in range(graph.n_half_edges) if h not in cut)
@@ -562,9 +531,7 @@ class GenericABGraph(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def enumerate_stable_graphs(
-    g: int, n: int, max_edges: int, *, within: frozenset | None = None
-) -> tuple[StableGraph, ...]:
+def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph, ...]:
     """All stable graphs of genus g with n legs and at most max_edges edges,
     in canonical-key order.
 
@@ -574,14 +541,8 @@ def enumerate_stable_graphs(
     is represented by the first graph the walk meets in it.  A class's place
     is the index path, through each graph's `_one_edge_degenerations` in
     order, of that first meeting; the walk meets classes in lexicographic
-    order of place.
-
-    With `within`, a set of canonical keys, only the graphs of those classes
-    come back, each the one the walk gives it, found by `_first_met` without
-    the walk.
+    order of place; `_first_met` finds one class's graph without the walk.
     """
-    if within is not None:
-        return tuple(_first_met(key)[1] for key in sorted(within))
     try:
         start = trivial_graph(g, n)
     except GraphError:
@@ -598,7 +559,8 @@ def _degeneration_walk(start: StableGraph, steps: int) -> dict[tuple, StableGrap
     for _ in range(steps):
         nxt = []
         for graph in frontier:
-            for key, degen in zip(_degeneration_keys(graph), _one_edge_degenerations(graph)):
+            for degen in _one_edge_degenerations(graph):
+                key = degen.canonical_key()
                 if key not in seen:
                     seen[key] = degen
                     nxt.append(degen)
@@ -636,14 +598,6 @@ def _graph_of_key(key: tuple) -> StableGraph:
     half_edge_vertex = tuple(v for edge in edges for v in edge)
     involution = tuple(h ^ 1 for h in range(len(half_edge_vertex)))
     return StableGraph(genera, half_edge_vertex, involution, legs)
-
-
-@lru_cache(maxsize=None)
-def _degeneration_keys(graph: StableGraph) -> tuple[tuple, ...]:
-    """Canonical key of each one-edge degeneration, in the order they come,
-    once per graph; the graphs themselves are cheap to rebuild, and are not
-    kept."""
-    return tuple(degen.canonical_key() for degen in _one_edge_degenerations(graph))
 
 
 def _one_edge_degenerations(graph: StableGraph):
@@ -702,22 +656,17 @@ def enumerate_generic_AB(a: StableGraph, b: StableGraph) -> list[GenericABGraph]
     edges, say A, are opened by stable graphs of their own spaces that hold
     B's other |E_B| - k edges, and a glued graph is kept when contracting
     A's unmatched edges gives B.  Only those classes go to the morphism
-    search.  Each is taken in the representative
-    `enumerate_stable_graphs(..., within=...)` gives it, so the triples come
-    in canonical-key order of gamma, with the labels a walk of the whole
-    space gives.
+    search.  Each is taken in the representative `_first_met` gives it, so
+    the triples come in canonical-key order of gamma, with the labels a walk
+    of the whole space gives.
     """
     if a.genus() != b.genus() or a.n_legs != b.n_legs:
         raise GraphError("A and B must have the same genus and leg count")
     a.validate()
     b.validate()
-    common = _generic_classes(a, b)
-    if not common:
-        return []
-    gammas = enumerate_stable_graphs(a.genus(), a.n_legs, a.n_edges + b.n_edges,
-                                     within=frozenset(common))
     out = []
-    for gamma in gammas:
+    for key in sorted(_generic_classes(a, b)):
+        gamma = _first_met(key)[1]
         to_a_list = enumerate_morphisms(gamma, a)
         to_b_list = enumerate_morphisms(gamma, b)
         autos = [(vperm, invert(hperm)) for vperm, hperm in gamma.automorphism_group()]

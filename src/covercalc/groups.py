@@ -12,6 +12,12 @@ a `Cosets` (identity-first representatives plus the coset id of every
 element of G) once per pair (G, H), and orbits on cosets, quotients and the
 callers in `gcover` all look cosets up in it through `coset_index`.
 
+There is one orbit routine: `orbit_partition` labels each point of 0..n-1
+with the least point of its class under the pairs it is given.  Orbits on
+cosets, the orbits of a G-action on a graph's points (`gcover`), the parts a
+contraction merges and the connectedness of a stable graph (`graphs`), and
+the transitivity of a monodromy tuple (`hurwitz`) all come from it.
+
 Records are `NamedTuple`s.  A record that derives fields when it is built
 is a `FrozenRecord` instead: a `__slots__` class that compares and hashes
 the fields it names in `_compared` and raises AttributeError on every
@@ -194,6 +200,8 @@ class FiniteGroup(FrozenRecord):
     def from_json(data: dict) -> "FiniteGroup":
         """Read {"degree", "generators"}: a degree >= 1 and a non-empty list
         of 1-based permutations of it, GroupError otherwise."""
+        if not isinstance(data, dict):
+            raise GroupError("a group must be a JSON object")
         degree, gens = data["degree"], data["generators"]
         if type(degree) is not int:
             raise GroupError(f"group degree {degree!r} is not an integer")
@@ -248,6 +256,33 @@ def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: FiniteGroup) -> int:
     return sum(1 for x in group.cyclic_subgroup(h).elements if x in sub)
 
 
+def orbit_partition(n: int, links: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The least point of each point's class under the equivalence relation
+    that the pairs in `links` generate on 0..n-1.
+
+    One union-find whose roots are the least points of their classes: a
+    union hangs the greater root under the lesser, so every point's parent
+    is at most the point, and one pass in increasing order then reads each
+    point's root off its parent's."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        x, y = find(x), find(y)
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return tuple(parent)
+
+
 def orbit_on_cosets(acting: FiniteGroup, cosets: Cosets) -> list[list[int]]:
     """Orbits of the left action of `acting` on the coset space G/H.
 
@@ -255,21 +290,14 @@ def orbit_on_cosets(acting: FiniteGroup, cosets: Cosets) -> list[list[int]]:
     (the first coset touched in canonical order) comes first; orbits are
     ordered by representative.
     """
-    seen = [False] * len(cosets.reps)
-    orbits = []
-    for i in range(len(cosets.reps)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        orbit = [i]
-        for j in orbit:
-            for t in acting.generators:
-                k = coset_index(cosets, compose(t, cosets.reps[j]))
-                if not seen[k]:
-                    seen[k] = True
-                    orbit.append(k)
-        orbits.append(sorted(orbit))
-    return orbits
+    least = orbit_partition(len(cosets.reps), (
+        (k, coset_index(cosets, compose(t, rep)))
+        for t in acting.generators for k, rep in enumerate(cosets.reps)
+    ))
+    orbits: dict[int, list[int]] = {}
+    for k, rep in enumerate(least):
+        orbits.setdefault(rep, []).append(k)
+    return list(orbits.values())
 
 
 def check_normal(group: FiniteGroup, sub: FiniteGroup) -> None:

@@ -31,7 +31,10 @@ m = d/k, so with c_k one of them
 
 and the k = 1 term is the weighted count.  For k ≥ 2 the tuples fixed by
 c_k have their entries in the centralizer C(c_k) = Z/k ≀ S_m, and are
-counted inside it by one pass over the entries.  Both counts cost
+counted inside it by one pass over the entries.  The pass keys each prefix
+on its orbits, each point labelled by the least point of its orbit
+(`groups.orbit_partition`, the package's one orbit routine), and
+`is_transitive` reads those labels.  Both counts cost
 polynomially in the number of branch points.  The degree stays at most 7:
 C(c_k) has k^m m! elements, 3840 at d = 10.
 """
@@ -45,7 +48,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
-from covercalc.groups import FiniteGroup, Perm, compose, cycle_type, identity_perm, perm_from_cycles
+from covercalc.groups import FiniteGroup, Perm, compose, cycle_type, identity_perm
+from covercalc.groups import orbit_partition, perm_from_cycles
 
 
 def _normalize_type(d: int, ctype) -> tuple[int, ...]:
@@ -66,28 +70,11 @@ def class_size(d: int, parts: tuple[int, ...]) -> int:
     return factorial(d) // z
 
 
-def _orbit_cycle(d: int, perms) -> Perm:
-    """The permutation that takes each point of 0..d-1 to the next larger
-    point of its orbit under <perms>, and the largest back to the smallest:
-    one key for the orbit partition.  Forward images suffice: in a finite
-    group the orbit under the generators is closed under inverses."""
-    image = [-1] * d
-    for start in range(d):
-        if image[start] < 0:
-            orbit, frontier = {start}, {start}
-            while frontier:
-                frontier = {p[x] for p in perms for x in frontier} - orbit
-                orbit |= frontier
-            ordered = sorted(orbit)
-            for x, y in zip(ordered, ordered[1:] + ordered[:1]):
-                image[x] = y
-    return tuple(image)
-
-
 def is_transitive(d: int, perms) -> bool:
-    """Whether <perms> is transitive on 0..d-1: whether its orbit cycle is
-    the d-cycle (0 1 .. d−1)."""
-    return _orbit_cycle(d, perms) == (*range(1, d), 0)
+    """Whether <perms> is transitive on 0..d-1: whether the pairs (x, p(x))
+    join every point to 0.  Forward images suffice: in a finite group the
+    orbit under the generators is closed under inverses."""
+    return not any(orbit_partition(d, (link for p in perms for link in enumerate(p))))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +194,8 @@ def _fixed_tuples(d: int, k: int, types: list[tuple[int, ...]]) -> int:
     every entry in C(c_k).
 
     One pass over every entry but the last counts the prefixes by their
-    orbit cycle and product.  The last entry is the inverse of the product,
+    orbits and product, the orbits as the tuple of each point's least orbit
+    mate (`orbit_partition`).  The last entry is the inverse of the product,
     so it has the product's cycle type and lies in the group the prefix
     generates: the prefix's orbits decide transitivity.
     """
@@ -218,12 +206,13 @@ def _fixed_tuples(d: int, k: int, types: list[tuple[int, ...]]) -> int:
     states = Counter({(identity, identity): 1})
     for t in types[:-1]:
         after = Counter()
-        for (orbits, product), ways in states.items():
+        for (least, product), ways in states.items():
             for s in members.get(t, ()):
-                after[_orbit_cycle(d, (orbits, s)), compose(product, s)] += ways
+                merged = orbit_partition(d, itertools.chain(enumerate(least), enumerate(s)))
+                after[merged, compose(product, s)] += ways
         states = after
-    return sum(ways for (orbits, product), ways in states.items()
-               if cycle_type(product) == types[-1] and is_transitive(d, (orbits,)))
+    return sum(ways for (least, product), ways in states.items()
+               if cycle_type(product) == types[-1] and is_transitive(d, (least,)))
 
 
 def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction:

@@ -180,6 +180,16 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         files = {"a": gg.to_json(), "b": gg.to_json()}
         entries.append((f"intersect-ggraph polygon-{m}-1-legs",
                         ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
+    # psi integrals: a genus-0 and a genus-1 value, then a degree that is
+    # not top degree and a genus outside {0, 1}, both refused
+    for label, genus, exponents in (
+        ("genus 0 value", "0", "1,1,0,0,0"),
+        ("genus 1 value", "1", "1,1"),
+        ("not top degree", "0", "2,0,0"),
+        ("genus 2", "2", "2"),
+    ):
+        entries.append((f"integrate {label}",
+                        ["integrate", "--genus", genus, "--exponents", exponents], {}))
     return entries
 
 

@@ -549,6 +549,68 @@ def test_pullback_rejects_non_integer_permutation_entries(tmp_path, capsys, fiel
     assert payload["error"].startswith("GroupError: permutation must be a list of integers")
 
 
+def _ggraph_json():
+    from gg_factory import _z2_gp
+
+    return _z2_gp(1).to_json()
+
+
+def _array_at(document: dict, path: tuple) -> dict | list:
+    """The document with a JSON array where its object at `path` was."""
+    if not path:
+        return [document]
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = [target[path[-1]]]
+    return document
+
+
+PULLBACK = {"kind": "corestriction", "cls": "psi", "group": S3,
+            "normal": [[2, 3, 1]], "h": [2, 1, 3]}
+
+# Each command's document with an array where an object belongs, and the
+# error it gets: each used to end in "TypeError: list indices must be
+# integers or slices, not str"
+ARRAYS_FOR_OBJECTS = [
+    (["qmod-check", "--input", "@in"], lambda: {"order": 1, "coefficients": ["1", "0"]}, (),
+     "ValueError: a q-series must be a JSON object"),
+    (["pullback", "@in"], lambda: dict(PULLBACK), (),
+     "CoverError: a pullback payload must be a JSON object"),
+    (["pullback", "@in"], lambda: dict(PULLBACK), ("group",),
+     "GroupError: a group must be a JSON object"),
+    (["validate-ggraph", "@in"], _ggraph_json, (),
+     "CoverError: an admissible G-graph must be a JSON object"),
+    (["validate-ggraph", "@in"], _ggraph_json, ("space",),
+     "CoverError: a Hurwitz space must be a JSON object"),
+    (["validate-ggraph", "@in"], _ggraph_json, ("space", "group"),
+     "GroupError: a group must be a JSON object"),
+    (["validate-ggraph", "@in"], _ggraph_json, ("action_generators", 0),
+     "CoverError: action entry [{"),
+    (["intersect-ggraph", "--a", "@in", "--b", "@in"], _ggraph_json, (),
+     "CoverError: an admissible G-graph must be a JSON object"),
+    (["intersect-ggraph", "--a", "@in", "--b", "@in"], _ggraph_json, ("space",),
+     "CoverError: a Hurwitz space must be a JSON object"),
+    (["intersect-ggraph", "--a", "@in", "--b", "@in"], _ggraph_json, ("space", "group"),
+     "GroupError: a group must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("argv, document, path, error", ARRAYS_FOR_OBJECTS,
+                         ids=[f"{a[0]} {'.'.join(map(str, p)) or 'document'}"
+                              for a, _, p, _ in ARRAYS_FOR_OBJECTS])
+def test_an_array_where_an_object_belongs_is_a_domain_error(
+    tmp_path, capsys, argv, document, path, error
+):
+    files = {"in": _array_at(document(), path)}
+    code, out = _run_with_inputs(tmp_path, capsys, argv, files)
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith(error)
+    assert "TypeError" not in payload["error"]
+
+
 MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]
 
 
@@ -612,6 +674,16 @@ USAGE_ERRORS = [
     ([], "UsageError: the following arguments are required: command"),
     (["integrate", "--genus", "0", "--exponents", "1,0,0,0", "--bogus"],
      "UsageError: unrecognized arguments: --bogus"),
+    # empty exponents used to be skipped: ",0,0,0" printed the value of
+    # "0,0,0", and "1,,0" was read as two marked points
+    (["integrate", "--genus", "0", "--exponents", ",0,0,0"],
+     "UsageError: argument --exponents: exponent '' in ',0,0,0' is not an integer"),
+    (["integrate", "--genus", "1", "--exponents", "1,,0"],
+     "UsageError: argument --exponents: exponent '' in '1,,0' is not an integer"),
+    (["integrate", "--genus", "1", "--exponents", ""],
+     "UsageError: argument --exponents: exponent '' in '' is not an integer"),
+    (["integrate", "--genus", "1", "--exponents", "1,x"],
+     "UsageError: argument --exponents: exponent 'x' in '1,x' is not an integer"),
 ]
 
 

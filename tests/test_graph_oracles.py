@@ -177,12 +177,11 @@ WITHIN_SPACES = [(g, n, 3 * g - 3 + n) for g, n in SWEEP] + [(0, 6, 4), (2, 3, 4
 
 _ONE_CLASS_AT_A_TIME = """
 import json, sys
-from covercalc.graphs import enumerate_stable_graphs
+from covercalc.graphs import _first_met, enumerate_stable_graphs
 found = []
 for (g, n, e), order in json.loads(sys.argv[1]):
     keys = [graph.canonical_key() for graph in enumerate_stable_graphs(g, n, e)]
-    found.append([enumerate_stable_graphs(g, n, e, within=frozenset({keys[i]}))[0].to_json()
-                  for i in order])
+    found.append([_first_met(keys[i])[1].to_json() for i in order])
 print(json.dumps(found))
 """
 

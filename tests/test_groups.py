@@ -15,6 +15,7 @@ from covercalc.groups import (
     cyclic_meet_order,
     left_cosets,
     orbit_on_cosets,
+    orbit_partition,
     invert,
     perm_from_cycles,
     perm_order,
@@ -55,6 +56,37 @@ def test_left_cosets_examples():
     z4 = cyclic_group(4)
     h2 = z4.cyclic_subgroup((2, 3, 0, 1))  # (13)(24) as rotation^2
     assert len(left_cosets(z4, h2).reps) == 2
+
+
+def _closure_labels(n: int, links: list[tuple[int, int]]) -> list[int]:
+    """The least point of each point's class, by closing the relation: grow
+    each point's class by every link that touches it until nothing changes."""
+    classes = [{x} for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in links:
+            if classes[x] is not classes[y]:
+                merged = classes[x] | classes[y]
+                for z in merged:
+                    classes[z] = merged
+                changed = True
+    return [min(c) for c in classes]
+
+
+def test_orbit_partition_matches_the_closure_of_its_links():
+    rng = random.Random(18)
+    assert orbit_partition(0, []) == ()
+    assert orbit_partition(3, [(1, 1), (2, 2)]) == (0, 1, 2)
+    assert orbit_partition(4, [(3, 1), (3, 1), (1, 3), (2, 0)]) == (0, 1, 0, 1)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        links = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        links += [(x, x) for x, _ in links[: rng.randint(0, 2)]]  # self-links
+        links += links[: rng.randint(0, 3)]                       # repeated links
+        rng.shuffle(links)
+        assert orbit_partition(n, links) == tuple(_closure_labels(n, links)), (n, links)
+        assert orbit_partition(n, iter(links)) == orbit_partition(n, links[::-1])
 
 
 def test_orbit_on_cosets():
