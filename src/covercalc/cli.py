@@ -47,6 +47,8 @@ from covercalc.errors import (
     InvariantError,
     PipelineError,
     UsageError,
+    json_fields,
+    json_list,
 )
 
 USER_ERRORS = (
@@ -300,15 +302,14 @@ def cmd_pullback(args) -> int:
     from covercalc.groups import FiniteGroup, perm_from_json
 
     payload = _load_json(args.input)
-    if not isinstance(payload, dict):
-        raise CoverError("a pullback payload must be a JSON object")
-    kind = payload["kind"]
-    params: dict = {"cls": payload["cls"]}
+    kind, cls = json_fields(payload, "a pullback payload", CoverError, ("kind", "cls"))
+    params: dict = {"cls": cls}
     if "group" in payload:
         group = FiniteGroup.from_json(payload["group"])
         params["group"] = group
         if "normal" in payload:
-            gens = [perm_from_json(perm) for perm in payload["normal"]]
+            normal = json_list(payload["normal"], "normal", CoverError)
+            gens = [perm_from_json(perm) for perm in normal]
             params["normal"] = group.generated_subgroup(gens)
         if "h" in payload:
             params["h"] = perm_from_json(payload["h"])
@@ -327,7 +328,7 @@ def cmd_delliptic(args) -> int:
         raise PipelineError("--dmax must be at least 2")
     values, ledgers, numbers00, numbers01 = {}, {}, [], []
     for d in range(2, args.dmax + 1):
-        ledger = degree_ledger(d)
+        ledger = degree_ledger(d, rows=args.ledger)
         values[str(d)] = {
             "delta00": rat_to_str(ledger.delta00),
             "delta01": rat_to_str(ledger.delta01),

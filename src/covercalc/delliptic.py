@@ -7,15 +7,19 @@ multiplicities, and excess (Segre/Chern) contributions for the
 one-dimensional families.  Each aggregate has an independent closed form
 against which the stratum route is checked exactly.
 
-Every ledger walks one of two split enumerations: `am_bn_splits` (the
-profile loop am + bn = d) or `chain_splits` ((a+b)k + am + bn = d).  A
+Every ledger family walks one of two split enumerations: `am_bn_splits`
+(the profile loop am + bn = d) or `chain_splits` ((a+b)k + am + bn = d),
+whose list the delta00 walk builds once for both three-chain families.  A
 pipeline over d = 2..d_max makes one checked pass: `degree_ledger(d)`
-builds each of the two ledgers once, checks every row against its closed
+walks each of the two ledgers once, checks every row against its closed
 form, the delta00 and delta01 stratum sums against theirs, and the
 cancellation of the last three delta00 family aggregates.  Values,
 aggregates, ledger rows and the normalized series (`pairing_series`) all
 derive from that pass, and `quasimodularity_report` takes the two series
-it produced.
+it produced.  Only `degree_ledger(d, rows=True)`, which `delliptic
+--ledger` asks for, builds row objects (`delta00_contributions`,
+`delta01_contributions`); `rows=False` runs the same walks and the same
+row checks in the same order, and keeps only each family's sum.
 
 Every row total is the marked-point factor (d-2)!^2, from labeling the
 unramified points, times an integer closed form: 2mb (polygon pairs),
@@ -36,9 +40,11 @@ a, b and a+b give the automorphism factor ((a+b)^(k-1) a^m b^n, squared)
 or the chain monomial (a^(m-1) b^(n-1), times (a+b)^(k-1) on a three-chain
 family); one `normalization_branches` call on the split's (index, count)
 target nodes gives the reduced degree; and the lcm of the distinct
-indices on each target node gives the multiplicity numerator.  Each row
-is checked the moment it is built, so rows are checked in printed order
-and a breach names the first row that fails.
+indices on each target node gives the multiplicity numerator (the
+excess families, whose check reads neither, compute both only for a built
+row).  Each row is checked the moment its values are known, so rows are
+checked in printed order and a breach names the first row that fails, on
+either path.
 """
 
 from __future__ import annotations
@@ -201,12 +207,12 @@ def _segre_chain_secondary(a: int, b: int) -> Fraction:
 # the separating-node pairing
 
 
-def delta01_contributions(d: int) -> list[StratumContribution]:
-    """Ledger for the separating-node pairing: polygon-pair covers."""
+def _delta01_walk(d: int, rows: list[StratumContribution] | None) -> int:
+    """Polygon-pair covers: the normalized delta01 stratum sum."""
     if d < 2:
         raise PipelineError("the pairing needs degree at least 2")
     mark = _mark_factor(d)
-    out = []
+    total = 0
     for params in am_bn_splits(d):
         a, b, m, n = params
         count_num = 2 * m
@@ -217,18 +223,26 @@ def delta01_contributions(d: int) -> list[StratumContribution]:
         # isolated point: count * reduced * multiplicity
         _check_row(count_num * reduced * mult_num, count_den * a, closed, "polygon-pair",
                    params)
-        out.append(_new_row(("delta01", "polygon-pair", params, mark, count_num, count_den,
-                             reduced, mult_num, a, None, 1, closed)))
-    return out
+        total += closed
+        if rows is not None:
+            rows.append(_new_row(("delta01", "polygon-pair", params, mark, count_num,
+                                  count_den, reduced, mult_num, a, None, 1, closed)))
+    return total
+
+
+def delta01_contributions(d: int) -> list[StratumContribution]:
+    """Ledger for the separating-node pairing: polygon-pair covers."""
+    rows: list[StratumContribution] = []
+    _delta01_walk(d, rows)
+    return rows
 
 
 def _normalized_delta01_closed_form(d: int) -> int:
     return 2 * sum(sigma1(d1) * sigma1(d - d1) for d1 in range(1, d))
 
 
-def _checked_delta01(d: int, rows: list[StratumContribution]) -> int:
+def _checked_delta01(d: int, stratum_sum: int) -> int:
     """The normalized stratum sum, once it equals the normalized closed form."""
-    stratum_sum = sum(c.normalized_total for c in rows)
     closed = _normalized_delta01_closed_form(d)
     if stratum_sum != closed:
         raise PipelineError(
@@ -241,10 +255,10 @@ def _checked_delta01(d: int, rows: list[StratumContribution]) -> int:
 # the irreducible-node pairing: four stratum families
 
 
-def _delta00_type1(d: int) -> list[StratumContribution]:
+def _delta00_type1(d: int, rows: list[StratumContribution] | None) -> int:
     """Single polygon over a one-nodal target component; reduced points."""
     mark = _mark_factor(d)
-    out = []
+    total = 0
     for a in divisors(d):
         m = d // a
         params = (a, m)
@@ -254,16 +268,20 @@ def _delta00_type1(d: int) -> list[StratumContribution]:
         reduced = normalization_branches((((a, m),),))
         closed = 4 * m * (a * m - 1)
         _check_row(count_num * reduced, count_den, closed, "polygon-bridge", params)
-        out.append(_new_row(("delta00", "polygon-bridge", params, mark, count_num, count_den,
-                             reduced, 1, 1, None, 1, closed)))
-    return out
+        total += closed
+        if rows is not None:
+            rows.append(_new_row(("delta00", "polygon-bridge", params, mark, count_num,
+                                  count_den, reduced, 1, 1, None, 1, closed)))
+    return total
 
 
-def _delta00_type2(d: int) -> list[StratumContribution]:
+def _delta00_type2(
+    d: int, chains: list[tuple[int, ...]], rows: list[StratumContribution] | None
+) -> int:
     """Three chains over a two-nodal target: isolated intersection points."""
     mark = _mark_factor(d)
-    out = []
-    for params in chain_splits(d):
+    total = 0
+    for params in chains:
         a, b, k, m, n = params
         s = a + b
         # the plus node carries k, m, n nodes of index a+b, a, b; the minus
@@ -287,19 +305,20 @@ def _delta00_type2(d: int) -> list[StratumContribution]:
             if choices:
                 closed = choices * factor
                 _check_row(choices * point, aut * mult_den, closed, subcase, params)
-                out.append(_new_row(("delta00", subcase, params, mark, choices, aut,
-                                     reduced, lcms, mult_den, None, 1, closed)))
-    return out
+                total += closed
+                if rows is not None:
+                    rows.append(_new_row(("delta00", subcase, params, mark, choices, aut,
+                                          reduced, lcms, mult_den, None, 1, closed)))
+    return total
 
 
-def _delta00_type3(d: int) -> list[StratumContribution]:
+def _delta00_type3(d: int, rows: list[StratumContribution] | None) -> int:
     """One-dimensional family over the separating-target stratum: excess."""
     mark = _mark_factor(d)
-    out = []
+    total = 0
     for params in am_bn_splits(d):
         a, b, m, n = params
         monomial = a ** (m - 1) * b ** (n - 1)
-        reduced = normalization_branches((((a, m), (b, n)),))
         top = max(a, b)
         count_num = 2 * m * n
         excess = segre_excess_contribution(a, b, "node-profile")
@@ -310,23 +329,30 @@ def _delta00_type3(d: int) -> list[StratumContribution]:
         # the chain monomial
         _check_row(count_num * excess_num, monomial * excess_den, closed, "profile-family",
                    params)
-        out.append(_new_row(("delta00", "profile-family", params, mark, count_num, monomial,
-                             reduced, lcm(a, b), top, excess_num, excess_den, closed)))
-    return out
+        total += closed
+        if rows is not None:
+            reduced = normalization_branches((((a, m), (b, n)),))
+            rows.append(_new_row(("delta00", "profile-family", params, mark, count_num,
+                                  monomial, reduced, lcm(a, b), top, excess_num, excess_den,
+                                  closed)))
+    return total
 
 
-def _delta00_type4(d: int) -> list[StratumContribution]:
+def _delta00_type4(
+    d: int, chains: list[tuple[int, ...]], rows: list[StratumContribution] | None
+) -> int:
     """One-dimensional three-chain family over the irreducible-nodal target."""
     mark = _mark_factor(d)
-    out = []
-    for params in chain_splits(d):
+    total = 0
+    for params in chains:
         a, b, k, m, n = params
         if m == 0 or n == 0:
             continue
         s = a + b
         monomial = s ** (k - 1) * a ** (m - 1) * b ** (n - 1)
-        reduced = normalization_branches((((s, k), (a, m), (b, n)),))
-        big_l = lcm(a, b, s)
+        if rows is not None:
+            reduced = normalization_branches((((s, k), (a, m), (b, n)),))
+            big_l = lcm(a, b, s)
         for subcase, count_num, mult_den, excess, closed in (
             ("nodal-family/profile-edges", 4 * m * n, max(a, b),
              segre_excess_contribution(a, b, "three-chain"), -8 * s * m * n),
@@ -336,17 +362,34 @@ def _delta00_type4(d: int) -> list[StratumContribution]:
             excess_num, excess_den = excess.as_integer_ratio()
             excess_num *= monomial
             _check_row(count_num * excess_num, monomial * excess_den, closed, subcase, params)
-            out.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
-                                 reduced, big_l, mult_den, excess_num, excess_den, closed)))
-    return out
+            total += closed
+            if rows is not None:
+                rows.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
+                                      reduced, big_l, mult_den, excess_num, excess_den,
+                                      closed)))
+    return total
+
+
+def _delta00_walk(d: int, rows: list[StratumContribution] | None) -> tuple[int, ...]:
+    """The four delta00 families in printed order, over one list of chain
+    splits: their normalized sums (polygon-bridge, three-chain points,
+    profile family, nodal family)."""
+    if d < 2:
+        raise PipelineError("the pairing needs degree at least 2")
+    chains = list(chain_splits(d))
+    return (
+        _delta00_type1(d, rows),
+        _delta00_type2(d, chains, rows),
+        _delta00_type3(d, rows),
+        _delta00_type4(d, chains, rows),
+    )
 
 
 def delta00_contributions(d: int) -> list[StratumContribution]:
-    if d < 2:
-        raise PipelineError("the pairing needs degree at least 2")
-    return (
-        _delta00_type1(d) + _delta00_type2(d) + _delta00_type3(d) + _delta00_type4(d)
-    )
+    """Ledger for the irreducible-node pairing, in printed order."""
+    rows: list[StratumContribution] = []
+    _delta00_walk(d, rows)
+    return rows
 
 
 def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
@@ -380,10 +423,11 @@ def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
 
 
 class DegreeLedger(NamedTuple):
-    """Both pairings at one degree, from one build of each ledger.
+    """Both pairings at one degree, from one checked walk of each ledger.
 
     delta00_aggregates are the four family subtotals, in the fixed order:
-    polygon-bridge, three-chain points, profile family, nodal family."""
+    polygon-bridge, three-chain points, profile family, nodal family.  The
+    row lists are empty unless the rows were asked for."""
 
     delta00_rows: list[StratumContribution]
     delta01_rows: list[StratumContribution]
@@ -392,14 +436,26 @@ class DegreeLedger(NamedTuple):
     delta01: Fraction
 
 
-def degree_ledger(d: int) -> DegreeLedger:
-    """Build the delta00 and delta01 ledgers of degree d once each, and run
-    every check on them: both closed forms and the aggregate cancellation."""
-    rows00 = delta00_contributions(d)
-    rows01 = delta01_contributions(d)
-    aggregates = _family_sums(rows00)
+def degree_ledger(d: int, rows: bool = True) -> DegreeLedger:
+    """Both pairings of degree d, with every row of both ledgers checked,
+    then both closed forms and the aggregate cancellation.
+
+    With rows=True the two ledgers are built once each
+    (`delta00_contributions`, `delta01_contributions`) and the aggregates
+    are their family sums.  With rows=False the same walks check every row
+    in the same order but build none: the aggregates and the delta01 sum
+    come straight from the walks, and both row lists are empty."""
+    if rows:
+        rows00 = delta00_contributions(d)
+        rows01 = delta01_contributions(d)
+        aggregates = _family_sums(rows00)
+        sum01 = sum(c.normalized_total for c in rows01)
+    else:
+        rows00, rows01 = [], []
+        aggregates = _delta00_walk(d, None)
+        sum01 = _delta01_walk(d, None)
     total00 = _checked_delta00(d, aggregates)
-    total01 = _checked_delta01(d, rows01)
+    total01 = _checked_delta01(d, sum01)
     mark = _mark_factor(d)
     return DegreeLedger(
         rows00,

@@ -6,6 +6,9 @@ here, they cost the CLI nothing to import: it can catch every user error
 before, or without, loading the layer that raises it.
 
 All but `InvariantError` mean bad input: the CLI maps them to exit code 2.
+The two shape checks every `from_json` makes, `json_fields` and
+`json_list`, live here too, so that a null, a number or a missing key where
+JSON input needs an object or a list raises the reading layer's own error.
 """
 
 
@@ -51,3 +54,21 @@ class PipelineError(ValueError):
 class UsageError(ValueError):
     """A command line the argument parser refuses: an unknown or missing
     command, a missing option, or a value of the wrong type."""
+
+
+def json_fields(data, what: str, error: type[ValueError], names: tuple[str, ...]) -> tuple:
+    """The entries `names` of the JSON object `data` (`what` in messages),
+    or `error` if data is not an object or lacks one of them."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise error(f"{what} has no {', '.join(map(repr, missing))}")
+    return tuple(data[name] for name in names)
+
+
+def json_list(value, what: str, error: type[ValueError]) -> list:
+    """The JSON list `value` (`what` in messages), or `error`."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be a list: {value!r}")
+    return list(value)

@@ -17,6 +17,8 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
+from covercalc.errors import json_fields, json_list
+
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p"; a zero denominator or a value that is not a
@@ -129,10 +131,8 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
-        if not isinstance(data, dict):
-            raise ValueError("a q-series must be a JSON object")
-        coeffs = [rat_from_str(s) for s in data["coefficients"]]
-        order = data["order"]
+        coeffs, order = json_fields(data, "a q-series", ValueError, ("coefficients", "order"))
+        coeffs = [rat_from_str(s) for s in json_list(coeffs, "coefficients", ValueError)]
         if type(order) is not int:
             raise ValueError(f"order {order!r} is not an integer")
         if len(coeffs) != order + 1:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from covercalc.errors import ActionError, CoverError, GraphError
+from covercalc.errors import ActionError, CoverError, GraphError, json_fields, json_list
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
     GraphMorphism,
@@ -143,15 +143,14 @@ class HurwitzSpaceId(FrozenRecord):
 
     @staticmethod
     def from_json(data: dict) -> "HurwitzSpaceId":
-        if not isinstance(data, dict):
-            raise CoverError("a Hurwitz space must be a JSON object")
-        genus = data["genus"]
+        genus, group, xi = json_fields(data, "a Hurwitz space", CoverError,
+                                       ("genus", "group", "xi"))
         if type(genus) is not int:
             raise CoverError(f"genus {genus!r} is not an integer")
         return HurwitzSpaceId(
             genus,
-            FiniteGroup.from_json(data["group"]),
-            tuple(perm_from_json(h) for h in data["xi"]),
+            FiniteGroup.from_json(group),
+            tuple(perm_from_json(h) for h in json_list(xi, "xi", CoverError)),
         )
 
 
@@ -315,12 +314,14 @@ class AdmissibleGGraph(NamedTuple):
         `HurwitzSpaceId` checks that each xi entry lies in the group; the
         group membership of the other monodromies is left to the validator.
         """
-        if not isinstance(data, dict):
-            raise CoverError("an admissible G-graph must be a JSON object")
-        space = HurwitzSpaceId.from_json(data["space"])
-        graph = StableGraph.from_json(data["graph"])
+        parts = ("space", "graph", "action_generators", "monodromy_half_edges",
+                 "monodromy_legs")
+        space, graph, entries, *monodromies = json_fields(
+            data, "an admissible G-graph", CoverError, parts)
+        space = HurwitzSpaceId.from_json(space)
+        graph = StableGraph.from_json(graph)
         gens = space.group.generators
-        entries = data["action_generators"]
+        entries = json_list(entries, "action_generators", CoverError)
         if len(entries) != len(gens):
             raise CoverError(f"{len(entries)} action entries for {len(gens)} generators")
         sizes = {
@@ -330,24 +331,20 @@ class AdmissibleGGraph(NamedTuple):
         }
         gen_images = {}
         for g, entry in zip(gens, entries):
-            if not isinstance(entry, dict):
-                raise CoverError(f"action entry {entry!r} is not a JSON object")
-            for part, size in sizes.items():
-                if not is_perm(entry[part], size):
-                    raise CoverError(
-                        f"action {part} image {entry[part]} does not permute {size} points"
-                    )
-            gen_images[g] = tuple(tuple(entry[part]) for part in sizes)
+            images = json_fields(entry, f"action entry {entry!r}", CoverError, tuple(sizes))
+            for (part, size), image in zip(sizes.items(), images):
+                if not is_perm(json_list(image, f"action {part} image", CoverError), size):
+                    raise CoverError(f"action {part} image {image} does not permute {size} points")
+            gen_images[g] = tuple(map(tuple, images))
         action = GAction.from_generators(graph, space.group, gen_images)
         degree = space.group.degree
         monodromy = []
-        for part, size in (
-            ("monodromy_half_edges", graph.n_half_edges),
-            ("monodromy_legs", graph.n_legs),
-        ):
-            if len(data[part]) != size:
-                raise CoverError(f"{part} has {len(data[part])} entries for {size} points")
-            perms = tuple(perm_from_json(h) for h in data[part])
+        for part, size, listed in zip(parts[3:], (graph.n_half_edges, graph.n_legs),
+                                      monodromies):
+            listed = json_list(listed, part, CoverError)
+            if len(listed) != size:
+                raise CoverError(f"{part} has {len(listed)} entries for {size} points")
+            perms = tuple(perm_from_json(h) for h in listed)
             if not all(is_perm(h, degree) for h in perms):
                 raise CoverError(f"{part} holds a non-permutation of degree {degree}")
             monodromy.append(perms)
@@ -902,22 +899,23 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
         raise CoverError("h is not an element of the group")
     if kind == "restriction":
         return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
+    what = f"a {kind} pullback"
     if kind == "corestriction":
-        group: FiniteGroup = params["group"]
-        normal: FiniteGroup = params["normal"]
+        group, normal = json_fields(params, what, CoverError, ("group", "normal"))
         check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
         # the image of h in G/N has order ord(h) / #(<h> ∩ N)
-        meet = cyclic_meet_order(group, params["h"], normal)
+        (h,) = json_fields(params, what, CoverError, ("h",))
+        meet = cyclic_meet_order(group, h, normal)
         return PullbackFormula(
             kind,
             (("psi", "any lift of the marked point", Fraction(1, meet)),),
         )
     if kind == "forgetful":
-        group = params["group"]
+        (group,) = json_fields(params, what, CoverError, ("group",))
         if cls == "kappa":
-            i = params["index"]
+            (i,) = json_fields(params, what, CoverError, ("index",))
             if type(i) is not int or i < 1:
                 raise CoverError(
                     f"kappa index {i!r} must be an integer >= 1 (kappa_0 is a constant)"
@@ -929,7 +927,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
                     ("psi-new-point-power", f"exponent {i}", Fraction(-len(group))),
                 ),
             )
-        h = params["h"]
+        (h,) = json_fields(params, what, CoverError, ("h",))
         reps = left_cosets(group, group.cyclic_subgroup(h)).reps
         terms: list[tuple[str, str, Fraction]] = [("psi", "same point", Fraction(1))]
         for rep in reps:

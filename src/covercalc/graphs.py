@@ -48,7 +48,7 @@ import itertools
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from covercalc.errors import GraphError, InvariantError
+from covercalc.errors import GraphError, InvariantError, json_fields, json_list
 from covercalc.groups import invert, orbit_partition
 
 
@@ -300,13 +300,13 @@ class StableGraph(_StableGraphFields):
         """Read the JSON form.  Genera, attachments, involution pairs and legs
         must be lists of non-bool ints, each pair and leg [label, vertex]
         exactly two of them; anything else raises GraphError."""
-        if not isinstance(data, dict):
-            raise GraphError("a stable graph must be a JSON object")
-        genera = _json_ints(data["vertex_genera"], "vertex_genera")
-        hv = _json_ints(data["half_edge_vertex"], "half_edge_vertex")
+        names = ("vertex_genera", "half_edge_vertex", "involution_pairs", "legs")
+        genera, hv, pairs, legs = json_fields(data, "a stable graph", GraphError, names)
+        genera = _json_ints(genera, "vertex_genera")
+        hv = _json_ints(hv, "half_edge_vertex")
         pairs = [_json_ints(e, "an involution pair", 2)
-                 for e in _json_list(data["involution_pairs"], "involution_pairs")]
-        legs = [_json_ints(e, "a leg", 2) for e in _json_list(data["legs"], "legs")]
+                 for e in json_list(pairs, "involution_pairs", GraphError)]
+        legs = [_json_ints(e, "a leg", 2) for e in json_list(legs, "legs", GraphError)]
         inv = [-1] * len(hv)
         for h, hp in pairs:
             if not (0 <= h < len(hv) and 0 <= hp < len(hv)) or h == hp:
@@ -324,15 +324,9 @@ class StableGraph(_StableGraphFields):
         return graph
 
 
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise GraphError(f"{what} must be a list: {value!r}")
-    return list(value)
-
-
 def _json_ints(value, what: str, size: int | None = None) -> tuple[int, ...]:
     """A JSON list of ints (not floats or bools), of length `size` if given."""
-    entries = _json_list(value, what)
+    entries = json_list(value, what, GraphError)
     if not all(type(x) is int for x in entries):
         raise GraphError(f"{what} must be a list of integers: {value!r}")
     if size is not None and len(entries) != size:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from covercalc.errors import GroupError, InvariantError, NotNormalError
+from covercalc.errors import GroupError, InvariantError, NotNormalError, json_fields
 
 Perm = tuple[int, ...]
 
@@ -200,9 +200,7 @@ class FiniteGroup(FrozenRecord):
     def from_json(data: dict) -> "FiniteGroup":
         """Read {"degree", "generators"}: a degree >= 1 and a non-empty list
         of 1-based permutations of it, GroupError otherwise."""
-        if not isinstance(data, dict):
-            raise GroupError("a group must be a JSON object")
-        degree, gens = data["degree"], data["generators"]
+        degree, gens = json_fields(data, "a group", GroupError, ("degree", "generators"))
         if type(degree) is not int:
             raise GroupError(f"group degree {degree!r} is not an integer")
         if degree < 1:

@@ -611,6 +611,55 @@ def test_an_array_where_an_object_belongs_is_a_domain_error(
     assert "TypeError" not in payload["error"]
 
 
+# A null, a number or an empty object where a list or an object belongs,
+# and the domain error it gets; each used to end in a bare TypeError or
+# KeyError
+NULLS_AND_NUMBERS = [
+    (["validate-ggraph", "@in"], ("action_generators",), None, "CoverError"),
+    (["validate-ggraph", "@in"], ("action_generators",), 3, "CoverError"),
+    (["validate-ggraph", "@in"], ("monodromy_half_edges",), None, "CoverError"),
+    (["validate-ggraph", "@in"], ("monodromy_half_edges",), 3, "CoverError"),
+    (["validate-ggraph", "@in"], ("monodromy_legs",), None, "CoverError"),
+    (["validate-ggraph", "@in"], ("monodromy_legs",), 3, "CoverError"),
+    (["validate-ggraph", "@in"], ("action_generators", 0, "legs"), None, "CoverError"),
+    (["validate-ggraph", "@in"], ("action_generators", 0), {}, "CoverError"),
+    (["validate-ggraph", "@in"], ("space", "xi"), None, "CoverError"),
+    (["validate-ggraph", "@in"], ("space",), {}, "CoverError"),
+    (["validate-ggraph", "@in"], ("graph",), {}, "GraphError"),
+    (["validate-ggraph", "@in"], ("space", "group"), {}, "GroupError"),
+    (["intersect-ggraph", "--a", "@in", "--b", "@in"], ("graph",), {}, "GraphError"),
+    (["qmod-check", "--input", "@in"], ("coefficients",), None, "ValueError"),
+    (["pullback", "@in"], ("normal",), None, "CoverError"),
+    (["pullback", "@in"], ("group",), {}, "GroupError"),
+]
+_DOCUMENTS = {"validate-ggraph": _ggraph_json, "intersect-ggraph": _ggraph_json,
+              "qmod-check": lambda: {"order": 1, "coefficients": ["1", "0"]},
+              "pullback": lambda: dict(PULLBACK)}
+
+
+@pytest.mark.parametrize("argv, path, value, error", NULLS_AND_NUMBERS,
+                         ids=[f"{a[0]} {'.'.join(map(str, p))}={json.dumps(v)}"
+                              for a, p, v, _ in NULLS_AND_NUMBERS])
+def test_a_null_number_or_empty_object_is_a_domain_error(
+    tmp_path, capsys, argv, path, value, error
+):
+    document = _DOCUMENTS[argv[0]]()
+    _set(path, value)(document)
+    code, out = _run_with_inputs(tmp_path, capsys, argv, {"in": document})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"].startswith(f"{error}: ")
+    assert not payload["error"].startswith(("TypeError", "KeyError"))
+
+
+def test_a_pullback_without_its_group_is_a_domain_error(tmp_path, capsys):
+    files = {"in": {"kind": "corestriction", "cls": "psi"}}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], files)
+    assert code == 2
+    assert json.loads(out)["error"] == "CoverError: a corestriction pullback has no 'group', 'normal'"
+
+
 MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]
 
 

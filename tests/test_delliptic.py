@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -178,8 +179,12 @@ def test_three_chain_rows_are_checked_one_by_one(monkeypatch):
         return real(nodes) * (2 if len(nodes) == 2 else 1)
 
     monkeypatch.setattr(delliptic, "normalization_branches", broken)
-    with pytest.raises(InvariantError, match=r"^three-chain/b-over-plus row \(1, 1, 1, 0, 1\)"):
+    first_row = r"^three-chain/b-over-plus row \(1, 1, 1, 0, 1\)"
+    with pytest.raises(InvariantError, match=first_row):
         delta00_contributions(3)
+    for rows in (True, False):
+        with pytest.raises(InvariantError, match=first_row):
+            degree_ledger(3, rows=rows)
 
 
 def _doubled_where(name, broken):
@@ -211,6 +216,40 @@ def test_each_family_checks_its_rows(monkeypatch, family):
     monkeypatch.setattr(delliptic, name, _doubled_where(name, broken))
     with pytest.raises(InvariantError, match=f"^{first_row}: normalized total"):
         build(6)
+
+
+# The row-free walk behind each ledger builder.
+ROW_FREE_WALKS = {
+    delta00_contributions: delliptic._delta00_walk,
+    delta01_contributions: delliptic._delta01_walk,
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_BREACHES)
+def test_the_row_free_path_checks_every_row(monkeypatch, family):
+    # the same breach, walked without building rows, names the same first row
+    name, broken, build, first_row = FAMILY_BREACHES[family]
+    monkeypatch.setattr(delliptic, name, _doubled_where(name, broken))
+    with pytest.raises(InvariantError, match=f"^{first_row}: normalized total"):
+        ROW_FREE_WALKS[build](6, None)
+    messages = []
+    for rows in (True, False):
+        with pytest.raises(InvariantError) as caught:
+            degree_ledger(6, rows=rows)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    if build is delta00_contributions:  # delta00 is walked first
+        assert re.match(first_row, messages[0])
+
+
+def test_the_row_free_ledger_equals_the_row_path():
+    for d in range(2, 31):
+        built, free = degree_ledger(d, rows=True), degree_ledger(d, rows=False)
+        assert built.delta00_rows and built.delta01_rows
+        assert free.delta00_rows == free.delta01_rows == []
+        assert free.delta00 == built.delta00
+        assert free.delta01 == built.delta01
+        assert free.delta00_aggregates == built.delta00_aggregates
 
 
 def _pairing_series(d_max: int):
@@ -272,9 +311,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(delliptic, name)
 
-    def counted(d):
+    def counted(d, *rest):
         calls.append(d)
-        return real(d)
+        return real(d, *rest)
 
     monkeypatch.setattr(delliptic, name, counted)
     return calls
@@ -286,9 +325,14 @@ def _count_calls(monkeypatch, name):
         ["--ledger", "--series", "--qmod", "--human"], r)],
 )
 def test_cli_builds_each_ledger_once_per_degree(monkeypatch, capsys, flags):
-    calls00 = _count_calls(monkeypatch, "delta00_contributions")
-    calls01 = _count_calls(monkeypatch, "delta01_contributions")
+    # each ledger is walked once per degree; its rows are built (in that
+    # same walk) only when --ledger asks for them
+    walks00 = _count_calls(monkeypatch, "_delta00_walk")
+    walks01 = _count_calls(monkeypatch, "_delta01_walk")
+    built00 = _count_calls(monkeypatch, "delta00_contributions")
+    built01 = _count_calls(monkeypatch, "delta01_contributions")
     code = main(["delliptic", "--dmax", "10", *flags])
     capsys.readouterr()
     assert code == (2 if "--qmod" in flags else 0)  # --qmod needs dmax >= 37
-    assert calls00 == calls01 == list(range(2, 11))
+    assert walks00 == walks01 == list(range(2, 11))
+    assert built00 == built01 == (list(range(2, 11)) if "--ledger" in flags else [])
