@@ -200,10 +200,22 @@ def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> No
 
 
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON value in file `path` ("-": stdin); an unreadable path or
+    nesting too deep for the decoder is a usage error naming the path."""
+    try:
+        if path == "-":
+            return _decode(json.load, sys.stdin, "stdin")
+        with open(path, "r", encoding="utf-8") as handle:
+            return _decode(json.load, handle, repr(path))
+    except OSError as err:
+        raise UsageError(f"cannot read {path!r}: {err.strerror or err}") from None
+
+
+def _decode(load, source, name: str):
+    try:
+        return load(source)
+    except RecursionError:
+        raise UsageError(f"{name} nests JSON too deeply to decode") from None
 
 
 def cmd_integrate(args) -> int:
@@ -255,7 +267,7 @@ def cmd_hurwitz_count(args) -> int:
     from covercalc.exact import rat_to_str
     from covercalc.hurwitz import hurwitz_cover_count
 
-    types = json.loads(args.types)
+    types = _decode(json.loads, args.types, "--types")
     count = hurwitz_cover_count(args.degree, types, weighted=args.weighted)
     _emit(
         {
@@ -326,15 +338,17 @@ def cmd_delliptic(args) -> int:
 
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
+    # --human prints only the values table, so it builds no ledger rows
+    rows = args.ledger and not args.human
     values, ledgers, numbers00, numbers01 = {}, {}, [], []
     for d in range(2, args.dmax + 1):
-        ledger = degree_ledger(d, rows=args.ledger)
+        ledger = degree_ledger(d, rows=rows)
         values[str(d)] = {
             "delta00": rat_to_str(ledger.delta00),
             "delta01": rat_to_str(ledger.delta01),
             "delta00_aggregates": [rat_to_str(x) for x in ledger.delta00_aggregates],
         }
-        if args.ledger:
+        if rows:
             ledgers[str(d)] = {
                 "delta00": _LedgerRows(ledger.delta00_rows),
                 "delta01": _LedgerRows(ledger.delta01_rows),
@@ -343,7 +357,7 @@ def cmd_delliptic(args) -> int:
         numbers01.append(ledger.delta01)
         del ledger  # free this degree's rows before the next degree's are built
     payload: dict = {"dmax": args.dmax, "values": values}
-    if args.ledger:
+    if rows:
         payload["ledgers"] = ledgers
     s00, s01 = pairing_series(numbers00), pairing_series(numbers01)
     if args.series:

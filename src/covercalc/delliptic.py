@@ -474,6 +474,13 @@ def pairing_series(numbers: Sequence[Fraction]) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
+# the report's fit: the weight <= 4 quasimodular span, solved on the first
+# 20 coefficients and checked exactly on the next 18
+QMOD_WEIGHT_BOUND = 4
+QMOD_FIT_LEN = 20
+QMOD_HOLDOUT_LEN = 18
+
+
 class QuasimodularityReport(NamedTuple):
     d_max: int
     weight_bound: int
@@ -491,28 +498,22 @@ class QuasimodularityReport(NamedTuple):
         }
 
 
-def quasimodularity_report(
-    s00: QSeries,
-    s01: QSeries,
-    weight_bound: int = 4,
-    fit_len: int = 20,
-    holdout_len: int = 18,
-) -> QuasimodularityReport:
+def quasimodularity_report(s00: QSeries, s01: QSeries) -> QuasimodularityReport:
     """Membership of the two normalized pairing series (delta00, delta01; both
     to order d_max), with split stability."""
     d_max = s00.order
-    if d_max < fit_len + holdout_len - 1:
+    if d_max < QMOD_FIT_LEN + QMOD_HOLDOUT_LEN - 1:
         raise PipelineError(
-            f"d_max={d_max} too small for fit {fit_len} + holdout {holdout_len}"
+            f"d_max={d_max} too small for fit {QMOD_FIT_LEN} + holdout {QMOD_HOLDOUT_LEN}"
         )
-    rep00 = is_quasimodular(s00, weight_bound, fit_len, holdout_len)
-    rep01 = is_quasimodular(s01, weight_bound, fit_len, holdout_len)
+    rep00 = is_quasimodular(s00, QMOD_WEIGHT_BOUND, QMOD_FIT_LEN, QMOD_HOLDOUT_LEN)
+    rep01 = is_quasimodular(s01, QMOD_WEIGHT_BOUND, QMOD_FIT_LEN, QMOD_HOLDOUT_LEN)
     stable = True
     for shift in (-5, 5):
         for series, base in ((s00, rep00), (s01, rep01)):
             moved = is_quasimodular(
-                series, weight_bound, fit_len + shift, holdout_len - shift
+                series, QMOD_WEIGHT_BOUND, QMOD_FIT_LEN + shift, QMOD_HOLDOUT_LEN - shift
             )
             if moved.is_member != base.is_member:
                 stable = False
-    return QuasimodularityReport(d_max, weight_bound, rep00, rep01, stable)
+    return QuasimodularityReport(d_max, QMOD_WEIGHT_BOUND, rep00, rep01, stable)

@@ -57,7 +57,6 @@ from covercalc.groups import (
     orbit_partition,
     perm_from_json,
     perm_order,
-    quotient,
 )
 
 
@@ -249,13 +248,11 @@ class GAction(NamedTuple):
         index = {x: i for i, x in enumerate(reps)}
         return [index[x] for x in least], reps
 
-    def edge_orbit_representatives(
-        self, edges=None, acting: FiniteGroup | None = None
-    ) -> list[tuple[int, int]]:
-        """The first edge of each orbit met, walking edges (default: all).
+    def edge_orbit_representatives(self, edges=None) -> list[tuple[int, int]]:
+        """The first edge of each G-orbit met, walking edges (default: all).
         t takes the edge (h, h') to (t h, t h'), so the lesser label of its
         two halves names its orbit."""
-        labels, _ = self.orbit_labels("half", acting or self.group)
+        labels, _ = self.orbit_labels("half", self.group)
         seen: set[int] = set()
         reps = []
         for h, hp in self.graph.edges() if edges is None else edges:
@@ -427,72 +424,35 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
             out.append(
                 Violation("balancing", f"edge ({h},{hp}) monodromies are not inverse")
             )
-    # dedupe labels, preserve order
-    seen = set()
-    unique = []
-    for v in out:
-        key = (v.label, v.detail)
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-    return unique
+    # dedupe, first-seen order
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
 # restriction and corestriction
 
 
-class RelabelingData(NamedTuple):
-    """Per marked orbit i: ordered representatives of the G1-orbits on
-    G/<h_i>, pinning the distinguished points after restriction."""
-
-    reps: tuple[tuple[Perm, ...], ...]
-
-
-def canonical_relabeling(space: HurwitzSpaceId, subgroup: FiniteGroup) -> RelabelingData:
-    return RelabelingData(tuple(
-        tuple(table.reps[orbit[0]] for orbit in orbit_on_cosets(subgroup, table))
-        for table in space.cosets
-    ))
-
-
-def _validate_relabeling(
-    space: HurwitzSpaceId, subgroup: FiniteGroup, rel: RelabelingData
-) -> None:
-    if len(rel.reps) != len(space.xi):
-        raise CoverError("relabeling data must cover every marked orbit")
-    for table, reps in zip(space.cosets, rel.reps):
-        orbits = orbit_on_cosets(subgroup, table)
-        orbit_of = {k: n for n, orbit in enumerate(orbits) for k in orbit}
-        if not all(t in space.group for t in reps):
-            raise CoverError("relabeling representative matches no orbit")
-        chosen = [orbit_of[coset_index(table, t)] for t in reps]
-        if not is_perm(chosen, len(orbits)):
-            raise CoverError(
-                "relabeling representatives must hit each orbit exactly once"
-            )
-
-
 def restriction_monodromy(
-    space: HurwitzSpaceId,
-    subgroup: FiniteGroup,
-    rel: RelabelingData | None = None,
+    space: HurwitzSpaceId, subgroup: FiniteGroup
 ) -> tuple[HurwitzSpaceId, list[tuple[int, int, Perm, int]]]:
     """Monodromy after restricting the action to a subgroup.
 
     Returns the restricted space (same source genus, over the subgroup) and
     a ledger of (orbit i, piece j, representative t_ij, power r_ij); the
     new elements are t h_i^r t^-1 with r the stabilizer index drop.
+
+    Marked orbit i splits into the subgroup's orbits on G/<h_i>, and piece
+    j's distinguished point is the first coset of the j-th orbit of
+    `orbit_on_cosets`, so the representatives are canonical.  Any other
+    choice of representatives differs by a relabeling isomorphism of the
+    restricted space, so this one choice loses nothing.
     """
     group = space.group
-    if rel is None:
-        rel = canonical_relabeling(space, subgroup)
-    else:
-        _validate_relabeling(space, subgroup, rel)
     new_xi = []
     ledger = []
-    for i, h in enumerate(space.xi):
-        for j, t in enumerate(rel.reps[i]):
+    for i, (h, table) in enumerate(zip(space.xi, space.cosets)):
+        for j, orbit in enumerate(orbit_on_cosets(subgroup, table)):
+            t = table.reps[orbit[0]]
             r, power = _restricted(group, compose(t, compose(h, invert(t))), subgroup)
             new_xi.append(power)
             ledger.append((i, j, t, r))
@@ -515,19 +475,15 @@ def corestriction_monodromy(
 ) -> tuple[HurwitzSpaceId, QuotientGroup]:
     """Componentwise projection of the monodromy to G/N, over the partial
     quotient curve."""
-    q = quotient(space.group, normal)
+    q = QuotientGroup(space.group, normal)
     new_xi = tuple(q.project(h) for h in space.xi)
     return HurwitzSpaceId(_quotient_source_genus(space, normal), q.group, new_xi), q
 
 
-def restrict_graph(
-    gg: AdmissibleGGraph,
-    subgroup: FiniteGroup,
-    rel: RelabelingData | None = None,
-) -> AdmissibleGGraph:
+def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGraph:
     """The same graph with the action restricted and legs relabeled."""
     group = gg.group
-    new_space, ledger = restriction_monodromy(gg.space, subgroup, rel)
+    new_space, ledger = restriction_monodromy(gg.space, subgroup)
     # map new leg positions to old ones through the coset layouts
     old_tables = gg.space.cosets
     old_offsets = gg.space.distinguished_positions

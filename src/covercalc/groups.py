@@ -332,10 +332,6 @@ class QuotientGroup(FrozenRecord):
         return self.cosets.reps[q[0]]
 
 
-def quotient(group: FiniteGroup, normal: FiniteGroup) -> QuotientGroup:
-    return QuotientGroup(group, normal)
-
-
 # named constructors
 
 

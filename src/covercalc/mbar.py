@@ -344,14 +344,12 @@ def _expand_excess(gamma: StableGraph, excess: tuple[tuple[int, int], ...]):
     return partials
 
 
-def integrate_stratum_class(cls: StratumClass, max_vertex_genus: int = 1) -> Fraction:
+def integrate_stratum_class(cls: StratumClass) -> Fraction:
     """Integrate a top-codimension StratumClass over M_{g,n}, as written.
 
-    Each term integrates factor by factor over its stratum; kappa classes
-    are converted through forgetful pushforwards.  Vertices of genus above
-    `max_vertex_genus` raise: silent wrong numbers would be worse, and the
-    zero-cycle pipeline only needs genus <= 1.  Callers that really want
-    genus-2 factors opt in explicitly.
+    Each term integrates factor by factor over its stratum, every vertex
+    through `integrate_psi_kappa`, at any genus; kappa classes are converted
+    through forgetful pushforwards.
     """
     dim = 3 * cls.genus - 3 + cls.n_legs
     total = Fraction(0)
@@ -361,20 +359,14 @@ def integrate_stratum_class(cls: StratumClass, max_vertex_genus: int = 1) -> Fra
             raise IntegralError(
                 f"term has codimension {codim}, not top degree {dim}"
             )
-        total += coeff * _integrate_term(graph, dec, max_vertex_genus)
+        total += coeff * _integrate_term(graph, dec)
     return total
 
 
-def _integrate_term(
-    graph: StableGraph, dec: Decoration, max_vertex_genus: int
-) -> Fraction:
+def _integrate_term(graph: StableGraph, dec: Decoration) -> Fraction:
     value = Fraction(1)
     for v in range(graph.n_vertices):
         gv = graph.genera[v]
-        if gv > max_vertex_genus:
-            raise IntegralError(
-                f"vertex genus {gv} exceeds the supported bound {max_vertex_genus}"
-            )
         psi = []
         for kind, idx in graph.vertex_points(v):
             psi.append(dec.psi_leg[idx] if kind == "leg" else dec.psi_half[idx])

@@ -189,7 +189,7 @@ class MembershipReport(NamedTuple):
 
 
 def is_quasimodular(
-    series: QSeries, weight_bound: int = 4, fit_len: int = 20, holdout_len: int = 18
+    series: QSeries, weight_bound: int, fit_len: int, holdout_len: int
 ) -> MembershipReport:
     """Exact membership of a q-series in the weight-bounded quasimodular span.
 

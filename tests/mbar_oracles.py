@@ -24,8 +24,7 @@ def pair_boundary_pushforwards(a: StableGraph, b: StableGraph) -> Fraction:
     """Number pairing <xi_A^* xi_B* (1), theta> on M_{g,n}.
 
     theta is psi_1^D (D = complementary degree) when the space has legs, or
-    kappa_1^D otherwise.  Genus-2 vertices are allowed here: the pairing is
-    used by the bivariant-symmetry checks whose corpora include them.
+    kappa_1^D otherwise.
     """
     g, n = a.genus(), a.n_legs
     dim = 3 * g - 3 + n
@@ -48,4 +47,4 @@ def pair_boundary_pushforwards(a: StableGraph, b: StableGraph) -> Fraction:
         for c, dd in decorated:
             terms.append((c, gamma, dd))
     full = StratumClass(g, n, tuple(terms))
-    return integrate_stratum_class(full, max_vertex_genus=2)
+    return integrate_stratum_class(full)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -755,6 +756,56 @@ def test_usage_errors_exit_2_under_python_O():
         payload = json.loads(out)
         check_schema("error", payload)
         assert payload["error"].startswith(error)
+
+
+# Inputs the JSON reader cannot read: each used to end in a traceback with
+# exit 1 (FileNotFoundError, IsADirectoryError, or a RecursionError from the
+# decoder).  "{missing}", "{dir}" and "{deep}" stand for paths under tmp_path.
+UNREADABLE_INPUTS = {
+    "missing file": (["validate-ggraph", "{missing}"],
+                     "UsageError: cannot read '{missing}': No such file or directory"),
+    "directory": (["intersect-boundary", "--a", "{dir}", "--b", "{dir}"],
+                  "UsageError: cannot read '{dir}': Is a directory"),
+    "deep file": (["qmod-check", "--input", "{deep}"],
+                  "UsageError: '{deep}' nests JSON too deeply to decode"),
+    "deep types": (["hurwitz-count", "--degree", "2", "--types", "[" * 2000 + "]" * 2000],
+                   "UsageError: --types nests JSON too deeply to decode"),
+}
+
+
+def _unreadable(tmp_path, argv, error):
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    paths = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path),
+             "deep": str(tmp_path / "deep.json")}
+    return [arg.format(**paths) for arg in argv], error.format(**paths)
+
+
+@pytest.mark.parametrize("argv, error", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS.keys())
+def test_unreadable_inputs_are_usage_errors(tmp_path, capsys, argv, error):
+    argv, error = _unreadable(tmp_path, argv, error)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == error
+
+
+def test_deep_json_on_stdin_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
+    code, out = run_cli(capsys, ["qmod-check"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == "UsageError: stdin nests JSON too deeply to decode"
+
+
+def test_unreadable_inputs_exit_2_under_python_O(tmp_path):
+    cases = [_unreadable(tmp_path, argv, error) for argv, error in UNREADABLE_INPUTS.values()]
+    for (out, code), (_, error) in zip(_run_under_python_O([a for a, _ in cases]), cases):
+        assert code == "2"
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"] == error
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -326,7 +326,8 @@ def _count_calls(monkeypatch, name):
 )
 def test_cli_builds_each_ledger_once_per_degree(monkeypatch, capsys, flags):
     # each ledger is walked once per degree; its rows are built (in that
-    # same walk) only when --ledger asks for them
+    # same walk) only when --ledger asks for them and --human does not hide
+    # them behind the values table
     walks00 = _count_calls(monkeypatch, "_delta00_walk")
     walks01 = _count_calls(monkeypatch, "_delta01_walk")
     built00 = _count_calls(monkeypatch, "delta00_contributions")
@@ -335,4 +336,5 @@ def test_cli_builds_each_ledger_once_per_degree(monkeypatch, capsys, flags):
     capsys.readouterr()
     assert code == (2 if "--qmod" in flags else 0)  # --qmod needs dmax >= 37
     assert walks00 == walks01 == list(range(2, 11))
-    assert built00 == built01 == (list(range(2, 11)) if "--ledger" in flags else [])
+    printed = "--ledger" in flags and "--human" not in flags
+    assert built00 == built01 == (list(range(2, 11)) if printed else [])

@@ -11,9 +11,7 @@ from covercalc.gcover import (
     CoverError,
     GAction,
     HurwitzSpaceId,
-    RelabelingData,
     boundary_intersection_H,
-    canonical_relabeling,
     corestrict_graph,
     corestriction_boundary_multiplicity,
     corestriction_monodromy,
@@ -91,21 +89,13 @@ def test_relabeling_is_checked_against_the_coset_table():
     t = (1, 0, 2)
     space = HurwitzSpaceId(4, s3, (t, t))
     z2 = s3.cyclic_subgroup(t)
-    canonical = canonical_relabeling(space, z2)
-    # <(12)> has two orbits on the three cosets of <(12)>: {<t>} and the rest
-    assert canonical.reps == ((s3.identity, (0, 2, 1)),) * 2
-    new, _ = restriction_monodromy(space, z2)
-    # any other representatives of the same orbits give the same orbit count
-    other = RelabelingData(((s3.identity, (2, 1, 0)), ((1, 2, 0), s3.identity)))
-    moved, _ = restriction_monodromy(space, z2, other)
-    assert len(moved.xi) == len(new.xi) == 4
-    for bad in (
-        RelabelingData(((s3.identity, (0, 2, 1)),)),
-        RelabelingData(((s3.identity, s3.identity), (s3.identity, (0, 2, 1)))),
-        RelabelingData(((s3.identity, (0, 2, 1, 3)), (s3.identity, (0, 2, 1)))),
-    ):
-        with pytest.raises(CoverError):
-            restriction_monodromy(space, z2, bad)
+    new, ledger = restriction_monodromy(space, z2)
+    # <(12)> has two orbits on the three cosets of <(12)>: {<t>} and the rest;
+    # each piece is pinned by the first coset of its orbit
+    assert [(i, j, rep) for i, j, rep, _ in ledger] == [
+        (i, j, rep) for i in range(2) for j, rep in enumerate((s3.identity, (0, 2, 1)))
+    ]
+    assert len(new.xi) == 4
 
 
 def test_corestriction_monodromy_examples():
@@ -392,10 +382,10 @@ def test_orbits_and_stabilizers_match_their_definitions():
                     assert stab == [t for t in sub.elements if table[t][x] == x]
                     assert len(orbit) * len(stab) == len(sub)
                     assert reps[labels[x]] == orbit[0]
-            reps = action.edge_orbit_representatives(acting=sub)
-            orbits = [{gg.graph.edge_of(action.half[t][e[0]]) for t in sub.elements}
-                      for e in reps]
-            assert sorted(e for orbit in orbits for e in orbit) == list(gg.graph.edges())
+        reps = action.edge_orbit_representatives()
+        orbits = [{gg.graph.edge_of(action.half[t][e[0]]) for t in gg.group.elements}
+                  for e in reps]
+        assert sorted(e for orbit in orbits for e in orbit) == list(gg.graph.edges())
 
 
 def test_quotient_genus_solves_riemann_hurwitz():

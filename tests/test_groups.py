@@ -7,6 +7,7 @@ from covercalc.groups import (
     FiniteGroup,
     GroupError,
     NotNormalError,
+    QuotientGroup,
     check_normal,
     compose,
     coset_index,
@@ -19,7 +20,6 @@ from covercalc.groups import (
     invert,
     perm_from_cycles,
     perm_order,
-    quotient,
     symmetric_group,
     trivial_group,
 )
@@ -105,15 +105,15 @@ def test_orbit_on_cosets():
 
 def test_quotient_examples():
     g = s3()
-    q = quotient(g, g.generated_subgroup(()))
+    q = QuotientGroup(g, g.generated_subgroup(()))
     assert len(q.group) == 6
-    q2 = quotient(g, g)
+    q2 = QuotientGroup(g, g)
     assert len(q2.group) == 1
     a3 = g.generated_subgroup([(1, 2, 0)])
-    q3 = quotient(g, a3)
+    q3 = QuotientGroup(g, a3)
     assert len(q3.group) == 2
     with pytest.raises(NotNormalError) as err:
-        quotient(g, g.cyclic_subgroup((1, 0, 2)))
+        QuotientGroup(g, g.cyclic_subgroup((1, 0, 2)))
     witness_g, witness_n = err.value.witness
     assert compose(witness_g, compose(witness_n, tuple(
         witness_g.index(i) for i in range(3)))) not in g.cyclic_subgroup((1, 0, 2))
@@ -125,7 +125,7 @@ def test_quotient_projection_is_homomorphism():
         perm_from_cycles(4, [(0, 1), (2, 3)]),
         perm_from_cycles(4, [(0, 2), (1, 3)]),
     ])
-    q = quotient(g, v4)
+    q = QuotientGroup(g, v4)
     assert len(q.group) == 6
     rng = random.Random(7)
     for _ in range(50):
@@ -290,7 +290,7 @@ def test_rep_of_is_a_section():
         [perm_from_cycles(6, [(0, 1, 2)]), perm_from_cycles(6, [(0, 1), (2, 3, 4, 5)])]
     )
     for group, normal, order in ((s4, v4, 6), (s6, a6, 2)):
-        q = quotient(group, normal)
+        q = QuotientGroup(group, normal)
         assert len(q.group) == order
         for x in q.group.elements:
             assert q.project(q.rep_of(x)) == x

@@ -13,7 +13,6 @@ from covercalc.gcover import (
     HurwitzSpaceId,
     Violation,
     boundary_intersection_H,
-    canonical_relabeling,
     pullback_psi_kappa_hurwitz,
 )
 from covercalc.graphs import (
@@ -25,9 +24,9 @@ from covercalc.graphs import (
 from covercalc.groups import (
     FiniteGroup,
     FrozenRecord,
+    QuotientGroup,
     cyclic_group,
     left_cosets,
-    quotient,
 )
 
 
@@ -48,12 +47,11 @@ FACTORIES = {
     "GenericABGraph": lambda: enumerate_generic_AB(_separating(), _separating())[0],
     "FiniteGroup": lambda: cyclic_group(4),
     "Cosets": lambda: left_cosets(*_z4_halves()),
-    "QuotientGroup": lambda: quotient(*_z4_halves()),
+    "QuotientGroup": lambda: QuotientGroup(*_z4_halves()),
     "HurwitzSpaceId": lambda: _z2_gp(1).space,
     "GAction": lambda: _z2_gp(1).action,
     "Violation": lambda: Violation("balancing", "edge (0,1) monodromies are not inverse"),
     "AdmissibleGGraph": lambda: _z2_gp(1),
-    "RelabelingData": lambda: canonical_relabeling(_z2_gp(1).space, cyclic_group(2)),
     "HBoundaryTerm": lambda: boundary_intersection_H(_z2_gp(1), _z2_gp(1))[0],
     "PullbackFormula": lambda: pullback_psi_kappa_hurwitz("restriction", cls="psi"),
 }
@@ -96,7 +94,7 @@ def test_no_field_can_be_rebound(name):
 
 
 def test_derived_records_refuse_new_attributes_too():
-    for record in (cyclic_group(2), quotient(*_z4_halves()), _z2_gp(1).space):
+    for record in (cyclic_group(2), QuotientGroup(*_z4_halves()), _z2_gp(1).space):
         with pytest.raises(AttributeError):
             record.note = 1
 
