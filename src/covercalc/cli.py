@@ -1,10 +1,10 @@
 """Command-line interface: JSON in, JSON out, exact numbers as "p/q".
 
-Exit codes: 0 on success, 2 on malformed input, a malformed command line
-or a validation failure, 3 on an internal invariant breach (an
-`InvariantError`, which survives `python -O` where a bare assert would
-not).  Output is deterministic (sorted keys), so regression tests can diff
-bytes.
+Exit codes: 0 on success; 2 on an `errors.InputError` (malformed input or
+command line, a validation failure) and on nothing else; 3 on an
+`InvariantError` (which survives `python -O` where a bare assert would not)
+or any other exception, printed as "internal error: <Type>: <message>".
+Output is deterministic (sorted keys), so regression tests can diff bytes.
 
 Output goes through one writer, `_emit`.  Its bytes are exactly those of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every type a
@@ -40,29 +40,12 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from covercalc.errors import (
     CoverError,
-    GraphError,
-    GroupError,
-    HurwitzError,
-    IntegralError,
+    InputError,
     InvariantError,
     PipelineError,
     UsageError,
     json_fields,
     json_list,
-)
-
-USER_ERRORS = (
-    CoverError,
-    GraphError,
-    GroupError,
-    HurwitzError,
-    IntegralError,
-    PipelineError,
-    UsageError,
-    KeyError,
-    TypeError,
-    ValueError,
-    json.JSONDecodeError,
 )
 
 # Pieces of output text gathered before they are written to stdout as one block.
@@ -216,6 +199,8 @@ def _decode(load, source, name: str):
         return load(source)
     except RecursionError:
         raise UsageError(f"{name} nests JSON too deeply to decode") from None
+    except ValueError as err:
+        raise UsageError(f"{name} is not JSON: {err}") from None
 
 
 def cmd_integrate(args) -> int:
@@ -480,11 +465,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except USER_ERRORS as err:
+    except InputError as err:
         _emit({"error": f"{type(err).__name__}: {err}"})
         return 2
     except InvariantError as err:
         _emit({"error": f"internal invariant breach: {err}"})
+        return 3
+    except Exception as err:
+        _emit({"error": f"internal error: {type(err).__name__}: {err}"})
         return 3
 
 

@@ -5,7 +5,8 @@ Each layer re-exports the classes it raises (`graphs.GraphError`,
 here, they cost the CLI nothing to import: it can catch every user error
 before, or without, loading the layer that raises it.
 
-All but `InvariantError` mean bad input: the CLI maps them to exit code 2.
+`InputError` is bad input, and every class but `InvariantError` derives from
+it: the CLI maps it, and nothing else, to exit code 2.
 The two shape checks every `from_json` makes, `json_fields` and
 `json_list`, live here too, so that a null, a number or a missing key where
 JSON input needs an object or a list raises the reading layer's own error.
@@ -17,7 +18,11 @@ class InvariantError(RuntimeError):
     bad input.  The CLI maps it to exit code 3."""
 
 
-class GroupError(ValueError):
+class InputError(ValueError):
+    """Input the package refuses.  The CLI maps it to exit code 2."""
+
+
+class GroupError(InputError):
     pass
 
 
@@ -27,15 +32,15 @@ class NotNormalError(GroupError):
         super().__init__(f"subgroup is not normal: conjugating {n} by {g} leaves it")
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     pass
 
 
-class IntegralError(ValueError):
+class IntegralError(InputError):
     pass
 
 
-class CoverError(ValueError):
+class CoverError(InputError):
     pass
 
 
@@ -43,20 +48,24 @@ class ActionError(CoverError):
     pass
 
 
-class HurwitzError(ValueError):
+class HurwitzError(InputError):
     pass
 
 
-class PipelineError(ValueError):
+class PipelineError(InputError):
     pass
 
 
-class UsageError(ValueError):
+class SeriesError(InputError):
+    """A malformed q-series or exact rational, or lengths it cannot meet."""
+
+
+class UsageError(InputError):
     """A command line the argument parser refuses: an unknown or missing
     command, a missing option, or a value of the wrong type."""
 
 
-def json_fields(data, what: str, error: type[ValueError], names: tuple[str, ...]) -> tuple:
+def json_fields(data, what: str, error: type[InputError], names: tuple[str, ...]) -> tuple:
     """The entries `names` of the JSON object `data` (`what` in messages),
     or `error` if data is not an object or lacks one of them."""
     if not isinstance(data, dict):
@@ -67,7 +76,7 @@ def json_fields(data, what: str, error: type[ValueError], names: tuple[str, ...]
     return tuple(data[name] for name in names)
 
 
-def json_list(value, what: str, error: type[ValueError]) -> list:
+def json_list(value, what: str, error: type[InputError]) -> list:
     """The JSON list `value` (`what` in messages), or `error`."""
     if not isinstance(value, (list, tuple)):
         raise error(f"{what} must be a list: {value!r}")

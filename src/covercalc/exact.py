@@ -17,18 +17,20 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from covercalc.errors import json_fields, json_list
+from covercalc.errors import SeriesError, json_fields, json_list
 
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p"; a zero denominator or a value that is not a
-    string is a ValueError like any other malformed string."""
+    string is a SeriesError like any other malformed string."""
     if not isinstance(s, str):
-        raise ValueError(f"exact rational {s!r} is not a string")
+        raise SeriesError(f"exact rational {s!r} is not a string")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise SeriesError(f"zero denominator in {s!r}") from None
+    except ValueError as err:
+        raise SeriesError(str(err)) from None
 
 
 def rat_to_str(x: Fraction | int) -> str:
@@ -55,7 +57,7 @@ def ratio_to_str(num: int, den: int) -> str:
 def sigma(n: int, k: int = 1) -> int:
     """Divisor power sum: sum of d**k over positive divisors d of n."""
     if n <= 0:
-        raise ValueError(f"divisor sum needs a positive argument, got {n}")
+        raise SeriesError(f"divisor sum needs a positive argument, got {n}")
     total = 0
     d = 1
     while d * d <= n:
@@ -75,7 +77,7 @@ def sigma1(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     if n <= 0:
-        raise ValueError(f"divisors of a positive integer only, got {n}")
+        raise SeriesError(f"divisors of a positive integer only, got {n}")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -108,7 +110,7 @@ class QSeries:
 
     def __init__(self, coeffs: tuple[int | Fraction, ...]) -> None:
         if not coeffs:
-            raise ValueError("a QSeries needs at least the constant coefficient")
+            raise SeriesError("a QSeries needs at least the constant coefficient")
         self.coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
 
     def __eq__(self, other: object) -> bool:
@@ -131,10 +133,10 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
-        coeffs, order = json_fields(data, "a q-series", ValueError, ("coefficients", "order"))
-        coeffs = [rat_from_str(s) for s in json_list(coeffs, "coefficients", ValueError)]
+        coeffs, order = json_fields(data, "a q-series", SeriesError, ("coefficients", "order"))
+        coeffs = [rat_from_str(s) for s in json_list(coeffs, "coefficients", SeriesError)]
         if type(order) is not int:
-            raise ValueError(f"order {order!r} is not an integer")
+            raise SeriesError(f"order {order!r} is not an integer")
         if len(coeffs) != order + 1:
-            raise ValueError("coefficient list does not match the stated order")
+            raise SeriesError("coefficient list does not match the stated order")
         return QSeries(tuple(coeffs))

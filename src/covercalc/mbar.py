@@ -67,6 +67,15 @@ def correlator(g: int, exponents: tuple[int, ...]) -> Fraction:
     if g >= 1 and n < 1:
         return Fraction(0)
     exps = tuple(sorted(exponents, reverse=True))
+    # dilaton equation, valid while the smaller space is stable: one tau_1
+    # at a time in a loop, so that a long chain of them does not recurse
+    factor = 1
+    while 1 in exps and len(exps) > (3 if g == 0 else 1):
+        i = exps.index(1)
+        exps = exps[:i] + exps[i + 1 :]
+        factor *= 2 * g - 2 + len(exps)
+    if len(exps) < n:
+        return factor * correlator(g, exps)
     if g == 0 and exps == (0, 0, 0):
         return TAU0_CUBED
     if g == 1 and exps == (1,):
@@ -83,12 +92,6 @@ def correlator(g: int, exponents: tuple[int, ...]) -> Fraction:
                 ),
                 Fraction(0),
             )
-    if exps[-1] == 1 or (1 in exps and len(exps) >= 2):
-        # dilaton equation
-        i = exps.index(1)
-        rest = exps[:i] + exps[i + 1 :]
-        if (g == 0 and len(rest) >= 3) or (g >= 1 and len(rest) >= 1):
-            return (2 * g - 2 + len(rest)) * correlator(g, rest)
     return _virasoro_step(g, exps)
 
 
@@ -143,7 +146,10 @@ def integrate_psi(g: int, exponents) -> Fraction:
         raise IntegralError(
             f"psi degree {sum(exponents)} is not top degree {3 * g - 3 + n}"
         )
-    return correlator(g, exponents)
+    try:
+        return correlator(g, exponents)
+    except RecursionError:
+        raise IntegralError(f"the recursion for {n} points is too deep to evaluate") from None
 
 
 @lru_cache(maxsize=None)

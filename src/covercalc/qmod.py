@@ -24,14 +24,14 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from covercalc.errors import InvariantError
+from covercalc.errors import InvariantError, SeriesError
 from covercalc.exact import QSeries, convolve, rat_to_str, sigma
 
 
 def eisenstein(k: int, order: int) -> QSeries:
     """E2, E4 or E6 as a q-series to the given truncation order."""
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
+    if order < 0:
+        raise SeriesError(f"truncation order {order} is negative")
     if k == 2:
         weight_coeff, power = -24, 1
     elif k == 4:
@@ -39,7 +39,7 @@ def eisenstein(k: int, order: int) -> QSeries:
     elif k == 6:
         weight_coeff, power = -504, 5
     else:
-        raise ValueError(f"Eisenstein weight {k} not in {{2, 4, 6}}")
+        raise SeriesError(f"Eisenstein weight {k} not in {{2, 4, 6}}")
     coeffs = [1] + [weight_coeff * sigma(n, power) for n in range(1, order + 1)]
     return QSeries(tuple(coeffs))
 
@@ -198,21 +198,21 @@ def is_quasimodular(
     coefficients exactly.
     """
     if holdout_len < 0:
-        raise ValueError(f"holdout length {holdout_len} is negative")
+        raise SeriesError(f"holdout length {holdout_len} is negative")
     needed = fit_len + holdout_len
     if series.order + 1 < needed:
-        raise ValueError(
+        raise SeriesError(
             f"series known to order {series.order} but {needed} coefficients required"
         )
     if weight_bound < 0:
-        raise ValueError(f"weight bound {weight_bound} is negative")
+        raise SeriesError(f"weight bound {weight_bound} is negative")
     size = _basis_size(weight_bound)
     if fit_len < size:
-        raise ValueError(
+        raise SeriesError(
             f"fit length {fit_len} below the basis size {size}; "
             "the solve would be underdetermined"
         )
-    basis = quasimodular_basis(weight_bound, series.order)
+    basis = quasimodular_basis(weight_bound, needed - 1)
     columns = [b.coeffs for _, b in basis]
     rows = [[col[k] for col in columns] for k in range(fit_len)]
     rhs = [series.coeffs[k] for k in range(fit_len)]

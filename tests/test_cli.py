@@ -7,6 +7,8 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +20,7 @@ from gg_factory import mutate, random_valid_graph
 from covercalc import cli
 from covercalc.cli import main
 from covercalc.errors import InvariantError
+from covercalc.exact import rat_to_str
 from covercalc.delliptic import degree_ledger, pairing_series
 from covercalc.graphs import StableGraph
 
@@ -333,10 +336,10 @@ def test_a_large_degree_or_empty_group_is_refused_under_python_O(tmp_path):
 
 
 @pytest.mark.parametrize("order, coefficients, error", [
-    (40.0, ["1"] * 41, "ValueError: order 40.0 is not an integer"),
-    (True, ["1", "1"], "ValueError: order True is not an integer"),
-    ("40", ["1"] * 41, "ValueError: order '40' is not an integer"),
-    (1, [1, 2], "ValueError: exact rational 1 is not a string"),
+    (40.0, ["1"] * 41, "SeriesError: order 40.0 is not an integer"),
+    (True, ["1", "1"], "SeriesError: order True is not an integer"),
+    ("40", ["1"] * 41, "SeriesError: order '40' is not an integer"),
+    (1, [1, 2], "SeriesError: exact rational 1 is not a string"),
 ])
 def test_qmod_check_rejects_non_integer_order_and_non_string_coefficients(
     tmp_path, capsys, order, coefficients, error
@@ -366,7 +369,7 @@ def test_qmod_check_rejects_a_negative_holdout(tmp_path, capsys, fit, holdout):
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"] == f"ValueError: holdout length {holdout} is negative"
+    assert payload["error"] == f"SeriesError: holdout length {holdout} is negative"
 
 
 def test_qmod_check_rejects_a_negative_weight(tmp_path, capsys):
@@ -377,7 +380,7 @@ def test_qmod_check_rejects_a_negative_weight(tmp_path, capsys):
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"] == "ValueError: weight bound -2 is negative"
+    assert payload["error"] == "SeriesError: weight bound -2 is negative"
     # weight 0 is the constants, and 1 is one
     code, out = _run_with_inputs(tmp_path, capsys, argv[:2] + ["0"] + argv[3:], {"in": series})
     assert code == 0
@@ -397,7 +400,7 @@ def test_qmod_check_refuses_a_large_weight_before_building_the_basis(tmp_path, c
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"] == ("ValueError: fit length 20 below the basis size 234073; "
+    assert payload["error"] == ("SeriesError: fit length 20 below the basis size 234073; "
                                 "the solve would be underdetermined")
 
 
@@ -411,6 +414,70 @@ def test_invariant_breach_exits_3(monkeypatch, capsys):
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith("internal invariant breach: polygon-bridge row")
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, ValueError])
+def test_a_builtin_error_is_an_internal_error_not_bad_input(monkeypatch, capsys, error):
+    # only an errors.InputError exits 2; a builtin error from inside a layer
+    # is a bug, reported as JSON with exit 3 rather than a traceback
+    import covercalc.mbar as mbar
+
+    def fail(genus, exponents):
+        raise error("planted")
+
+    monkeypatch.setattr(mbar, "integrate_psi", fail)
+    code, out = run_cli(capsys, ["integrate", "--genus", "0", "--exponents", "0,0,0"])
+    assert code == 3
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == f"internal error: {error.__name__}: {error('planted')}"
+
+
+@pytest.mark.parametrize("constant", ["1", "5"])
+def test_qmod_check_fits_a_constant_on_its_one_coefficient(tmp_path, capsys, constant):
+    # the basis to q^0 is the constant 1; building it was once refused with
+    # "truncation order must be at least 1"
+    code, out = _run_with_inputs(
+        tmp_path, capsys,
+        ["qmod-check", "--fit", "1", "--holdout", "0", "--weight", "0", "--input", "@in"],
+        {"in": {"order": 0, "coefficients": [constant]}},
+    )
+    assert code == 0
+    payload = json.loads(out)
+    check_schema("qmod-check", payload)
+    assert payload["is_member"] is True
+    assert payload["coefficients"] == {"1": constant}
+
+
+# Long chains of the dilaton and string equations, with their values
+# <tau_1^n>_1 = (n-1)!/24, <tau_0^3 tau_1^k>_0 = k! and
+# <tau_0^(n-1) tau_(n-3)>_0 = 1: each once ended in a RecursionError
+# traceback with exit 1.  The dilaton equation runs as a loop, so those
+# chains must print their value; a string chain may still be too deep, and
+# then it must exit 2.
+LONG_CHAINS = {
+    "tau_1^500 genus 1": ("1", [1] * 500, Fraction(factorial(499), 24), False),
+    "tau_1^600 genus 1": ("1", [1] * 600, Fraction(factorial(599), 24), False),
+    "tau_0^3 tau_1^600 genus 0": ("0", [0] * 3 + [1] * 600, factorial(600), False),
+    "tau_0^400 tau_398 genus 0": ("0", [0] * 400 + [398], 1, True),
+}
+
+
+@pytest.mark.parametrize("genus, exponents, value, may_refuse", LONG_CHAINS.values(),
+                         ids=LONG_CHAINS.keys())
+def test_integrate_long_chains_print_the_exact_value(capsys, genus, exponents, value,
+                                                     may_refuse):
+    argv = ["integrate", "--genus", genus, "--exponents", ",".join(map(str, exponents))]
+    code, out = run_cli(capsys, argv)
+    payload = json.loads(out)
+    if may_refuse and code == 2:
+        check_schema("error", payload)
+        assert payload["error"] == (f"IntegralError: the recursion for {len(exponents)} "
+                                    "points is too deep to evaluate")
+        return
+    assert code == 0
+    check_schema("integrate", payload)
+    assert payload["value"] == rat_to_str(Fraction(value))
 
 
 S3 = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
@@ -575,7 +642,7 @@ PULLBACK = {"kind": "corestriction", "cls": "psi", "group": S3,
 # integers or slices, not str"
 ARRAYS_FOR_OBJECTS = [
     (["qmod-check", "--input", "@in"], lambda: {"order": 1, "coefficients": ["1", "0"]}, (),
-     "ValueError: a q-series must be a JSON object"),
+     "SeriesError: a q-series must be a JSON object"),
     (["pullback", "@in"], lambda: dict(PULLBACK), (),
      "CoverError: a pullback payload must be a JSON object"),
     (["pullback", "@in"], lambda: dict(PULLBACK), ("group",),
@@ -629,7 +696,7 @@ NULLS_AND_NUMBERS = [
     (["validate-ggraph", "@in"], ("graph",), {}, "GraphError"),
     (["validate-ggraph", "@in"], ("space", "group"), {}, "GroupError"),
     (["intersect-ggraph", "--a", "@in", "--b", "@in"], ("graph",), {}, "GraphError"),
-    (["qmod-check", "--input", "@in"], ("coefficients",), None, "ValueError"),
+    (["qmod-check", "--input", "@in"], ("coefficients",), None, "SeriesError"),
     (["pullback", "@in"], ("normal",), None, "CoverError"),
     (["pullback", "@in"], ("group",), {}, "GroupError"),
 ]
@@ -770,13 +837,19 @@ UNREADABLE_INPUTS = {
                   "UsageError: '{deep}' nests JSON too deeply to decode"),
     "deep types": (["hurwitz-count", "--degree", "2", "--types", "[" * 2000 + "]" * 2000],
                    "UsageError: --types nests JSON too deeply to decode"),
+    # not JSON: a bare json.JSONDecodeError, once exit 2 as a ValueError
+    "text file": (["pullback", "{text}"],
+                  "UsageError: '{text}' is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    "text types": (["hurwitz-count", "--degree", "2", "--types", "[[2],"],
+                   "UsageError: --types is not JSON: Expecting value: line 1 column 6 (char 5)"),
 }
 
 
 def _unreadable(tmp_path, argv, error):
     (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "text.json").write_text("psi")
     paths = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path),
-             "deep": str(tmp_path / "deep.json")}
+             "deep": str(tmp_path / "deep.json"), "text": str(tmp_path / "text.json")}
     return [arg.format(**paths) for arg in argv], error.format(**paths)
 
 

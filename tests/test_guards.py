@@ -1,7 +1,8 @@
 """Source-level guards: no bare asserts, no benchmark counter left
 pointing at a name covercalc no longer has, no package code that only
-tests reach, no layer a command does not use loaded by it, and no user
-error class the CLI would let through."""
+tests reach, no layer a command does not use loaded by it, no user error
+class the CLI would let through, and no bad input refused with a builtin
+error."""
 
 import ast
 import importlib
@@ -231,18 +232,54 @@ def test_no_command_loads_dataclasses(tmp_path):
 
 def test_the_cli_catches_every_user_error_class():
     from covercalc import errors
-    from covercalc.cli import USER_ERRORS
 
     classes = [obj for obj in vars(errors).values()
                if inspect.isclass(obj) and obj.__module__ == errors.__name__]
     assert errors.InvariantError in classes and len(classes) > 1
-    assert not issubclass(errors.InvariantError, USER_ERRORS)
+    assert not issubclass(errors.InvariantError, errors.InputError)
     assert [c.__name__ for c in classes
-            if c is not errors.InvariantError and not issubclass(c, USER_ERRORS)] == []
+            if c is not errors.InvariantError and not issubclass(c, errors.InputError)] == []
     # the layers that raise them still export them
     for layer, name in [("groups", "GroupError"), ("groups", "NotNormalError"),
                         ("graphs", "GraphError"), ("mbar", "IntegralError"),
                         ("gcover", "CoverError"), ("gcover", "ActionError"),
                         ("hurwitz", "HurwitzError"), ("delliptic", "PipelineError"),
+                        ("exact", "SeriesError"), ("qmod", "SeriesError"),
                         ("cli", "UsageError")]:
         assert getattr(importlib.import_module(f"covercalc.{layer}"), name) is getattr(errors, name)
+
+
+BUILTIN_INPUT_ERRORS = {"ValueError", "TypeError", "KeyError"}
+CATCH_ALLS = {"Exception", "BaseException"}
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The names an except clause catches; a bare `except:` catches BaseException."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id for t in types if isinstance(t, ast.Name)}
+
+
+def test_bad_input_is_never_a_builtin_error():
+    # cli.main maps errors.InputError, and nothing else, to exit 2, and reports
+    # any other exception as an internal error: a layer that refused input
+    # with a builtin error would report its caller's mistake as its own bug
+    raised, catch_alls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id in BUILTIN_INPUT_ERRORS:
+                        raised.append(f"{path.name}:{node.lineno} raises {exc.id}")
+                elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                        ("json_fields", "json_list")):
+                    passed = [a.id for a in node.args + [k.value for k in node.keywords]
+                              if isinstance(a, ast.Name) and a.id in BUILTIN_INPUT_ERRORS]
+                    raised += [f"{path.name}:{node.lineno} passes {name}" for name in passed]
+                elif isinstance(node, ast.ExceptHandler) and _caught_names(node) & CATCH_ALLS:
+                    catch_alls.append(where)
+    assert raised == []
+    assert catch_alls == ["cli.main"]

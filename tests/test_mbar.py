@@ -217,3 +217,42 @@ def test_bivariant_symmetry_small():
     graphs = list(enumerate_stable_graphs(1, 1, 2))
     for a, b in itertools.product(graphs, repeat=2):
         assert pair_boundary_pushforwards(a, b) == pair_boundary_pushforwards(b, a)
+
+
+def _psi1_boundary_expression(g: int, n: int) -> list[tuple[Fraction, StableGraph]]:
+    """psi_1 on M_{g,n} as boundary pushforwards (coefficient, graph), for g in
+    {0, 1}: in genus 0, the sum of D_S over S containing 1 and neither of the
+    points 2, 3; in genus 1, delta_irr / 12 plus the sum of delta_{0,S} over
+    S containing 1 with |S| >= 2, where delta_irr = xi_*(1) / 2 (the loop's
+    gluing map has degree 2).  Leg i is point i + 1."""
+    out = []
+    for size in range(2, n + 1):
+        for rest in itertools.combinations(range(1, n), size - 1):
+            side = {0, *rest}
+            if g == 0 and {1, 2} & side:
+                continue
+            # vertex 0: genus 0 with the points in S; vertex 1: the others
+            legs = tuple(0 if i in side else 1 for i in range(n))
+            out.append((Fraction(1), StableGraph((0, g), (0, 1), (1, 0), legs)))
+    if g == 1:
+        loop = StableGraph((0,), (0, 0), (1, 0), (0,) * n)
+        out.append((Fraction(1, 24), loop))
+    return out
+
+
+@pytest.mark.parametrize("g, n", [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4)])
+def test_psi_equals_its_boundary_expression(g, n):
+    # int psi_1 psi^a two ways: a correlator, and psi^a pulled back to each
+    # boundary divisor of psi_1's expression and integrated there.  Unlike a
+    # Gram rank, this sees a wrong scale on one stratum (an automorphism
+    # factor or a sign).
+    smooth = trivial_graph(g, n)
+    divisors = _psi1_boundary_expression(g, n)
+    for a in compositions(3 * g - 4 + n, n):
+        dec = Decoration(a, (), ((),))
+        monomial = StratumClass(g, n, ((Fraction(1), smooth, dec),))
+        terms = tuple((c * coeff, graph, pulled)
+                      for c, graph in divisors
+                      for coeff, pulled in pullback_by_boundary(monomial, graph))
+        expected = correlator(g, (a[0] + 1,) + a[1:])
+        assert integrate_stratum_class(StratumClass(g, n, terms)) == expected, a

@@ -92,6 +92,27 @@ def test_verdict_stable_under_split_shift():
         assert not rep2.is_member
 
 
+def test_a_long_series_and_its_truncation_give_equal_reports(monkeypatch):
+    # only the first fit_len + holdout_len coefficients are read, so the basis
+    # stops at q^(fit_len + holdout_len - 1), however long the series
+    import covercalc.qmod as qmod
+
+    orders = []
+    real = qmod.quasimodular_basis
+    monkeypatch.setattr(qmod, "quasimodular_basis",
+                        lambda weight, order: orders.append(order) or real(weight, order))
+    member = eisenstein(2, 600) * eisenstein(4, 600)
+    perturbed = QSeries(member.coeffs[:30] + (member.coeffs[30] + 1,) + member.coeffs[31:])
+    for series in (member, perturbed):
+        assert series.order == 600
+        report = is_quasimodular(series, weight_bound=6, fit_len=20, holdout_len=18)
+        assert report == is_quasimodular(QSeries(series.coeffs[:38]), weight_bound=6,
+                                         fit_len=20, holdout_len=18)
+        assert report.is_member is (series is member)
+    assert orders == [37] * 4
+    assert eisenstein(2, 0) == QSeries((1,))
+
+
 def test_insufficient_truncation_rejected():
     s = eisenstein(2, 10)
     with pytest.raises(ValueError):
