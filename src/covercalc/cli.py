@@ -203,11 +203,25 @@ def _decode(load, source, name: str):
         raise UsageError(f"{name} is not JSON: {err}") from None
 
 
+def _print_any_int() -> None:
+    """Let int -> str conversion print an exact result of any length.
+
+    Python (3.10.7 on) refuses to convert an int of more than 4300 digits
+    either way.  That limit stays on while outside input is parsed: each
+    command that prints a computed number lifts it once its inputs are read,
+    and `main` restores the interpreter's setting before it returns.  Older
+    Pythons have no limit to lift."""
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
+
+
 def cmd_integrate(args) -> int:
     from covercalc.exact import rat_to_str
     from covercalc.mbar import integrate_psi
 
     value = integrate_psi(args.genus, args.exponents)
+    _print_any_int()
     _emit(
         {
             "genus": args.genus,
@@ -254,6 +268,7 @@ def cmd_hurwitz_count(args) -> int:
 
     types = _decode(json.loads, args.types, "--types")
     count = hurwitz_cover_count(args.degree, types, weighted=args.weighted)
+    _print_any_int()
     _emit(
         {
             "degree": args.degree,
@@ -323,6 +338,7 @@ def cmd_delliptic(args) -> int:
 
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
+    _print_any_int()
     # --human prints only the values table, so it builds no ledger rows
     rows = args.ledger and not args.human
     values, ledgers, numbers00, numbers01 = {}, {}, [], []
@@ -374,6 +390,7 @@ def cmd_qmod_check(args) -> int:
 
     data = _load_json(args.input)
     series = QSeries.from_json(data)
+    _print_any_int()
     report = is_quasimodular(
         series, weight_bound=args.weight, fit_len=args.fit, holdout_len=args.holdout
     )
@@ -462,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -474,6 +492,9 @@ def main(argv=None) -> int:
     except Exception as err:
         _emit({"error": f"internal error: {type(err).__name__}: {err}"})
         return 3
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -56,18 +56,7 @@ def ratio_to_str(num: int, den: int) -> str:
 
 def sigma(n: int, k: int = 1) -> int:
     """Divisor power sum: sum of d**k over positive divisors d of n."""
-    if n <= 0:
-        raise SeriesError(f"divisor sum needs a positive argument, got {n}")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            other = n // d
-            if other != d:
-                total += other**k
-        d += 1
-    return total
+    return sum(d**k for d in divisors(n))
 
 
 def sigma1(n: int) -> int:

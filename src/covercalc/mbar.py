@@ -4,12 +4,11 @@ Decorated boundary strata with exact rational coefficients: the psi/kappa
 pullback to a boundary stratum, the excess-intersection formula for two
 boundary strata, and top-degree integration.
 
-Integrals of psi monomials are computed by the string/dilaton equations on
-top of the KdV-style recursion; the two base constants <tau_0^3>_0 = 1 and
-<tau_1>_1 = 1/24 are the only external inputs (standard Witten-Kontsevich
-values).  Everything with some index 0 or 1 reduces by string/dilaton, so
-genus <= 1 never touches the deeper recursion; higher genus (needed when a
-stratum has a genus-2 vertex) uses the Virasoro-style step.
+Integrals of psi monomials come from three ingredients: genus 0 in closed
+form, (n-3)!/prod(a_i!); the dilaton equation, run as a loop; and one
+DVV (Virasoro) step on the smallest index, which at index 0 is the string
+equation.  <tau_1>_1 = 1/24 is the one external constant (the standard
+Witten-Kontsevich value).
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from covercalc.errors import GraphError, IntegralError
@@ -42,91 +42,77 @@ def __getattr__(name: str):
 
 def _double_factorial_odd(k: int) -> int:
     # (2k+1)!! with the empty product (-1)!! = 1
-    out = 1
-    for i in range(1, 2 * k + 2, 2):
-        out *= i
-    return out
+    return prod(range(1, 2 * k + 2, 2))
 
 
-TAU0_CUBED = Fraction(1)  # <tau_0^3>_0, the point M_{0,3}
 TAU1_GENUS1 = Fraction(1, 24)  # <tau_1>_1, external Witten-Kontsevich constant
 
 
 @lru_cache(maxsize=None)
 def correlator(g: int, exponents: tuple[int, ...]) -> Fraction:
-    """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(a) = 3g - 3 + n."""
+    """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(a) = 3g - 3 + n.
+
+    Genus 0 is the closed form (n-3)!/prod(a_i!).  In genus >= 1 the
+    dilaton loop drops each tau_1 while another point remains; past the base
+    case <tau_1>_1 = 1/24, one `_virasoro_step` on the smallest index recurses.
+    """
     n = len(exponents)
     if g < 0 or any(a < 0 for a in exponents):
         raise IntegralError("negative genus or exponent")
-    if n == 0:
+    if n == 0 or sum(exponents) != 3 * g - 3 + n or (g == 0 and n < 3):
         return Fraction(0)
-    if sum(exponents) != 3 * g - 3 + n:
-        return Fraction(0)
-    if g == 0 and n < 3:
-        return Fraction(0)
-    if g >= 1 and n < 1:
-        return Fraction(0)
+    if g == 0:
+        return Fraction(factorial(n - 3), prod(factorial(a) for a in exponents))
     exps = tuple(sorted(exponents, reverse=True))
     # dilaton equation, valid while the smaller space is stable: one tau_1
     # at a time in a loop, so that a long chain of them does not recurse
     factor = 1
-    while 1 in exps and len(exps) > (3 if g == 0 else 1):
+    while 1 in exps and len(exps) > 1:
         i = exps.index(1)
         exps = exps[:i] + exps[i + 1 :]
         factor *= 2 * g - 2 + len(exps)
     if len(exps) < n:
         return factor * correlator(g, exps)
-    if g == 0 and exps == (0, 0, 0):
-        return TAU0_CUBED
-    if g == 1 and exps == (1,):
+    if exps == (1,):
         return TAU1_GENUS1
-    if exps[-1] == 0:
-        # string equation, valid while the smaller space is stable
-        rest = exps[:-1]
-        if (g == 0 and len(rest) >= 3) or (g >= 1 and len(rest) >= 1):
-            return sum(
-                (
-                    correlator(g, rest[:i] + (rest[i] - 1,) + rest[i + 1 :])
-                    for i in range(len(rest))
-                    if rest[i] >= 1
-                ),
-                Fraction(0),
-            )
     return _virasoro_step(g, exps)
 
 
 def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
-    """KdV/Virasoro recursion on the largest index (which is >= 2 here)."""
-    k1 = exps[0]  # recurse on tau_{k1} = tau_{k+1}
-    k = k1 - 1
-    rest = exps[1:]
+    """One DVV (Virasoro) step on the smallest index k + 1 = exps[-1], which
+    is 0 or >= 2 here, with S the other indices:
+
+      (2k+3)!! <tau_{k+1} tau_S>_g
+        = sum_j (2(k+a_j)+1)!!/(2a_j-1)!! <tau_{k+a_j} tau_{S-a_j}>_g
+        + 1/2 sum_{p+q=k-1} (2p+1)!!(2q+1)!! [<tau_p tau_q tau_S>_{g-1}
+          + sum_{g1+g2=g, I+J=S} <tau_p tau_I>_{g1} <tau_q tau_J>_{g2}].
+
+    At index 0 (k = -1) every coefficient is 1, tau_{-1} = 0 and the
+    quadratic sum is empty: the step is the string equation."""
+    k = exps[-1] - 1
+    rest = exps[:-1]
     total = Fraction(0)
     for j, aj in enumerate(rest):
-        others = rest[:j] + rest[j + 1 :]
-        # (2(k+a_j)+1)!! / (2a_j-1)!!
-        denom = 1
-        for i in range(1, 2 * aj, 2):
-            denom *= i
-        coeff = Fraction(_double_factorial_odd(k + aj), denom)
-        total += coeff * correlator(g, others + (k + aj,))
+        if k + aj < 0:
+            continue  # tau_{-1} = 0
+        term = correlator(g, rest[:j] + rest[j + 1 :] + (k + aj,))
+        if k >= 0:
+            # (2(k+a_j)+1)!! / (2a_j-1)!!, the odd numbers 2a_j+1 .. 2(k+a_j)+1
+            term *= prod(range(2 * aj + 1, 2 * (k + aj) + 2, 2))
+        total += term
+    if k < 0:
+        return total
     half = Fraction(0)
     for p in range(0, k):
         q = k - 1 - p
-        w = Fraction(_double_factorial_odd(p) * _double_factorial_odd(q))
-        if g >= 1:
-            half += w * correlator(g - 1, rest + (p, q))
+        w = _double_factorial_odd(p) * _double_factorial_odd(q)
+        half += w * correlator(g - 1, rest + (p, q))
         for g1 in range(0, g + 1):
-            g2 = g - g1
             for mask in range(1 << len(rest)):
                 left = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
                 right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-                half += (
-                    w
-                    * correlator(g1, left + (p,))
-                    * correlator(g2, right + (q,))
-                )
-    total += Fraction(1, 2) * half
-    return total / _double_factorial_odd(k1)
+                half += w * correlator(g1, left + (p,)) * correlator(g - g1, right + (q,))
+    return (total + half / 2) / _double_factorial_odd(k + 1)
 
 
 def integrate_psi(g: int, exponents) -> Fraction:
@@ -163,9 +149,6 @@ def integrate_psi_kappa(
     the standard inclusion-exclusion over subsets of the remaining ones.
     """
     if not kappa_indices:
-        n = len(psi_exponents)
-        if sum(psi_exponents) != 3 * g - 3 + n:
-            return Fraction(0)
         return correlator(g, psi_exponents)
     if any(b < 1 for b in kappa_indices):
         raise IntegralError("kappa indices must be >= 1 (kappa_0 is a constant)")

@@ -15,13 +15,22 @@ from covercalc.exact import rat_to_str, sigma1
 from covercalc.mbar import IntegralError
 
 
-def genus0_closed_form(exponents) -> Fraction:
-    """(n-3)! / prod(a_i!) for sum(a_i) = n - 3: the genus-0 closed form."""
+def genus1_closed_form(exponents) -> Fraction:
+    """Dijkgraaf's genus-1 formula for sum(a_i) = n: multinomial(n; a)/24 *
+    (1 - sum_{i>=2} (i-2)!(n-i)!/n! e_i(a)), with e_i the elementary
+    symmetric polynomials of the exponents."""
     exponents = tuple(exponents)
     n = len(exponents)
-    if sum(exponents) != n - 3:
-        raise IntegralError("not a top-degree genus-0 exponent vector")
-    return Fraction(factorial(n - 3), prod(factorial(a) for a in exponents))
+    if n < 1 or sum(exponents) != n:
+        raise IntegralError("not a top-degree genus-1 exponent vector")
+    elem = [1] + [0] * n
+    for a in exponents:
+        for i in range(n, 0, -1):
+            elem[i] += elem[i - 1] * a
+    correction = sum(Fraction(factorial(i - 2) * factorial(n - i), factorial(n)) * elem[i]
+                     for i in range(2, n + 1))
+    multinomial = Fraction(factorial(n), prod(factorial(a) for a in exponents))
+    return multinomial / 24 * (1 - correction)
 
 
 def normalization_branches_list_form(node_indices) -> int:

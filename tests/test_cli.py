@@ -459,7 +459,10 @@ LONG_CHAINS = {
     "tau_1^500 genus 1": ("1", [1] * 500, Fraction(factorial(499), 24), False),
     "tau_1^600 genus 1": ("1", [1] * 600, Fraction(factorial(599), 24), False),
     "tau_0^3 tau_1^600 genus 0": ("0", [0] * 3 + [1] * 600, factorial(600), False),
-    "tau_0^400 tau_398 genus 0": ("0", [0] * 400 + [398], 1, True),
+    "tau_0^400 tau_398 genus 0": ("0", [0] * 400 + [398], 1, False),
+    "tau_0^2000 tau_1998 genus 0": ("0", [0] * 2000 + [1998], 1, False),
+    # a string chain in genus >= 1 still recurses once per point
+    "tau_0^400 tau_401 genus 1": ("1", [0] * 400 + [401], Fraction(1, 24), True),
 }
 
 
@@ -478,6 +481,47 @@ def test_integrate_long_chains_print_the_exact_value(capsys, genus, exponents, v
     assert code == 0
     check_schema("integrate", payload)
     assert payload["value"] == rat_to_str(Fraction(value))
+
+
+def _over_4300_digits(tmp_path):
+    """(argv, exit code, error class or None) of four calls that each convert
+    a 5000-digit or longer int: one result and three outside inputs."""
+    big = "1" + "0" * 4999
+    (tmp_path / "int.json").write_text('{"order": ' + big + ', "coefficients": []}')
+    (tmp_path / "p.json").write_text(json.dumps({"order": 0, "coefficients": [big]}))
+    return [
+        (["integrate", "--genus", "1", "--exponents", ",".join(["1"] * 2000)], 0, None),
+        (["qmod-check", "--input", str(tmp_path / "int.json")], 2, "UsageError"),
+        (["integrate", "--genus", big, "--exponents", "1"], 2, "UsageError"),
+        (["qmod-check", "--input", str(tmp_path / "p.json")], 2, "SeriesError"),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int -> str digit limit")
+@pytest.mark.parametrize("result_first", [True, False], ids=["result first", "inputs first"])
+def test_a_result_of_any_length_prints_while_inputs_keep_the_digit_limit(
+        tmp_path, capsys, result_first):
+    # 1999!/24 has 5700 digits: past Python's int -> str limit, which every
+    # parse of outside input keeps, and which main() puts back when it returns
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(factorial(1999) // 24)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    calls = _over_4300_digits(tmp_path)
+    for argv, exit_code, error in calls if result_first else calls[::-1]:
+        code, out = run_cli(capsys, argv)
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        assert code == exit_code, payload
+        if error is None:
+            check_schema("integrate", payload)
+            assert payload["value"] == expected
+        else:
+            check_schema("error", payload)
+            assert payload["error"].startswith(error + ": ")
 
 
 S3 = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}

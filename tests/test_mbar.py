@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from closed_forms import genus0_closed_form
+from closed_forms import genus1_closed_form
 from covercalc.gcover import CoverError, pullback_psi_kappa_hurwitz
 from covercalc.graphs import StableGraph, enumerate_stable_graphs, trivial_graph
 from covercalc.groups import trivial_group
@@ -39,9 +40,18 @@ def test_genus0_base_and_examples():
 
 
 def test_genus0_closed_form_matches_recursion():
+    # the closed form that `correlator` returns in genus 0 satisfies the
+    # string and dilaton equations on every composition with n <= 8
     for n in range(3, 9):
         for exps in compositions(n - 3, n):
-            assert integrate_psi(0, exps) == genus0_closed_form(exps)
+            assert correlator(0, exps + (0,)) == _string_rhs(0, exps)
+            assert correlator(0, exps + (1,)) == (n - 2) * correlator(0, exps)
+
+
+def test_genus1_closed_form_matches_recursion():
+    for n in range(1, 8):
+        for exps in compositions(n, n):
+            assert correlator(1, exps) == genus1_closed_form(exps), exps
 
 
 def test_genus1_values():
@@ -58,38 +68,48 @@ def test_genus2_values_against_literature():
     assert correlator(2, (5, 0)) == Fraction(1, 1152)
     assert correlator(2, (4, 1)) == Fraction(1, 384)
     assert correlator(2, (3, 2)) == Fraction(29, 5760)
+    assert correlator(2, (2, 2, 2)) == Fraction(7, 240)
     assert correlator(3, (7,)) == Fraction(1, 82944)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_witten_one_point_values(g):
+    # <tau_{3g-2}>_g = 1 / (24^g g!)
+    assert correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g))
+
+
+def _seeded_exponents(rng, g):
+    """A top-degree exponent vector on a stable M_{g,n} with n <= 7, each of
+    the 3g-3+n degrees placed on a random point."""
+    n = rng.randint(3 if g == 0 else 1, 7)
+    exps = [0] * n
+    for _ in range(3 * g - 3 + n):
+        exps[rng.randrange(n)] += 1
+    return tuple(exps)
+
+
+def _string_rhs(g, exps):
+    """The right side of the string equation for <tau_0 tau_exps>_g."""
+    return sum((correlator(g, exps[:i] + (a - 1,) + exps[i + 1:])
+                for i, a in enumerate(exps) if a >= 1), Fraction(0))
 
 
 def test_string_equation_property():
     rng = random.Random(3)
-    for _ in range(40):
-        g = rng.choice([0, 1])
-        n = rng.randint(3 if g == 0 else 1, 7)
-        target = 3 * g - 3 + n
-        exps = None
-        for _ in range(50):
-            cand = tuple(rng.randint(0, target) for _ in range(n))
-            if sum(cand) == target:
-                exps = cand
-                break
-        if exps is None:
-            continue
-        lhs = correlator(g, exps + (0,))
-        rhs = sum(
-            (
-                correlator(g, exps[:i] + (exps[i] - 1,) + exps[i + 1 :])
-                for i in range(n)
-                if exps[i] >= 1
-            ),
-            Fraction(0),
-        )
-        assert lhs == rhs
+    for g in (0, 1, 2, 3):
+        for _ in range(12):
+            exps = _seeded_exponents(rng, g)
+            assert correlator(g, exps + (0,)) == _string_rhs(g, exps), (g, exps)
 
 
 def test_dilaton_equation_property():
     for g, exps in [(0, (1, 0, 0, 0)), (0, (2, 0, 0, 0, 0)), (1, (1,)), (1, (2, 0)), (2, (4,))]:
         assert correlator(g, exps + (1,)) == (2 * g - 2 + len(exps)) * correlator(g, exps)
+    rng = random.Random(5)
+    for g in (2, 3):
+        for _ in range(12):
+            exps = _seeded_exponents(rng, g)
+            assert correlator(g, exps + (1,)) == (2 * g - 2 + len(exps)) * correlator(g, exps)
 
 
 def test_integrate_psi_contract():
