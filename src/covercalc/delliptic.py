@@ -56,7 +56,7 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from covercalc.errors import InvariantError, PipelineError
-from covercalc.exact import QSeries, divisors, sigma1
+from covercalc.exact import QSeries, divisors, sigma
 from covercalc.qmod import MembershipReport, is_quasimodular
 
 
@@ -238,7 +238,7 @@ def delta01_contributions(d: int) -> list[StratumContribution]:
 
 
 def _normalized_delta01_closed_form(d: int) -> int:
-    return 2 * sum(sigma1(d1) * sigma1(d - d1) for d1 in range(1, d))
+    return 2 * sum(sigma(d1) * sigma(d - d1) for d1 in range(1, d))
 
 
 def _checked_delta01(d: int, stratum_sum: int) -> int:
@@ -401,7 +401,7 @@ def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
 
 
 def _normalized_delta00_closed_form(d: int) -> int:
-    return 4 * (d - 1) * sigma1(d)
+    return 4 * (d - 1) * sigma(d)
 
 
 def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:

@@ -59,11 +59,6 @@ def sigma(n: int, k: int = 1) -> int:
     return sum(d**k for d in divisors(n))
 
 
-def sigma1(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    return sigma(n, 1)
-
-
 def divisors(n: int) -> list[int]:
     if n <= 0:
         raise SeriesError(f"divisors of a positive integer only, got {n}")

@@ -644,6 +644,18 @@ def _force_g_structure(
     a: AdmissibleGGraph,
     b: AdmissibleGGraph,
 ) -> AdmissibleGGraph | None:
+    """The G-graph on the triple's gamma whose G-action and monodromy make
+    both maps to A and B G-equivariant, or None when there is none or it is
+    not admissible.
+
+    Both maps are equivariant by construction, so nothing re-checks them:
+    - the half-edge images and the edge monodromy are defined by transport
+      along `to_A` and `to_B`;
+    - the leg images are the canonical layout that the validated A and B
+      already carry;
+    - the vertex images follow from the attachments of half-edges and legs.
+      A fibre with no image point occurs only when A or B is one bare vertex.
+    """
     gamma = triple.gamma
     group = space.group
     fa, fb = triple.to_A, triple.to_B
@@ -702,10 +714,6 @@ def _force_g_structure(
         space.canonical_leg_monodromy,
     )
     if validate_admissible_g_graph(candidate):
-        return None
-    if not _equivariant_morphism(candidate, a, triple.to_A):
-        return None
-    if not _equivariant_morphism(candidate, b, triple.to_B):
         return None
     return candidate
 

@@ -382,37 +382,25 @@ class GraphMorphism(NamedTuple):
             if self.vertex_map[src.leg_vertex[i]] != tgt.leg_vertex[i]:
                 raise GraphError(f"leg {i} is not preserved")
         image = set(self.half_edge_map)
-        fibers: dict[int, list[int]] = {v: [] for v in range(tgt.n_vertices)}
+        contracted = [(src.half_edge_vertex[h], src.half_edge_vertex[hp])
+                      for h, hp in src.edges() if h not in image]
+        if any(self.vertex_map[u] != self.vertex_map[up] for u, up in contracted):
+            raise GraphError("contracted edge joins different fibers")
+        # the parts the contracted edges join; as in `contract_edges`, a part
+        # with V vertices and E edges has genus sum(g) + E - V + 1
+        roots = orbit_partition(src.n_vertices, contracted)
+        part_genus = dict.fromkeys(roots, 1)
+        for v, g in enumerate(src.genera):
+            part_genus[roots[v]] += g - 1
+        for u, _ in contracted:
+            part_genus[roots[u]] += 1
+        parts: list[set[int]] = [set() for _ in range(tgt.n_vertices)]
         for v, w in enumerate(self.vertex_map):
-            fibers[w].append(v)
-        for h, hp in src.edges():
-            if h in image:
-                continue
-            u, up = src.half_edge_vertex[h], src.half_edge_vertex[hp]
-            if self.vertex_map[u] != self.vertex_map[up]:
-                raise GraphError("contracted edge joins different fibers")
-        for w, fiber in fibers.items():
-            sub_edges = [
-                (h, hp)
-                for h, hp in src.edges()
-                if h not in image and self.vertex_map[src.half_edge_vertex[h]] == w
-            ]
-            # connectivity of the fiber through contracted edges
-            reach = {fiber[0]}
-            changed = True
-            while changed:
-                changed = False
-                for h, hp in sub_edges:
-                    u, up = src.half_edge_vertex[h], src.half_edge_vertex[hp]
-                    if (u in reach) != (up in reach):
-                        reach.update((u, up))
-                        changed = True
-            if set(fiber) != reach:
+            parts[w].add(roots[v])
+        for w, part in enumerate(parts):
+            if len(part) > 1:
                 raise GraphError(f"fiber over vertex {w} is not connected")
-            fiber_genus = len(sub_edges) - len(fiber) + 1 + sum(
-                src.genera[v] for v in fiber
-            )
-            if fiber_genus != tgt.genera[w]:
+            if part_genus[part.pop()] != tgt.genera[w]:
                 raise GraphError(f"fiber over vertex {w} has wrong genus")
 
     def edge_image(self) -> frozenset[tuple[int, int]]:

@@ -4,11 +4,11 @@ Decorated boundary strata with exact rational coefficients: the psi/kappa
 pullback to a boundary stratum, the excess-intersection formula for two
 boundary strata, and top-degree integration.
 
-Integrals of psi monomials come from three ingredients: genus 0 in closed
-form, (n-3)!/prod(a_i!); the dilaton equation, run as a loop; and one
-DVV (Virasoro) step on the smallest index, which at index 0 is the string
-equation.  <tau_1>_1 = 1/24 is the one external constant (the standard
-Witten-Kontsevich value).
+Integrals of psi monomials, in every genus, come from three ingredients:
+genus 0 in closed form, (n-3)!/prod(a_i!); the dilaton equation, run as a
+loop; and one DVV (Virasoro) step on the smallest index, which at index 0
+is the string equation.  <tau_1>_1 = 1/24 is the one external constant
+(the standard Witten-Kontsevich value).
 """
 
 from __future__ import annotations
@@ -116,16 +116,11 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
 
 
 def integrate_psi(g: int, exponents) -> Fraction:
-    """Top-degree psi integral on M_{g,n} for g in {0, 1}.
-
-    Genus >= 2 is deliberately rejected here: the public contract covers
-    exactly what the zero-cycle pipeline needs, and the caller should reach
-    for `correlator` explicitly when higher genus is intended.
-    """
+    """Top-degree psi integral on M_{g,n}, for every genus g >= 0."""
     exponents = tuple(int(a) for a in exponents)
     n = len(exponents)
-    if g not in (0, 1):
-        raise IntegralError(f"genus {g} is outside the supported range {{0, 1}}")
+    if g < 0:
+        raise IntegralError(f"genus {g} is negative")
     if n < 1 or (g == 0 and n < 3):
         raise IntegralError(f"moduli space M_{{{g},{n}}} is empty or unstable")
     if sum(exponents) != 3 * g - 3 + n:

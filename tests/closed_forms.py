@@ -11,7 +11,7 @@ from math import factorial, lcm, prod
 from types import SimpleNamespace
 
 from covercalc.delliptic import PipelineError, am_bn_splits
-from covercalc.exact import rat_to_str, sigma1
+from covercalc.exact import rat_to_str, sigma
 from covercalc.mbar import IntegralError
 
 
@@ -58,13 +58,13 @@ def david_identity_mirror(d: int) -> Fraction:
 
 
 def delta00_closed_form(d: int) -> Fraction:
-    """The irreducible-node pairing: (d-2)!^2 * 4(d-1) sigma1(d)."""
-    return Fraction(factorial(d - 2) ** 2 * 4 * (d - 1) * sigma1(d))
+    """The irreducible-node pairing: (d-2)!^2 * 4(d-1) sigma(d)."""
+    return Fraction(factorial(d - 2) ** 2 * 4 * (d - 1) * sigma(d))
 
 
 def delta01_closed_form(d: int) -> Fraction:
-    """The separating-node pairing: (d-2)!^2 * 2 sum_{0<e<d} sigma1(e) sigma1(d-e)."""
-    convolution = sum(sigma1(e) * sigma1(d - e) for e in range(1, d))
+    """The separating-node pairing: (d-2)!^2 * 2 sum_{0<e<d} sigma(e) sigma(d-e)."""
+    convolution = sum(sigma(e) * sigma(d - e) for e in range(1, d))
     return Fraction(factorial(d - 2) ** 2 * 2 * convolution)
 
 

@@ -8,7 +8,9 @@ refactor that changes any emitted byte fails loudly.
 
 The digests were captured from a known-good tree.  Recapture only when an
 output is meant to change, and say which in the change log.  One command
-rewrites this corpus and the gcover library corpus (`gcover_corpus.py`):
+rewrites this corpus and the gcover library corpus (`gcover_corpus.py`),
+and first prints every entry whose exit code or digest changed and the
+number of changed library outputs:
 
     PYTHONPATH=src:tests python tests/golden_corpus.py
 """
@@ -180,13 +182,15 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         files = {"a": gg.to_json(), "b": gg.to_json()}
         entries.append((f"intersect-ggraph polygon-{m}-1-legs",
                         ["intersect-ggraph", "--a", "@a", "--b", "@b"], files))
-    # psi integrals: a genus-0 and a genus-1 value, then a degree that is
-    # not top degree and a genus outside {0, 1}, both refused
+    # psi integrals: a value in each genus 0..3, then a degree that is not
+    # top degree and a negative genus, both refused
     for label, genus, exponents in (
         ("genus 0 value", "0", "1,1,0,0,0"),
         ("genus 1 value", "1", "1,1"),
         ("not top degree", "0", "2,0,0"),
-        ("genus 2", "2", "2"),
+        ("genus 2", "2", "4"),
+        ("genus 3", "3", "7"),
+        ("negative genus", "-1", "1"),
     ):
         entries.append((f"integrate {label}",
                         ["integrate", "--genus", genus, "--exponents", exponents], {}))
@@ -269,6 +273,22 @@ def capture(workdir: Path) -> list[dict]:
     return corpus
 
 
+def changed_entries(old: list[dict], new: list[dict]) -> list[str]:
+    """The names of the entries added, dropped, or with another exit code or
+    digest in `new` than in `old`, in `new`'s order, the dropped ones last."""
+    before = {e["name"]: (e["exit"], e["sha256"]) for e in old}
+    after = {e["name"]: (e["exit"], e["sha256"]) for e in new}
+    return ([name for name, result in after.items() if before.get(name) != result]
+            + [name for name in before if name not in after])
+
+
+def changed_outputs(old: list[dict], new: list[dict]) -> int:
+    """The number of library outputs added, dropped or with another digest."""
+    before = {(e["name"], k): v for e in old for k, v in e["outputs"].items()}
+    after = {(e["name"], k): v for e in new for k, v in e["outputs"].items()}
+    return sum(before.get(key) != after.get(key) for key in before.keys() | after.keys())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -276,11 +296,15 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         corpus = capture(Path(tmp))
-    CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    for entry in corpus:
-        print(entry["exit"], entry["sha256"][:16], entry["name"])
     library = gcover_corpus.capture()
-    gcover_corpus.CORPUS.write_text(json.dumps(library, indent=1, sort_keys=True) + "\n")
-    print(f"{len(library)} gcover library entries, "
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
+    old_library = (json.loads(gcover_corpus.CORPUS.read_text())
+                   if gcover_corpus.CORPUS.exists() else [])
+    for name in changed_entries(old, corpus):
+        print(f"changed: {name}")
+    print(f"{changed_outputs(old_library, library)} changed gcover library outputs")
+    CORPUS.parent.mkdir(exist_ok=True)
+    for path, new in ((CORPUS, corpus), (gcover_corpus.CORPUS, library)):
+        path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(f"{len(corpus)} corpus entries, {len(library)} gcover library entries, "
           f"{sum(len(e['outputs']) for e in library)} outputs")

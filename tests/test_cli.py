@@ -54,6 +54,21 @@ def test_integrate_rejects_bad_dimension(capsys):
     check_schema("error", json.loads(out))
 
 
+# <tau_{3g-2}>_g = 1/(24^g g!) (Witten) and <tau_2 tau_3>_2 = 29/5760
+HIGHER_GENUS = [(g, [3 * g - 2], Fraction(1, 24**g * factorial(g))) for g in range(2, 8)]
+HIGHER_GENUS.append((2, [2, 3], Fraction(29, 5760)))
+
+
+@pytest.mark.parametrize("genus, exponents, value", HIGHER_GENUS)
+def test_integrate_every_genus(capsys, genus, exponents, value):
+    argv = ["integrate", "--genus", str(genus), "--exponents", ",".join(map(str, exponents))]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema("integrate", payload)
+    assert payload == {"genus": genus, "exponents": exponents, "value": rat_to_str(value)}
+
+
 def test_intersect_boundary(tmp_path, capsys):
     sep = StableGraph((1, 1), (0, 1), (1, 0), ())
     a = tmp_path / "a.json"

@@ -29,7 +29,7 @@ from covercalc.delliptic import (
     segre_excess_contribution,
 )
 from covercalc.errors import InvariantError
-from covercalc.exact import sigma1
+from covercalc.exact import sigma
 
 
 def test_normalization_branches():
@@ -101,7 +101,7 @@ def test_delta00_spot_values():
     assert degree_ledger(2).delta00 == 12
     assert degree_ledger(3).delta00 == 32
     assert degree_ledger(4).delta00 == 336
-    assert degree_ledger(5).delta00 == 3456  # 4 (3!)^2 4 sigma1(5)
+    assert degree_ledger(5).delta00 == 3456  # 4 (3!)^2 4 sigma(5)
 
 
 def test_delta00_aggregates_examples():
@@ -264,7 +264,7 @@ def test_normalized_series_values():
     mark = lambda d: factorial(d - 2) ** 2
     for d in (2, 3, 4):
         assert s.coeffs[d] == degree_ledger(d).delta00 / mark(d)
-        assert s.coeffs[d] == 4 * (d - 1) * sigma1(d)
+        assert s.coeffs[d] == 4 * (d - 1) * sigma(d)
     assert s.coeffs[0] == 0 and s.coeffs[1] == 0
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covercalc.exact import (
-    QSeries, convolve, divisors, rat_from_str, rat_to_str, ratio_to_str, sigma, sigma1,
+    QSeries, convolve, divisors, rat_from_str, rat_to_str, ratio_to_str, sigma,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
@@ -15,16 +15,16 @@ def test_series_mul_difference_of_squares():
 
 
 def test_series_mul_convolution_against_double_sum():
-    # coefficient of q^k in (sum sigma1(n) q^n)^2 equals the direct double sum
+    # coefficient of q^k in (sum sigma(n) q^n)^2 equals the direct double sum
     n = 8
-    s = (0, *(sigma1(k) for k in range(1, n + 1)))
+    s = (0, *(sigma(k) for k in range(1, n + 1)))
     sq = convolve(s, s, n)
     for k in range(n + 1):
         direct = sum(
-            sigma1(d1) * sigma1(k - d1) for d1 in range(1, k) if k - d1 >= 1
+            sigma(d1) * sigma(k - d1) for d1 in range(1, k) if k - d1 >= 1
         )
         assert sq[k] == direct
-    assert sq[2] == 1  # sigma1(1)*sigma1(1)
+    assert sq[2] == 1  # sigma(1)*sigma(1)
 
 
 def test_series_mul_zero_annihilates():
@@ -38,11 +38,11 @@ def test_series_truncation_to_min_order():
 
 
 def test_sigma1_examples():
-    assert sigma1(1) == 1
-    assert sigma1(2) == 3
-    assert sigma1(6) == 12  # divisors 1,2,3,6
+    assert sigma(1) == 1
+    assert sigma(2) == 3
+    assert sigma(6) == 12  # divisors 1,2,3,6
     with pytest.raises(ValueError):
-        sigma1(0)
+        sigma(0)
 
 
 def test_sigma1_multiplicative_on_coprime():
@@ -51,7 +51,7 @@ def test_sigma1_multiplicative_on_coprime():
     for m in range(1, 51):
         for n in range(1, 51):
             if gcd(m, n) == 1:
-                assert sigma1(m * n) == sigma1(m) * sigma1(n)
+                assert sigma(m * n) == sigma(m) * sigma(n)
 
 
 def test_divisors():

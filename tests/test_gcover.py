@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import golden_corpus
 from gcover_corpus import identity_morphism, subgroups_of
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.gcover import (
@@ -11,6 +13,7 @@ from covercalc.gcover import (
     CoverError,
     GAction,
     HurwitzSpaceId,
+    _equivariant_morphism,
     boundary_intersection_H,
     corestrict_graph,
     corestriction_boundary_multiplicity,
@@ -216,15 +219,33 @@ def test_boundary_intersection_trivial_group_reduction():
         if (a.genus(), a.n_legs) != (b.genus(), b.n_legs):
             continue
         classical = boundary_intersection(a, b)
-        equivariant = boundary_intersection_H(
-            wrap_trivial_group(a), wrap_trivial_group(b)
-        )
+        equivariant = _equivariant_terms(wrap_trivial_group(a), wrap_trivial_group(b))
         cl = sorted((t.gamma.canonical_key(), len(e)) for t, e in classical)
         eq = sorted(
             (t.gamma.graph.canonical_key(), len(t.excess_orbit_edges))
             for t in equivariant
         )
         assert cl == eq
+
+
+def _equivariant_terms(a, b):
+    """`boundary_intersection_H(a, b)`, each term's maps to A and B checked
+    G-equivariant: `_force_g_structure` builds them so and does not check."""
+    terms = boundary_intersection_H(a, b)
+    for t in terms:
+        assert _equivariant_morphism(t.gamma, a, t.to_a)
+        assert _equivariant_morphism(t.gamma, b, t.to_b)
+    return terms
+
+
+GOLDEN_PAIRS = [e for e in json.loads(golden_corpus.CORPUS.read_text())
+                if e["argv"][0] == "intersect-ggraph"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_PAIRS, ids=[e["name"] for e in GOLDEN_PAIRS])
+def test_forced_maps_are_equivariant_on_the_golden_pairs(entry):
+    a, b = (AdmissibleGGraph.from_json(entry["files"][name]) for name in "ab")
+    assert _equivariant_terms(a, b)
 
 
 def test_boundary_intersection_H_examples():

@@ -5,6 +5,7 @@ import pytest
 
 from covercalc.graphs import (
     GraphError,
+    GraphMorphism,
     StableGraph,
     contract_edges,
     enumerate_generic_AB,
@@ -92,6 +93,42 @@ def test_contraction_preserves_genus_randomized():
         contracted.validate()
         morphism.validate()
         assert contracted.genus() == graph.genus()
+
+
+# v0 -e1- v1 -e2- v2 of genera 1, 0, 1 with a leg on v1: half-edges 0, 1
+# are e1 and 2, 3 are e2
+CHAIN = StableGraph((1, 0, 1), (0, 1, 1, 2), (1, 0, 3, 2), (1,))
+
+
+def test_morphism_fibers_come_from_the_contracted_edges():
+    # e2 contracted: the fiber over vertex 1 is {v1, v2}, of genus 1
+    target = one_edge_separating(1, 1, legs=(1,))
+    GraphMorphism(CHAIN, target, (0, 1, 1), (0, 1)).validate()
+    # a contracted loop adds one to the genus of its fiber
+    GraphMorphism(loop_graph(0, 3), trivial_graph(1, 3), (0,), ()).validate()
+
+
+FIBER_REFUSALS = {
+    # e2 is contracted, but v1 and v2 go to different vertices
+    "contracted edge across fibers": (
+        CHAIN, one_edge_separating(1, 1, legs=(1,)), (0, 1, 0), (0, 1),
+        "contracted edge joins different fibers"),
+    # both edges kept, onto a banana: the fiber {v0, v2} has no edge inside
+    "fiber in two parts": (
+        CHAIN, StableGraph((1, 0), (0, 1, 1, 0), (1, 0, 3, 2), (1,)), (0, 1, 0), (0, 1, 2, 3),
+        "fiber over vertex 0 is not connected"),
+    # the contracted loop gives the fiber genus 1, not 0
+    "fiber of the wrong genus": (
+        loop_graph(0, 3), trivial_graph(0, 3), (0,), (),
+        "fiber over vertex 0 has wrong genus"),
+}
+
+
+@pytest.mark.parametrize("source, target, vertex_map, half_edge_map, message",
+                         FIBER_REFUSALS.values(), ids=FIBER_REFUSALS.keys())
+def test_morphism_fiber_refusals(source, target, vertex_map, half_edge_map, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        GraphMorphism(source, target, vertex_map, half_edge_map).validate()
 
 
 def test_enumerate_stable_graphs_counts():

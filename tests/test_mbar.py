@@ -113,8 +113,8 @@ def test_dilaton_equation_property():
 
 
 def test_integrate_psi_contract():
-    with pytest.raises(IntegralError):
-        integrate_psi(2, (4,))
+    with pytest.raises(IntegralError, match="negative"):
+        integrate_psi(-1, (1,))
     with pytest.raises(IntegralError):
         integrate_psi(0, (0, 0))
     with pytest.raises(IntegralError):

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from covercalc.exact import QSeries, sigma, sigma1
+from covercalc.exact import QSeries, sigma
 from covercalc.qmod import (
     _basis_size,
     eisenstein,
@@ -22,7 +22,7 @@ def test_eisenstein_coefficients():
     e2 = eisenstein(2, ORDER)
     assert e2.coeffs[0] == 1
     assert e2.coeffs[1] == -24
-    assert e2.coeffs[2] == -24 * sigma1(2)
+    assert e2.coeffs[2] == -24 * sigma(2)
     e4 = eisenstein(4, ORDER)
     assert e4.coeffs[0] == 1
     assert e4.coeffs[1] == 240
@@ -50,8 +50,8 @@ def test_e2_squared_is_member():
 
 
 def test_sigma_series_is_member():
-    # sum sigma1(n) q^n = (1 - E2)/24
-    s = QSeries((0, *(sigma1(n) for n in range(1, ORDER + 1))))
+    # sum sigma(n) q^n = (1 - E2)/24
+    s = QSeries((0, *(sigma(n) for n in range(1, ORDER + 1))))
     report = is_quasimodular(s, weight_bound=4, fit_len=20, holdout_len=18)
     assert report.is_member
     assert dict(report.coefficients) == {
