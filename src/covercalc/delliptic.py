@@ -9,7 +9,7 @@ against which the stratum route is checked exactly.
 
 Every ledger family walks one of two split enumerations: `am_bn_splits`
 (the profile loop am + bn = d) or `chain_splits` ((a+b)k + am + bn = d),
-whose list the delta00 walk builds once for both three-chain families.  A
+which the delta00 walk runs once for both three-chain families.  A
 pipeline over d = 2..d_max makes one checked pass: `degree_ledger(d)`
 walks each of the two ledgers once, checks every row against its closed
 form, the delta00 and delta01 stratum sums against theirs, and the
@@ -42,9 +42,11 @@ family); one `normalization_branches` call on the split's (index, count)
 target nodes gives the reduced degree; and the lcm of the distinct
 indices on each target node gives the multiplicity numerator (the
 excess families, whose check reads neither, compute both only for a built
-row).  Each row is checked the moment its values are known, so rows are
-checked in printed order and a breach names the first row that fails, on
-either path.
+row).  Each row is checked the moment its values are known, so each family
+checks its rows in printed order and a breach names its first failing row,
+on either path.  The chain walk checks a split's point rows, then its
+nodal-family rows: the nodal family, printed last, is checked before the
+profile family.
 """
 
 from __future__ import annotations
@@ -183,24 +185,19 @@ def segre_excess_contribution(a: int, b: int, variant: str) -> Fraction:
     variant "node-profile" is the family over the separating-target stratum
     (profile (a,b) over both node branches): the chain evaluates to
     -4 max(a,b).  variant "three-chain" is the family with chains of
-    ramification a+b, a, b over an irreducible nodal target: -2(a+b).
+    ramification a+b, a, b over an irreducible nodal target, with the chosen
+    nodes of ramification a and b: -2(a+b).  variant "three-chain-full-edge"
+    is that family with the chosen nodes of ramification a+b and a: -2b.
     """
     if a < 1 or b < 1:
         raise PipelineError("ramification indices must be positive")
     if variant == "node-profile":
-        L = lcm(a, b)
-        return _segre_chain((a, b), L, 2 * max(a, b), gcd(a, b))
+        return _segre_chain((a, b), lcm(a, b), 2 * max(a, b), gcd(a, b))
     if variant == "three-chain":
-        L = lcm(a, b, a + b)
-        return _segre_chain((a, b), L, 1, gcd(a, b) ** 2)
+        return _segre_chain((a, b), lcm(a, b, a + b), 1, gcd(a, b) ** 2)
+    if variant == "three-chain-full-edge":
+        return _segre_chain((a + b, a), lcm(a, b, a + b), 1, gcd(a, b) ** 2)
     raise PipelineError(f"unknown excess variant {variant!r}")
-
-
-@lru_cache(maxsize=None)
-def _segre_chain_secondary(a: int, b: int) -> Fraction:
-    """three-chain family with the chosen nodes of ramification a+b and a."""
-    L = lcm(a, b, a + b)
-    return _segre_chain((a + b, a), L, 1, gcd(a, b) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +234,10 @@ def delta01_contributions(d: int) -> list[StratumContribution]:
     return rows
 
 
-def _normalized_delta01_closed_form(d: int) -> int:
-    return 2 * sum(sigma(d1) * sigma(d - d1) for d1 in range(1, d))
-
-
-def _checked_delta01(d: int, stratum_sum: int) -> int:
+def _checked(d: int, stratum_sum: int, closed: int) -> int:
     """The normalized stratum sum, once it equals the normalized closed form."""
-    closed = _normalized_delta01_closed_form(d)
     if stratum_sum != closed:
-        raise PipelineError(
+        raise InvariantError(
             f"d={d}: normalized stratum route {stratum_sum} disagrees with closed form {closed}"
         )
     return stratum_sum
@@ -275,13 +267,15 @@ def _delta00_type1(d: int, rows: list[StratumContribution] | None) -> int:
     return total
 
 
-def _delta00_type2(
-    d: int, chains: list[tuple[int, ...]], rows: list[StratumContribution] | None
-) -> int:
-    """Three chains over a two-nodal target: isolated intersection points."""
+def _delta00_chains(
+    d: int, rows: list[StratumContribution] | None, nodal: list[StratumContribution] | None
+) -> tuple[int, int]:
+    """Both three-chain families in one walk of the chain splits: a split's
+    isolated points over a two-nodal target (rows to `rows`), then, if m, n >= 1,
+    its family over the irreducible-nodal target (rows to `nodal`); their sums."""
     mark = _mark_factor(d)
-    total = 0
-    for params in chains:
+    points = family = 0
+    for params in chain_splits(d):
         a, b, k, m, n = params
         s = a + b
         # the plus node carries k, m, n nodes of index a+b, a, b; the minus
@@ -305,11 +299,29 @@ def _delta00_type2(
             if choices:
                 closed = choices * factor
                 _check_row(choices * point, aut * mult_den, closed, subcase, params)
-                total += closed
+                points += closed
                 if rows is not None:
                     rows.append(_new_row(("delta00", subcase, params, mark, choices, aut,
                                           reduced, lcms, mult_den, None, 1, closed)))
-    return total
+        if m == 0 or n == 0:
+            continue
+        monomial = root // (a * b)
+        if nodal is not None:
+            reduced = normalization_branches((((s, k), (a, m), (b, n)),))
+            big_l = lcm(a, b, s)
+        for subcase, count_num, mult_den, variant, closed in (
+            ("nodal-family/profile-edges", 4 * m * n, max(a, b), "three-chain", -8 * s * m * n),
+            ("nodal-family/full-edge", 8 * k * m, s, "three-chain-full-edge", -16 * b * k * m),
+        ):
+            excess_num, excess_den = segre_excess_contribution(a, b, variant).as_integer_ratio()
+            excess_num *= monomial
+            _check_row(count_num * excess_num, monomial * excess_den, closed, subcase, params)
+            family += closed
+            if nodal is not None:
+                nodal.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
+                                       reduced, big_l, mult_den, excess_num, excess_den,
+                                       closed)))
+    return points, family
 
 
 def _delta00_type3(d: int, rows: list[StratumContribution] | None) -> int:
@@ -338,51 +350,19 @@ def _delta00_type3(d: int, rows: list[StratumContribution] | None) -> int:
     return total
 
 
-def _delta00_type4(
-    d: int, chains: list[tuple[int, ...]], rows: list[StratumContribution] | None
-) -> int:
-    """One-dimensional three-chain family over the irreducible-nodal target."""
-    mark = _mark_factor(d)
-    total = 0
-    for params in chains:
-        a, b, k, m, n = params
-        if m == 0 or n == 0:
-            continue
-        s = a + b
-        monomial = s ** (k - 1) * a ** (m - 1) * b ** (n - 1)
-        if rows is not None:
-            reduced = normalization_branches((((s, k), (a, m), (b, n)),))
-            big_l = lcm(a, b, s)
-        for subcase, count_num, mult_den, excess, closed in (
-            ("nodal-family/profile-edges", 4 * m * n, max(a, b),
-             segre_excess_contribution(a, b, "three-chain"), -8 * s * m * n),
-            ("nodal-family/full-edge", 8 * k * m, s, _segre_chain_secondary(a, b),
-             -16 * b * k * m),
-        ):
-            excess_num, excess_den = excess.as_integer_ratio()
-            excess_num *= monomial
-            _check_row(count_num * excess_num, monomial * excess_den, closed, subcase, params)
-            total += closed
-            if rows is not None:
-                rows.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
-                                      reduced, big_l, mult_den, excess_num, excess_den,
-                                      closed)))
-    return total
-
-
 def _delta00_walk(d: int, rows: list[StratumContribution] | None) -> tuple[int, ...]:
-    """The four delta00 families in printed order, over one list of chain
-    splits: their normalized sums (polygon-bridge, three-chain points,
-    profile family, nodal family)."""
+    """The four delta00 families, appended to `rows` in printed order, with
+    one walk of the chain splits for the second and fourth: their normalized
+    sums (polygon-bridge, three-chain points, profile family, nodal family)."""
     if d < 2:
         raise PipelineError("the pairing needs degree at least 2")
-    chains = list(chain_splits(d))
-    return (
-        _delta00_type1(d, rows),
-        _delta00_type2(d, chains, rows),
-        _delta00_type3(d, rows),
-        _delta00_type4(d, chains, rows),
-    )
+    nodal = None if rows is None else []
+    bridges = _delta00_type1(d, rows)
+    points, family = _delta00_chains(d, rows, nodal)
+    profiles = _delta00_type3(d, rows)
+    if rows is not None:
+        rows.extend(nodal)
+    return bridges, points, profiles, family
 
 
 def delta00_contributions(d: int) -> list[StratumContribution]:
@@ -398,24 +378,6 @@ def _family_sums(rows: list[StratumContribution]) -> tuple[int, ...]:
     for row in rows:
         sums[_FAMILY_OF[row.subcase]] += row.normalized_total
     return tuple(sums)
-
-
-def _normalized_delta00_closed_form(d: int) -> int:
-    return 4 * (d - 1) * sigma(d)
-
-
-def _checked_delta00(d: int, aggregates: tuple[int, ...]) -> int:
-    """The normalized stratum sum, once it equals the normalized closed form
-    and the three correction aggregates cancel."""
-    total = sum(aggregates)
-    closed = _normalized_delta00_closed_form(d)
-    if total != closed:
-        raise PipelineError(
-            f"d={d}: normalized stratum route {total} disagrees with closed form {closed}"
-        )
-    if sum(aggregates[1:]) != 0:
-        raise PipelineError(f"d={d}: correction aggregates fail to cancel")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +416,10 @@ def degree_ledger(d: int, rows: bool = True) -> DegreeLedger:
         rows00, rows01 = [], []
         aggregates = _delta00_walk(d, None)
         sum01 = _delta01_walk(d, None)
-    total00 = _checked_delta00(d, aggregates)
-    total01 = _checked_delta01(d, sum01)
+    total00 = _checked(d, sum(aggregates), 4 * (d - 1) * sigma(d))
+    if sum(aggregates[1:]) != 0:
+        raise InvariantError(f"d={d}: correction aggregates fail to cancel")
+    total01 = _checked(d, sum01, 2 * sum(sigma(d1) * sigma(d - d1) for d1 in range(1, d)))
     mark = _mark_factor(d)
     return DegreeLedger(
         rows00,

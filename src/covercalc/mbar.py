@@ -5,10 +5,10 @@ pullback to a boundary stratum, the excess-intersection formula for two
 boundary strata, and top-degree integration.
 
 Integrals of psi monomials, in every genus, come from three ingredients:
-genus 0 in closed form, (n-3)!/prod(a_i!); the dilaton equation, run as a
-loop; and one DVV (Virasoro) step on the smallest index, which at index 0
-is the string equation.  <tau_1>_1 = 1/24 is the one external constant
-(the standard Witten-Kontsevich value).
+genus 0 in closed form, (n-3)!/prod(a_i!); the dilaton and string
+equations, each run as a loop; and one DVV (Virasoro) step on a smallest
+index of at least 2.  <tau_1>_1 = 1/24 is the one external constant (the
+standard Witten-Kontsevich value).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from covercalc.errors import GraphError, IntegralError
 from covercalc.exact import rat_to_str
 
 if TYPE_CHECKING:
-    from covercalc.graphs import GenericABGraph, StableGraph
+    from covercalc.graphs import StableGraph
 
 
 def __getattr__(name: str):
@@ -53,8 +53,9 @@ def correlator(g: int, exponents: tuple[int, ...]) -> Fraction:
     """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(a) = 3g - 3 + n.
 
     Genus 0 is the closed form (n-3)!/prod(a_i!).  In genus >= 1 the
-    dilaton loop drops each tau_1 while another point remains; past the base
-    case <tau_1>_1 = 1/24, one `_virasoro_step` on the smallest index recurses.
+    dilaton loop drops each tau_1 while another point remains, and the string
+    loop drops each tau_0; past the base case <tau_1>_1 = 1/24, one
+    `_virasoro_step` on the smallest index recurses.
     """
     n = len(exponents)
     if g < 0 or any(a < 0 for a in exponents):
@@ -75,33 +76,38 @@ def correlator(g: int, exponents: tuple[int, ...]) -> Fraction:
         return factor * correlator(g, exps)
     if exps == (1,):
         return TAU1_GENUS1
+    if exps[-1] == 0:
+        # string equation, one tau_0 at a time in a loop: each lowered
+        # multiset (sorted descending) with its count, tau_{-1} terms dropped
+        terms = {exps: 1}
+        for _ in range(exps.count(0)):
+            lowered: dict[tuple[int, ...], int] = {}
+            for s, count in terms.items():
+                rest = s[:-1]
+                for j, aj in enumerate(rest):
+                    if aj:
+                        t = tuple(sorted(rest[:j] + (aj - 1,) + rest[j + 1 :], reverse=True))
+                        lowered[t] = lowered.get(t, 0) + count
+            terms = lowered
+        return sum((count * correlator(g, s) for s, count in terms.items()), Fraction(0))
     return _virasoro_step(g, exps)
 
 
 def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
-    """One DVV (Virasoro) step on the smallest index k + 1 = exps[-1], which
-    is 0 or >= 2 here, with S the other indices:
+    """One DVV (Virasoro) step on the smallest index k + 1 = exps[-1] >= 2,
+    with S the other indices:
 
       (2k+3)!! <tau_{k+1} tau_S>_g
         = sum_j (2(k+a_j)+1)!!/(2a_j-1)!! <tau_{k+a_j} tau_{S-a_j}>_g
         + 1/2 sum_{p+q=k-1} (2p+1)!!(2q+1)!! [<tau_p tau_q tau_S>_{g-1}
-          + sum_{g1+g2=g, I+J=S} <tau_p tau_I>_{g1} <tau_q tau_J>_{g2}].
-
-    At index 0 (k = -1) every coefficient is 1, tau_{-1} = 0 and the
-    quadratic sum is empty: the step is the string equation."""
+          + sum_{g1+g2=g, I+J=S} <tau_p tau_I>_{g1} <tau_q tau_J>_{g2}]."""
     k = exps[-1] - 1
     rest = exps[:-1]
     total = Fraction(0)
     for j, aj in enumerate(rest):
-        if k + aj < 0:
-            continue  # tau_{-1} = 0
         term = correlator(g, rest[:j] + rest[j + 1 :] + (k + aj,))
-        if k >= 0:
-            # (2(k+a_j)+1)!! / (2a_j-1)!!, the odd numbers 2a_j+1 .. 2(k+a_j)+1
-            term *= prod(range(2 * aj + 1, 2 * (k + aj) + 2, 2))
-        total += term
-    if k < 0:
-        return total
+        # (2(k+a_j)+1)!! / (2a_j-1)!!, the odd numbers 2a_j+1 .. 2(k+a_j)+1
+        total += term * prod(range(2 * aj + 1, 2 * (k + aj) + 2, 2))
     half = Fraction(0)
     for p in range(0, k):
         q = k - 1 - p
@@ -130,7 +136,9 @@ def integrate_psi(g: int, exponents) -> Fraction:
     try:
         return correlator(g, exponents)
     except RecursionError:
-        raise IntegralError(f"the recursion for {n} points is too deep to evaluate") from None
+        raise IntegralError(
+            f"the recursion for genus {g} with {n} points is too deep to evaluate"
+        ) from None
 
 
 @lru_cache(maxsize=None)
@@ -293,26 +301,19 @@ def pullback_by_boundary(
     return out
 
 
-def boundary_intersection(a: StableGraph, b: StableGraph) -> list[
-    tuple[GenericABGraph, tuple[tuple[int, int], ...]]
-]:
-    """xi_A^* (xi_B)_* (1) as (generic graph, excess edges) terms.
+def boundary_intersection_pushforward(a: StableGraph, b: StableGraph) -> StratumClass:
+    """xi_A^* (xi_B)_* (1), pushed all the way to M_{g,n}, decorations expanded.
 
-    Each term pushes forward the product over its excess edges (h, h') of
-    (-psi_h - psi_{h'}); `as_pushforward_class` expands that product.
+    Each generic (A,B)-graph pushes forward the product over its excess
+    (common) edges (h, h') of (-psi_h - psi_{h'}), expanded by `_expand_excess`.
     """
     from covercalc.graphs import enumerate_generic_AB
 
-    return [(t, t.common_edges()) for t in enumerate_generic_AB(a, b)]
-
-
-def boundary_intersection_pushforward(a: StableGraph, b: StableGraph) -> StratumClass:
-    """The intersection pushed all the way to M_{g,n}, decorations expanded."""
     g, n = a.genus(), a.n_legs
     terms = []
-    for triple, excess in boundary_intersection(a, b):
+    for triple in enumerate_generic_AB(a, b):
         gamma = triple.gamma
-        for coeff, dec in _expand_excess(gamma, excess):
+        for coeff, dec in _expand_excess(gamma, triple.common_edges()):
             terms.append((coeff, gamma, dec))
     return StratumClass(g, n, tuple(terms))
 

@@ -202,7 +202,8 @@ def _integrate_entries() -> list[tuple[str, list[str], dict]]:
     """`integrate` at the sizes of the benchmark's strata jobs: seeded genus-0
     and genus-1 exponent vectors with 12-20 points (each of the 3g-3+n
     degrees placed on a random point), a genus-1 vector of zeros and indices
-    of 2 and more, and a genus-0 string chain of 300 zeros and one 298."""
+    of 2 and more, a genus-0 string chain of 300 zeros and one 298, and
+    string chains of 400 zeros and one 401 in genus 1, one 404 in genus 2."""
     rng = random.Random(22)
     out = []
     for g in (0, 0, 0, 1, 1, 1):
@@ -213,6 +214,8 @@ def _integrate_entries() -> list[tuple[str, list[str], dict]]:
         out.append((f"genus {g} seeded n={n}", str(g), exps))
     out.append(("genus 1 zeros and indices >= 2", "1", [0, 0, 3, 0, 2, 0, 2, 0, 2]))
     out.append(("genus 0 tau_0^300 tau_298", "0", [0] * 300 + [298]))
+    out.append(("genus 1 string chain", "1", [0] * 400 + [401]))
+    out.append(("genus 2 string chain", "2", [0] * 400 + [404]))
     return [(f"integrate {label}",
              ["integrate", "--genus", genus, "--exponents", ",".join(map(str, exps))], {})
             for label, genus, exps in out]

@@ -431,6 +431,44 @@ def test_invariant_breach_exits_3(monkeypatch, capsys):
     assert payload["error"].startswith("internal invariant breach: polygon-bridge row")
 
 
+# Breaches of the checks each degree's pairing values pass after their rows,
+# planted by wrapping a name in `delliptic` (the name, then the source of the
+# wrapper): a closed form off by sigma + 1, and aggregates that keep their
+# total but no longer cancel.  Each is a bug, not bad input: once exit 2.
+LEDGER_BREACHES = {
+    "closed form": ("sigma", "lambda real: lambda n: real(n) + 1",
+                    "d=2: normalized stratum route 12 disagrees with closed form 16"),
+    "cancellation": ("_delta00_walk",
+                     "lambda real: lambda d, rows: tuple(x + y for x, y in "
+                     "zip(real(d, rows), (-1, 1, 0, 0)))",
+                     "d=2: correction aggregates fail to cancel"),
+}
+
+
+@pytest.mark.parametrize("name, wrapper, message", LEDGER_BREACHES.values(),
+                         ids=LEDGER_BREACHES.keys())
+def test_a_ledger_closed_form_breach_exits_3(monkeypatch, capsys, name, wrapper, message):
+    import covercalc.delliptic as delliptic
+
+    monkeypatch.setattr(delliptic, name, eval(wrapper)(getattr(delliptic, name)))
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "3"])
+    assert code == 3
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == f"internal invariant breach: {message}"
+
+
+@pytest.mark.parametrize("name, wrapper, message", LEDGER_BREACHES.values(),
+                         ids=LEDGER_BREACHES.keys())
+def test_a_ledger_closed_form_breach_exits_3_under_python_O(name, wrapper, message):
+    prelude = f"import covercalc.delliptic as d\nd.{name} = ({wrapper})(d.{name})\n"
+    [(out, code)] = _run_under_python_O([["delliptic", "--dmax", "3"]], prelude)
+    assert code == "3"
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == f"internal invariant breach: {message}"
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError])
 def test_a_builtin_error_is_an_internal_error_not_bad_input(monkeypatch, capsys, error):
     # only an errors.InputError exits 2; a builtin error from inside a layer
@@ -465,37 +503,43 @@ def test_qmod_check_fits_a_constant_on_its_one_coefficient(tmp_path, capsys, con
 
 
 # Long chains of the dilaton and string equations, with their values
-# <tau_1^n>_1 = (n-1)!/24, <tau_0^3 tau_1^k>_0 = k! and
-# <tau_0^(n-1) tau_(n-3)>_0 = 1: each once ended in a RecursionError
-# traceback with exit 1.  The dilaton equation runs as a loop, so those
-# chains must print their value; a string chain may still be too deep, and
-# then it must exit 2.
+# <tau_1^n>_1 = (n-1)!/24, <tau_0^3 tau_1^k>_0 = k!,
+# <tau_0^(n-1) tau_(n-3)>_0 = 1 and <tau_0^m tau_(3g-2+m)>_g = 1/(24^g g!):
+# each once ended in a RecursionError traceback with exit 1, and the string
+# chains in genus >= 1 then in an exit 2 refusal.  Both equations run as
+# loops, so every chain must print its value.
 LONG_CHAINS = {
-    "tau_1^500 genus 1": ("1", [1] * 500, Fraction(factorial(499), 24), False),
-    "tau_1^600 genus 1": ("1", [1] * 600, Fraction(factorial(599), 24), False),
-    "tau_0^3 tau_1^600 genus 0": ("0", [0] * 3 + [1] * 600, factorial(600), False),
-    "tau_0^400 tau_398 genus 0": ("0", [0] * 400 + [398], 1, False),
-    "tau_0^2000 tau_1998 genus 0": ("0", [0] * 2000 + [1998], 1, False),
-    # a string chain in genus >= 1 still recurses once per point
-    "tau_0^400 tau_401 genus 1": ("1", [0] * 400 + [401], Fraction(1, 24), True),
+    "tau_1^500 genus 1": ("1", [1] * 500, Fraction(factorial(499), 24)),
+    "tau_1^600 genus 1": ("1", [1] * 600, Fraction(factorial(599), 24)),
+    "tau_0^3 tau_1^600 genus 0": ("0", [0] * 3 + [1] * 600, factorial(600)),
+    "tau_0^400 tau_398 genus 0": ("0", [0] * 400 + [398], 1),
+    "tau_0^2000 tau_1998 genus 0": ("0", [0] * 2000 + [1998], 1),
+    "tau_0^400 tau_401 genus 1": ("1", [0] * 400 + [401], Fraction(1, 24)),
+    "tau_0^400 tau_404 genus 2": ("2", [0] * 400 + [404], Fraction(1, 1152)),
+    "tau_0^1000 tau_1007 genus 3": ("3", [0] * 1000 + [1007], Fraction(1, 82944)),
 }
 
 
-@pytest.mark.parametrize("genus, exponents, value, may_refuse", LONG_CHAINS.values(),
+@pytest.mark.parametrize("genus, exponents, value", LONG_CHAINS.values(),
                          ids=LONG_CHAINS.keys())
-def test_integrate_long_chains_print_the_exact_value(capsys, genus, exponents, value,
-                                                     may_refuse):
+def test_integrate_long_chains_print_the_exact_value(capsys, genus, exponents, value):
     argv = ["integrate", "--genus", genus, "--exponents", ",".join(map(str, exponents))]
     code, out = run_cli(capsys, argv)
-    payload = json.loads(out)
-    if may_refuse and code == 2:
-        check_schema("error", payload)
-        assert payload["error"] == (f"IntegralError: the recursion for {len(exponents)} "
-                                    "points is too deep to evaluate")
-        return
     assert code == 0
+    payload = json.loads(out)
     check_schema("integrate", payload)
     assert payload["value"] == rat_to_str(Fraction(value))
+
+
+def test_a_recursion_too_deep_for_its_genus_names_the_genus(capsys):
+    # the depth of <tau_898>_300 comes from the genus: the refusal once
+    # blamed "1 points"
+    code, out = run_cli(capsys, ["integrate", "--genus", "300", "--exponents", "898"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == ("IntegralError: the recursion for genus 300 with 1 points "
+                                "is too deep to evaluate")
 
 
 def _over_4300_digits(tmp_path):
@@ -826,10 +870,11 @@ def test_malformed_types_and_kappa_indices_exit_2_under_python_O(tmp_path):
         check_schema("error", json.loads(out))
 
 
-def _run_under_python_O(runs: list[list[str]]) -> list[tuple[str, str]]:
+def _run_under_python_O(runs: list[list[str]], prelude: str = "") -> list[tuple[str, str]]:
     """(stdout, exit code) of each argv, run through main() in one `python -O`
-    process; the checks raise domain errors, not asserts, so -O keeps them."""
-    script = ("import json, sys\nfrom covercalc.cli import main\n"
+    process after the source `prelude`; the checks raise domain errors, not
+    asserts, so -O keeps them."""
+    script = (prelude + "import json, sys\nfrom covercalc.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print(main(argv), end='\\0')\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(runs)],

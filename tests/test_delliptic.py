@@ -133,6 +133,7 @@ def test_segre_excess_contributions():
     for a, b in [(1, 1), (2, 1), (3, 2), (4, 6)]:
         assert segre_excess_contribution(a, b, "node-profile") == -4 * max(a, b)
         assert segre_excess_contribution(a, b, "three-chain") == -2 * (a + b)
+        assert segre_excess_contribution(a, b, "three-chain-full-edge") == -2 * b
         assert segre_excess_contribution(a, b, "node-profile") == segre_excess_contribution(
             b, a, "node-profile"
         )
@@ -201,7 +202,8 @@ FAMILY_BREACHES = {
     "nodal-profile-edges": ("segre_excess_contribution", lambda a, b, v: v == "three-chain",
                             delta00_contributions,
                             r"nodal-family/profile-edges row \(1, 1, 1, 1, 3\)"),
-    "nodal-full-edge": ("_segre_chain_secondary", lambda a, b: True, delta00_contributions,
+    "nodal-full-edge": ("segre_excess_contribution",
+                        lambda a, b, v: v == "three-chain-full-edge", delta00_contributions,
                         r"nodal-family/full-edge row \(1, 1, 1, 1, 3\)"),
     "polygon-bridge": ("normalization_branches", lambda nodes: len(nodes) == 1,
                        delta00_contributions, r"polygon-bridge row \(1, 6\)"),
@@ -317,6 +319,14 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(delliptic, name, counted)
     return calls
+
+
+def test_each_delta00_walk_enumerates_the_chain_splits_once(monkeypatch):
+    # both three-chain families come from one walk of chain_splits(d)
+    calls = _count_calls(monkeypatch, "chain_splits")
+    for rows in (True, False):
+        degree_ledger(12, rows=rows)
+    assert calls == [12, 12]
 
 
 @pytest.mark.parametrize(

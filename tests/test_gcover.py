@@ -31,14 +31,13 @@ from covercalc.gcover import (
     validate_admissible_g_graph,
     wrap_trivial_group,
 )
-from covercalc.graphs import StableGraph, enumerate_stable_graphs
+from covercalc.graphs import StableGraph, enumerate_generic_AB, enumerate_stable_graphs
 from covercalc.groups import (
     compose,
     cyclic_group,
     symmetric_group,
     trivial_group,
 )
-from covercalc.mbar import boundary_intersection
 
 
 def test_riemann_hurwitz_examples():
@@ -218,9 +217,9 @@ def test_boundary_intersection_trivial_group_reduction():
     for a, b in itertools.product(corpus, repeat=2):
         if (a.genus(), a.n_legs) != (b.genus(), b.n_legs):
             continue
-        classical = boundary_intersection(a, b)
+        classical = enumerate_generic_AB(a, b)
         equivariant = _equivariant_terms(wrap_trivial_group(a), wrap_trivial_group(b))
-        cl = sorted((t.gamma.canonical_key(), len(e)) for t, e in classical)
+        cl = sorted((t.gamma.canonical_key(), len(t.common_edges())) for t in classical)
         eq = sorted(
             (t.gamma.graph.canonical_key(), len(t.excess_orbit_edges))
             for t in equivariant

@@ -7,13 +7,17 @@ import pytest
 
 from closed_forms import genus1_closed_form
 from covercalc.gcover import CoverError, pullback_psi_kappa_hurwitz
-from covercalc.graphs import StableGraph, enumerate_stable_graphs, trivial_graph
+from covercalc.graphs import (
+    StableGraph,
+    enumerate_generic_AB,
+    enumerate_stable_graphs,
+    trivial_graph,
+)
 from covercalc.groups import trivial_group
 from covercalc.mbar import (
     Decoration,
     IntegralError,
     StratumClass,
-    boundary_intersection,
     boundary_intersection_pushforward,
     correlator,
     integrate_psi,
@@ -76,6 +80,14 @@ def test_genus2_values_against_literature():
 def test_witten_one_point_values(g):
     # <tau_{3g-2}>_g = 1 / (24^g g!)
     assert correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g))
+
+
+@pytest.mark.parametrize("m", [1, 50, 400])
+@pytest.mark.parametrize("g", range(1, 5))
+def test_string_chains_keep_the_one_point_value(g, m):
+    # m string steps lower tau_{3g-2+m} to tau_{3g-2}: <tau_0^m tau_{3g-2+m}>_g
+    # = 1 / (24^g g!); the chain once recursed once per tau_0 in genus >= 1
+    assert correlator(g, (0,) * m + (3 * g - 2 + m,)) == Fraction(1, 24**g * factorial(g))
 
 
 def _seeded_exponents(rng, g):
@@ -192,23 +204,23 @@ def test_pullback_by_boundary_routing():
 def test_boundary_intersection_edgeless():
     t = trivial_graph(2, 0)
     sep = StableGraph((1, 1), (0, 1), (1, 0), ())
-    terms = boundary_intersection(t, sep)
+    terms = enumerate_generic_AB(t, sep)
     assert len(terms) == 1
-    triple, excess = terms[0]
-    assert triple.gamma.canonical_key() == sep.canonical_key() and excess == ()
+    assert terms[0].gamma.canonical_key() == sep.canonical_key()
+    assert terms[0].common_edges() == ()
 
 
 def test_boundary_intersection_loop_genus11():
     lp = StableGraph((0,), (0, 0), (1, 0), (0,))
-    terms = boundary_intersection(lp, lp)
+    terms = enumerate_generic_AB(lp, lp)
     assert len(terms) == 2
-    assert all(len(excess) == 1 for _, excess in terms)
+    assert all(len(t.common_edges()) == 1 for t in terms)
 
 
 def test_boundary_intersection_disjoint_support():
     d = StableGraph((1, 0), (0, 1), (1, 0), (1, 1))
     two_gon = StableGraph((0, 0), (0, 1, 0, 1), (1, 0, 3, 2), (0, 1))
-    assert boundary_intersection(d, two_gon) == []
+    assert enumerate_generic_AB(d, two_gon) == []
 
 
 def test_self_intersection_vanishes_on_m12():
