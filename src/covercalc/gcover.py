@@ -484,7 +484,8 @@ def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGr
     """The same graph with the action restricted and legs relabeled."""
     group = gg.group
     new_space, ledger = restriction_monodromy(gg.space, subgroup)
-    # map new leg positions to old ones through the coset layouts
+    # map new leg positions to old ones through the coset layouts; each new
+    # block is one subgroup orbit on G/<h_i>, so this bijects (orbit-stabilizer)
     old_tables = gg.space.cosets
     old_offsets = gg.space.distinguished_positions
     new_to_old = [
@@ -492,8 +493,6 @@ def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGr
         for (i, _, t, _), new_table in zip(ledger, new_space.cosets)
         for c in new_table.reps
     ]
-    if not is_perm(new_to_old, gg.graph.n_legs):
-        raise CoverError("relabeling does not biject the marked points")
     new_leg_vertex = tuple(gg.graph.leg_vertex[p] for p in new_to_old)
     new_graph = StableGraph(
         gg.graph.genera, gg.graph.half_edge_vertex, gg.graph.involution, new_leg_vertex
@@ -648,70 +647,42 @@ def _force_g_structure(
     both maps to A and B G-equivariant, or None when there is none or it is
     not admissible.
 
-    Both maps are equivariant by construction, so nothing re-checks them:
-    - the half-edge images and the edge monodromy are defined by transport
-      along `to_A` and `to_B`;
-    - the leg images are the canonical layout that the validated A and B
-      already carry;
-    - the vertex images follow from the attachments of half-edges and legs.
-      A fibre with no image point occurs only when A or B is one bare vertex.
+    This is transport only.  Every half-edge of gamma comes from A or B
+    (genericity), and its monodromy and generator images are copied along
+    `to_A` and `to_B`; a half-edge on which the two maps disagree gives
+    None.  The leg images are the canonical layout that the validated A and
+    B already carry, and each vertex image is read off the attachment of a
+    half-edge or leg there (0 for a bare vertex).  Nothing else is checked
+    here: `GAction.from_generators` rejects images that break the group law,
+    a non-injective one among them, and the validator rejects vertex images
+    that break an attachment and everything else that is not admissible.
     """
-    gamma = triple.gamma
-    group = space.group
-    fa, fb = triple.to_A, triple.to_B
-    a_imageof = {fa.half_edge_map[h]: h for h in range(a.graph.n_half_edges)}
-    b_imageof = {fb.half_edge_map[h]: h for h in range(b.graph.n_half_edges)}
+    gamma, gens = triple.gamma, space.group.generators
+    transported: list = [None] * gamma.n_half_edges
+    for f, side in ((triple.to_A, a), (triple.to_B, b)):
+        images = f.half_edge_map
+        for h, image in enumerate(images):
+            moved = (side.mon_half[h], tuple(images[side.action.half[t][h]] for t in gens))
+            if transported[image] not in (None, moved):
+                return None
+            transported[image] = moved
     gen_images = {}
-    for t in group.generators:
-        hperm = [None] * gamma.n_half_edges
-        for h in range(gamma.n_half_edges):
-            if h in a_imageof:
-                hperm[h] = fa.half_edge_map[a.action.half[t][a_imageof[h]]]
-            if h in b_imageof:
-                candidate = fb.half_edge_map[b.action.half[t][b_imageof[h]]]
-                if hperm[h] is not None and hperm[h] != candidate:
-                    return None
-                hperm[h] = candidate
-        if not is_perm(hperm, gamma.n_half_edges):
-            return None
+    for i, t in enumerate(gens):
+        hperm = tuple(moves[i] for _, moves in transported)
         lperm = space.canonical_leg_action(t)
-        vperm = [None] * gamma.n_vertices
-        for h in range(gamma.n_half_edges):
-            v, w = gamma.half_edge_vertex[h], gamma.half_edge_vertex[hperm[h]]
-            if vperm[v] is not None and vperm[v] != w:
-                return None
-            vperm[v] = w
-        for l in range(gamma.n_legs):
-            v, w = gamma.leg_vertex[l], gamma.leg_vertex[lperm[l]]
-            if vperm[v] is not None and vperm[v] != w:
-                return None
-            vperm[v] = w
-        if gamma.n_vertices == 1 and vperm[0] is None:
-            vperm[0] = 0
-        if not is_perm(vperm, gamma.n_vertices):
-            return None
-        gen_images[t] = (tuple(vperm), tuple(hperm), lperm)
+        vperm = [0] * gamma.n_vertices
+        for h, w in enumerate(hperm):
+            vperm[gamma.half_edge_vertex[h]] = gamma.half_edge_vertex[w]
+        for l, w in enumerate(lperm):
+            vperm[gamma.leg_vertex[l]] = gamma.leg_vertex[w]
+        gen_images[t] = (tuple(vperm), hperm, lperm)
     try:
-        action = GAction.from_generators(gamma, group, gen_images)
+        action = GAction.from_generators(gamma, space.group, gen_images)
     except ActionError:
         return None
-    mon_half: list[Perm | None] = [None] * gamma.n_half_edges
-    for h in range(gamma.n_half_edges):
-        if h in a_imageof:
-            mon_half[h] = a.mon_half[a_imageof[h]]
-        if h in b_imageof:
-            candidate = b.mon_half[b_imageof[h]]
-            if mon_half[h] is not None and mon_half[h] != candidate:
-                return None
-            mon_half[h] = candidate
-    if any(m is None for m in mon_half):
-        return None
+    mon_half = tuple(mon for mon, _ in transported)
     candidate = AdmissibleGGraph(
-        space,
-        gamma,
-        action,
-        tuple(mon_half),
-        space.canonical_leg_monodromy,
+        space, gamma, action, mon_half, space.canonical_leg_monodromy
     )
     if validate_admissible_g_graph(candidate):
         return None

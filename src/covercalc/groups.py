@@ -4,7 +4,9 @@ Groups are stored by full element enumeration (desk scale: orders up to a
 few thousand), with elements represented as tuples of 0-based images.  The
 element list is kept in lexicographic order so that coset representatives,
 orbit representatives, and quotient constructions are deterministic across
-runs.
+runs.  Enumeration bounds the order: a group of more than MAX_GROUP_ORDER =
+10^6 elements is refused with GroupError as soon as its closure passes the
+bound, so S_9 (362880 elements) still builds and S_10 does not.
 
 There is one group type: a subgroup is a `FiniteGroup` of the same degree,
 closed from its generators.  There is one coset table: `left_cosets` builds
@@ -93,9 +95,12 @@ def perm_from_cycles(n: int, cyc_list: Sequence[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
+MAX_GROUP_ORDER = 10**6
+
+
 def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
     """Everything gens generate: breadth-first closure of the identity under
-    left multiplication."""
+    left multiplication.  GroupError once it passes MAX_GROUP_ORDER elements."""
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -106,6 +111,11 @@ def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
+                    if len(seen) > MAX_GROUP_ORDER:
+                        raise GroupError(
+                            f"the generators give a group of more than {MAX_GROUP_ORDER} "
+                            "elements, the bound on a group's order"
+                        )
         frontier = nxt
     return seen
 

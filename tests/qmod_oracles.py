@@ -10,7 +10,11 @@ do both the old way, over `Fraction`s:
 * `oracle_solve` is Gauss-Jordan elimination with column-order pivots,
   every row scaled to a leading one.
 
-The tests compare the package's basis and solutions with these exactly.
+`oracle_basis_size` counts the basis monomials by the double loop that
+`qmod._basis_size`'s closed form replaced.
+
+The tests compare the package's basis, its size and its solutions with
+these exactly.
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ def oracle_basis(weight_bound: int, order: int) -> list[tuple[BasisMonomial, QSe
             out.append((mono, series))
     out.sort(key=lambda item: (item[0].weight, item[0].e2, item[0].e4, item[0].e6))
     return out
+
+
+def oracle_basis_size(weight_bound: int) -> int:
+    """The number of monomials E2^a E4^b E6^c of weight <= bound: for each
+    (b, c), the a with 2a <= bound - 4b - 6c."""
+    return sum((weight_bound - 4 * b - 6 * c) // 2 + 1
+               for c in range(weight_bound // 6 + 1)
+               for b in range((weight_bound - 6 * c) // 4 + 1))
 
 
 def oracle_solve(rows, rhs):

@@ -419,6 +419,26 @@ def test_qmod_check_refuses_a_large_weight_before_building_the_basis(tmp_path, c
                                 "the solve would be underdetermined")
 
 
+@pytest.mark.parametrize("weight, size", [
+    (10**6, 3472295139347223),
+    (10**18, 3472222222222222295138888888888889347222222222222223),
+])
+def test_qmod_check_refuses_a_huge_weight_at_once(tmp_path, capsys, weight, size):
+    # counting the basis took 36.7 s at weight 100000 before it had a closed form
+    series = {"order": 40, "coefficients": ["1"] + ["0"] * 40}
+    start = time.perf_counter()
+    code, out = _run_with_inputs(
+        tmp_path, capsys, ["qmod-check", "--weight", str(weight), "--input", "@in"],
+        {"in": series},
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == (f"SeriesError: fit length 20 below the basis size {size}; "
+                                "the solve would be underdetermined")
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 
@@ -706,6 +726,37 @@ def test_validate_ggraph_rejects_non_integer_permutation_entries(
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"].startswith(error)
+
+
+def test_validate_ggraph_rejects_an_action_that_breaks_the_group_law(tmp_path, capsys):
+    # a 3-cycle of the vertices for the generator of Z/2: each image is a
+    # permutation, but its square is not the identity
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1).to_json()
+    gg["action_generators"][0]["vertices"] = [1, 2, 0]
+    code, out = _run_with_inputs(tmp_path, capsys, ["validate-ggraph", "@in"], {"in": gg})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == "ActionError: generator images violate the group relations"
+
+
+def test_a_group_past_the_order_bound_exits_2(tmp_path, capsys, monkeypatch):
+    from covercalc import groups
+    from gg_factory import _z2_gp
+
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 10**4)
+    assert len(groups.symmetric_group(7)) == 5040
+    gg = _z2_gp(1).to_json()
+    gg["space"]["group"] = {"degree": 8, "generators": [[2, 1, 3, 4, 5, 6, 7, 8],
+                                                       [2, 3, 4, 5, 6, 7, 8, 1]]}
+    code, out = _run_with_inputs(tmp_path, capsys, ["validate-ggraph", "@in"], {"in": gg})
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == ("GroupError: the generators give a group of more than 10000 "
+                                "elements, the bound on a group's order")
 
 
 @pytest.mark.parametrize("field, value", [("h", [2.0, 3, 4, 1]), ("normal", [[2, 1, 4, True]])])

@@ -8,6 +8,7 @@ import pytest
 import golden_corpus
 from gcover_corpus import identity_morphism, subgroups_of
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
+from covercalc.errors import ActionError
 from covercalc.gcover import (
     AdmissibleGGraph,
     CoverError,
@@ -425,3 +426,32 @@ def test_corestrict_graph_rejects_a_vertex_without_integral_quotient_genus():
     bad = AdmissibleGGraph(gg.space, graph, action, gg.mon_half, gg.mon_leg)
     with pytest.raises(CoverError, match="vertex 0: quotient genus is not integral"):
         corestrict_graph(bad, gg.group)
+
+
+# Forcing a G-structure (`_force_g_structure`) only transports images along
+# the two maps; these two checks are what reject a transported image that
+# is not an action by graph automorphisms.
+@pytest.mark.parametrize("images", [
+    ((0, 0, 2), (2, 3, 0, 1), (0, 1)),  # non-injective on the vertices
+    ((1, 0, 2), (2, 2, 0, 1), (0, 1)),  # non-injective on the half-edges
+    ((1, 2, 0), (2, 3, 0, 1), (0, 1)),  # a 3-cycle for an element of order 2
+])
+def test_from_generators_rejects_images_that_break_the_group_law(images):
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1)
+    with pytest.raises(ActionError, match="generator images violate the group relations"):
+        GAction.from_generators(gg.graph, gg.group, {gg.group.generators[0]: images})
+
+
+@pytest.mark.parametrize("build, images, detail", [
+    ("_z2_gp", ((0, 1, 2), (2, 3, 0, 1), (0, 1)), "attachment not preserved at half-edge 0"),
+    ("_polygon", ((1, 0), (2, 3, 0, 1), (0, 1)), "leg attachment not preserved at leg 0"),
+])
+def test_validator_rejects_vertex_images_that_break_an_attachment(build, images, detail):
+    import gg_factory
+
+    gg = gg_factory._z2_gp(1) if build == "_z2_gp" else gg_factory._polygon(2, 1, True)
+    action = GAction.from_generators(gg.graph, gg.group, {gg.group.generators[0]: images})
+    bad = AdmissibleGGraph(gg.space, gg.graph, action, gg.mon_half, gg.mon_leg)
+    assert validate_admissible_g_graph(bad) == [("action", detail)]

@@ -12,7 +12,7 @@ from covercalc.qmod import (
     quasimodular_basis,
     solve_exact,
 )
-from qmod_oracles import oracle_basis, oracle_solve, series_mul
+from qmod_oracles import oracle_basis, oracle_basis_size, oracle_solve, series_mul
 
 
 ORDER = 45
@@ -249,3 +249,12 @@ def test_integer_basis_matches_oracle_up_to_weight_14():
         assert basis == [item for item in oracle if item[0].weight <= weight]
         assert _basis_size(weight) == len(basis)
         assert all(type(c) is int for _, series in basis for c in series.coeffs)
+
+
+def test_basis_size_closed_form_matches_the_count_up_to_weight_2000():
+    # both sides depend on n = w // 2 through n mod 6 and a cubic, so every
+    # w <= 500 and every 13th w above it (each residue mod 12) cover them;
+    # the count costs O(w^2), and all 2001 weights take 8 s
+    weights = [*range(501), *range(513, 2001, 13), 2000]
+    assert all(_basis_size(w) == oracle_basis_size(w) for w in weights)
+    assert _basis_size(400) == 234073
