@@ -333,11 +333,15 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_delliptic(args) -> int:
-    from covercalc.delliptic import degree_ledger, pairing_series, quasimodularity_report
+    from covercalc.delliptic import (
+        MAX_DMAX, degree_ledger, pairing_series, quasimodularity_report,
+    )
     from covercalc.exact import rat_to_str
 
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
+    if args.dmax > MAX_DMAX:
+        raise PipelineError(f"--dmax must be at most {MAX_DMAX}, the bound on the degrees walked")
     _print_any_int()
     # --human prints only the values table, so it builds no ledger rows
     rows = args.ledger and not args.human

@@ -42,11 +42,26 @@ family); one `normalization_branches` call on the split's (index, count)
 target nodes gives the reduced degree; and the lcm of the distinct
 indices on each target node gives the multiplicity numerator (the
 excess families, whose check reads neither, compute both only for a built
-row).  Each row is checked the moment its values are known, so each family
-checks its rows in printed order and a breach names its first failing row,
-on either path.  The chain walk checks a split's point rows, then its
+row).  Rows that share a predicate evaluate it once, and it is each row's
+own check with common nonzero factors cancelled, so every row is still
+checked.  A three-chain point row checks choices * reduced * lcms ==
+aut * mult_den * choices * factor; as choices > 0 and factor * mult_den =
+(a+b)ab in all four subcases, that is reduced * lcms == (a+b)ab * aut, one
+predicate per chain split.  An excess-family row checks count * excess ==
+closed form, the chain monomial on both sides; with it and m*n (or k*m)
+cancelled that reads excess == -4max(a,b) (profile family), -2(a+b) or
+-2b (the two nodal rows), a predicate on (a, b) alone, evaluated at the
+pair's first row in walk order.  A breach raises the check of the first
+row that fails it, with that row's own values, so each family checks its
+rows in printed order and a breach names its first failing row, on
+either path.  The chain walk checks a split's point rows, then its
 nodal-family rows: the nodal family, printed last, is checked before the
 profile family.
+
+The CLI walks degrees up to MAX_DMAX = 200 and refuses a larger --dmax
+before it walks any: the chain splits number about 3.1 million up to
+d = 200, and `delliptic --dmax 200 --series --qmod` takes about 17 s on a
+2-core Xeon (Python 3.11).
 """
 
 from __future__ import annotations
@@ -60,6 +75,10 @@ from typing import NamedTuple
 from covercalc.errors import InvariantError, PipelineError
 from covercalc.exact import QSeries, divisors, sigma
 from covercalc.qmod import MembershipReport, is_quasimodular
+
+
+# The largest --dmax the CLI walks.
+MAX_DMAX = 200
 
 
 def normalization_branches(nodes: Sequence[Sequence[tuple[int, int]]]) -> int:
@@ -171,11 +190,12 @@ def _segre_chain(
     """
     e1, e2 = node_rams
     L = cover_ram
-    m_thick = Fraction(L, max(e1, e2))
-    # psi^1 coefficient of (1 - (L/e1) psi)(1 - (L/e2) psi)(M + M^2 psi)
-    psi1 = m_thick * m_thick - (Fraction(L, e1) + Fraction(L, e2)) * m_thick
-    integral_psi = Fraction(2, L) * target_degree * branch_factor
-    return psi1 * integral_psi
+    top = max(e1, e2)
+    # the psi^1 coefficient of (1 - (L/e1) psi)(1 - (L/e2) psi)(M + M^2 psi)
+    # is M^2 - (L/e1 + L/e2) M = L^2 (e1 e2 - (e1 + e2) top) / (e1 e2 top^2);
+    # times the psi integral, over one common denominator
+    num = 2 * L * target_degree * branch_factor * (e1 * e2 - (e1 + e2) * top)
+    return Fraction(num, e1 * e2 * top * top)
 
 
 @lru_cache(maxsize=None)
@@ -267,6 +287,36 @@ def _delta00_type1(d: int, rows: list[StratumContribution] | None) -> int:
     return total
 
 
+def _point_rows(a: int, b: int, k: int, m: int, n: int) -> list[tuple[str, int, int, int]]:
+    """(subcase, choices, mult_den, closed form) of a chain split's point rows
+    with choices > 0, in printed order.
+
+    The multiplicity is (l_+/e_+)(l_-/e_-): each target node's own common
+    ramification over the index of the node chosen to smooth on that side.
+    Each closed form is choices * factor, and factor * mult_den = (a+b)ab in
+    every subcase."""
+    s = a + b
+    return [(subcase, choices, mult_den, choices * factor)
+            for subcase, choices, mult_den, factor in (
+                ("three-chain/a-over-plus", 4 * m * (n + 1), a * b, s),
+                ("three-chain/b-over-plus", 4 * (m + 1) * n, a * b, s),
+                ("three-chain/full-node-plus", 8 * k * (m + 1), s * a, b),
+                ("three-chain/full-node-minus", 8 * (k - 1) * m, s * a, b),
+            ) if choices]
+
+
+def _nodal_rows(
+    a: int, b: int, k: int, m: int, n: int
+) -> tuple[tuple[str, int, int, str, int], ...]:
+    """(subcase, count_num, mult_den, excess variant, closed form) of a chain
+    split's two nodal-family rows (m, n >= 1), in printed order."""
+    s = a + b
+    return (
+        ("nodal-family/profile-edges", 4 * m * n, max(a, b), "three-chain", -8 * s * m * n),
+        ("nodal-family/full-edge", 8 * k * m, s, "three-chain-full-edge", -16 * b * k * m),
+    )
+
+
 def _delta00_chains(
     d: int, rows: list[StratumContribution] | None, nodal: list[StratumContribution] | None
 ) -> tuple[int, int]:
@@ -275,9 +325,21 @@ def _delta00_chains(
     its family over the irreducible-nodal target (rows to `nodal`); their sums."""
     mark = _mark_factor(d)
     points = family = 0
+    pair = None
     for params in chain_splits(d):
         a, b, k, m, n = params
-        s = a + b
+        if (a, b) != pair:
+            # the splits of one pair (a, b) come in one run: its constants,
+            # the lcm of the indices present on each target node by which of
+            # m, n (plus node) or k - 1 (minus node) are positive, and its
+            # nodal excess once its first nodal row has checked it
+            pair = a, b
+            s = a + b
+            sab = s * a * b
+            common = lcm(a, b, s)
+            plus_lcm = ((s, lcm(s, b)), (lcm(s, a), common))
+            minus_lcm = (lcm(a, b), common)
+            excess = None
         # the plus node carries k, m, n nodes of index a+b, a, b; the minus
         # node k-1, m+1, n+1
         root = s ** (k - 1) * a ** m * b ** n
@@ -285,42 +347,44 @@ def _delta00_chains(
         reduced = normalization_branches(
             (((s, k), (a, m), (b, n)), ((s, k - 1), (a, m + 1), (b, n + 1)))
         )
-        lcms = lcm(s, a if m else 1, b if n else 1) * lcm(a, b, s if k > 1 else 1)
+        lcms = plus_lcm[m > 0][n > 0] * minus_lcm[k > 1]
         point = reduced * lcms
-        # multiplicity (l_+/e_+)(l_-/e_-): each target node's own common
-        # ramification over the index of the node chosen to smooth on that
-        # side; the closed form is choices * factor
-        for subcase, choices, mult_den, factor in (
-            ("three-chain/a-over-plus", 4 * m * (n + 1), a * b, s),
-            ("three-chain/b-over-plus", 4 * (m + 1) * n, a * b, s),
-            ("three-chain/full-node-plus", 8 * k * (m + 1), s * a, b),
-            ("three-chain/full-node-minus", 8 * (k - 1) * m, s * a, b),
-        ):
-            if choices:
-                closed = choices * factor
+        # each point row checks choices * point == aut * mult_den * choices *
+        # factor; with choices > 0 and factor * mult_den = (a+b)ab that is
+        # one predicate for the split, and a breach names its first row
+        if point != sab * aut:
+            for subcase, choices, mult_den, closed in _point_rows(*params):
                 _check_row(choices * point, aut * mult_den, closed, subcase, params)
-                points += closed
-                if rows is not None:
-                    rows.append(_new_row(("delta00", subcase, params, mark, choices, aut,
-                                          reduced, lcms, mult_den, None, 1, closed)))
+        # the closed forms of the split's point rows (an absent row's is 0)
+        points += 4 * s * (2 * m * n + m + n) + 8 * b * (2 * k * m + k - m)
+        if rows is not None:
+            for subcase, choices, mult_den, closed in _point_rows(*params):
+                rows.append(_new_row(("delta00", subcase, params, mark, choices, aut,
+                                      reduced, lcms, mult_den, None, 1, closed)))
         if m == 0 or n == 0:
             continue
+        family -= 8 * m * (s * n + 2 * b * k)
         monomial = root // (a * b)
+        if excess is None:
+            # a nodal row checks count * excess_num == closed * excess_den
+            # with the monomial in both; with it and m*n (k*m) cancelled
+            # that reads excess == -2(a+b) (-2b), a predicate on (a, b)
+            # alone, so the pair's first nodal row checks all of the pair's
+            excess = []
+            for subcase, count_num, _, variant, closed in _nodal_rows(*params):
+                excess_num, excess_den = segre_excess_contribution(
+                    a, b, variant).as_integer_ratio()
+                _check_row(count_num * excess_num * monomial, monomial * excess_den, closed,
+                           subcase, params)
+                excess.append((excess_num, excess_den))
         if nodal is not None:
             reduced = normalization_branches((((s, k), (a, m), (b, n)),))
-            big_l = lcm(a, b, s)
-        for subcase, count_num, mult_den, variant, closed in (
-            ("nodal-family/profile-edges", 4 * m * n, max(a, b), "three-chain", -8 * s * m * n),
-            ("nodal-family/full-edge", 8 * k * m, s, "three-chain-full-edge", -16 * b * k * m),
-        ):
-            excess_num, excess_den = segre_excess_contribution(a, b, variant).as_integer_ratio()
-            excess_num *= monomial
-            _check_row(count_num * excess_num, monomial * excess_den, closed, subcase, params)
-            family += closed
-            if nodal is not None:
+            for (subcase, count_num, mult_den, _, closed), (excess_num, excess_den) in zip(
+                _nodal_rows(*params), excess
+            ):
                 nodal.append(_new_row(("delta00", subcase, params, mark, count_num, monomial,
-                                       reduced, big_l, mult_den, excess_num, excess_den,
-                                       closed)))
+                                       reduced, common, mult_den, excess_num * monomial,
+                                       excess_den, closed)))
     return points, family
 
 
@@ -328,25 +392,32 @@ def _delta00_type3(d: int, rows: list[StratumContribution] | None) -> int:
     """One-dimensional family over the separating-target stratum: excess."""
     mark = _mark_factor(d)
     total = 0
+    excess = {}  # (a, b): its per-monomial excess, once the pair's first row checked it
     for params in am_bn_splits(d):
         a, b, m, n = params
-        monomial = a ** (m - 1) * b ** (n - 1)
         top = max(a, b)
-        count_num = 2 * m * n
-        excess = segre_excess_contribution(a, b, "node-profile")
-        excess_num, excess_den = excess.as_integer_ratio()
-        excess_num *= monomial
         closed = -8 * top * m * n
-        # family: count * excess, the family's per-monomial excess times
-        # the chain monomial
-        _check_row(count_num * excess_num, monomial * excess_den, closed, "profile-family",
-                   params)
         total += closed
+        checked = (a, b) in excess
+        if checked and rows is None:
+            continue
+        monomial = a ** (m - 1) * b ** (n - 1)
+        count_num = 2 * m * n
+        if not checked:
+            # family: count * excess, the family's per-monomial excess times
+            # the chain monomial.  With the monomial and m*n cancelled the
+            # check reads excess == -4max(a, b), a predicate on (a, b) alone,
+            # so the pair's first row (in walk order) checks all of the pair's
+            excess_num, excess_den = excess[a, b] = segre_excess_contribution(
+                a, b, "node-profile").as_integer_ratio()
+            _check_row(count_num * excess_num * monomial, monomial * excess_den, closed,
+                       "profile-family", params)
         if rows is not None:
+            excess_num, excess_den = excess[a, b]
             reduced = normalization_branches((((a, m), (b, n)),))
             rows.append(_new_row(("delta00", "profile-family", params, mark, count_num,
-                                  monomial, reduced, lcm(a, b), top, excess_num, excess_den,
-                                  closed)))
+                                  monomial, reduced, lcm(a, b), top, excess_num * monomial,
+                                  excess_den, closed)))
     return total
 
 

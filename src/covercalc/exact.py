@@ -13,6 +13,7 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -56,10 +57,18 @@ def ratio_to_str(num: int, den: int) -> str:
 
 def sigma(n: int, k: int = 1) -> int:
     """Divisor power sum: sum of d**k over positive divisors d of n."""
-    return sum(d**k for d in divisors(n))
+    return sum(d**k for d in _divisors(n))
 
 
 def divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending, as a new list."""
+    return list(_divisors(n))
+
+
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n, ascending: each n is factored once per
+    process, and `divisors` copies the tuple into the list it returns."""
     if n <= 0:
         raise SeriesError(f"divisors of a positive integer only, got {n}")
     small, large = [], []
@@ -70,7 +79,7 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def convolve(a: Sequence, b: Sequence, order: int) -> tuple:

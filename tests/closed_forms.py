@@ -46,6 +46,19 @@ def normalization_branches_list_form(node_indices) -> int:
     return total
 
 
+def segre_chain(node_rams, cover_ram, target_degree, branch_factor) -> Fraction:
+    """The psi-coefficient chain of a one-dimensional excess family in
+    `Fraction`s: the psi^1 coefficient of (1 - (L/e1) psi)(1 - (L/e2) psi)
+    (M + M^2 psi), M = L / max(e1, e2), times the psi integral (2/L) *
+    target_degree * branch_factor, with L = cover_ram."""
+    e1, e2 = node_rams
+    L = cover_ram
+    m_thick = Fraction(L, max(e1, e2))
+    psi1 = m_thick * m_thick - (Fraction(L, e1) + Fraction(L, e2)) * m_thick
+    integral_psi = Fraction(2, L) * target_degree * branch_factor
+    return psi1 * integral_psi
+
+
 def david_identity(d: int) -> Fraction:
     """sum over am+bn=d (all positive) of (mn - am) min(a,b); always zero."""
     if d < 1:

@@ -439,6 +439,53 @@ def test_qmod_check_refuses_a_huge_weight_at_once(tmp_path, capsys, weight, size
                                 "the solve would be underdetermined")
 
 
+DMAX_PAST_THE_BOUND = [
+    [dmax, *human]
+    for dmax in ("1000000", "99999999999999999999999")
+    for human in ([], ["--human"])
+]
+
+
+@pytest.mark.parametrize("argv", DMAX_PAST_THE_BOUND, ids=" ".join)
+def test_delliptic_refuses_a_dmax_past_the_bound_at_once(capsys, argv):
+    # both ran past a 10 s timeout before the bound: every degree is walked
+    from covercalc.delliptic import MAX_DMAX
+
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["delliptic", "--dmax", *argv, "--series", "--qmod"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == (f"PipelineError: --dmax must be at most {MAX_DMAX}, "
+                                "the bound on the degrees walked")
+
+
+def test_delliptic_refuses_a_dmax_past_the_bound_under_python_O():
+    runs = [["delliptic", "--dmax", *argv] for argv in DMAX_PAST_THE_BOUND]
+    start = time.perf_counter()
+    results = _run_under_python_O(runs)
+    assert time.perf_counter() - start < 2  # one interpreter start, four refusals
+    for out, code in results:
+        assert code == "2"
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"].startswith("PipelineError: --dmax must be at most ")
+
+
+def test_delliptic_walks_up_to_the_dmax_bound(monkeypatch, capsys):
+    from covercalc import delliptic
+
+    assert delliptic.MAX_DMAX >= 200
+    monkeypatch.setattr(delliptic, "MAX_DMAX", 8)
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "8"])
+    assert code == 0 and list(json.loads(out)["values"]) == [str(d) for d in range(2, 9)]
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "9"])
+    assert code == 2
+    assert json.loads(out)["error"] == ("PipelineError: --dmax must be at most 8, "
+                                        "the bound on the degrees walked")
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -14,6 +15,7 @@ from closed_forms import (
     delta01_closed_form,
     normalization_branches_list_form,
     row_values,
+    segre_chain,
 )
 from covercalc.cli import main
 from covercalc.delliptic import (
@@ -29,7 +31,7 @@ from covercalc.delliptic import (
     segre_excess_contribution,
 )
 from covercalc.errors import InvariantError
-from covercalc.exact import sigma
+from covercalc.exact import divisors, sigma
 
 
 def test_normalization_branches():
@@ -146,6 +148,26 @@ def test_segre_excess_contributions():
         segre_excess_contribution(1, 1, "bogus")
 
 
+# The closed form of each excess variant's per-monomial value.
+SEGRE_CLOSED_FORMS = {
+    "node-profile": lambda a, b: -4 * max(a, b),
+    "three-chain": lambda a, b: -2 * (a + b),
+    "three-chain-full-edge": lambda a, b: -2 * b,
+}
+
+
+def test_segre_chain_in_integers_matches_the_fraction_form(monkeypatch):
+    # the uncached body, once with the package's integer chain and once with
+    # the Fraction oracle in its place
+    uncached = segre_excess_contribution.__wrapped__
+    pairs = list(itertools.product(range(1, 41), repeat=2))
+    package = {(a, b, v): uncached(a, b, v) for a, b in pairs for v in SEGRE_CLOSED_FORMS}
+    monkeypatch.setattr(delliptic, "_segre_chain", segre_chain)
+    for (a, b, variant), value in package.items():
+        assert type(value) is Fraction
+        assert value == uncached(a, b, variant) == SEGRE_CLOSED_FORMS[variant](a, b)
+
+
 # The normalized total of each three-chain point row, by subcase.
 THREE_CHAIN_CLOSED_FORMS = {
     "a-over-plus": lambda a, b, k, m, n: 4 * m * (n + 1) * (a + b),
@@ -242,6 +264,77 @@ def test_the_row_free_path_checks_every_row(monkeypatch, family):
     assert messages[0] == messages[1]
     if build is delta00_contributions:  # delta00 is walked first
         assert re.match(first_row, messages[0])
+
+
+# A breach at one (a, b) pair past the first, or at one chain split past the
+# first, at d = 14: the first row it breaks, as each walk names it.
+LATER_BREACHES = {
+    "nodal-profile-edges": (
+        "segre_excess_contribution", lambda a, b, v: (a, b, v) == (2, 1, "three-chain"),
+        "nodal-family/profile-edges row (2, 1, 1, 1, 9): normalized total -432 != "
+        "closed form -216"),
+    "nodal-full-edge": (
+        "segre_excess_contribution", lambda a, b, v: (a, b, v) == (1, 2, "three-chain-full-edge"),
+        "nodal-family/full-edge row (1, 2, 1, 1, 5): normalized total -64 != closed form -32"),
+    "profile-family": (
+        "segre_excess_contribution", lambda a, b, v: (a, b, v) == (2, 1, "node-profile"),
+        "profile-family row (2, 1, 1, 12): normalized total -384 != closed form -192"),
+    "three-chain-points": (
+        "normalization_branches",
+        lambda nodes: nodes == (((3, 1), (2, 3), (1, 5)), ((3, 0), (2, 4), (1, 6))),
+        "three-chain/a-over-plus row (2, 1, 1, 3, 5): normalized total 432 != closed form 216"),
+}
+
+
+@pytest.mark.parametrize("breach", LATER_BREACHES)
+def test_a_breach_past_the_first_pair_names_its_first_row(monkeypatch, breach):
+    # a check made once per split or per pair still sees a breach at any of
+    # them, and names the same row the per-row checks named
+    name, broken, message = LATER_BREACHES[breach]
+    monkeypatch.setattr(delliptic, name, _doubled_where(name, broken))
+    for walk in (lambda: delliptic._delta00_walk(14, None),
+                 lambda: delta00_contributions(14),
+                 lambda: degree_ledger(14, rows=True),
+                 lambda: degree_ledger(14, rows=False)):
+        with pytest.raises(InvariantError) as caught:
+            walk()
+        assert str(caught.value) == message
+
+
+def _recorded(monkeypatch, name):
+    """The argument tuples of each call to the module function `name`."""
+    calls = []
+    real = getattr(delliptic, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(delliptic, name, recorded)
+    return calls
+
+
+def test_the_row_free_walk_does_each_piece_of_work_once(monkeypatch):
+    # one reduced degree per chain split (points), per am+bn=d split
+    # (polygon pairs) and per divisor of d (polygon bridges); one excess per
+    # (a, b, variant) the walk meets
+    branches = _recorded(monkeypatch, "normalization_branches")
+    excesses = _recorded(monkeypatch, "segre_excess_contribution")
+    for d in range(2, 31):
+        branches.clear()
+        excesses.clear()
+        degree_ledger(d, rows=False)
+        chains = list(chain_splits(d))
+        profiles = list(am_bn_splits(d))
+        shapes = Counter((len(nodes), len(nodes[0])) for (nodes,) in branches)
+        assert shapes == Counter({(2, 3): len(chains), (1, 2): len(profiles),
+                                  (1, 1): len(divisors(d))}), d
+        counts = Counter(excesses)
+        assert max(counts.values(), default=1) == 1, d
+        nodal = {(a, b) for a, b, k, m, n in chains if m and n}
+        assert set(counts) == ({(a, b, "three-chain") for a, b in nodal}
+                               | {(a, b, "three-chain-full-edge") for a, b in nodal}
+                               | {(a, b, "node-profile") for a, b, m, n in profiles}), d
 
 
 def test_the_row_free_ledger_equals_the_row_path():
