@@ -334,17 +334,22 @@ def cmd_pullback(args) -> int:
 
 def cmd_delliptic(args) -> int:
     from covercalc.delliptic import (
-        MAX_DMAX, degree_ledger, pairing_series, quasimodularity_report,
+        MAX_DMAX, MAX_LEDGER_DMAX, degree_ledger, pairing_series, quasimodularity_report,
     )
     from covercalc.exact import rat_to_str
 
+    # --human prints only the values table, so it builds no ledger rows
+    rows = args.ledger and not args.human
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
     if args.dmax > MAX_DMAX:
         raise PipelineError(f"--dmax must be at most {MAX_DMAX}, the bound on the degrees walked")
+    if rows and args.dmax > MAX_LEDGER_DMAX:
+        raise PipelineError(
+            f"--dmax must be at most {MAX_LEDGER_DMAX} with --ledger, "
+            "the bound on the ledger rows held in memory"
+        )
     _print_any_int()
-    # --human prints only the values table, so it builds no ledger rows
-    rows = args.ledger and not args.human
     values, ledgers, numbers00, numbers01 = {}, {}, [], []
     for d in range(2, args.dmax + 1):
         ledger = degree_ledger(d, rows=rows)

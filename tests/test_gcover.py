@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import golden_corpus
-from gcover_corpus import identity_morphism, subgroups_of
+from gcover_corpus import CORPUS as GCOVER_CORPUS, identity_morphism, subgroups_of
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.errors import ActionError
 from covercalc.gcover import (
@@ -19,12 +19,8 @@ from covercalc.gcover import (
     corestrict_graph,
     corestriction_boundary_multiplicity,
     corestriction_monodromy,
-    normal_bundle_chern_H,
     pullback_psi_kappa_hurwitz,
     quotient_genus,
-    rescores_degree,
-    corescores_degree,
-    resres_count,
     restrict_graph,
     restriction_boundary_exponents,
     restriction_monodromy,
@@ -39,6 +35,7 @@ from covercalc.groups import (
     symmetric_group,
     trivial_group,
 )
+from covercalc.mbar import _expand_excess
 
 
 def test_riemann_hurwitz_examples():
@@ -319,6 +316,50 @@ def test_corestriction_boundary_multiplicity():
         assert m == 1
 
 
+def test_corestriction_boundary_multiplicity_refuses_a_foreign_alpha():
+    from gg_factory import _z2_fixed_edge, _z2_gp
+
+    gp = _z2_gp(1)
+    q = corestrict_graph(gp, gp.group)
+    ramified = _z2_fixed_edge(2, 2)
+    q2 = corestrict_graph(ramified, ramified.group)
+    # the quotients have genera (1, 0) and (1, 1): no isomorphism between them
+    assert (q.graph.genera, q2.graph.genera) == ((1, 0), (1, 1))
+    with pytest.raises(CoverError, match="^alpha's source is not the corestriction of gg$"):
+        corestriction_boundary_multiplicity(gp, gp.group, q2, identity_morphism(q2.graph))
+    with pytest.raises(CoverError, match="^alpha's target is not the graph of A$"):
+        corestriction_boundary_multiplicity(gp, gp.group, q2, identity_morphism(q.graph))
+
+
+def test_restriction_boundary_exponents_refuses_a_foreign_alpha():
+    from gg_factory import _polygon, _z2_gp
+
+    gp = _z2_gp(1)
+    triangle = identity_morphism(_polygon(3, 0, True).graph)
+    for sub in (gp.group.generated_subgroup(()), gp.group):
+        with pytest.raises(CoverError, match="^alpha's source is not the restriction of gamma$"):
+            restriction_boundary_exponents(gp, sub, triangle)
+
+
+@pytest.mark.parametrize("entry", json.loads(GCOVER_CORPUS.read_text()),
+                         ids=lambda e: e["name"])
+def test_excess_route_expands_one_factor_per_edge_orbit(entry):
+    # the top Chern class of the excess bundle over every edge orbit is
+    # prod over representatives (h, h') of (-psi_h - psi_h'): 2^k distinct
+    # monomials, each with coefficient (-1)^k and one half from each
+    gg = AdmissibleGGraph.from_json(entry["graph"])
+    reps = gg.action.edge_orbit_representatives()
+    k = len(reps)
+    terms = _expand_excess(gg.graph, reps)
+    monomials = {tuple(h for h, e in enumerate(dec.psi_half) if e) for _, dec in terms}
+    assert len(terms) == len(monomials) == 2 ** k
+    assert monomials == {tuple(sorted(pick)) for pick in itertools.product(*reps)}
+    for coeff, dec in terms:
+        assert coeff == (-1) ** k
+        assert sorted(dec.psi_half) == [0] * (gg.graph.n_half_edges - k) + [1] * k
+        assert not any(dec.psi_leg) and not any(dec.kappa)
+
+
 def test_pullback_formula_examples():
     z4 = cyclic_group(4)
     n2 = z4.cyclic_subgroup((2, 3, 0, 1))
@@ -342,38 +383,6 @@ def test_pullback_formula_examples():
     )
     # psi minus one section divisor per coset of the trivial stabilizer
     assert len(f4.terms) == 3
-
-
-def test_normal_bundle_chern():
-    from gg_factory import _z2_gp, _z2_loop_orbit
-
-    gp = _z2_gp(1)
-    nb = normal_bundle_chern_H(gp)
-    assert len(nb) == 2  # degrees 0 and 1: a single orbit factor
-    assert nb[0] == [(Fraction(1), ())]
-    assert len(nb[1]) == 2
-    lo = _z2_loop_orbit(1)
-    # one free orbit of loops: still a single factor
-    assert len(normal_bundle_chern_H(lo)) == 2
-    # two orbits: degree-2 terms contain the cross products
-    rng = random.Random(1)
-    smooth = wrap_trivial_group(StableGraph((0,), (0, 0, 0, 0), (1, 0, 3, 2), (0,)))
-    nb2 = normal_bundle_chern_H(smooth)
-    assert len(nb2) == 3
-    degree2 = {m: c for c, m in nb2[2]}
-    assert degree2[(0, 2)] == 1  # psi_h psi_h' cross term between the loops
-
-
-def test_gc_degree_formulas():
-    z4 = cyclic_group(4)
-    trivial = z4.generated_subgroup(())
-    assert rescores_degree(z4, trivial, trivial, [z4.generators[0]], 2) == 1
-    assert corescores_degree(6, 6, 1) == 6
-    assert corescores_degree(4, 2, 3) == 16
-    assert resres_count(6, [(3, 1)]) == 2
-    assert resres_count(4, [(2, 1), (1, 2)]) == 2 * 2 * 2
-    with pytest.raises(CoverError):
-        resres_count(6, [(4, 1)])
 
 
 def test_admissible_graph_json_round_trip():
