@@ -25,12 +25,15 @@ orbit routine.  An edge orbit is named by the lesser label of its two
 halves; `edge_orbit_representatives`, the validator's edge-collapse test
 and the excess exponents read those labels.  Every stabilizer comes from
 `GAction.stabilizer`, and every Riemann-Hurwitz solve, global or
-vertexwise, is `quotient_genus`.
+vertexwise, is `quotient_genus`.  Every G-structure read across a graph
+map comes from `_transport`: it forces the structure on a generic triple,
+and a map is G-equivariant when it carries the source's own structure back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from covercalc.errors import ActionError, CoverError, GraphError, json_fields, json_list
@@ -649,24 +652,20 @@ def _force_g_structure(
     not admissible.
 
     This is transport only.  Every half-edge of gamma comes from A or B
-    (genericity), and its monodromy and generator images are copied along
-    `to_A` and `to_B`; a half-edge on which the two maps disagree gives
-    None.  The leg images are the canonical layout that the validated A and
-    B already carry, and each vertex image is read off the attachment of a
-    half-edge or leg there (0 for a bare vertex).  Nothing else is checked
-    here: `GAction.from_generators` rejects images that break the group law,
-    a non-injective one among them, and the validator rejects vertex images
-    that break an attachment and everything else that is not admissible.
+    (genericity), and `_transport` copies its monodromy and generator
+    images along `to_A` and `to_B`; a half-edge on which the two maps
+    disagree gives None.  The leg images are the canonical layout that the
+    validated A and B already carry, and each vertex image is read off the
+    attachment of a half-edge or leg there (0 for a bare vertex).  Nothing
+    else is checked here: `GAction.from_generators` rejects images that
+    break the group law, a non-injective one among them, and the validator
+    rejects vertex images that break an attachment and everything else that
+    is not admissible.
     """
     gamma, gens = triple.gamma, space.group.generators
-    transported: list = [None] * gamma.n_half_edges
-    for f, side in ((triple.to_A, a), (triple.to_B, b)):
-        images = f.half_edge_map
-        for h, image in enumerate(images):
-            moved = (side.mon_half[h], tuple(images[side.action.half[t][h]] for t in gens))
-            if transported[image] not in (None, moved):
-                return None
-            transported[image] = moved
+    transported = _transport(gens, gamma.n_half_edges, ((triple.to_A, a), (triple.to_B, b)))
+    if transported is None:
+        return None
     gen_images = {}
     for i, t in enumerate(gens):
         hperm = tuple(moves[i] for _, moves in transported)
@@ -690,25 +689,29 @@ def _force_g_structure(
     return candidate
 
 
-def _equivariant_morphism(
-    src: AdmissibleGGraph, tgt: AdmissibleGGraph, morphism: GraphMorphism
-) -> bool:
-    group = src.group
-    for t in group.generators:
-        for v in range(src.graph.n_vertices):
-            if morphism.vertex_map[src.action.vertex[t][v]] != tgt.action.vertex[t][
-                morphism.vertex_map[v]
-            ]:
-                return False
-        for h in range(tgt.graph.n_half_edges):
-            if morphism.half_edge_map[tgt.action.half[t][h]] != src.action.half[t][
-                morphism.half_edge_map[h]
-            ]:
-                return False
-    for h in range(tgt.graph.n_half_edges):
-        if src.mon_half[morphism.half_edge_map[h]] != tgt.mon_half[h]:
-            return False
-    return True
+def _transport(gens, n_half: int, pairs) -> list | None:
+    """Each of gamma's half-edges' (monodromy, generator images), copied
+    from the G-graph along f for each (f: gamma -> its graph, G-graph) pair:
+    f(h) gets h's monodromy and t moves it to f(t h).  None when two maps
+    disagree; a half-edge no map hits stays None."""
+    transported: list = [None] * n_half
+    for f, side in pairs:
+        images = f.half_edge_map
+        for h, image in enumerate(images):
+            moved = (side.mon_half[h], tuple(images[side.action.half[t][h]] for t in gens))
+            if transported[image] not in (None, moved):
+                return None
+            transported[image] = moved
+    return transported
+
+
+def _equivariant(f: GraphMorphism, src: AdmissibleGGraph, tgt: AdmissibleGGraph) -> bool:
+    """Whether transporting tgt along f: src.graph -> tgt.graph gives src's
+    own structure.  When f and both actions respect attachments, the vertex
+    images follow from the half-edges."""
+    gens, half = src.group.generators, src.action.half
+    own = [(mon, tuple(half[t][h] for t in gens)) for h, mon in enumerate(src.mon_half)]
+    return _transport(gens, len(own), ((f, tgt),)) == own
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +731,7 @@ def restriction_boundary_exponents(
     intersection with the image (>= 1 by genericity); the excess factor is
     (-psi - psi')^(k-1).
     """
-    # the restriction keeps gamma's vertices and half-edges and relabels its legs
-    src, graph = alpha.source, gamma.graph
-    if (src.genera, src.half_edge_vertex, src.involution) != (
-        graph.genera, graph.half_edge_vertex, graph.involution
-    ) or sorted(src.leg_vertex) != sorted(graph.leg_vertex):
+    if alpha.source != restrict_graph(gamma, subgroup).graph:
         raise CoverError("alpha's source is not the restriction of gamma")
     alpha.validate()
     image = alpha.edge_image()
@@ -754,13 +753,10 @@ def restriction_boundary_exponents(
 
 def graph_automorphisms_G(gg: AdmissibleGGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Automorphisms of the admissible G-graph: equivariant, monodromy
-    preserving, legs fixed pointwise."""
+    preserving, legs fixed pointwise (transporting gg along one gives gg)."""
     graph = gg.graph
-    return [
-        iso
-        for iso in graph.automorphism_group()
-        if _equivariant_morphism(gg, gg, isomorphism_as_morphism(graph, graph, iso))
-    ]
+    return [iso for iso in graph.automorphism_group()
+            if _equivariant(isomorphism_as_morphism(graph, graph, iso), gg, gg)]
 
 
 def corestriction_boundary_multiplicity(
@@ -786,28 +782,27 @@ def corestriction_boundary_multiplicity(
     ):
         raise CoverError("alpha is not an isomorphism of graphs")
     alpha.validate()
-    if not _equivariant_morphism(quotient_graph, a, alpha):
+    if a.space != quotient_graph.space:
+        raise CoverError("A lives on another space than the corestriction of gg")
+    problems = validate_admissible_g_graph(a)
+    if problems:
+        raise CoverError(f"input A is not admissible: {problems[0].label}")
+    if not _equivariant(alpha, quotient_graph, a):
         raise CoverError("alpha is not an isomorphism of admissible quotient graphs")
-    # match quotient half-edges back to N-orbits of gg half-edges
+    # match quotient half-edges back to N-orbits of gg half-edges; an edge's
+    # index drop ord(h) / ord(hN) is #(<h> ∩ N)
     v_label, _ = gg.action.orbit_labels("vertex", normal)
     h_label, h_classes = gg.action.orbit_labels("half", normal)
-    mult = Fraction(1)
-    for rep_edge in a.action.edge_orbit_representatives():
-        h_a = rep_edge[0]
-        h_quot = alpha.half_edge_map[h_a]
-        lift = h_classes[h_quot]
-        ratio = Fraction(
-            perm_order(gg.mon_half[lift]), perm_order(a.mon_half[h_a])
-        )
-        mult *= ratio
+    mult = Fraction(prod(
+        cyclic_meet_order(gg.group, gg.mon_half[h_classes[alpha.half_edge_map[h]]], normal)
+        for h, _ in a.action.edge_orbit_representatives()
+    ))
     # Aut(alpha): automorphisms of gg that descend to the identity
-    aut_alpha = 0
-    for vperm, hperm in graph_automorphisms_G(gg):
-        descends_trivially = all(
-            h_label[hperm[h]] == h_label[h] for h in range(gg.graph.n_half_edges)
-        ) and all(v_label[vperm[v]] == v_label[v] for v in range(gg.graph.n_vertices))
-        if descends_trivially:
-            aut_alpha += 1
+    aut_alpha = sum(
+        all(h_label[x] == h_label[h] for h, x in enumerate(hperm))
+        and all(v_label[x] == v_label[v] for v, x in enumerate(vperm))
+        for vperm, hperm in graph_automorphisms_G(gg)
+    )
     return mult, aut_alpha
 
 

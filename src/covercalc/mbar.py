@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from covercalc.errors import GraphError, IntegralError
@@ -107,7 +107,10 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
       (2k+3)!! <tau_{k+1} tau_S>_g
         = sum_j (2(k+a_j)+1)!!/(2a_j-1)!! <tau_{k+a_j} tau_{S-a_j}>_g
         + 1/2 sum_{p+q=k-1} (2p+1)!!(2q+1)!! [<tau_p tau_q tau_S>_{g-1}
-          + sum_{g1+g2=g, I+J=S} <tau_p tau_I>_{g1} <tau_q tau_J>_{g2}]."""
+          + sum_{g1+g2=g, I+J=S} <tau_p tau_I>_{g1} <tau_q tau_J>_{g2}].
+
+    I runs over the sub-multisets of S, not its 2^|S| subsets, and the degree
+    of <tau_p tau_I> fixes g1; `tests/mbar_oracles.py` keeps the subset form."""
     k = exps[-1] - 1
     rest = exps[:-1]
     total = Fraction(0)
@@ -115,16 +118,25 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
         term = correlator(g, rest[:j] + rest[j + 1 :] + (k + aj,))
         # (2(k+a_j)+1)!! / (2a_j-1)!!, the odd numbers 2a_j+1 .. 2(k+a_j)+1
         total += term * prod(range(2 * aj + 1, 2 * (k + aj) + 2, 2))
+    # taking c of a value's m copies of S into I stands for C(m, c) subsets
+    values = sorted(set(rest), reverse=True)
+    counts = [rest.count(v) for v in values]
+    splits = [
+        (prod(comb(m, c) for m, c in zip(counts, picks)),
+         tuple(v for v, c in zip(values, picks) for _ in range(c)),
+         tuple(v for v, m, c in zip(values, counts, picks) for _ in range(m - c)))
+        for picks in itertools.product(*(range(m + 1) for m in counts))
+    ]
     half = Fraction(0)
     for p in range(0, k):
         q = k - 1 - p
         w = _double_factorial_odd(p) * _double_factorial_odd(q)
         half += w * correlator(g - 1, rest + (p, q))
-        for g1 in range(0, g + 1):
-            for mask in range(1 << len(rest)):
-                left = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-                right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-                half += w * correlator(g1, left + (p,)) * correlator(g - g1, right + (q,))
+        for ways, left, right in splits:
+            # <tau_p tau_I>_{g1} is zero unless its degree is 3 g1 - 2 + |I|
+            g1, r = divmod(sum(left) + p - len(left) + 2, 3)
+            if r == 0 and 0 <= g1 <= g:
+                half += w * ways * correlator(g1, left + (p,)) * correlator(g - g1, right + (q,))
     return (total + half / 2) / _double_factorial_odd(k + 1)
 
 

@@ -7,10 +7,11 @@ refactor that changes any result, error type or error message fails.
 
 Per graph: the validator's violations, `graph_automorphisms_G` and
 `edge_orbit_representatives`.  Per subgroup:
-`restrict_graph` and `corestrict_graph` (`to_json`), and against the
-identity morphism `restriction_boundary_exponents` and
-`corestriction_boundary_multiplicity`.  An output that raises is recorded
-as its exception type and message.
+`restrict_graph` and `corestrict_graph` (`to_json`),
+`restriction_boundary_exponents` against the identity of the restricted
+graph, and `corestriction_boundary_multiplicity` against that of the
+corestricted graph.  An output that raises is recorded as its exception
+type and message.
 
 Inputs are the `gg_factory` templates, seeded `random_valid_graph` graphs
 and seeded mutations.  `tests/golden_corpus.py` recaptures this corpus
@@ -82,12 +83,16 @@ def evaluate(graph_json: dict, subgroup_gens: list) -> dict[str, str]:
     }
     for k, gens in enumerate(subgroup_gens):
         sub = gg.group.generated_subgroup(tuple(g) for g in gens)
-        identity = identity_morphism(gg.graph)
         out[f"restrict[{k}]"] = _digest(lambda: gcover.restrict_graph(gg, sub).to_json())
         out[f"corestrict[{k}]"] = _digest(lambda: gcover.corestrict_graph(gg, sub).to_json())
-        out[f"exponents[{k}]"] = _digest(
-            lambda: gcover.restriction_boundary_exponents(gg, sub, identity)
-        )
+
+        def exponents():
+            restricted = gcover.restrict_graph(gg, sub)
+            return gcover.restriction_boundary_exponents(
+                gg, sub, identity_morphism(restricted.graph)
+            )
+
+        out[f"exponents[{k}]"] = _digest(exponents)
 
         def multiplicity():
             quotient = gcover.corestrict_graph(gg, sub)

@@ -9,8 +9,8 @@ refactor that changes any emitted byte fails loudly.
 The digests were captured from a known-good tree.  Recapture only when an
 output is meant to change, and say which in the change log.  One command
 rewrites this corpus and the gcover library corpus (`gcover_corpus.py`),
-and first prints every entry whose exit code or digest changed and the
-number of changed library outputs:
+and first prints every entry whose exit code or digest changed, then each
+changed library output (graph name and output key) and their number:
 
     PYTHONPATH=src:tests python tests/golden_corpus.py
 """
@@ -285,11 +285,13 @@ def changed_entries(old: list[dict], new: list[dict]) -> list[str]:
             + [name for name in before if name not in after])
 
 
-def changed_outputs(old: list[dict], new: list[dict]) -> int:
-    """The number of library outputs added, dropped or with another digest."""
+def changed_outputs(old: list[dict], new: list[dict]) -> list[tuple[str, str]]:
+    """(graph name, output key) of each library output added, dropped or
+    with another digest, sorted."""
     before = {(e["name"], k): v for e in old for k, v in e["outputs"].items()}
     after = {(e["name"], k): v for e in new for k, v in e["outputs"].items()}
-    return sum(before.get(key) != after.get(key) for key in before.keys() | after.keys())
+    return sorted(key for key in before.keys() | after.keys()
+                  if before.get(key) != after.get(key))
 
 
 if __name__ == "__main__":
@@ -305,7 +307,10 @@ if __name__ == "__main__":
                    if gcover_corpus.CORPUS.exists() else [])
     for name in changed_entries(old, corpus):
         print(f"changed: {name}")
-    print(f"{changed_outputs(old_library, library)} changed gcover library outputs")
+    changed = changed_outputs(old_library, library)
+    for name, key in changed:
+        print(f"changed output: {name} {key}")
+    print(f"{len(changed)} changed gcover library outputs")
     CORPUS.parent.mkdir(exist_ok=True)
     for path, new in ((CORPUS, corpus), (gcover_corpus.CORPUS, library)):
         path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

@@ -669,6 +669,24 @@ def test_integrate_answers_up_to_the_genus_bound(monkeypatch, capsys):
                                         "the bound on the genus integrated")
 
 
+# <tau_2^(3g-3)>_g as a fresh process: the DVV split term once summed over
+# all 2^(n-1) subsets of the other points, 5 s at genus 6 and past 30 s at 7
+@pytest.mark.parametrize("genus, bound, value", [
+    (6, 2.0, "8591613499103635/96"),
+    (7, 10.0, "23107999588635836875"),
+])
+def test_integrate_of_many_equal_points_runs_in_seconds(genus, bound, value):
+    argv = ["integrate", "--genus", str(genus), "--exponents", ",".join(["2"] * (3 * genus - 3))]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "covercalc.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert time.perf_counter() - start < bound
+    payload = json.loads(done.stdout)
+    check_schema("integrate", payload)
+    assert payload["value"] == value
+
+
 def _over_4300_digits(tmp_path):
     """(argv, exit code, error class or None) of four calls that each convert
     a 5000-digit or longer int: one result and three outside inputs."""

@@ -7,6 +7,7 @@ import pytest
 
 import golden_corpus
 from gcover_corpus import CORPUS as GCOVER_CORPUS, identity_morphism, subgroups_of
+from gcover_oracles import equivariant_morphism
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.errors import ActionError
 from covercalc.gcover import (
@@ -14,11 +15,11 @@ from covercalc.gcover import (
     CoverError,
     GAction,
     HurwitzSpaceId,
-    _equivariant_morphism,
     boundary_intersection_H,
     corestrict_graph,
     corestriction_boundary_multiplicity,
     corestriction_monodromy,
+    graph_automorphisms_G,
     pullback_psi_kappa_hurwitz,
     quotient_genus,
     restrict_graph,
@@ -28,7 +29,12 @@ from covercalc.gcover import (
     validate_admissible_g_graph,
     wrap_trivial_group,
 )
-from covercalc.graphs import StableGraph, enumerate_generic_AB, enumerate_stable_graphs
+from covercalc.graphs import (
+    StableGraph,
+    enumerate_generic_AB,
+    enumerate_stable_graphs,
+    isomorphism_as_morphism,
+)
 from covercalc.groups import (
     compose,
     cyclic_group,
@@ -36,6 +42,8 @@ from covercalc.groups import (
     trivial_group,
 )
 from covercalc.mbar import _expand_excess
+
+LIBRARY = json.loads(GCOVER_CORPUS.read_text())
 
 
 def test_riemann_hurwitz_examples():
@@ -230,8 +238,8 @@ def _equivariant_terms(a, b):
     G-equivariant: `_force_g_structure` builds them so and does not check."""
     terms = boundary_intersection_H(a, b)
     for t in terms:
-        assert _equivariant_morphism(t.gamma, a, t.to_a)
-        assert _equivariant_morphism(t.gamma, b, t.to_b)
+        assert equivariant_morphism(t.gamma, a, t.to_a)
+        assert equivariant_morphism(t.gamma, b, t.to_b)
     return terms
 
 
@@ -341,8 +349,110 @@ def test_restriction_boundary_exponents_refuses_a_foreign_alpha():
             restriction_boundary_exponents(gp, sub, triangle)
 
 
-@pytest.mark.parametrize("entry", json.loads(GCOVER_CORPUS.read_text()),
-                         ids=lambda e: e["name"])
+def _automorphisms_by_oracle(gg):
+    graph = gg.graph
+    return [iso for iso in graph.automorphism_group()
+            if equivariant_morphism(gg, gg, isomorphism_as_morphism(graph, graph, iso))]
+
+
+@pytest.mark.parametrize("entry", LIBRARY, ids=lambda e: e["name"])
+def test_automorphisms_by_transport_match_the_index_loop_oracle(entry):
+    # the same list in the same order, on the inadmissible corpus graphs too
+    gg = AdmissibleGGraph.from_json(entry["graph"])
+    assert graph_automorphisms_G(gg) == _automorphisms_by_oracle(gg)
+
+
+def test_automorphisms_by_transport_match_the_oracle_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(200):
+        gg = random_valid_graph(rng)
+        assert graph_automorphisms_G(gg) == _automorphisms_by_oracle(gg)
+
+
+def _loop_orbit_with_one_loop_flipped():
+    """`_z2_loop_orbit(1)` and the same graph and space with the action
+    conjugated by flipping the second loop: admissible, and the identity
+    between the two is not Z/2-equivariant, while the flip is."""
+    from gg_factory import _z2_loop_orbit
+
+    gg = _z2_loop_orbit(1)
+    s = gg.group.generators[0]
+    flipped = GAction.from_generators(gg.graph, gg.group, {s: ((0,), (3, 2, 1, 0), ())})
+    other = AdmissibleGGraph(gg.space, gg.graph, flipped, gg.mon_half, gg.mon_leg)
+    flip = isomorphism_as_morphism(gg.graph, gg.graph, ((0,), (0, 1, 3, 2)))
+    return gg, other, flip
+
+
+def test_corestriction_boundary_multiplicity_refuses_a_non_equivariant_alpha():
+    gg, other, flip = _loop_orbit_with_one_loop_flipped()
+    trivial = gg.group.generated_subgroup(())
+    q = corestrict_graph(gg, trivial)
+    identity = identity_morphism(q.graph)
+    assert validate_admissible_g_graph(other) == [] and other.space == q.space
+    message = "^alpha is not an isomorphism of admissible quotient graphs$"
+    # a mutated A under the identity, and A itself under the flip
+    for a, alpha in ((other, identity), (q, flip)):
+        assert not equivariant_morphism(q, a, alpha)
+        with pytest.raises(CoverError, match=message):
+            corestriction_boundary_multiplicity(gg, trivial, a, alpha)
+    # the flip is an isomorphism onto the mutated A, with A's own numbers
+    assert equivariant_morphism(q, other, flip)
+    assert (corestriction_boundary_multiplicity(gg, trivial, other, flip)
+            == corestriction_boundary_multiplicity(gg, trivial, q, identity))
+
+
+def test_corestriction_boundary_multiplicity_refuses_an_inadmissible_A():
+    gg, other, _ = _loop_orbit_with_one_loop_flipped()
+    trivial = gg.group.generated_subgroup(())
+    q = corestrict_graph(gg, trivial)
+    s = gg.group.generators[0]
+    bad = AdmissibleGGraph(q.space, q.graph, q.action, (s,) * 4, q.mon_leg)
+    with pytest.raises(CoverError, match="^input A is not admissible: stabilizer$"):
+        corestriction_boundary_multiplicity(gg, trivial, bad, identity_morphism(q.graph))
+
+
+def test_corestriction_boundary_multiplicity_refuses_A_on_another_space():
+    # the Z/4 polygon over its Z/2 quotient, against the same quotient graph
+    # carried by a Z/2 that permutes 3 points instead of 2
+    from gg_factory import _polygon
+
+    gg = _polygon(4, 0, True)
+    c = gg.group.generators[0]
+    half = gg.group.cyclic_subgroup(compose(c, c))
+    q = corestrict_graph(gg, half)
+    z2 = symmetric_group(3).cyclic_subgroup((1, 0, 2))
+    (qc,), (s,) = q.group.generators, z2.generators
+    to_z2 = {q.group.identity: z2.identity, qc: s}
+    space = HurwitzSpaceId(q.space.genus, z2, tuple(to_z2[h] for h in q.space.xi))
+    images = {s: (q.action.vertex[qc], q.action.half[qc], q.action.leg[qc])}
+    a = AdmissibleGGraph(space, q.graph, GAction.from_generators(q.graph, z2, images),
+                         tuple(to_z2[h] for h in q.mon_half),
+                         tuple(to_z2[h] for h in q.mon_leg))
+    assert validate_admissible_g_graph(a) == [] and a.space != q.space
+    with pytest.raises(CoverError, match="^A lives on another space than the corestriction of gg$"):
+        corestriction_boundary_multiplicity(gg, half, a, identity_morphism(q.graph))
+
+
+def test_restriction_boundary_exponents_refuses_what_restrict_graph_rejects():
+    refused = 0
+    for entry in LIBRARY:
+        gg = AdmissibleGGraph.from_json(entry["graph"])
+        for gens in entry["subgroups"]:
+            sub = gg.group.generated_subgroup(tuple(g) for g in gens)
+            try:
+                restrict_graph(gg, sub)
+                continue
+            except CoverError as err:
+                message = str(err)
+            # gamma's own identity is no way round the refusal
+            with pytest.raises(CoverError) as refusal:
+                restriction_boundary_exponents(gg, sub, identity_morphism(gg.graph))
+            assert str(refusal.value) == message
+            refused += 1
+    assert refused > 0
+
+
+@pytest.mark.parametrize("entry", LIBRARY, ids=lambda e: e["name"])
 def test_excess_route_expands_one_factor_per_edge_orbit(entry):
     # the top Chern class of the excess bundle over every edge orbit is
     # prod over representatives (h, h') of (-psi_h - psi_h'): 2^k distinct

@@ -25,7 +25,8 @@ from covercalc.mbar import (
     integrate_stratum_class,
     pullback_by_boundary,
 )
-from mbar_oracles import pair_boundary_pushforwards
+from covercalc import mbar
+from mbar_oracles import pair_boundary_pushforwards, virasoro_step_by_subsets
 
 
 def compositions(total, parts):
@@ -122,6 +123,29 @@ def test_dilaton_equation_property():
         for _ in range(12):
             exps = _seeded_exponents(rng, g)
             assert correlator(g, exps + (1,)) == (2 * g - 2 + len(exps)) * correlator(g, exps)
+
+
+def test_dvv_splits_by_sub_multisets_match_the_subset_form(monkeypatch):
+    # 120 seeded correlators with g <= 4 and n <= 6, each evaluated through
+    # the package's recursion and again with every DVV step by subsets
+    rng = random.Random(8)
+    cases = []
+    for _ in range(120):
+        g, n = rng.randint(1, 4), rng.randint(1, 6)
+        exps = [0] * n
+        for _ in range(3 * g - 3 + n):
+            exps[rng.randrange(n)] += 1
+        cases.append((g, tuple(exps)))
+    try:
+        correlator.cache_clear()
+        by_multisets = [correlator(g, exps) for g, exps in cases]
+        monkeypatch.setattr(mbar, "_virasoro_step", virasoro_step_by_subsets)
+        correlator.cache_clear()
+        by_subsets = [correlator(g, exps) for g, exps in cases]
+    finally:
+        correlator.cache_clear()
+    assert all(by_multisets)
+    assert by_multisets == by_subsets
 
 
 def test_integrate_psi_contract():
