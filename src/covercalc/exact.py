@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, divisor sums, and truncated q-series.
+"""Exact rational arithmetic, divisor sums, sub-multisets, truncated q-series.
 
 An exact number is a plain `int` where the value is known to be integral
 and a `fractions.Fraction` otherwise.  The stdlib type guarantees lowest
@@ -12,11 +12,13 @@ is exact.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from covercalc.errors import SeriesError, json_fields, json_list
 
@@ -80,6 +82,19 @@ def _divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def sub_multisets(items: Sequence) -> Iterator[tuple[int, tuple, tuple]]:
+    """Each sub-multiset of `items` once, as (ways, taken, left): taking c of
+    a value's m copies stands for ways = prod C(m, c) subsets of positions.
+    Values keep their order of first appearance, so sorted items give sorted
+    `taken` and `left`."""
+    counted = Counter(items)
+    values, counts = tuple(counted), tuple(counted.values())
+    for picks in itertools.product(*(range(m + 1) for m in counts)):
+        yield (prod(comb(m, c) for m, c in zip(counts, picks)),
+               tuple(v for v, c in zip(values, picks) for _ in range(c)),
+               tuple(v for v, m, c in zip(values, counts, picks) for _ in range(m - c)))
 
 
 def convolve(a: Sequence, b: Sequence, order: int) -> tuple:

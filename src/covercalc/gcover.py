@@ -23,20 +23,24 @@ normal N or a restriction subgroup) and partitions the points over that
 subgroup's generators with `groups.orbit_partition`, the package's one
 orbit routine.  An edge orbit is named by the lesser label of its two
 halves; `edge_orbit_representatives`, the validator's edge-collapse test
-and the excess exponents read those labels.  Every stabilizer comes from
-`GAction.stabilizer`, and every Riemann-Hurwitz solve, global or
-vertexwise, is `quotient_genus`.  Every G-structure read across a graph
-map comes from `_transport`: it forces the structure on a generic triple,
-and a map is G-equivariant when it carries the source's own structure back.
+and the excess exponents read those labels, and so does every stabilizer
+order, #acting / #orbit (orbit-stabilizer).  Every action table is the
+group closure (`groups.closure`) of the generators joined with their
+images, and every Riemann-Hurwitz solve, global or vertexwise, is
+`quotient_genus`.  Every G-structure read across a graph map comes from
+`_transport`: it forces the structure on a generic triple, and a map is
+G-equivariant when it carries the source's own structure back.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from covercalc.errors import ActionError, CoverError, GraphError, json_fields, json_list
+from covercalc.errors import ActionError, CoverError, GraphError, GroupError
+from covercalc.errors import json_fields, json_list
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
     GraphMorphism,
@@ -50,9 +54,12 @@ from covercalc.groups import (
     Perm,
     QuotientGroup,
     check_normal,
+    closure,
     compose,
+    coset_action,
     coset_index,
     cyclic_meet_order,
+    identity_perm,
     invert,
     is_perm,
     left_cosets,
@@ -131,9 +138,9 @@ class HurwitzSpaceId(FrozenRecord):
     def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
         """The action of t on leg positions through the coset layout."""
         return tuple(
-            off + coset_index(table, compose(t, rep))
+            off + k
             for table, off in zip(self.cosets, self.distinguished_positions)
-            for rep in table.reps
+            for k in coset_action(table, t)
         )
 
     def to_json(self) -> dict:
@@ -160,9 +167,9 @@ class GAction(NamedTuple):
     """A G-action on a stable graph by structure-preserving permutations.
 
     `vertex`, `half` and `leg` map each group element to its permutation of
-    that kind of point.  `orbit_labels` and `stabilizer` take the kind by
-    the same name and an acting subgroup; every orbit and stabilizer in this
-    module comes from them.
+    that kind of point.  `orbit_labels` and `stabilizer_orders` take the
+    kind by the same name and an acting subgroup; every orbit and stabilizer
+    order in this module comes from them.
     """
 
     graph: StableGraph
@@ -177,45 +184,27 @@ class GAction(NamedTuple):
     ) -> "GAction":
         """Close generator images into a full action table.
 
-        gen_images maps each generator to (vperm, hperm, lperm).  Raises
-        ActionError when the images are inconsistent with the group law.
+        gen_images maps each generator to (vperm, hperm, lperm), joined in
+        one permutation of the group's points, vertices, half-edges and legs.
+        Their closure maps onto G; it has #G elements exactly when the images
+        respect the group law (no non-injective one does), else ActionError.
         """
-        e = group.identity
-        ident = (
-            tuple(range(graph.n_vertices)),
-            tuple(range(graph.n_half_edges)),
-            tuple(range(graph.n_legs)),
-        )
-        table = {e: ident}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                va, ha, la = table[a]
-                for gen in group.generators:
-                    img = gen_images[gen]
-                    b = compose(gen, a)
-                    composed = (
-                        tuple(img[0][v] for v in va),
-                        tuple(img[1][h] for h in ha),
-                        tuple(img[2][l] for l in la),
-                    )
-                    if b in table:
-                        if table[b] != composed:
-                            raise ActionError(
-                                "generator images violate the group relations"
-                            )
-                    else:
-                        table[b] = composed
-                        nxt.append(b)
-            frontier = nxt
-        return GAction(
-            graph,
-            group,
-            {g: t[0] for g, t in table.items()},
-            {g: t[1] for g, t in table.items()},
-            {g: t[2] for g, t in table.items()},
-        )
+        d = group.degree
+        sizes = (graph.n_vertices, graph.n_half_edges, graph.n_legs)
+        offsets = (d, d + sizes[0], d + sizes[0] + sizes[1])
+        joined = [
+            g + tuple(off + x for off, image in zip(offsets, gen_images[g]) for x in image)
+            for g in group.generators
+        ]
+        try:
+            table = closure(identity_perm(offsets[2] + sizes[2]), joined, len(group))
+        except GroupError:
+            raise ActionError("generator images violate the group relations") from None
+        kinds = [
+            {x[:d]: tuple(y - off for y in x[off : off + size]) for x in table}
+            for off, size in zip(offsets, sizes)
+        ]
+        return GAction(graph, group, *kinds)
 
     def check_structure(self) -> None:
         """Each group element must act by a graph automorphism."""
@@ -234,10 +223,12 @@ class GAction(NamedTuple):
                 if graph.leg_vertex[lp[l]] != vp[graph.leg_vertex[l]]:
                     raise ActionError(f"leg attachment not preserved at leg {l}")
 
-    def stabilizer(self, kind: str, x: int, acting: FiniteGroup | None = None) -> list[Perm]:
-        """The elements of the acting group that fix point x, in order."""
-        table = getattr(self, kind)
-        return [t for t in (acting or self.group).elements if table[t][x] == x]
+    def stabilizer_orders(self, kind: str, acting: FiniteGroup) -> list[int]:
+        """The order of every point's stabilizer in the acting group: #acting
+        over the size of the point's orbit (orbit-stabilizer)."""
+        labels, _ = self.orbit_labels(kind, acting)
+        sizes = Counter(labels)
+        return [len(acting) // sizes[label] for label in labels]
 
     def orbit_labels(self, kind: str, acting: FiniteGroup) -> tuple[list[int], list[int]]:
         """The orbit id of every point of a kind and the least point of each
@@ -380,12 +371,13 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
             Violation("genus", f"graph genus {graph.genus()} != source genus {space.genus}")
         )
     points = (("half", "half-edge", gg.mon_half), ("leg", "leg", gg.mon_leg))
-    # stabilizer condition: <h_l> equals the stabilizer, for every point;
-    # h_l fixes l, so <h_l> lies in it and the orders decide
+    # stabilizer condition: <h_l> equals the stabilizer, for every point; an
+    # h_l in G (a key of the table) that fixes l generates part of it, and
+    # the orders decide
     for kind, _, mon in points:
+        table, orders = getattr(action, kind), action.stabilizer_orders(kind, group)
         for idx, h in enumerate(mon):
-            stab = action.stabilizer(kind, idx)
-            if h not in stab or len(stab) != perm_order(h):
+            if h not in table or table[h][idx] != idx or perm_order(h) != orders[idx]:
                 out.append(
                     Violation(
                         "stabilizer",
@@ -535,15 +527,13 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
     # involution descends; edge-collapse condition guarantees no fixed point
     new_inv = [h_label[graph.involution[c]] for c in h_classes]
     new_hv = [v_label[graph.half_edge_vertex[c]] for c in h_classes]
-    # vertexwise Riemann-Hurwitz for the quotient genus; a point at c fixed
-    # by an element of N lies in c's stabilizer
+    # vertexwise Riemann-Hurwitz for the quotient genus, with the orders of
+    # the stabilizers in N
+    orders = {kind: action.stabilizer_orders(kind, normal) for kind in ("vertex", "half", "leg")}
     new_genera = []
     for c in v_classes:
-        order = len(action.stabilizer("vertex", c, normal))
-        ram = sum(
-            len(action.stabilizer(kind, x, normal)) - 1 for kind, x in graph.vertex_points(c)
-        )
-        gq = quotient_genus(graph.genera[c], order, ram)
+        ram = sum(orders[kind][x] - 1 for kind, x in graph.vertex_points(c))
+        gq = quotient_genus(graph.genera[c], orders["vertex"][c], ram)
         if gq.denominator != 1:
             raise CoverError(
                 f"vertex {c}: quotient genus is not integral (Riemann-Hurwitz)"

@@ -4,15 +4,18 @@ Groups are stored by full element enumeration (desk scale: orders up to a
 few thousand), with elements represented as tuples of 0-based images.  The
 element list is kept in lexicographic order so that coset representatives,
 orbit representatives, and quotient constructions are deterministic across
-runs.  Enumeration bounds the order: a group of more than MAX_GROUP_ORDER =
-10^6 elements is refused with GroupError as soon as its closure passes the
-bound, so S_9 (362880 elements) still builds and S_10 does not.
+runs.  There is one closure: `closure` multiplies generators out and raises
+GroupError once it passes its bound, MAX_GROUP_ORDER = 10^6 for a group (so
+S_9, 362880 elements, builds and S_10 does not) and #G for the table of a
+G-action on a graph in `gcover`.
 
 There is one group type: a subgroup is a `FiniteGroup` of the same degree,
 closed from its generators.  There is one coset table: `left_cosets` builds
 a `Cosets` (identity-first representatives plus the coset id of every
 element of G) once per pair (G, H), and orbits on cosets, quotients and the
-callers in `gcover` all look cosets up in it through `coset_index`.
+callers in `gcover` all look cosets up in it through `coset_index`.  There
+is one coset action, `coset_action`, read by orbits on cosets, quotient
+projections and the canonical leg layout in `gcover`.
 
 There is one orbit routine: `orbit_partition` labels each point of 0..n-1
 with the least point of its class under the pairs it is given.  Orbits on
@@ -98,9 +101,9 @@ def perm_from_cycles(n: int, cyc_list: Sequence[Sequence[int]]) -> Perm:
 MAX_GROUP_ORDER = 10**6
 
 
-def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
+def closure(identity: Perm, gens: Sequence[Perm], bound: int) -> set[Perm]:
     """Everything gens generate: breadth-first closure of the identity under
-    left multiplication.  GroupError once it passes MAX_GROUP_ORDER elements."""
+    left multiplication.  GroupError once it passes `bound` elements."""
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -111,9 +114,9 @@ def _closure(identity: Perm, gens: Sequence[Perm]) -> set[Perm]:
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
-                    if len(seen) > MAX_GROUP_ORDER:
+                    if len(seen) > bound:
                         raise GroupError(
-                            f"the generators give a group of more than {MAX_GROUP_ORDER} "
+                            f"the generators give a group of more than {bound} "
                             "elements, the bound on a group's order"
                         )
         frontier = nxt
@@ -178,7 +181,8 @@ class FiniteGroup(FrozenRecord):
             if not is_perm(g, self.degree):
                 shown = [i + 1 for i in g]  # the 1-based form of the JSON input
                 raise GroupError(f"not a permutation of degree {self.degree}: {shown}")
-        elements = tuple(sorted(_closure(identity_perm(self.degree), self.generators)))
+        elements = tuple(sorted(closure(identity_perm(self.degree), self.generators,
+                                       MAX_GROUP_ORDER)))
         self._set(elements=elements, position={g: i for i, g in enumerate(elements)})
 
     def __len__(self) -> int:
@@ -258,6 +262,12 @@ def coset_index(cosets: Cosets, g: Perm) -> int:
     return cosets.ids[pos]
 
 
+def coset_action(cosets: Cosets, g: Perm) -> Perm:
+    """The permutation g induces on the cosets by left multiplication: coset
+    k goes to the coset of g rep_k."""
+    return tuple(coset_index(cosets, compose(g, rep)) for rep in cosets.reps)
+
+
 def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: FiniteGroup) -> int:
     """#(<h> ∩ sub), with <h> generated inside group: GroupError when h is
     not an element of group."""
@@ -298,10 +308,8 @@ def orbit_on_cosets(acting: FiniteGroup, cosets: Cosets) -> list[list[int]]:
     (the first coset touched in canonical order) comes first; orbits are
     ordered by representative.
     """
-    least = orbit_partition(len(cosets.reps), (
-        (k, coset_index(cosets, compose(t, rep)))
-        for t in acting.generators for k, rep in enumerate(cosets.reps)
-    ))
+    links = (link for t in acting.generators for link in enumerate(coset_action(cosets, t)))
+    least = orbit_partition(len(cosets.reps), links)
     orbits: dict[int, list[int]] = {}
     for k, rep in enumerate(least):
         orbits.setdefault(rep, []).append(k)
@@ -334,7 +342,7 @@ class QuotientGroup(FrozenRecord):
 
     def project(self, g: Perm) -> Perm:
         """The image of a parent element in the quotient group."""
-        return tuple(coset_index(self.cosets, compose(g, r)) for r in self.cosets.reps)
+        return coset_action(self.cosets, g)
 
     def rep_of(self, q: Perm) -> Perm:
         """A parent-group representative of a quotient element: q sends the

@@ -48,6 +48,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
+from covercalc.exact import sub_multisets
 from covercalc.groups import FiniteGroup, Perm, compose, cycle_type, identity_perm
 from covercalc.groups import orbit_partition, perm_from_cycles
 
@@ -140,14 +141,8 @@ def _product_one_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
 def _splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each (sub, rest) with sub a sub-multiset of the descending `parts` of
     size k and rest the parts left over, both descending, in increasing
-    order of sub: a choice of how many parts of each size go to sub."""
-    sizes = Counter(parts).items()
-    out = []
-    for taken in itertools.product(*(range(c + 1) for _, c in sizes)):
-        if sum(j * t for (j, _), t in zip(sizes, taken)) == k:
-            out.append((tuple(j for (j, _), t in zip(sizes, taken) for _ in range(t)),
-                        tuple(j for (j, c), t in zip(sizes, taken) for _ in range(c - t))))
-    return tuple(sorted(out))
+    order of sub."""
+    return tuple(sorted((sub, rest) for _, sub, rest in sub_multisets(parts) if sum(sub) == k))
 
 
 @lru_cache(maxsize=None)

@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from covercalc.errors import GraphError, IntegralError
-from covercalc.exact import rat_to_str
+from covercalc.exact import rat_to_str, sub_multisets
 
 if TYPE_CHECKING:
     from covercalc.graphs import StableGraph
@@ -118,15 +118,7 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
         term = correlator(g, rest[:j] + rest[j + 1 :] + (k + aj,))
         # (2(k+a_j)+1)!! / (2a_j-1)!!, the odd numbers 2a_j+1 .. 2(k+a_j)+1
         total += term * prod(range(2 * aj + 1, 2 * (k + aj) + 2, 2))
-    # taking c of a value's m copies of S into I stands for C(m, c) subsets
-    values = sorted(set(rest), reverse=True)
-    counts = [rest.count(v) for v in values]
-    splits = [
-        (prod(comb(m, c) for m, c in zip(counts, picks)),
-         tuple(v for v, c in zip(values, picks) for _ in range(c)),
-         tuple(v for v, m, c in zip(values, counts, picks) for _ in range(m - c)))
-        for picks in itertools.product(*(range(m + 1) for m in counts))
-    ]
+    splits = list(sub_multisets(rest))
     half = Fraction(0)
     for p in range(0, k):
         q = k - 1 - p
@@ -170,7 +162,9 @@ def integrate_psi_kappa(
 
     Kappa classes are in the marked-point (log-canonical) convention, so
     kappa_b = pi_*(psi_{n+1}^{b+1}); pulling one kappa up at a time gives
-    the standard inclusion-exclusion over subsets of the remaining ones.
+    the standard inclusion-exclusion over subsets of the remaining ones,
+    summed here over their sub-multisets; `tests/mbar_oracles.py` keeps the
+    subset form.
     """
     if not kappa_indices:
         return correlator(g, psi_exponents)
@@ -179,12 +173,8 @@ def integrate_psi_kappa(
     b0 = kappa_indices[0]
     rest = kappa_indices[1:]
     total = Fraction(0)
-    for subset_mask in range(1 << len(rest)):
-        chosen = [rest[i] for i in range(len(rest)) if subset_mask >> i & 1]
-        remaining = tuple(
-            rest[i] for i in range(len(rest)) if not subset_mask >> i & 1
-        )
-        sign = -1 if len(chosen) % 2 else 1
+    for ways, chosen, remaining in sub_multisets(rest):
+        sign = -ways if len(chosen) % 2 else ways
         total += sign * integrate_psi_kappa(
             g, psi_exponents + (b0 + 1 + sum(chosen),), remaining
         )

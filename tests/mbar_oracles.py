@@ -10,7 +10,9 @@ H-tautological integral of two boundary strata must reproduce.
 
 `virasoro_step_by_subsets` is the DVV step with its split term summed over
 every subset of the other points, the form `mbar._virasoro_step` sums over
-sub-multisets.
+sub-multisets.  `integrate_psi_kappa_by_subsets` is the kappa
+inclusion-exclusion over every subset of the other kappas, the form
+`mbar.integrate_psi_kappa` sums over sub-multisets.
 """
 
 from __future__ import annotations
@@ -81,3 +83,23 @@ def virasoro_step_by_subsets(g: int, exps: tuple[int, ...]) -> Fraction:
                 half += (w * mbar.correlator(g1, left + (p,))
                          * mbar.correlator(g - g1, right + (q,)))
     return (total + half / 2) / _double_factorial_odd(k + 1)
+
+
+def integrate_psi_kappa_by_subsets(
+    g: int, psi_exponents: tuple[int, ...], kappa_indices: tuple[int, ...]
+) -> Fraction:
+    """`covercalc.mbar.integrate_psi_kappa` with its inclusion-exclusion
+    summed over all 2^(m-1) subsets of the kappas after the first, as it is
+    written, recursing by subsets alone."""
+    if not kappa_indices:
+        return mbar.correlator(g, psi_exponents)
+    b0, rest = kappa_indices[0], kappa_indices[1:]
+    total = Fraction(0)
+    for mask in range(1 << len(rest)):
+        chosen = [rest[i] for i in range(len(rest)) if mask >> i & 1]
+        remaining = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+        sign = -1 if len(chosen) % 2 else 1
+        total += sign * integrate_psi_kappa_by_subsets(
+            g, psi_exponents + (b0 + 1 + sum(chosen),), remaining
+        )
+    return total

@@ -1,13 +1,36 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covercalc.exact import (
-    QSeries, convolve, divisors, rat_from_str, rat_to_str, ratio_to_str, sigma,
+    QSeries, convolve, divisors, rat_from_str, rat_to_str, ratio_to_str, sigma, sub_multisets,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_sub_multisets_count_the_subsets_that_give_them(items):
+    # each subset of positions gives one sub-multiset, counted by its ways
+    by_subsets = Counter()
+    for n in range(len(items) + 1):
+        for chosen in itertools.combinations(range(len(items)), n):
+            by_subsets[tuple(sorted(items[i] for i in chosen))] += 1
+    found = list(sub_multisets(items))
+    assert len({taken for _, taken, _ in found}) == len(found)
+    assert {tuple(sorted(taken)): ways for ways, taken, _ in found} == by_subsets
+    for _, taken, left in found:
+        assert Counter(taken) + Counter(left) == Counter(items)
+
+
+def test_sub_multisets_keep_sorted_items_sorted():
+    for ways, taken, left in sub_multisets((5, 3, 3, 1)):
+        assert list(taken) == sorted(taken, reverse=True)
+        assert list(left) == sorted(left, reverse=True)
+    assert [w for w, _, _ in sub_multisets((2, 2, 2))] == [1, 3, 3, 1]
 
 
 def test_series_mul_difference_of_squares():

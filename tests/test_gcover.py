@@ -7,7 +7,7 @@ import pytest
 
 import golden_corpus
 from gcover_corpus import CORPUS as GCOVER_CORPUS, identity_morphism, subgroups_of
-from gcover_oracles import equivariant_morphism
+from gcover_oracles import action_tables_by_walk, equivariant_morphism
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc.errors import ActionError
 from covercalc.gcover import (
@@ -134,6 +134,45 @@ def test_validator_rejects_each_mutation_kind():
         gg, label = mutate(kind, rng)
         labels = {v.label for v in validate_admissible_g_graph(gg)}
         assert label in labels, f"{kind}: got {labels}"
+
+
+def _two_loops_swapped(group, mon_half) -> AdmissibleGGraph:
+    """`gg_factory._z2_loop_orbit(1)` over a group of order 2, with the given
+    half-edge monodromy: its generator swaps the two loops freely."""
+    graph = StableGraph((1,), (0, 0, 0, 0), (1, 0, 3, 2), ())
+    action = GAction.from_generators(graph, group, {group.generators[0]: ((0,), (2, 3, 0, 1), ())})
+    return AdmissibleGGraph(HurwitzSpaceId(3, group, ()), graph, action, mon_half, ())
+
+
+def _stabilizer_violations(kind, points):
+    return [("stabilizer", f"monodromy at {kind} {x} does not generate its stabilizer")
+            for x in points]
+
+
+def test_validator_rejects_each_way_to_break_the_stabilizer_condition():
+    from gg_factory import _z2_fixed_edge
+
+    # a monodromy outside G: Z/2 = <(0 1)> in S_3 with (1 2) and its
+    # conjugate on the free loops, balanced and equivariant
+    s, h = (1, 0, 2), (0, 2, 1)
+    z2 = symmetric_group(3).cyclic_subgroup(s)
+    conj = compose(s, compose(h, s))
+    outside = _two_loops_swapped(z2, (h, h, conj, conj))
+    assert h not in z2
+    assert validate_admissible_g_graph(outside) == _stabilizer_violations("half", range(4))
+    # a monodromy in G that moves its point: the free loops' stabilizers are
+    # trivial
+    z2 = cyclic_group(2)
+    (t,) = z2.generators
+    moving = _two_loops_swapped(z2, (t,) * 4)
+    assert validate_admissible_g_graph(moving) == _stabilizer_violations("half", range(4))
+    # a monodromy that fixes its point but generates less than the
+    # stabilizer: the identity at the edge that Z/2 fixes pointwise
+    fixed = _z2_fixed_edge(2, 2)
+    e = fixed.group.identity
+    smaller = AdmissibleGGraph(fixed.space, fixed.graph, fixed.action, (e, e), fixed.mon_leg)
+    assert validate_admissible_g_graph(fixed) == []
+    assert validate_admissible_g_graph(smaller) == _stabilizer_violations("half", range(2))
 
 
 def test_edge_collapse_and_balancing_witnesses():
@@ -516,10 +555,11 @@ def test_orbits_and_stabilizers_match_their_definitions():
             for kind, count in counts.items():
                 table = getattr(action, kind)
                 labels, reps = action.orbit_labels(kind, sub)
+                orders = action.stabilizer_orders(kind, sub)
                 for x in range(count):
                     orbit = sorted({table[t][x] for t in sub.elements})
-                    stab = action.stabilizer(kind, x, sub)
-                    assert stab == [t for t in sub.elements if table[t][x] == x]
+                    stab = [t for t in sub.elements if table[t][x] == x]
+                    assert orders[x] == len(stab)
                     assert len(orbit) * len(stab) == len(sub)
                     assert reps[labels[x]] == orbit[0]
         reps = action.edge_orbit_representatives()
@@ -559,8 +599,45 @@ def test_from_generators_rejects_images_that_break_the_group_law(images):
     from gg_factory import _z2_gp
 
     gg = _z2_gp(1)
-    with pytest.raises(ActionError, match="generator images violate the group relations"):
-        GAction.from_generators(gg.graph, gg.group, {gg.group.generators[0]: images})
+    _assert_both_refuse(gg.graph, gg.group, {gg.group.generators[0]: images})
+
+
+def test_from_generators_rejects_s3_images_that_break_a_relation():
+    # the 3-cycle swapping the two legs, whose cosets it fixes: sigma^3 = 1
+    # but its image cubed is the swap
+    from gg_factory import _s3_three_cycle_legs
+
+    gg = _s3_three_cycle_legs(0)
+    swap, cycle = gg.group.generators
+    assert gg.action.leg[swap] == (1, 0) and gg.action.leg[cycle] == (0, 1)
+    _assert_both_refuse(gg.graph, gg.group, {swap: ((0,), (), (1, 0)), cycle: ((0,), (), (1, 0))})
+
+
+def _assert_both_refuse(graph, group, gen_images):
+    message = "^generator images violate the group relations$"
+    with pytest.raises(ActionError, match=message):
+        GAction.from_generators(graph, group, gen_images)
+    with pytest.raises(ActionError, match=message):
+        action_tables_by_walk(graph, group, gen_images)
+
+
+def _assert_tables_match_the_walk(gg):
+    action = gg.action
+    images = {t: (action.vertex[t], action.half[t], action.leg[t]) for t in gg.group.generators}
+    assert action_tables_by_walk(gg.graph, gg.group, images) == (
+        action.vertex, action.half, action.leg)
+    assert len(action.vertex) == len(gg.group)
+
+
+@pytest.mark.parametrize("entry", LIBRARY, ids=lambda e: e["name"])
+def test_action_tables_by_closure_match_the_walk_oracle(entry):
+    _assert_tables_match_the_walk(AdmissibleGGraph.from_json(entry["graph"]))
+
+
+def test_action_tables_by_closure_match_the_walk_oracle_on_random_graphs():
+    rng = random.Random(43)
+    for _ in range(200):
+        _assert_tables_match_the_walk(random_valid_graph(rng))
 
 
 @pytest.mark.parametrize("build, images, detail", [

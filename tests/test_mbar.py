@@ -26,7 +26,11 @@ from covercalc.mbar import (
     pullback_by_boundary,
 )
 from covercalc import mbar
-from mbar_oracles import pair_boundary_pushforwards, virasoro_step_by_subsets
+from mbar_oracles import (
+    integrate_psi_kappa_by_subsets,
+    pair_boundary_pushforwards,
+    virasoro_step_by_subsets,
+)
 
 
 def compositions(total, parts):
@@ -166,6 +170,28 @@ def test_kappa_integrals():
     assert integrate_psi_kappa(0, (0,) * 5, (1, 1)) == 5
     assert integrate_psi_kappa(0, (0,) * 6, (1, 1, 1)) == 61
     assert integrate_psi_kappa(0, (0,) * 7, (1, 1, 1, 1)) == 1379
+
+
+def test_kappa_inclusion_exclusion_by_sub_multisets_matches_the_subset_form():
+    # 60 seeded integrals with g <= 3 and 1 to 4 kappas drawn from {1, 2, 3},
+    # many with a repeated index, each against the subset form
+    rng = random.Random(30)
+    cases = []
+    while len(cases) < 60:
+        g = rng.randint(0, 3)
+        n = rng.randint(3 if g == 0 else 1, 5)
+        dim = 3 * g - 3 + n
+        kappas = tuple(sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        if sum(kappas) > dim:
+            continue
+        psi = [0] * n
+        for _ in range(dim - sum(kappas)):
+            psi[rng.randrange(n)] += 1
+        cases.append((g, tuple(psi), kappas))
+    assert sum(len(set(k)) < len(k) for _, _, k in cases) >= 20
+    values = [integrate_psi_kappa(*case) for case in cases]
+    assert sum(v != 0 for v in values) >= 50
+    assert values == [integrate_psi_kappa_by_subsets(*case) for case in cases]
 
 
 def _forgetful(cls: str, **params):
