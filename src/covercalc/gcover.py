@@ -163,13 +163,20 @@ class HurwitzSpaceId(FrozenRecord):
         )
 
 
+def stabilizer_orders(labels: list[int], acting: FiniteGroup) -> list[int]:
+    """The order of each point's stabilizer in `acting`, from the points'
+    orbit labels under `acting`: #acting / #orbit (orbit-stabilizer)."""
+    sizes = Counter(labels)
+    return [len(acting) // sizes[label] for label in labels]
+
+
 class GAction(NamedTuple):
     """A G-action on a stable graph by structure-preserving permutations.
 
     `vertex`, `half` and `leg` map each group element to its permutation of
-    that kind of point.  `orbit_labels` and `stabilizer_orders` take the
-    kind by the same name and an acting subgroup; every orbit and stabilizer
-    order in this module comes from them.
+    that kind of point.  `orbit_labels` takes the kind by the same name
+    and an acting subgroup; every orbit in this module comes from it, and
+    every stabilizer order from its labels by `stabilizer_orders`.
     """
 
     graph: StableGraph
@@ -223,13 +230,6 @@ class GAction(NamedTuple):
                 if graph.leg_vertex[lp[l]] != vp[graph.leg_vertex[l]]:
                     raise ActionError(f"leg attachment not preserved at leg {l}")
 
-    def stabilizer_orders(self, kind: str, acting: FiniteGroup) -> list[int]:
-        """The order of every point's stabilizer in the acting group: #acting
-        over the size of the point's orbit (orbit-stabilizer)."""
-        labels, _ = self.orbit_labels(kind, acting)
-        sizes = Counter(labels)
-        return [len(acting) // sizes[label] for label in labels]
-
     def orbit_labels(self, kind: str, acting: FiniteGroup) -> tuple[list[int], list[int]]:
         """The orbit id of every point of a kind and the least point of each
         orbit, with orbits numbered by their least points.  The orbits of a
@@ -238,9 +238,9 @@ class GAction(NamedTuple):
         count = len(table[self.group.identity])
         least = orbit_partition(count, (link for t in acting.generators
                                         for link in enumerate(table[t])))
-        reps = sorted(set(least))
-        index = {x: i for i, x in enumerate(reps)}
-        return [index[x] for x in least], reps
+        # each least point first occurs at itself, so in increasing order
+        index: dict[int, int] = {}
+        return [index.setdefault(x, len(index)) for x in least], list(index)
 
     def edge_orbit_representatives(self, edges=None) -> list[tuple[int, int]]:
         """The first edge of each G-orbit met, walking edges (default: all).
@@ -374,8 +374,9 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
     # stabilizer condition: <h_l> equals the stabilizer, for every point; an
     # h_l in G (a key of the table) that fixes l generates part of it, and
     # the orders decide
+    labels = {kind: action.orbit_labels(kind, group)[0] for kind, _, _ in points}
     for kind, _, mon in points:
-        table, orders = getattr(action, kind), action.stabilizer_orders(kind, group)
+        table, orders = getattr(action, kind), stabilizer_orders(labels[kind], group)
         for idx, h in enumerate(mon):
             if h not in table or table[h][idx] != idx or perm_order(h) != orders[idx]:
                 out.append(
@@ -407,9 +408,8 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
                         )
                     )
     # no edge collapsed by the action
-    labels, _ = action.orbit_labels("half", group)
     for h, hp in graph.edges():
-        if labels[h] == labels[hp]:
+        if labels["half"][h] == labels["half"][hp]:
             out.append(
                 Violation("edge-collapse", f"the action maps half-edge {h} to its partner {hp}")
             )
@@ -529,7 +529,8 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
     new_hv = [v_label[graph.half_edge_vertex[c]] for c in h_classes]
     # vertexwise Riemann-Hurwitz for the quotient genus, with the orders of
     # the stabilizers in N
-    orders = {kind: action.stabilizer_orders(kind, normal) for kind in ("vertex", "half", "leg")}
+    labels = {"vertex": v_label, "half": h_label, "leg": action.orbit_labels("leg", normal)[0]}
+    orders = {kind: stabilizer_orders(x, normal) for kind, x in labels.items()}
     new_genera = []
     for c in v_classes:
         ram = sum(orders[kind][x] - 1 for kind, x in graph.vertex_points(c))

@@ -26,6 +26,7 @@ from covercalc.gcover import (
     restriction_boundary_exponents,
     restriction_monodromy,
     riemann_hurwitz_target,
+    stabilizer_orders,
     validate_admissible_g_graph,
     wrap_trivial_group,
 )
@@ -555,7 +556,7 @@ def test_orbits_and_stabilizers_match_their_definitions():
             for kind, count in counts.items():
                 table = getattr(action, kind)
                 labels, reps = action.orbit_labels(kind, sub)
-                orders = action.stabilizer_orders(kind, sub)
+                orders = stabilizer_orders(labels, sub)
                 for x in range(count):
                     orbit = sorted({table[t][x] for t in sub.elements})
                     stab = [t for t in sub.elements if table[t][x] == x]
