@@ -30,6 +30,11 @@ images, and every Riemann-Hurwitz solve, global or vertexwise, is
 `quotient_genus`.  Every G-structure read across a graph map comes from
 `_transport`: it forces the structure on a generic triple, and a map is
 G-equivariant when it carries the source's own structure back.
+
+Every entry point refuses an inadmissible input G-graph before anything
+else (`_require_admissible`: CoverError naming the input and its first
+violation).  Restriction and corestriction send admissible covers to
+admissible covers, so their check of their own result is an invariant.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from covercalc.errors import ActionError, CoverError, GraphError, GroupError
+from covercalc.errors import ActionError, CoverError, GraphError, GroupError, InvariantError
 from covercalc.errors import json_fields, json_list
 from covercalc.exact import rat_to_str
 from covercalc.graphs import (
@@ -476,50 +481,46 @@ def corestriction_monodromy(
 
 
 def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGraph:
-    """The same graph with the action restricted and legs relabeled."""
-    group = gg.group
+    """The same graph with the action restricted to a subgroup.
+
+    An admissible input (CoverError otherwise) restricts to an admissible
+    subgroup-graph, so the leg action and leg monodromy are the restricted
+    space's layout; each new leg sits where the leg of its coset sat.
+    """
+    _require_admissible(gg, "input gg")
     new_space, ledger = restriction_monodromy(gg.space, subgroup)
-    # map new leg positions to old ones through the coset layouts; each new
-    # block is one subgroup orbit on G/<h_i>, so this bijects (orbit-stabilizer)
-    old_tables = gg.space.cosets
-    old_offsets = gg.space.distinguished_positions
-    new_to_old = [
-        old_offsets[i] + coset_index(old_tables[i], compose(c, t))
+    # each new block is one subgroup orbit on G/<h_i>, and its coset c is
+    # the old coset c t <h_i> (orbit-stabilizer)
+    old_tables, old_offsets = gg.space.cosets, gg.space.distinguished_positions
+    new_leg_vertex = tuple(
+        gg.graph.leg_vertex[old_offsets[i] + coset_index(old_tables[i], compose(c, t))]
         for (i, _, t, _), new_table in zip(ledger, new_space.cosets)
         for c in new_table.reps
-    ]
-    new_leg_vertex = tuple(gg.graph.leg_vertex[p] for p in new_to_old)
+    )
     new_graph = StableGraph(
         gg.graph.genera, gg.graph.half_edge_vertex, gg.graph.involution, new_leg_vertex
     )
-    old_to_new = invert(new_to_old)
-    gen_images = {}
-    for s in subgroup.generators:
-        old_leg = gg.action.leg[s]
-        gen_images[s] = (
-            gg.action.vertex[s],
-            gg.action.half[s],
-            tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old))),
-        )
+    gen_images = {
+        s: (gg.action.vertex[s], gg.action.half[s], new_space.canonical_leg_action(s))
+        for s in subgroup.generators
+    }
     new_action = GAction.from_generators(new_graph, subgroup, gen_images)
-    mon_half = [_restricted(group, h, subgroup)[1] for h in gg.mon_half]
-    mon_leg = [_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old]
-    result = AdmissibleGGraph(
-        new_space, new_graph, new_action, tuple(mon_half), tuple(mon_leg)
-    )
-    problems = validate_admissible_g_graph(result)
-    if problems:
-        raise CoverError(f"restriction produced an invalid graph: {problems[0].detail}")
-    return result
+    mon_half = tuple(_restricted(gg.group, h, subgroup)[1] for h in gg.mon_half)
+    result = AdmissibleGGraph(new_space, new_graph, new_action, mon_half,
+                              new_space.canonical_leg_monodromy)
+    return _require_admissible(result, "the restriction", InvariantError)
 
 
 def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGraph:
     """Quotient graph by a normal subgroup with projected action and monodromy.
 
+    An admissible input (CoverError otherwise) has an admissible quotient,
+    so the leg action and leg monodromy are the quotient space's layout.
     Vertex genera are recomputed from the vertexwise Riemann-Hurwitz
-    formula; non-integral solutions mean the input was not the graph of an
-    actual cover and raise.
+    formula, which the validator does not check; a non-integral or negative
+    solution means the input was not the graph of an actual cover and raises.
     """
+    _require_admissible(gg, "input gg")
     new_space, q = corestriction_monodromy(gg.space, normal)
     graph, action = gg.graph, gg.action
     v_label, v_classes = action.orbit_labels("vertex", normal)
@@ -544,18 +545,13 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
         new_genera.append(int(gq))
     # canonical legs: the leg of quotient coset c in block i is the image of
     # the distinguished leg under a lift of c
-    new_leg_vertex = []
-    mon_leg = []
-    for i, table in enumerate(new_space.cosets):
-        for c in table.reps:
-            old_leg = gg.space.distinguished_positions[i] + coset_index(
-                gg.space.cosets[i], q.rep_of(c)
-            )
-            new_leg_vertex.append(v_label[graph.leg_vertex[old_leg]])
-            mon_leg.append(q.project(gg.mon_leg[old_leg]))
-    new_graph = StableGraph(
-        tuple(new_genera), tuple(new_hv), tuple(new_inv), tuple(new_leg_vertex)
+    old_tables, old_offsets = gg.space.cosets, gg.space.distinguished_positions
+    new_leg_vertex = tuple(
+        v_label[graph.leg_vertex[old_offsets[i] + coset_index(old_tables[i], q.rep_of(c))]]
+        for i, table in enumerate(new_space.cosets)
+        for c in table.reps
     )
+    new_graph = StableGraph(tuple(new_genera), tuple(new_hv), tuple(new_inv), new_leg_vertex)
     new_graph.validate()
     # quotient action via quotient-group generators
     gen_images = {}
@@ -566,16 +562,19 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
         gen_images[qg] = (vperm, hperm, new_space.canonical_leg_action(qg))
     new_action = GAction.from_generators(new_graph, q.group, gen_images)
     mon_half = tuple(q.project(gg.mon_half[c]) for c in h_classes)
-    result = AdmissibleGGraph(
-        new_space, new_graph, new_action, mon_half, tuple(mon_leg)
-    )
-    problems = validate_admissible_g_graph(result)
+    result = AdmissibleGGraph(new_space, new_graph, new_action, mon_half,
+                              new_space.canonical_leg_monodromy)
+    return _require_admissible(result, "the corestriction", InvariantError)
+
+
+def _require_admissible(gg: AdmissibleGGraph, what: str, error=CoverError) -> AdmissibleGGraph:
+    """gg, or `error` naming `what` and gg's first violation.  Each entry
+    point runs it first on its input G-graphs; on the result of a map that
+    admissible input makes admissible, a violation is a bug (InvariantError)."""
+    problems = validate_admissible_g_graph(gg)
     if problems:
-        raise CoverError(
-            f"corestriction produced an invalid graph: "
-            f"{problems[0].label}: {problems[0].detail}"
-        )
-    return result
+        raise error(f"{what} is not admissible: {problems[0].label}")
+    return gg
 
 
 def _quotient_source_genus(space: HurwitzSpaceId, normal: FiniteGroup) -> int:
@@ -617,10 +616,8 @@ def boundary_intersection_H(
     """
     if a.space != b.space:
         raise CoverError("boundary classes live on different spaces")
-    for name, gg in (("A", a), ("B", b)):
-        problems = validate_admissible_g_graph(gg)
-        if problems:
-            raise CoverError(f"input {name} is not admissible: {problems[0].label}")
+    _require_admissible(a, "input A")
+    _require_admissible(b, "input B")
     space = a.space
     out = []
     for triple in enumerate_generic_AB(a.graph, b.graph):
@@ -764,6 +761,7 @@ def corestriction_boundary_multiplicity(
     #Aut(alpha) counts automorphisms of gg inducing the identity downstairs.
     """
     quotient_graph = corestrict_graph(gg, normal)
+    _require_admissible(a, "input A")
     if alpha.source != quotient_graph.graph:
         raise CoverError("alpha's source is not the corestriction of gg")
     if alpha.target != a.graph:
@@ -775,9 +773,6 @@ def corestriction_boundary_multiplicity(
     alpha.validate()
     if a.space != quotient_graph.space:
         raise CoverError("A lives on another space than the corestriction of gg")
-    problems = validate_admissible_g_graph(a)
-    if problems:
-        raise CoverError(f"input A is not admissible: {problems[0].label}")
     if not _equivariant(alpha, quotient_graph, a):
         raise CoverError("alpha is not an isomorphism of admissible quotient graphs")
     # match quotient half-edges back to N-orbits of gg half-edges; an edge's

@@ -12,7 +12,12 @@ standard Witten-Kontsevich value).
 
 `integrate_psi` refuses a genus above MAX_GENUS = 20 before the recursion
 runs: `integrate --genus 20 --exponents 58` takes about 6 s and genus 25
-(exponent 73) about 22 s on a 2-core Xeon (Python 3.11).
+(exponent 73) about 22 s on a 2-core Xeon (Python 3.11).  In genus >= 1
+it also refuses more than MAX_DVV_POINTS = 21 points of exponent >= 2, the
+points a DVV step sums over (the loops remove every 0 and 1 first):
+tau_2^(3g-3) takes 2.1 s at g = 8 (21 points), 4.9 s at g = 9 and 54 s at
+g = 11 as a CLI call.  The count does not bound the cost at a higher
+genus: 21 points of exponent 3 or 4 in genus 14 or 20 run past 40 s.
 """
 
 from __future__ import annotations
@@ -51,8 +56,10 @@ def _double_factorial_odd(k: int) -> int:
 
 TAU1_GENUS1 = Fraction(1, 24)  # <tau_1>_1, external Witten-Kontsevich constant
 
-# The largest genus `integrate_psi` evaluates.
+# The largest genus `integrate_psi` evaluates, and in genus >= 1 the most
+# points of exponent >= 2 it evaluates.
 MAX_GENUS = 20
+MAX_DVV_POINTS = 21
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +140,8 @@ def _virasoro_step(g: int, exps: tuple[int, ...]) -> Fraction:
 
 
 def integrate_psi(g: int, exponents) -> Fraction:
-    """Top-degree psi integral on M_{g,n}, for every genus 0 <= g <= MAX_GENUS."""
+    """Top-degree psi integral on M_{g,n}, for every genus 0 <= g <= MAX_GENUS,
+    with at most MAX_DVV_POINTS exponents >= 2 in genus >= 1."""
     exponents = tuple(int(a) for a in exponents)
     n = len(exponents)
     if g < 0:
@@ -146,6 +154,10 @@ def integrate_psi(g: int, exponents) -> Fraction:
         raise IntegralError(
             f"psi degree {sum(exponents)} is not top degree {3 * g - 3 + n}"
         )
+    dvv_points = sum(a >= 2 for a in exponents)
+    if g >= 1 and dvv_points > MAX_DVV_POINTS:
+        raise IntegralError(f"{dvv_points} points of exponent >= 2 is above {MAX_DVV_POINTS}, "
+                            "the bound on the points a DVV step sums over")
     try:
         return correlator(g, exponents)
     except RecursionError:

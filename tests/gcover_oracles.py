@@ -13,12 +13,19 @@ one permutation group closure.  `action_tables_by_walk` builds the same
 tables by walking the group breadth-first from the identity, composing the
 images element by element and refusing an element reached twice with
 different images.
+
+`restrict_graph` reads the restricted graph's leg action and leg monodromy
+off the restricted space's coset layout, which holds for admissible input.
+`restricted_legs_by_relabel` computes them from the input's own legs: it
+relabels the input's leg action through the map from new leg positions to
+old ones, and restricts each old leg's monodromy to the subgroup.
 """
 
 from __future__ import annotations
 
 from covercalc.errors import ActionError
-from covercalc.groups import compose
+from covercalc.gcover import _restricted, restriction_monodromy
+from covercalc.groups import compose, coset_index, invert
 
 
 def equivariant_morphism(src, tgt, morphism) -> bool:
@@ -64,3 +71,23 @@ def action_tables_by_walk(graph, group, gen_images) -> tuple[dict, dict, dict]:
                     raise ActionError("generator images violate the group relations")
         frontier = nxt
     return tuple({g: t[k] for g, t in table.items()} for k in range(3))
+
+
+def restricted_legs_by_relabel(gg, subgroup) -> tuple[dict, tuple]:
+    """The leg action (per subgroup generator) and leg monodromy of the
+    restriction of gg to subgroup, relabeled from gg's own legs."""
+    group = gg.group
+    new_space, ledger = restriction_monodromy(gg.space, subgroup)
+    old_tables, old_offsets = gg.space.cosets, gg.space.distinguished_positions
+    new_to_old = [
+        old_offsets[i] + coset_index(old_tables[i], compose(c, t))
+        for (i, _, t, _), new_table in zip(ledger, new_space.cosets)
+        for c in new_table.reps
+    ]
+    old_to_new = invert(new_to_old)
+    action = {}
+    for s in subgroup.generators:
+        old_leg = gg.action.leg[s]
+        action[s] = tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old)))
+    mon_leg = tuple(_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old)
+    return action, mon_leg

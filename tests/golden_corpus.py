@@ -13,6 +13,11 @@ and first prints every entry whose exit code or digest changed, then each
 changed library output (graph name and output key) and their number:
 
     PYTHONPATH=src:tests python tests/golden_corpus.py
+
+With --check it prints the same report, writes nothing, and exits 1 when
+any entry or output changed (0 when none did):
+
+    PYTHONPATH=src:tests python tests/golden_corpus.py --check
 """
 
 from __future__ import annotations
@@ -195,6 +200,13 @@ def build_entries() -> list[tuple[str, list[str], dict]]:
         entries.append((f"integrate {label}",
                         ["integrate", "--genus", genus, "--exponents", exponents], {}))
     entries.extend(_integrate_entries())
+    # refused by the input bounds: tau_2^30 in genus 11 (54 s before the
+    # bound on points of exponent >= 2) and 21 branch points in degree 7
+    entries.append(("integrate genus 11 tau_2^30 refused",
+                    ["integrate", "--genus", "11", "--exponents", ",".join(["2"] * 30)], {}))
+    argv = ["hurwitz-count", "--degree", "7", "--types",
+            json.dumps([[7]] + [[2, 1, 1, 1, 1, 1]] * 20)]
+    entries.append(("hurwitz-count d=7 21 branch points refused", argv, {}))
     return entries
 
 
@@ -294,25 +306,42 @@ def changed_outputs(old: list[dict], new: list[dict]) -> list[tuple[str, str]]:
                   if before.get(key) != after.get(key))
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    """Recapture both corpora, or with --check only report: print each
+    changed entry and library output, write nothing, and return 1 when
+    anything changed."""
     import tempfile
 
     import gcover_corpus
 
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: golden_corpus.py [--check]")
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         corpus = capture(Path(tmp))
     library = gcover_corpus.capture()
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     old_library = (json.loads(gcover_corpus.CORPUS.read_text())
                    if gcover_corpus.CORPUS.exists() else [])
-    for name in changed_entries(old, corpus):
+    changed_cli = changed_entries(old, corpus)
+    for name in changed_cli:
         print(f"changed: {name}")
     changed = changed_outputs(old_library, library)
     for name, key in changed:
         print(f"changed output: {name} {key}")
     print(f"{len(changed)} changed gcover library outputs")
+    if check:
+        return 1 if changed_cli or changed else 0
     CORPUS.parent.mkdir(exist_ok=True)
     for path, new in ((CORPUS, corpus), (gcover_corpus.CORPUS, library)):
         path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"{len(corpus)} corpus entries, {len(library)} gcover library entries, "
           f"{sum(len(e['outputs']) for e in library)} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.exit(main(sys.argv[1:]))

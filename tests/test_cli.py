@@ -687,6 +687,71 @@ def test_integrate_of_many_equal_points_runs_in_seconds(genus, bound, value):
     assert payload["value"] == value
 
 
+@pytest.mark.parametrize("genus", [11, 12])
+def test_integrate_refuses_too_many_dvv_points_at_once(genus):
+    # <tau_2^(3g-3)>_g took 54 s at g = 11 and ran past 90 s at g = 12
+    from covercalc.mbar import MAX_DVV_POINTS
+
+    argv = ["integrate", "--genus", str(genus), "--exponents", ",".join(["2"] * (3 * genus - 3))]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "covercalc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    payload = json.loads(done.stdout)
+    check_schema("error", payload)
+    assert payload["error"] == (f"IntegralError: {3 * genus - 3} points of exponent >= 2 is "
+                                f"above {MAX_DVV_POINTS}, the bound on the points a DVV step "
+                                "sums over")
+
+
+def test_integrate_counts_only_exponents_of_2_or_more_in_positive_genus(monkeypatch, capsys):
+    from covercalc import mbar
+
+    assert mbar.MAX_DVV_POINTS >= 21  # <tau_2^21>_8 answers
+    monkeypatch.setattr(mbar, "MAX_DVV_POINTS", 3)
+    answered = [
+        ("2", "2,2,2,1"),  # a tau_1 does not count
+        ("0", "2,2,2,2,0,0,0,0,0,0,0"),  # genus 0 is a closed form, with no DVV step
+    ]
+    for genus, exponents in answered:
+        code, out = run_cli(capsys, ["integrate", "--genus", genus, "--exponents", exponents])
+        assert code == 0, out
+    code, out = run_cli(capsys, ["integrate", "--genus", "3", "--exponents", "2,2,3,3"])
+    assert code == 2
+    assert json.loads(out)["error"] == ("IntegralError: 4 points of exponent >= 2 is above 3, "
+                                        "the bound on the points a DVV step sums over")
+
+
+def test_hurwitz_count_refuses_too_many_branch_points_at_once(capsys):
+    # 400 transpositions after a 7-cycle took 36 s before the bound
+    from covercalc.hurwitz import MAX_BRANCH_POINTS
+
+    for count in (MAX_BRANCH_POINTS + 1, 400):
+        types = json.dumps([[7]] + [[2, 1, 1, 1, 1, 1]] * (count - 1))
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["hurwitz-count", "--degree", "7", "--types", types])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        payload = json.loads(out)
+        check_schema("error", payload)
+        assert payload["error"] == (f"HurwitzError: {count} branch points is above "
+                                    f"{MAX_BRANCH_POINTS}, the bound on the branch points counted")
+
+
+def test_hurwitz_count_answers_at_the_branch_point_bound(capsys):
+    # the slowest even mix measured at d = 7, in both modes
+    from covercalc.hurwitz import MAX_BRANCH_POINTS
+
+    mix = [[2, 2, 1, 1, 1], [2, 1, 1, 1, 1, 1], [3, 2, 1, 1]]
+    types = json.dumps([mix[i % 3] for i in range(MAX_BRANCH_POINTS)])
+    for flags in ([], ["--weighted"]):
+        code, out = run_cli(capsys, ["hurwitz-count", "--degree", "7", "--types", types, *flags])
+        assert code == 0
+        check_schema("hurwitz-count", json.loads(out))
+
+
 def _over_4300_digits(tmp_path):
     """(argv, exit code, error class or None) of four calls that each convert
     a 5000-digit or longer int: one result and three outside inputs."""

@@ -7,9 +7,10 @@ import pytest
 
 import golden_corpus
 from gcover_corpus import CORPUS as GCOVER_CORPUS, identity_morphism, subgroups_of
-from gcover_oracles import action_tables_by_walk, equivariant_morphism
+from gcover_oracles import action_tables_by_walk, equivariant_morphism, restricted_legs_by_relabel
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
-from covercalc.errors import ActionError
+from covercalc import gcover
+from covercalc.errors import ActionError, InvariantError
 from covercalc.gcover import (
     AdmissibleGGraph,
     CoverError,
@@ -473,6 +474,61 @@ def test_corestriction_boundary_multiplicity_refuses_A_on_another_space():
         corestriction_boundary_multiplicity(gg, half, a, identity_morphism(q.graph))
 
 
+ADMISSIBLE = [e for e in LIBRARY if not e["name"].startswith("mutation-")]
+MUTATIONS = [e for e in LIBRARY if e["name"].startswith("mutation-")]
+
+
+def _assert_restricted_legs_match_the_oracle(gg, sub):
+    restricted = restrict_graph(gg, sub)
+    action, mon_leg = restricted_legs_by_relabel(gg, sub)
+    assert {s: restricted.action.leg[s] for s in sub.generators} == action
+    assert restricted.mon_leg == mon_leg
+
+
+@pytest.mark.parametrize("entry", ADMISSIBLE, ids=lambda e: e["name"])
+def test_restricted_legs_from_the_layout_match_the_relabel_oracle(entry):
+    gg = AdmissibleGGraph.from_json(entry["graph"])
+    for gens in entry["subgroups"]:
+        _assert_restricted_legs_match_the_oracle(
+            gg, gg.group.generated_subgroup(tuple(g) for g in gens))
+
+
+def test_restricted_legs_from_the_layout_match_the_oracle_on_random_graphs():
+    rng = random.Random(47)
+    for _ in range(200):
+        gg = random_valid_graph(rng)
+        for sub in subgroups_of(gg.group):
+            _assert_restricted_legs_match_the_oracle(gg, sub)
+
+
+@pytest.mark.parametrize("entry", MUTATIONS, ids=lambda e: e["name"])
+def test_restrict_and_corestrict_refuse_every_mutation_with_the_input_refusal(entry):
+    gg = AdmissibleGGraph.from_json(entry["graph"])
+    label = validate_admissible_g_graph(gg)[0].label
+    message = f"^input gg is not admissible: {label}$"
+    for gens in entry["subgroups"]:
+        sub = gg.group.generated_subgroup(tuple(g) for g in gens)
+        for construct in (restrict_graph, corestrict_graph):
+            with pytest.raises(CoverError, match=message):
+                construct(gg, sub)
+
+
+@pytest.mark.parametrize("construct, what", [
+    (restrict_graph, "restriction"), (corestrict_graph, "corestriction")])
+def test_a_result_that_fails_validation_is_an_invariant_breach(monkeypatch, construct, what):
+    # restriction to the trivial subgroup and the quotient by all of Z/2
+    # both land on the trivial group; only that result is made to fail
+    from gg_factory import _z2_gp
+
+    gg = _z2_gp(1)
+    sub = gg.group.generated_subgroup(()) if construct is restrict_graph else gg.group
+    real = gcover.validate_admissible_g_graph
+    monkeypatch.setattr(gcover, "validate_admissible_g_graph", lambda x: (
+        [gcover.Violation("stabilizer", "forced")] if len(x.group) == 1 else real(x)))
+    with pytest.raises(InvariantError, match=f"^the {what} is not admissible: stabilizer$"):
+        construct(gg, sub)
+
+
 def test_restriction_boundary_exponents_refuses_what_restrict_graph_rejects():
     refused = 0
     for entry in LIBRARY:
@@ -580,10 +636,13 @@ def test_quotient_genus_solves_riemann_hurwitz():
 def test_corestrict_graph_rejects_a_vertex_without_integral_quotient_genus():
     from gg_factory import _z2_fixed_edge
 
+    # genera (3, 1) keep the graph genus 4, so the validator, which does not
+    # check Riemann-Hurwitz vertex by vertex, accepts the graph
     gg = _z2_fixed_edge(2, 2)
-    graph = StableGraph((3, 2), gg.graph.half_edge_vertex, gg.graph.involution, gg.graph.leg_vertex)
+    graph = StableGraph((3, 1), gg.graph.half_edge_vertex, gg.graph.involution, gg.graph.leg_vertex)
     action = GAction(graph, gg.group, gg.action.vertex, gg.action.half, gg.action.leg)
     bad = AdmissibleGGraph(gg.space, graph, action, gg.mon_half, gg.mon_leg)
+    assert validate_admissible_g_graph(bad) == []
     with pytest.raises(CoverError, match="vertex 0: quotient genus is not integral"):
         corestrict_graph(bad, gg.group)
 
