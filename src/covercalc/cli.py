@@ -28,12 +28,29 @@ Each call is a fresh process, so importing is part of every call's cost.
 This module imports no layer at load time: each command imports the layers
 it uses, and the exception classes every layer raises live in
 `covercalc.errors`, which imports nothing.
+
+A call ends in `run`, the process entry of `python -m covercalc.cli` and of
+the `covercalc` script: it takes `main`'s exit code (0 after `--help`),
+flushes stdout and stderr, and leaves through `os._exit`, so the interpreter
+does not tear down the modules and objects the call built, which often takes
+longer than the call's own computation.  That is safe because a call's only
+effects are its stdout bytes, its stderr bytes and its exit status: the
+package opens no file for writing, starts no thread and registers no
+`atexit` hook.  `main` itself returns its code and never exits, for callers
+in the same process.
+
+If stdout refuses a write or the flush (a closed pipe, a full disk), the
+call exits 3, writes nothing more to stdout and prints one stderr line,
+"internal error: <Type>: <message>"; a failing stderr is ignored.  `main`
+lets that `OSError` through to `run`: every read failure is a `UsageError`,
+so an `OSError` reaching `main` is stdout's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -498,6 +515,8 @@ def main(argv=None) -> int:
     except InvariantError as err:
         _emit({"error": f"internal invariant breach: {err}"})
         return 3
+    except OSError:
+        raise  # stdout failed: `run` reports it on stderr
     except Exception as err:
         _emit({"error": f"internal error: {type(err).__name__}: {err}"})
         return 3
@@ -506,5 +525,25 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(digits)
 
 
+def run():
+    """End the process with `main`'s exit code once stdout and stderr are
+    flushed, skipping the interpreter's teardown (see the module docstring)."""
+    report = ""
+    try:
+        try:
+            status = main()
+        except SystemExit as done:  # argparse's --help
+            status = done.code
+        sys.stdout.flush()
+    except OSError as err:
+        status, report = 3, f"internal error: {type(err).__name__}: {err}\n"
+    try:
+        sys.stderr.write(report)
+        sys.stderr.flush()
+    except OSError:
+        pass  # no stream is left to report it on
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

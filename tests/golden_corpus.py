@@ -32,16 +32,22 @@ from pathlib import Path
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 
 
+def entry_argv(entry: dict, workdir: Path) -> list[str]:
+    """Write one entry's input files to `workdir`; return its argv with each
+    "@name" replaced by that file's path."""
+    for name, content in entry["files"].items():
+        (workdir / f"{name}.json").write_text(json.dumps(content))
+    return [
+        str(workdir / f"{arg[1:]}.json") if arg.startswith("@") else arg
+        for arg in entry["argv"]
+    ]
+
+
 def run_entry(entry: dict, workdir: Path) -> tuple[int, str]:
     """Run one entry's argv in-process; return (exit code, stdout digest)."""
     from covercalc.cli import main
 
-    for name, content in entry["files"].items():
-        (workdir / f"{name}.json").write_text(json.dumps(content))
-    argv = [
-        str(workdir / f"{arg[1:]}.json") if arg.startswith("@") else arg
-        for arg in entry["argv"]
-    ]
+    argv = entry_argv(entry, workdir)
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)

@@ -1,8 +1,9 @@
 """Source-level guards: no bare asserts, no benchmark counter left
 pointing at a name covercalc no longer has, no package code that only
-tests reach, no layer a command does not use loaded by it, no user error
-class the CLI would let through, and no bad input refused with a builtin
-error."""
+tests reach, no process exit outside the CLI's entry and nothing left for
+the teardown it skips, no layer a command does not use loaded by it, no
+user error class the CLI would let through, and no bad input refused with
+a builtin error."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "covercalc"
@@ -149,6 +152,52 @@ def test_only_cli_reachable_definitions_in_the_package():
     assert set(NOT_YET_REACHED) & _reached(defs, on_import, commands) == set()
     reached = _reached(defs, on_import, commands + list(NOT_YET_REACHED))
     assert [q for q in defs if q not in reached and not _is_dunder(q)] == []
+
+
+def test_only_the_process_entry_ends_the_process():
+    # `cli.main` returns its code to callers in the same process; only
+    # `cli.run`, the entry of `python -m covercalc.cli` and of the installed
+    # script, ends the process, through `os._exit`
+    exits = [
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("os._exit", "sys.exit", "exit", "quit")
+    ]
+    assert exits == ["cli.run"]
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"covercalc": "covercalc.cli:run"}
+
+
+# Modules whose use leaves work for the interpreter's teardown: exit hooks,
+# threads and child processes, temporary files, logging handlers to flush.
+TEARDOWN_MODULES = {"atexit", "threading", "multiprocessing", "concurrent", "subprocess",
+                    "tempfile", "logging"}
+
+
+def test_no_package_code_leaves_work_for_the_interpreter_teardown():
+    # `cli.run` ends the process with `os._exit`, which runs no exit hook,
+    # joins no thread and flushes no file but stdout and stderr
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not (isinstance(m, ast.Constant) and m.value in ("r", "rb")) for m in modes):
+                    found.append(f"{path.name}:{node.lineno} opens a file to write")
+                continue
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                      if name.partition(".")[0] in TEARDOWN_MODULES]
+    assert found == []
 
 
 _LOADED_MODULES = """
