@@ -8,10 +8,10 @@ Output is deterministic (sorted keys), so regression tests can diff bytes.
 
 Output goes through one writer, `_emit`.  Its bytes are exactly those of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every type a
-command emits: `str` (escaped by the same `encode_basestring_ascii`), `int`,
-`bool`, `None`, lists, tuples, and dicts with `str` keys.  Any other type is
-an `InvariantError` (a bug: no command emits one; blocks written before it
-stay written).  Text is produced in one of two ways:
+command emits: `str` (escaped by `_json.encode_basestring_ascii`, which
+`json.dumps` uses), `int`, `bool`, `None`, lists, tuples, and dicts with `str`
+keys.  Any other type is an `InvariantError` (a bug: no command emits one;
+blocks written before it stay written).  Text is produced in one of two ways:
 
 - a d-elliptic ledger's rows, which `cmd_delliptic` hands over as a
   `_LedgerRows`, are printed by `_write_ledger_rows`: each row straight from
@@ -27,7 +27,8 @@ of all its tokens or as one object per row.
 Each call is a fresh process, so importing is part of every call's cost.
 This module imports no layer at load time: each command imports the layers
 it uses, and the exception classes every layer raises live in
-`covercalc.errors`, which imports nothing.
+`covercalc.errors`, which imports nothing; only the two JSON readers,
+`_load_json` and `hurwitz-count`, import `json` and its decoder.
 
 A call ends in `run`, the process entry of `python -m covercalc.cli` and of
 the `covercalc` script: it takes `main`'s exit code (0 after `--help`),
@@ -39,21 +40,21 @@ package opens no file for writing, starts no thread and registers no
 `atexit` hook.  `main` itself returns its code and never exits, for callers
 in the same process.
 
-If stdout refuses a write or the flush (a closed pipe, a full disk), the
-call exits 3, writes nothing more to stdout and prints one stderr line,
-"internal error: <Type>: <message>"; a failing stderr is ignored.  `main`
-lets that `OSError` through to `run`: every read failure is a `UsageError`,
-so an `OSError` reaching `main` is stdout's.
+If stdout refuses a write or the flush (a closed pipe, a full disk), or
+the call starts with stdout closed, the call exits 3, writes nothing more
+to stdout and prints one stderr line, "internal error: <Type>: <message>";
+a failing or closed stderr is ignored.  `main` lets that `OSError` through
+to `run`, and so does `--help` (`_Parser._print_message`): every read
+failure is a `UsageError`, so an `OSError` reaching `main` is stdout's.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _json_string
+from _json import encode_basestring_ascii as _json_string
 
 from covercalc.errors import (
     CoverError,
@@ -202,6 +203,8 @@ def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> No
 def _load_json(path: str) -> dict:
     """The JSON value in file `path` ("-": stdin); an unreadable path or
     nesting too deep for the decoder is a usage error naming the path."""
+    import json
+
     try:
         if path == "-":
             return _decode(json.load, sys.stdin, "stdin")
@@ -280,6 +283,8 @@ def cmd_validate_ggraph(args) -> int:
 
 
 def cmd_hurwitz_count(args) -> int:
+    import json
+
     from covercalc.exact import rat_to_str
     from covercalc.hurwitz import hurwitz_cover_count
 
@@ -438,13 +443,20 @@ def _refuse_usage(parser: argparse.ArgumentParser, message: str):
     raise UsageError(message)
 
 
+def _write_message(parser: argparse.ArgumentParser, message: str, file=None) -> None:
+    if message:  # argparse's own version ignores a failed write
+        (file or sys.stderr).write(message)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises UsageError where argparse would print
     usage to stderr and exit, so that `main` reports it as JSON.  argparse
     reports every refusal through `error`, and makes subcommand parsers of
-    the parser's own class.  `--help` still prints and exits 0."""
+    the parser's own class.  `--help` still prints and exits 0, and a failed
+    write of its text reaches `run`."""
 
     error = _refuse_usage
+    _print_message = _write_message
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,6 +542,8 @@ def run():
     flushed, skipping the interpreter's teardown (see the module docstring)."""
     report = ""
     try:
+        if sys.stdout is None:  # the call started with stdout closed
+            raise OSError("stdout is closed")
         try:
             status = main()
         except SystemExit as done:  # argparse's --help
@@ -538,8 +552,9 @@ def run():
     except OSError as err:
         status, report = 3, f"internal error: {type(err).__name__}: {err}\n"
     try:
-        sys.stderr.write(report)
-        sys.stderr.flush()
+        if sys.stderr is not None:  # None when the call started with it closed
+            sys.stderr.write(report)
+            sys.stderr.flush()
     except OSError:
         pass  # no stream is left to report it on
     os._exit(status)

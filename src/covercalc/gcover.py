@@ -13,9 +13,13 @@ monodromy element, with the identity coset (the distinguished leg) first.
 Any other choice differs by a relabeling isomorphism, so the canonical
 frame loses nothing and keeps every construction reproducible.
 `HurwitzSpaceId` computes this layout once: the coset table of each
-stabilizer, the block offsets and the canonical leg monodromy.  Subgroups
-(for restriction and corestriction) are groups in their own right, and
-restriction and corestriction map one `HurwitzSpaceId` to another.
+stabilizer, the block offsets, the leg monodromy and each generator's leg
+action.  Every G-graph the module derives (a forced intersection term, a
+restriction, a corestriction, a trivial-group wrapping) is built by one
+constructor, `_in_layout`, from half-edge images and monodromy; only the
+JSON reader takes vertex and leg images as given, for the validator to judge.
+Subgroups (for restriction and corestriction) are groups in their own right,
+and restriction and corestriction map one `HurwitzSpaceId` to another.
 
 Every orbit of points comes from `GAction.orbit_labels`, which takes the
 point kind ("vertex", "half" or "leg") and the acting subgroup (G, a
@@ -39,7 +43,6 @@ admissible covers, so their check of their own result is an invariant.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
@@ -72,6 +75,7 @@ from covercalc.groups import (
     orbit_partition,
     perm_from_json,
     perm_order,
+    trivial_group,
 )
 
 
@@ -107,13 +111,16 @@ class HurwitzSpaceId(FrozenRecord):
     Each xi entry must be an element of the group (CoverError otherwise).
     The canonical leg layout is computed once: `cosets[i]` is the coset
     table of the stabilizer <xi_i>, whose legs form the block starting at
-    `distinguished_positions[i]`, and `canonical_leg_monodromy` carries
-    rep xi_i rep^-1 at the leg of each representative.  Equality reads the
-    datum and the genus and mark count it solves for, not the layout.
+    `distinguished_positions[i]`, `canonical_leg_monodromy` carries
+    rep xi_i rep^-1 at the leg of each representative, and
+    `canonical_leg_action[t]` is generator t's coset action on the legs.
+    Equality reads the datum and the genus and mark count it solves for,
+    not the layout.
     """
 
     __slots__ = ("genus", "group", "xi", "target_genus", "n_source_marks",
-                 "cosets", "distinguished_positions", "canonical_leg_monodromy")
+                 "cosets", "distinguished_positions", "canonical_leg_monodromy",
+                 "canonical_leg_action")
     _compared = ("genus", "group", "xi", "target_genus", "n_source_marks")
 
     def __init__(self, genus: int, group: FiniteGroup, xi: tuple[Perm, ...]) -> None:
@@ -138,14 +145,11 @@ class HurwitzSpaceId(FrozenRecord):
                 for h, table in zip(xi, cosets)
                 for rep in table.reps
             ),
-        )
-
-    def canonical_leg_action(self, t: Perm) -> tuple[int, ...]:
-        """The action of t on leg positions through the coset layout."""
-        return tuple(
-            off + k
-            for table, off in zip(self.cosets, self.distinguished_positions)
-            for k in coset_action(table, t)
+            canonical_leg_action={
+                t: tuple(off + k for table, off in zip(cosets, offsets)
+                         for k in coset_action(table, t))
+                for t in group.generators
+            },
         )
 
     def to_json(self) -> dict:
@@ -171,7 +175,9 @@ class HurwitzSpaceId(FrozenRecord):
 def stabilizer_orders(labels: list[int], acting: FiniteGroup) -> list[int]:
     """The order of each point's stabilizer in `acting`, from the points'
     orbit labels under `acting`: #acting / #orbit (orbit-stabilizer)."""
-    sizes = Counter(labels)
+    sizes = [0] * len(labels)  # orbits are labelled 0..k-1, k <= #points
+    for label in labels:
+        sizes[label] += 1
     return [len(acting) // sizes[label] for label in labels]
 
 
@@ -365,12 +371,9 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
     except (GraphError, ActionError) as err:
         out.append(Violation("action", str(err)))
         return out
-    for t in group.generators:
-        if action.leg[t] != space.canonical_leg_action(t):
-            out.append(
-                Violation("layout", "leg action differs from the canonical coset layout")
-            )
-            return out
+    if any(action.leg[t] != space.canonical_leg_action[t] for t in group.generators):
+        out.append(Violation("layout", "leg action differs from the canonical coset layout"))
+        return out
     if graph.genus() != space.genus:
         out.append(
             Violation("genus", f"graph genus {graph.genus()} != source genus {space.genus}")
@@ -426,6 +429,26 @@ def validate_admissible_g_graph(gg: AdmissibleGGraph) -> list[Violation]:
             )
     # dedupe, first-seen order
     return list(dict.fromkeys(out))
+
+
+def _in_layout(space: HurwitzSpaceId, graph: StableGraph, half_images: dict,
+               mon_half: tuple[Perm, ...]) -> AdmissibleGGraph:
+    """The G-graph on graph whose generator t moves the half-edges by
+    half_images[t], with half-edge monodromy mon_half and the legs in space's
+    layout.  Each vertex image is read off the attachment of a half-edge or
+    leg there (0 for a bare vertex, the graph's only one).  Images that break
+    the group law raise ActionError; the validator judges the rest."""
+    gen_images = {}
+    for t in space.group.generators:
+        hperm, lperm = half_images[t], space.canonical_leg_action[t]
+        vperm = [0] * graph.n_vertices
+        for h, w in enumerate(hperm):
+            vperm[graph.half_edge_vertex[h]] = graph.half_edge_vertex[w]
+        for l, w in enumerate(lperm):
+            vperm[graph.leg_vertex[l]] = graph.leg_vertex[w]
+        gen_images[t] = (tuple(vperm), hperm, lperm)
+    action = GAction.from_generators(graph, space.group, gen_images)
+    return AdmissibleGGraph(space, graph, action, mon_half, space.canonical_leg_monodromy)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +520,9 @@ def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGr
         for (i, _, t, _), new_table in zip(ledger, new_space.cosets)
         for c in new_table.reps
     )
-    new_graph = StableGraph(
-        gg.graph.genera, gg.graph.half_edge_vertex, gg.graph.involution, new_leg_vertex
-    )
-    gen_images = {
-        s: (gg.action.vertex[s], gg.action.half[s], new_space.canonical_leg_action(s))
-        for s in subgroup.generators
-    }
-    new_action = GAction.from_generators(new_graph, subgroup, gen_images)
+    new_graph = gg.graph._replace(leg_vertex=new_leg_vertex)
     mon_half = tuple(_restricted(gg.group, h, subgroup)[1] for h in gg.mon_half)
-    result = AdmissibleGGraph(new_space, new_graph, new_action, mon_half,
-                              new_space.canonical_leg_monodromy)
+    result = _in_layout(new_space, new_graph, gg.action.half, mon_half)
     return _require_admissible(result, "the restriction", InvariantError)
 
 
@@ -553,17 +568,13 @@ def corestrict_graph(gg: AdmissibleGGraph, normal: FiniteGroup) -> AdmissibleGGr
     )
     new_graph = StableGraph(tuple(new_genera), tuple(new_hv), tuple(new_inv), new_leg_vertex)
     new_graph.validate()
-    # quotient action via quotient-group generators
-    gen_images = {}
-    for qg in q.group.generators:
-        t = q.rep_of(qg)
-        vperm = tuple(v_label[action.vertex[t][c]] for c in v_classes)
-        hperm = tuple(h_label[action.half[t][c]] for c in h_classes)
-        gen_images[qg] = (vperm, hperm, new_space.canonical_leg_action(qg))
-    new_action = GAction.from_generators(new_graph, q.group, gen_images)
+    # quotient action via lifts of the quotient-group generators
+    half_images = {
+        qg: tuple(h_label[action.half[q.rep_of(qg)][c]] for c in h_classes)
+        for qg in q.group.generators
+    }
     mon_half = tuple(q.project(gg.mon_half[c]) for c in h_classes)
-    result = AdmissibleGGraph(new_space, new_graph, new_action, mon_half,
-                              new_space.canonical_leg_monodromy)
+    result = _in_layout(new_space, new_graph, half_images, mon_half)
     return _require_admissible(result, "the corestriction", InvariantError)
 
 
@@ -642,36 +653,21 @@ def _force_g_structure(
     This is transport only.  Every half-edge of gamma comes from A or B
     (genericity), and `_transport` copies its monodromy and generator
     images along `to_A` and `to_B`; a half-edge on which the two maps
-    disagree gives None.  The leg images are the canonical layout that the
-    validated A and B already carry, and each vertex image is read off the
-    attachment of a half-edge or leg there (0 for a bare vertex).  Nothing
-    else is checked here: `GAction.from_generators` rejects images that
-    break the group law, a non-injective one among them, and the validator
-    rejects vertex images that break an attachment and everything else that
-    is not admissible.
+    disagree gives None.  `_in_layout` builds the G-graph in the canonical
+    layout that the validated A and B already carry.  Nothing else is
+    checked here: images that break the group law, a non-injective one
+    among them, give None, and so does every candidate the validator
+    rejects, vertex images that break an attachment among them.
     """
     gamma, gens = triple.gamma, space.group.generators
     transported = _transport(gens, gamma.n_half_edges, ((triple.to_A, a), (triple.to_B, b)))
     if transported is None:
         return None
-    gen_images = {}
-    for i, t in enumerate(gens):
-        hperm = tuple(moves[i] for _, moves in transported)
-        lperm = space.canonical_leg_action(t)
-        vperm = [0] * gamma.n_vertices
-        for h, w in enumerate(hperm):
-            vperm[gamma.half_edge_vertex[h]] = gamma.half_edge_vertex[w]
-        for l, w in enumerate(lperm):
-            vperm[gamma.leg_vertex[l]] = gamma.leg_vertex[w]
-        gen_images[t] = (tuple(vperm), hperm, lperm)
+    half_images = {t: tuple(moves[i] for _, moves in transported) for i, t in enumerate(gens)}
     try:
-        action = GAction.from_generators(gamma, space.group, gen_images)
+        candidate = _in_layout(space, gamma, half_images, tuple(mon for mon, _ in transported))
     except ActionError:
         return None
-    mon_half = tuple(mon for mon, _ in transported)
-    candidate = AdmissibleGGraph(
-        space, gamma, action, mon_half, space.canonical_leg_monodromy
-    )
     if validate_admissible_g_graph(candidate):
         return None
     return candidate
@@ -876,21 +872,8 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
 
 def wrap_trivial_group(graph: StableGraph) -> AdmissibleGGraph:
     """A classical stable graph as an admissible graph for the trivial group."""
-    from covercalc.groups import trivial_group
-
     group = trivial_group()
     e = group.identity
-    xi = tuple(e for _ in range(graph.n_legs))
-    space = HurwitzSpaceId(graph.genus(), group, xi)
-    ident_images = {
-        g: (
-            tuple(range(graph.n_vertices)),
-            tuple(range(graph.n_half_edges)),
-            tuple(range(graph.n_legs)),
-        )
-        for g in group.generators
-    }
-    action = GAction.from_generators(graph, group, ident_images)
-    mon_half = tuple(e for _ in range(graph.n_half_edges))
-    mon_leg = tuple(e for _ in range(graph.n_legs))
-    return AdmissibleGGraph(space, graph, action, mon_half, mon_leg)
+    space = HurwitzSpaceId(graph.genus(), group, (e,) * graph.n_legs)
+    half_images = {t: tuple(range(graph.n_half_edges)) for t in group.generators}
+    return _in_layout(space, graph, half_images, (e,) * graph.n_half_edges)

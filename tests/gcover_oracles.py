@@ -19,13 +19,24 @@ off the restricted space's coset layout, which holds for admissible input.
 `restricted_legs_by_relabel` computes them from the input's own legs: it
 relabels the input's leg action through the map from new leg positions to
 old ones, and restricts each old leg's monodromy to the subgroup.
+
+`wrap_trivial_group` builds through the module's one constructor for derived
+G-graphs, which reads the vertex images off the attachments and the legs off
+the space's layout.  `trivial_wrapping_inline` assembles every part itself:
+identity images of all three kinds and identity monodromy at every point.
 """
 
 from __future__ import annotations
 
 from covercalc.errors import ActionError
-from covercalc.gcover import _restricted, restriction_monodromy
-from covercalc.groups import compose, coset_index, invert
+from covercalc.gcover import (
+    AdmissibleGGraph,
+    GAction,
+    HurwitzSpaceId,
+    _restricted,
+    restriction_monodromy,
+)
+from covercalc.groups import compose, coset_index, invert, trivial_group
 
 
 def equivariant_morphism(src, tgt, morphism) -> bool:
@@ -91,3 +102,23 @@ def restricted_legs_by_relabel(gg, subgroup) -> tuple[dict, tuple]:
         action[s] = tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old)))
     mon_leg = tuple(_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old)
     return action, mon_leg
+
+
+def trivial_wrapping_inline(graph) -> AdmissibleGGraph:
+    """A stable graph as an admissible G-graph for the trivial group, each
+    generator acting by the identity on vertices, half-edges and legs."""
+    group = trivial_group()
+    e = group.identity
+    space = HurwitzSpaceId(graph.genus(), group, tuple(e for _ in range(graph.n_legs)))
+    ident_images = {
+        g: (
+            tuple(range(graph.n_vertices)),
+            tuple(range(graph.n_half_edges)),
+            tuple(range(graph.n_legs)),
+        )
+        for g in group.generators
+    }
+    action = GAction.from_generators(graph, group, ident_images)
+    mon_half = tuple(e for _ in range(graph.n_half_edges))
+    mon_leg = tuple(e for _ in range(graph.n_legs))
+    return AdmissibleGGraph(space, graph, action, mon_half, mon_leg)

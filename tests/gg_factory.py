@@ -80,7 +80,7 @@ def _s3_three_cycle_legs(extra: int) -> AdmissibleGGraph:
     graph = StableGraph((3 + 6 * extra,), (), (), (0, 0))
     space = HurwitzSpaceId(3 + 6 * extra, s3, (rot,))
     gen_images = {
-        g: ((0,), (), space.canonical_leg_action(g)) for g in s3.generators
+        g: ((0,), (), space.canonical_leg_action[g]) for g in s3.generators
     }
     action = GAction.from_generators(graph, s3, gen_images)
     return AdmissibleGGraph(

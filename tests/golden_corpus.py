@@ -9,8 +9,9 @@ refactor that changes any emitted byte fails loudly.
 The digests were captured from a known-good tree.  Recapture only when an
 output is meant to change, and say which in the change log.  One command
 rewrites this corpus and the gcover library corpus (`gcover_corpus.py`),
-and first prints every entry whose exit code or digest changed, then each
-changed library output (graph name and output key) and their number:
+and first prints every entry whose exit code or digest changed and their
+number out of all entries, then each changed library output (graph name and
+output key) and their number out of all outputs:
 
     PYTHONPATH=src:tests python tests/golden_corpus.py
 
@@ -333,17 +334,19 @@ def main(argv: list[str]) -> int:
     changed_cli = changed_entries(old, corpus)
     for name in changed_cli:
         print(f"changed: {name}")
+    print(f"{len(changed_cli)} changed CLI entries of {len(corpus)}")
     changed = changed_outputs(old_library, library)
     for name, key in changed:
         print(f"changed output: {name} {key}")
-    print(f"{len(changed)} changed gcover library outputs")
+    outputs = sum(len(e["outputs"]) for e in library)
+    print(f"{len(changed)} changed gcover library outputs of {outputs}")
     if check:
         return 1 if changed_cli or changed else 0
     CORPUS.parent.mkdir(exist_ok=True)
     for path, new in ((CORPUS, corpus), (gcover_corpus.CORPUS, library)):
         path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"{len(corpus)} corpus entries, {len(library)} gcover library entries, "
-          f"{sum(len(e['outputs']) for e in library)} outputs")
+          f"{outputs} outputs")
     return 0
 
 

@@ -3,6 +3,7 @@ flushes stdout and stderr and leaves through `os._exit`; the golden replay
 calls `main` in the test process and never reaches that path, so these tests
 run real subprocesses."""
 
+import functools
 import hashlib
 import json
 import os
@@ -137,3 +138,35 @@ def test_a_failing_stderr_does_not_change_the_exit_code(unbuffered):
     with open("/dev/full", "wb") as full:
         done = _cli(INTEGRATE, unbuffered, stdout=full, stderr=full)
     assert done.returncode == 3
+
+
+CLOSED_STDOUT = "internal error: OSError: stdout is closed\n"
+# run in the child before it starts, as a shell's `>&-` and `>&- 2>&-`: its
+# interpreter starts with sys.stdout (and sys.stderr) None
+CLOSE_STDOUT = functools.partial(os.closerange, 1, 2)
+CLOSE_STDOUT_AND_STDERR = functools.partial(os.closerange, 1, 3)
+
+
+@pytest.mark.parametrize("argv", [INTEGRATE, ["delliptic", "--dmax", "4", "--human"]],
+                         ids=["integrate", "delliptic-human"])
+def test_a_call_started_with_stdout_closed_exits_3_with_one_stderr_line(argv):
+    # both once ended in AttributeError tracebacks and exit 1: integrate in
+    # `_emit` and the --human table (written by print) in `run`'s flush
+    done = _cli(argv, stderr=subprocess.PIPE, text=True, preexec_fn=CLOSE_STDOUT)
+    assert (done.returncode, done.stderr) == (3, CLOSED_STDOUT)
+
+
+def test_a_call_started_with_stdout_and_stderr_closed_exits_3():
+    done = _cli(INTEGRATE, preexec_fn=CLOSE_STDOUT_AND_STDERR)
+    assert done.returncode == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
+def test_help_on_a_full_device_exits_3_with_one_stderr_line(unbuffered):
+    # unbuffered, argparse's own `_print_message` swallowed the write's
+    # OSError and the call exited 0 having written nothing
+    with open("/dev/full", "wb") as full:
+        done = _cli(["hurwitz-count", "--help"], unbuffered, stdout=full,
+                    stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (3, NO_SPACE)

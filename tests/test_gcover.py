@@ -8,6 +8,7 @@ import pytest
 import golden_corpus
 from gcover_corpus import CORPUS as GCOVER_CORPUS, identity_morphism, subgroups_of
 from gcover_oracles import action_tables_by_walk, equivariant_morphism, restricted_legs_by_relabel
+from gcover_oracles import trivial_wrapping_inline
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc import gcover
 from covercalc.errors import ActionError, InvariantError
@@ -272,6 +273,20 @@ def test_boundary_intersection_trivial_group_reduction():
             for t in equivariant
         )
         assert cl == eq
+
+
+@pytest.mark.parametrize("g, n", [(0, 5), (1, 2), (2, 1)])
+def test_wrap_trivial_group_matches_the_inline_wrapping_on_every_stable_graph(g, n):
+    graphs = enumerate_stable_graphs(g, n, 3 * g - 3 + n)
+    assert {graph.n_edges for graph in graphs} == set(range(3 * g - 2 + n))
+    for graph in graphs:
+        gg = wrap_trivial_group(graph)
+        assert validate_admissible_g_graph(gg) == []
+        e = gg.group.identity
+        assert gg.action.vertex == {e: tuple(range(graph.n_vertices))}
+        assert gg.action.half == {e: tuple(range(graph.n_half_edges))}
+        assert gg.action.leg == {e: tuple(range(graph.n_legs))}
+        assert gg == trivial_wrapping_inline(graph)
 
 
 def _equivariant_terms(a, b):

@@ -56,5 +56,6 @@ def test_check_reports_a_change_writes_nothing_and_exits_1(monkeypatch, tmp_path
     monkeypatch.setattr(gcover_corpus, "capture", lambda: library)
     assert golden_corpus.main(["--check"]) == code
     out = capsys.readouterr().out
-    assert out == ("changed: cli\n" if changed else "") + "0 changed gcover library outputs\n"
+    assert out == (("changed: cli\n1" if changed else "0") + " changed CLI entries of 1\n"
+                   "0 changed gcover library outputs of 1\n")
     assert json.loads(paths[golden_corpus].read_text()) == cli

@@ -236,6 +236,32 @@ def test_each_command_imports_only_its_layers():
     assert delliptic & {"graphs", "gcover", "groups", "hurwitz", "mbar"} == set()
 
 
+# no json import here: the harness must not load what the test looks for
+_JSON_LOADED = """
+import io, sys
+from contextlib import redirect_stdout
+from covercalc.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "json"))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--genus", "1", "--exponents", "1"],
+    ["delliptic", "--dmax", "40", "--series", "--qmod"],
+    ["delliptic", "--dmax", "8", "--ledger"],
+    ["delliptic", "--dmax", "8", "--human"],
+], ids=["integrate", "delliptic-qmod", "delliptic-ledger", "delliptic-human"])
+def test_commands_that_read_no_json_load_no_json_module(argv):
+    # importing json and its decoder costs about 2 ms of each call, a fresh
+    # process; only `_load_json` and `hurwitz-count --types` decode JSON
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", _JSON_LOADED, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "0 []\n"
+
+
 _DATACLASSES_LOADED = """
 import io, json, sys
 from contextlib import redirect_stdout
