@@ -94,8 +94,7 @@ def _emit(payload: dict) -> None:
 
 def _write_json(value, newline: str, pieces: list[str], write) -> None:
     """Append the JSON text of `value` to `pieces`, its nested lines indented
-    from `newline`; pass full blocks of pieces to `write`.  A str or int
-    member of a container is formatted in place, without a call."""
+    from `newline`; pass full blocks of pieces to `write`."""
     kind = type(value)
     if kind is str:
         pieces.append(_json_string(value))
@@ -117,15 +116,8 @@ def _write_json(value, newline: str, pieces: list[str], write) -> None:
         inner = newline + "  "
         lead = "{" + inner
         for key in sorted(value):
-            item = value[key]
-            kind = type(item)
-            if kind is str:
-                pieces.append(f"{lead}{_json_string(key)}: {_json_string(item)}")
-            elif kind is int:
-                pieces.append(f"{lead}{_json_string(key)}: {int.__repr__(item)}")
-            else:
-                pieces.append(f"{lead}{_json_string(key)}: ")
-                _write_json(item, inner, pieces, write)
+            pieces.append(f"{lead}{_json_string(key)}: ")
+            _write_json(value[key], inner, pieces, write)
             lead = "," + inner
         pieces.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -135,14 +127,8 @@ def _write_json(value, newline: str, pieces: list[str], write) -> None:
         inner = newline + "  "
         lead = "[" + inner
         for item in value:
-            kind = type(item)
-            if kind is str:
-                pieces.append(lead + _json_string(item))
-            elif kind is int:
-                pieces.append(lead + int.__repr__(item))
-            else:
-                pieces.append(lead)
-                _write_json(item, inner, pieces, write)
+            pieces.append(lead)
+            _write_json(item, inner, pieces, write)
             lead = "," + inner
             if len(pieces) >= _BLOCK:
                 write("".join(pieces))
@@ -347,6 +333,9 @@ def cmd_pullback(args) -> int:
             params["normal"] = group.generated_subgroup(gens)
         if "h" in payload:
             params["h"] = perm_from_json(payload["h"])
+    elif "normal" in payload:
+        # unread: a kind that reads `normal` refuses the missing group first
+        params["normal"] = payload["normal"]
     if "index" in payload:
         params["index"] = payload["index"]
     formula = pullback_psi_kappa_hurwitz(kind, **params)
@@ -387,7 +376,6 @@ def cmd_delliptic(args) -> int:
             }
         numbers00.append(ledger.delta00)
         numbers01.append(ledger.delta01)
-        del ledger  # free this degree's rows before the next degree's are built
     payload: dict = {"dmax": args.dmax, "values": values}
     if rows:
         payload["ledgers"] = ledgers

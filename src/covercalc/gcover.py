@@ -31,9 +31,10 @@ and the excess exponents read those labels, and so does every stabilizer
 order, #acting / #orbit (orbit-stabilizer).  Every action table is the
 group closure (`groups.closure`) of the generators joined with their
 images, and every Riemann-Hurwitz solve, global or vertexwise, is
-`quotient_genus`.  Every G-structure read across a graph map comes from
-`_transport`: it forces the structure on a generic triple, and a map is
-G-equivariant when it carries the source's own structure back.
+`quotient_genus`, the global ones (by G or by a normal N) through
+`_datum_quotient_genus`.  Every G-structure read across a graph map comes
+from `_transport`: it forces the structure on a generic triple, and a map
+is G-equivariant when it carries the source's own structure back.
 
 Every entry point refuses an inadmissible input G-graph before anything
 else (`_require_admissible`: CoverError naming the input and its first
@@ -87,6 +88,16 @@ def quotient_genus(genus: int, order: int, ramification: int) -> Fraction:
     return Fraction(2 * genus - 2 - ramification, 2 * order) + 1
 
 
+def _datum_quotient_genus(genus: int, group: FiniteGroup, xi, acting: FiniteGroup) -> Fraction:
+    """Riemann-Hurwitz for the quotient by `acting` (G or a normal N) of a
+    curve with monodromy datum (genus, G, xi): over branch point i lie
+    #G/ord(h_i) points, each with stabilizer <h_i> ∩ acting."""
+    ramification = sum(
+        len(group) // perm_order(h) * (cyclic_meet_order(group, h, acting) - 1) for h in xi
+    )
+    return quotient_genus(genus, len(acting), ramification)
+
+
 def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, int]:
     """Solve for (target genus g', marked source points r, branch points b).
 
@@ -94,15 +105,13 @@ def riemann_hurwitz_target(g: int, group: FiniteGroup, xi) -> tuple[int, int, in
     xi entries in the group; raises when no integral non-negative g' exists.
     """
     xi = tuple(xi)
-    orders = [perm_order(h) for h in xi]
-    points = [len(group) // o for o in orders]
-    gp = quotient_genus(g, len(group), sum(n * (o - 1) for n, o in zip(points, orders)))
+    gp = _datum_quotient_genus(g, group, xi, group)
     if gp.denominator != 1 or gp < 0:
         raise CoverError(
             f"no integral target genus: 2g'-2 = {2 * gp - 2} is not an "
             "even non-negative solution"
         )
-    return int(gp), sum(points), len(xi)
+    return int(gp), sum(len(group) // perm_order(h) for h in xi), len(xi)
 
 
 class HurwitzSpaceId(FrozenRecord):
@@ -497,10 +506,13 @@ def corestriction_monodromy(
     space: HurwitzSpaceId, normal: FiniteGroup
 ) -> tuple[HurwitzSpaceId, QuotientGroup]:
     """Componentwise projection of the monodromy to G/N, over the partial
-    quotient curve."""
+    quotient curve, whose genus is global Riemann-Hurwitz for N."""
     q = QuotientGroup(space.group, normal)
     new_xi = tuple(q.project(h) for h in space.xi)
-    return HurwitzSpaceId(_quotient_source_genus(space, normal), q.group, new_xi), q
+    genus = _datum_quotient_genus(space.genus, space.group, space.xi, normal)
+    if genus.denominator != 1 or genus < 0:
+        raise CoverError("partial quotient has no integral genus")
+    return HurwitzSpaceId(int(genus), q.group, new_xi), q
 
 
 def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGraph:
@@ -586,20 +598,6 @@ def _require_admissible(gg: AdmissibleGGraph, what: str, error=CoverError) -> Ad
     if problems:
         raise error(f"{what} is not admissible: {problems[0].label}")
     return gg
-
-
-def _quotient_source_genus(space: HurwitzSpaceId, normal: FiniteGroup) -> int:
-    """Genus of the partial quotient by global Riemann-Hurwitz: over branch
-    point i lie #G/ord(h_i) points, each with stabilizer <h_i> ∩ N."""
-    group = space.group
-    ramification = sum(
-        len(group) // perm_order(h) * (cyclic_meet_order(group, h, normal) - 1)
-        for h in space.xi
-    )
-    gq = quotient_genus(space.genus, len(normal), ramification)
-    if gq.denominator != 1 or gq < 0:
-        raise CoverError("partial quotient has no integral genus")
-    return int(gq)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,17 @@ points, so
 Unweighted count, by Burnside: the number of orbits is the mean over c in
 S_d of the number of tuples c fixes.  An element c ≠ 1 that commutes with
 a transitive group fixes no point, nor does any of its powers, so all its
-cycles have one length k, k | d.  There are d!/(k^m m!) such elements,
-m = d/k, so with c_k one of them
+cycles have one length k, k | d.  With m = d/k, c_k one such element and
+C(c_k) = Z/k ≀ S_m its centralizer, there are d!/|C(c_k)| of them, so
 
-    orbits = Σ_{k | d} |Fix(c_k)| / (k^m m!),
+    orbits = Σ_{k | d} |Fix(c_k)| / |C(c_k)|,
 
 and the k = 1 term is the weighted count.  For k ≥ 2 the tuples fixed by
-c_k have their entries in the centralizer C(c_k) = Z/k ≀ S_m, and are
-counted inside it by one pass over the entries.  The pass keys each prefix
-on its orbits, each point labelled by the least point of its orbit
-(`groups.orbit_partition`, the package's one orbit routine), and
-`is_transitive` reads those labels.  Both counts cost
+c_k have their entries in C(c_k), and are counted inside it by one pass
+over the entries; the divisor is the order of the group that pass lists.
+The pass keys each prefix on its orbits, each point labelled by the least
+point of its orbit (`groups.orbit_partition`, the package's one orbit
+routine), and `is_transitive` reads those labels.  Both counts cost
 polynomially in the number of branch points.  The degree stays at most 7:
 C(c_k) has k^m m! elements, 3840 at d = 10.
 
@@ -193,7 +193,7 @@ def semiregular_centralizer(d: int, k: int) -> FiniteGroup:
         perm_from_cycles(d, [(j, k + j) for j in range(k)] if m > 1 else []),
         perm_from_cycles(d, [[j + k * b for b in range(m)] for j in range(k)]),
     ))
-    if len(group) != k**m * factorial(m):
+    if len(group) != factorial(d) // class_size(d, (k,) * m):
         raise InvariantError(f"the centralizer of type ({k}^{m}) has {len(group)} elements")
     return group
 
@@ -227,8 +227,8 @@ def _fixed_tuples(d: int, k: int, types: list[tuple[int, ...]]) -> int:
 def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction:
     """The number of tuples (s_1..s_n) of the given cycle types with product
     one, generating a transitive subgroup of S_d, up to simultaneous
-    conjugation: Σ_{k | d} |Fix(c_k)| / (k^m m!) by Burnside's lemma, with
-    c_k of cycle type (k^m).
+    conjugation: Σ_{k | d} |Fix(c_k)| / |C(c_k)| by Burnside's lemma, with
+    c_k of cycle type (k^m) and C(c_k) its centralizer.
 
     With `weighted=True` each class is weighted by 1/#centralizer (the
     stack-degree convention), which sums to T/d!, T the number of transitive
@@ -253,7 +253,7 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
         return count
     for k in range(2, d + 1):
         if d % k == 0:
-            count += Fraction(_fixed_tuples(d, k, types), k ** (d // k) * factorial(d // k))
+            count += Fraction(_fixed_tuples(d, k, types), len(semiregular_centralizer(d, k)))
     if count.denominator != 1:
         raise InvariantError(f"Burnside's sum for {types} in degree {d} is {count}, "
                              "not a whole number")

@@ -1072,6 +1072,26 @@ def test_a_pullback_without_its_group_is_a_domain_error(tmp_path, capsys):
     assert json.loads(out)["error"] == "CoverError: a corestriction pullback has no 'group', 'normal'"
 
 
+def test_a_pullback_refusal_names_only_the_missing_group(tmp_path, capsys):
+    # `normal` is given, so the refusal must not call it missing
+    files = {"in": {"kind": "corestriction", "cls": "psi", "normal": [[2, 3, 1]], "h": [2, 1, 3]}}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], files)
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"] == "CoverError: a corestriction pullback has no 'group'"
+
+
+@pytest.mark.parametrize("normal", [[[2, 3, 1]], None, 3])
+def test_a_restriction_pullback_ignores_a_normal_without_its_group(tmp_path, capsys, normal):
+    files = {"in": {"kind": "restriction", "cls": "psi", "normal": normal}}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], files)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema("pullback", payload)
+    assert payload["map"] == "restriction"
+
+
 MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]
 
 

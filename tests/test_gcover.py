@@ -39,8 +39,10 @@ from covercalc.graphs import (
     isomorphism_as_morphism,
 )
 from covercalc.groups import (
+    FiniteGroup,
     compose,
     cyclic_group,
+    perm_from_json,
     symmetric_group,
     trivial_group,
 )
@@ -122,6 +124,21 @@ def test_corestriction_monodromy_examples():
     full_new, _ = corestriction_monodromy(space, s3)
     assert full_new.xi == (full_new.group.identity,) * 2
     assert full_new.genus == full_new.target_genus == 1
+
+
+def test_a_partial_quotient_without_integral_genus_is_refused():
+    # V = <a, b> = Z/2 x Z/2 on 4 points, each branch point's 2 points fixed
+    # by one factor: by <a> the ramification 2 gives 2g' - 2 = 1.  The space
+    # has no cover (ROADMAP item 21); the genus reads only the datum.
+    a, b = perm_from_json([2, 1, 4, 3]), perm_from_json([3, 4, 1, 2])
+    v = FiniteGroup(4, (a, b))
+    space = HurwitzSpaceId(3, v, (a, b))
+    with pytest.raises(CoverError, match="^partial quotient has no integral genus$"):
+        corestriction_monodromy(space, v.cyclic_subgroup(a))
+    full, _ = corestriction_monodromy(space, v)
+    assert full.genus == space.target_genus == 1
+    trivial, _ = corestriction_monodromy(space, v.generated_subgroup(()))
+    assert trivial.genus == 3
 
 
 def test_validator_accepts_factory_graphs():
