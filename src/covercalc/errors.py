@@ -27,9 +27,9 @@ class GroupError(InputError):
 
 
 class NotNormalError(GroupError):
-    def __init__(self, g: tuple[int, ...], n: tuple[int, ...]):
-        self.witness = (g, n)
-        super().__init__(f"subgroup is not normal: conjugating {n} by {g} leaves it")
+    def __init__(self, shown: str, witness: tuple):
+        self.witness = witness  # (g, n), 0-based, with g n g^-1 outside the subgroup
+        super().__init__(f"subgroup is not normal: {shown}")
 
 
 class GraphError(InputError):

@@ -18,8 +18,8 @@ action.  Every G-graph the module derives (a forced intersection term, a
 restriction, a corestriction, a trivial-group wrapping) is built by one
 constructor, `_in_layout`, from half-edge images and monodromy; only the
 JSON reader takes vertex and leg images as given, for the validator to judge.
-Subgroups (for restriction and corestriction) are groups in their own right,
-and restriction and corestriction map one `HurwitzSpaceId` to another.
+Subgroups are groups in their own right, and restriction and corestriction
+map one `HurwitzSpaceId` to another, reading `groups.index_drop`.
 
 Every orbit of points comes from `GAction.orbit_labels`, which takes the
 point kind ("vertex", "half" or "leg") and the acting subgroup (G, a
@@ -67,8 +67,8 @@ from covercalc.groups import (
     compose,
     coset_action,
     coset_index,
-    cyclic_meet_order,
     identity_perm,
+    index_drop,
     invert,
     is_perm,
     left_cosets,
@@ -76,6 +76,7 @@ from covercalc.groups import (
     orbit_partition,
     perm_from_json,
     perm_order,
+    perm_to_json,
     trivial_group,
 )
 
@@ -91,9 +92,9 @@ def quotient_genus(genus: int, order: int, ramification: int) -> Fraction:
 def _datum_quotient_genus(genus: int, group: FiniteGroup, xi, acting: FiniteGroup) -> Fraction:
     """Riemann-Hurwitz for the quotient by `acting` (G or a normal N) of a
     curve with monodromy datum (genus, G, xi): over branch point i lie
-    #G/ord(h_i) points, each with stabilizer <h_i> ∩ acting."""
+    #G/ord(h_i) points, each fixed by <h_i> ∩ acting, of order ord(h_i)/r_i."""
     ramification = sum(
-        len(group) // perm_order(h) * (cyclic_meet_order(group, h, acting) - 1) for h in xi
+        len(group) // index_drop(group, h, acting)[0] - len(group) // perm_order(h) for h in xi
     )
     return quotient_genus(genus, len(acting), ramification)
 
@@ -135,7 +136,7 @@ class HurwitzSpaceId(FrozenRecord):
     def __init__(self, genus: int, group: FiniteGroup, xi: tuple[Perm, ...]) -> None:
         degree = group.degree
         for h in xi:
-            shown = [i + 1 for i in h]  # the 1-based form of the JSON input
+            shown = perm_to_json(h)
             if not is_perm(h, degree):
                 raise CoverError(f"xi entry {shown} is not a permutation of degree {degree}")
             if h not in group:
@@ -165,7 +166,7 @@ class HurwitzSpaceId(FrozenRecord):
         return {
             "genus": self.genus,
             "group": self.group.to_json(),
-            "xi": [[i + 1 for i in h] for h in self.xi],
+            "xi": [perm_to_json(h) for h in self.xi],
         }
 
     @staticmethod
@@ -311,8 +312,8 @@ class AdmissibleGGraph(NamedTuple):
                 }
                 for g in gens
             ],
-            "monodromy_half_edges": [[i + 1 for i in h] for h in self.mon_half],
-            "monodromy_legs": [[i + 1 for i in h] for h in self.mon_leg],
+            "monodromy_half_edges": [perm_to_json(h) for h in self.mon_half],
+            "monodromy_legs": [perm_to_json(h) for h in self.mon_leg],
         }
 
     @staticmethod
@@ -471,7 +472,7 @@ def restriction_monodromy(
 
     Returns the restricted space (same source genus, over the subgroup) and
     a ledger of (orbit i, piece j, representative t_ij, power r_ij); the
-    new elements are t h_i^r t^-1 with r the stabilizer index drop.
+    new elements are (t h_i t^-1)^r with r the stabilizer-index drop.
 
     Marked orbit i splits into the subgroup's orbits on G/<h_i>, and piece
     j's distinguished point is the first coset of the j-th orbit of
@@ -479,27 +480,15 @@ def restriction_monodromy(
     choice of representatives differs by a relabeling isomorphism of the
     restricted space, so this one choice loses nothing.
     """
-    group = space.group
     new_xi = []
     ledger = []
     for i, (h, table) in enumerate(zip(space.xi, space.cosets)):
         for j, orbit in enumerate(orbit_on_cosets(subgroup, table)):
             t = table.reps[orbit[0]]
-            r, power = _restricted(group, compose(t, compose(h, invert(t))), subgroup)
+            r, power = index_drop(space.group, compose(t, compose(h, invert(t))), subgroup)
             new_xi.append(power)
             ledger.append((i, j, t, r))
     return HurwitzSpaceId(space.genus, subgroup, tuple(new_xi)), ledger
-
-
-def _restricted(group: FiniteGroup, h: Perm, subgroup: FiniteGroup) -> tuple[int, Perm]:
-    """The stabilizer-index drop r = [<h> : <h> ∩ subgroup] and the generator
-    h^r of <h> ∩ subgroup."""
-    meet = cyclic_meet_order(group, h, subgroup)  # GroupError if h is outside group
-    r = perm_order(h) // meet
-    out = group.identity
-    for _ in range(r):
-        out = compose(out, h)
-    return r, out
 
 
 def corestriction_monodromy(
@@ -533,7 +522,7 @@ def restrict_graph(gg: AdmissibleGGraph, subgroup: FiniteGroup) -> AdmissibleGGr
         for c in new_table.reps
     )
     new_graph = gg.graph._replace(leg_vertex=new_leg_vertex)
-    mon_half = tuple(_restricted(gg.group, h, subgroup)[1] for h in gg.mon_half)
+    mon_half = tuple(index_drop(gg.group, h, subgroup)[1] for h in gg.mon_half)
     result = _in_layout(new_space, new_graph, gg.action.half, mon_half)
     return _require_admissible(result, "the restriction", InvariantError)
 
@@ -770,13 +759,12 @@ def corestriction_boundary_multiplicity(
     if not _equivariant(alpha, quotient_graph, a):
         raise CoverError("alpha is not an isomorphism of admissible quotient graphs")
     # match quotient half-edges back to N-orbits of gg half-edges; an edge's
-    # index drop ord(h) / ord(hN) is #(<h> ∩ N)
+    # ratio ord(h) / ord(hN) is #(<h> ∩ N) = ord(h) / r
     v_label, _ = gg.action.orbit_labels("vertex", normal)
     h_label, h_classes = gg.action.orbit_labels("half", normal)
-    mult = Fraction(prod(
-        cyclic_meet_order(gg.group, gg.mon_half[h_classes[alpha.half_edge_map[h]]], normal)
-        for h, _ in a.action.edge_orbit_representatives()
-    ))
+    edge_mon = [gg.mon_half[h_classes[alpha.half_edge_map[h]]]
+                for h, _ in a.action.edge_orbit_representatives()]
+    mult = Fraction(prod(perm_order(h) // index_drop(gg.group, h, normal)[0] for h in edge_mon))
     # Aut(alpha): automorphisms of gg that descend to the identity
     aut_alpha = sum(
         all(h_label[x] == h_label[h] for h, x in enumerate(hperm))
@@ -827,12 +815,12 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
         check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
-        # the image of h in G/N has order ord(h) / #(<h> ∩ N)
+        # hN has order r in G/N: psi scales by r / ord(h) = 1 / #(<h> ∩ N)
         (h,) = json_fields(params, what, CoverError, ("h",))
-        meet = cyclic_meet_order(group, h, normal)
+        r, _ = index_drop(group, h, normal)
         return PullbackFormula(
             kind,
-            (("psi", "any lift of the marked point", Fraction(1, meet)),),
+            (("psi", "any lift of the marked point", Fraction(r, perm_order(h))),),
         )
     if kind == "forgetful":
         (group,) = json_fields(params, what, CoverError, ("group",))
@@ -856,7 +844,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
             terms.append(
                 (
                     "section-divisor",
-                    f"relabeled section at coset of {tuple(i + 1 for i in rep)}",
+                    f"relabeled section at coset of {tuple(perm_to_json(rep))}",
                     Fraction(-1),
                 )
             )

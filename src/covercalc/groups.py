@@ -15,7 +15,8 @@ a `Cosets` (identity-first representatives plus the coset id of every
 element of G) once per pair (G, H), and orbits on cosets, quotients and the
 callers in `gcover` all look cosets up in it through `coset_index`.  There
 is one coset action, `coset_action`, read by orbits on cosets, quotient
-projections and the canonical leg layout in `gcover`.
+projections and the canonical leg layout in `gcover`.  There is one
+stabilizer-index drop, `index_drop`: r = [<h> : <h> ∩ H] = ord(h) / #(<h> ∩ H).
 
 There is one orbit routine: `orbit_partition` labels each point of 0..n-1
 with the least point of its class under the pairs it is given.  Orbits on
@@ -53,6 +54,10 @@ def perm_from_json(entries: Sequence[int]) -> Perm:
     if not isinstance(entries, (list, tuple)) or not all(type(i) is int for i in entries):
         raise GroupError(f"permutation must be a list of integers: {entries}")
     return tuple(i - 1 for i in entries)
+
+
+def perm_to_json(a: Perm) -> list[int]:
+    return [i + 1 for i in a]
 
 
 def identity_perm(n: int) -> Perm:
@@ -179,8 +184,7 @@ class FiniteGroup(FrozenRecord):
         `groups.elements_built` counter observes this method by name."""
         for g in self.generators:
             if not is_perm(g, self.degree):
-                shown = [i + 1 for i in g]  # the 1-based form of the JSON input
-                raise GroupError(f"not a permutation of degree {self.degree}: {shown}")
+                raise GroupError(f"not a permutation of degree {self.degree}: {perm_to_json(g)}")
         elements = tuple(sorted(closure(identity_perm(self.degree), self.generators,
                                        MAX_GROUP_ORDER)))
         self._set(elements=elements, position={g: i for i, g in enumerate(elements)})
@@ -207,7 +211,7 @@ class FiniteGroup(FrozenRecord):
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "generators": [[i + 1 for i in g] for g in self.generators],
+            "generators": [perm_to_json(g) for g in self.generators],
         }
 
     @staticmethod
@@ -268,10 +272,17 @@ def coset_action(cosets: Cosets, g: Perm) -> Perm:
     return tuple(coset_index(cosets, compose(g, rep)) for rep in cosets.reps)
 
 
-def cyclic_meet_order(group: FiniteGroup, h: Perm, sub: FiniteGroup) -> int:
-    """#(<h> ∩ sub), with <h> generated inside group: GroupError when h is
-    not an element of group."""
-    return sum(1 for x in group.cyclic_subgroup(h).elements if x in sub)
+def index_drop(group: FiniteGroup, h: Perm, sub: FiniteGroup) -> tuple[int, Perm]:
+    """The least r >= 1 with h^r in sub, and h^r, which generates <h> ∩ sub.
+    GroupError if h is not in group, or sub has another degree (1 is not in it)."""
+    if h not in group:
+        raise GroupError("subgroup elements must lie in the parent group")
+    r, power = 1, h
+    while power not in sub:
+        if power == group.identity:
+            raise GroupError("subgroup belongs to a different group")
+        r, power = r + 1, compose(power, h)
+    return r, power
 
 
 def orbit_partition(n: int, links: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -323,7 +334,8 @@ def check_normal(group: FiniteGroup, sub: FiniteGroup) -> None:
         gi = invert(g)
         for n in sub.elements:
             if compose(g, compose(n, gi)) not in sub:
-                raise NotNormalError(g, n)
+                shown = f"conjugating {perm_to_json(n)} by {perm_to_json(g)} leaves it"
+                raise NotNormalError(shown, (g, n))
 
 
 class QuotientGroup(FrozenRecord):

@@ -33,10 +33,9 @@ from covercalc.gcover import (
     AdmissibleGGraph,
     GAction,
     HurwitzSpaceId,
-    _restricted,
     restriction_monodromy,
 )
-from covercalc.groups import compose, coset_index, invert, trivial_group
+from covercalc.groups import compose, coset_index, index_drop, invert, trivial_group
 
 
 def equivariant_morphism(src, tgt, morphism) -> bool:
@@ -100,7 +99,7 @@ def restricted_legs_by_relabel(gg, subgroup) -> tuple[dict, tuple]:
     for s in subgroup.generators:
         old_leg = gg.action.leg[s]
         action[s] = tuple(old_to_new[old_leg[new_to_old[p]]] for p in range(len(new_to_old)))
-    mon_leg = tuple(_restricted(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old)
+    mon_leg = tuple(index_drop(group, gg.mon_leg[p], subgroup)[1] for p in new_to_old)
     return action, mon_leg
 
 

@@ -55,16 +55,14 @@ def run_entry(entry: dict, workdir: Path) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def _perm_json(p) -> list[int]:
-    return [i + 1 for i in p]
-
-
 def _group_json(degree: int, gens) -> dict:
-    return {"degree": degree, "generators": [_perm_json(g) for g in gens]}
+    from covercalc.groups import perm_to_json
+
+    return {"degree": degree, "generators": [perm_to_json(g) for g in gens]}
 
 
 def _pullback_entries() -> list[tuple[str, list[str], dict]]:
-    from covercalc.groups import symmetric_group
+    from covercalc.groups import perm_to_json, symmetric_group
 
     s4, s6 = symmetric_group(4), symmetric_group(6)
     v4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
@@ -75,12 +73,12 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
         ("s6-a6", s6, a6, (1, 0, 3, 4, 2, 5)),
     ):
         base = {"group": _group_json(group.degree, group.generators)}
-        core = dict(base, kind="corestriction", normal=[_perm_json(g) for g in normal])
+        core = dict(base, kind="corestriction", normal=[perm_to_json(g) for g in normal])
         forget = dict(base, kind="forgetful")
         for name, payload in (
-            ("corestriction-psi", dict(core, cls="psi", h=_perm_json(h))),
+            ("corestriction-psi", dict(core, cls="psi", h=perm_to_json(h))),
             ("corestriction-kappa", dict(core, cls="kappa")),
-            ("forgetful-psi", dict(forget, cls="psi", h=_perm_json(h))),
+            ("forgetful-psi", dict(forget, cls="psi", h=perm_to_json(h))),
             ("forgetful-kappa", dict(forget, cls="kappa", index=2)),
         ):
             out.append((f"pullback/{label}/{name}", ["pullback", "@in"], {"in": payload}))

@@ -802,7 +802,8 @@ def test_pullback_corestriction_rejects_a_non_normal_subgroup(tmp_path, capsys, 
     code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": payload})
     assert code == 2
     check_schema("error", json.loads(out))
-    assert json.loads(out)["error"].startswith("NotNormalError")
+    assert json.loads(out)["error"] == (
+        "NotNormalError: subgroup is not normal: conjugating [2, 1, 3] by [2, 3, 1] leaves it")
 
 
 def _cut_half_edge_monodromy(gg):

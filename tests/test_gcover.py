@@ -72,6 +72,21 @@ def test_space_rejects_xi_outside_the_group():
             HurwitzSpaceId(4, s3, (bad, t))
 
 
+def test_space_builds_each_cyclic_subgroup_once(monkeypatch):
+    s3 = symmetric_group(3)
+    built = []
+    close = FiniteGroup.__post_init__
+
+    def counted(group):
+        built.append(group.generators)
+        close(group)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counted)
+    xi = ((1, 0, 2), (0, 2, 1), (2, 1, 0)) * 2
+    assert HurwitzSpaceId(4, s3, xi).target_genus == 0
+    assert built == [(h,) for h in xi]  # one <xi_i> each, for its coset table
+
+
 def test_restriction_monodromy_examples():
     # Z/4 over P^1 branched at two points (z -> z^4): genus 0
     z4 = cyclic_group(4)

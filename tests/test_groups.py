@@ -13,7 +13,7 @@ from covercalc.groups import (
     coset_index,
     cycle_type,
     cyclic_group,
-    cyclic_meet_order,
+    index_drop,
     left_cosets,
     orbit_on_cosets,
     orbit_partition,
@@ -211,18 +211,24 @@ def test_centralizer_matches_definition_on_s4():
     ]
 
 
-def test_cyclic_meet_order_matches_definition_on_s4():
-    g, subgroups = _s4_subgroups()
+def test_index_drop_matches_definition_on_s4():
+    g, subgroups = _s4_subgroups_and_cyclics()
     for h in g.elements:
-        powers, p = {h}, h
-        while p != g.identity:
-            p = compose(h, p)
-            powers.add(p)
+        powers = [h]  # h, h^2, ..., h^ord(h) = 1
+        while powers[-1] != g.identity:
+            powers.append(compose(h, powers[-1]))
         for k in subgroups:
-            assert cyclic_meet_order(g, h, k) == len(powers & set(k.elements))
+            meet = {p for p in powers if p in k}
+            r, power = index_drop(g, h, k)
+            assert r == min(e for e, p in enumerate(powers, 1) if p in k)
+            assert power == powers[r - 1]
+            assert set(g.cyclic_subgroup(power).elements) == meet
+            assert perm_order(h) // r == len(meet)
     a4 = subgroups[2]
-    with pytest.raises(GroupError):
-        cyclic_meet_order(a4, (1, 0, 2, 3), a4)
+    with pytest.raises(GroupError, match="must lie in the parent group"):
+        index_drop(a4, (1, 0, 2, 3), a4)
+    with pytest.raises(GroupError, match="belongs to a different group"):
+        index_drop(g, (1, 2, 3, 0), s3())
 
 
 def test_check_normal_matches_definition_on_s4():
