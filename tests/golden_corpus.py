@@ -82,6 +82,31 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
             ("forgetful-kappa", dict(forget, cls="kappa", index=2)),
         ):
             out.append((f"pullback/{label}/{name}", ["pullback", "@in"], {"in": payload}))
+    # one payload per refusal, in the reader's order: the group, its normal
+    # subgroup and h are parsed before the class, h's membership and the kind
+    s4_json = _group_json(s4.degree, s4.generators)
+    v4_json = [perm_to_json(g) for g in v4]
+    cycle = perm_to_json((1, 2, 3, 0))
+    for name, payload in (
+        ("no group or normal", {"kind": "corestriction", "cls": "kappa"}),
+        ("no group", {"kind": "corestriction", "cls": "psi", "normal": v4_json, "h": cycle}),
+        ("no normal", {"kind": "corestriction", "cls": "kappa", "group": s4_json}),
+        ("corestriction psi no h",
+         {"kind": "corestriction", "cls": "psi", "group": s4_json, "normal": v4_json}),
+        ("forgetful psi no h", {"kind": "forgetful", "cls": "psi", "group": s4_json}),
+        ("forgetful kappa no index", {"kind": "forgetful", "cls": "kappa", "group": s4_json}),
+        ("bad cls", {"kind": "restriction", "cls": "lambda", "group": s4_json}),
+        ("unknown kind", {"kind": "pushforward", "cls": "psi", "group": s4_json}),
+        ("h outside G", {"kind": "forgetful", "cls": "psi",
+                         "group": _group_json(4, v4), "h": cycle}),
+        ("non-normal N", {"kind": "corestriction", "cls": "kappa", "group": s4_json,
+                          "normal": [perm_to_json((1, 0, 2, 3))]}),
+        ("restriction malformed group", {"kind": "restriction", "cls": "psi",
+                                         "group": {"degree": 4}}),
+        ("normal not a list", {"kind": "corestriction", "cls": "kappa", "group": s4_json,
+                               "normal": 5}),
+    ):
+        out.append((f"pullback/refused/{name}", ["pullback", "@in"], {"in": payload}))
     return out
 
 
