@@ -6,12 +6,14 @@ command line, a validation failure) and on nothing else; 3 on an
 or any other exception, printed as "internal error: <Type>: <message>".
 Output is deterministic (sorted keys), so regression tests can diff bytes.
 
-Output goes through one writer, `_emit`.  Its bytes are exactly those of
-`json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every type a
-command emits: `str` (escaped by `_json.encode_basestring_ascii`, which
-`json.dumps` uses), `int`, `bool`, `None`, lists, tuples, and dicts with `str`
-keys.  Any other type is an `InvariantError` (a bug: no command emits one;
-blocks written before it stay written).  Text is produced in one of two ways:
+Output goes through one writer, `_emit`, except `delliptic --human`'s text
+table, which `_print_delliptic_table` writes with `print`.  `_emit`'s bytes
+are exactly those of `json.dumps(payload, sort_keys=True, indent=2) + "\n"`
+for every type a command emits: `str` (escaped by
+`_json.encode_basestring_ascii`, which `json.dumps` uses), `int`, `bool`,
+`None`, lists, tuples, and dicts with `str` keys.  Any other type is an
+`InvariantError` (a bug: no command emits one; blocks written before it
+stay written).  Text is produced in one of two ways:
 
 - a d-elliptic ledger's rows, which `cmd_delliptic` hands over as a
   `_LedgerRows`, are printed by `_write_ledger_rows`: each row straight from
@@ -56,15 +58,7 @@ import re
 import sys
 from _json import encode_basestring_ascii as _json_string
 
-from covercalc.errors import (
-    CoverError,
-    InputError,
-    InvariantError,
-    PipelineError,
-    UsageError,
-    json_fields,
-    json_list,
-)
+from covercalc.errors import InputError, InvariantError, PipelineError, UsageError
 
 # Pieces of output text gathered before they are written to stdout as one block.
 _BLOCK = 8192
@@ -319,27 +313,8 @@ def cmd_intersect_ggraph(args) -> int:
 
 def cmd_pullback(args) -> int:
     from covercalc.gcover import pullback_psi_kappa_hurwitz
-    from covercalc.groups import FiniteGroup, perm_from_json
 
-    payload = _load_json(args.input)
-    kind, cls = json_fields(payload, "a pullback payload", CoverError, ("kind", "cls"))
-    params: dict = {"cls": cls}
-    if "group" in payload:
-        group = FiniteGroup.from_json(payload["group"])
-        params["group"] = group
-        if "normal" in payload:
-            normal = json_list(payload["normal"], "normal", CoverError)
-            gens = [perm_from_json(perm) for perm in normal]
-            params["normal"] = group.generated_subgroup(gens)
-        if "h" in payload:
-            params["h"] = perm_from_json(payload["h"])
-    elif "normal" in payload:
-        # unread: a kind that reads `normal` refuses the missing group first
-        params["normal"] = payload["normal"]
-    if "index" in payload:
-        params["index"] = payload["index"]
-    formula = pullback_psi_kappa_hurwitz(kind, **params)
-    _emit(formula.to_json())
+    _emit(pullback_psi_kappa_hurwitz(_load_json(args.input)).to_json())
     return 0
 
 
@@ -349,7 +324,8 @@ def cmd_delliptic(args) -> int:
     )
     from covercalc.exact import rat_to_str
 
-    # --human prints only the values table, so it builds no ledger rows
+    # --human prints only the values table, so it builds no ledger rows, no
+    # series and no quasimodularity report
     rows = args.ledger and not args.human
     if args.dmax < 2:
         raise PipelineError("--dmax must be at least 2")
@@ -376,6 +352,9 @@ def cmd_delliptic(args) -> int:
             }
         numbers00.append(ledger.delta00)
         numbers01.append(ledger.delta01)
+    if args.human:
+        _print_delliptic_table(values)
+        return 0
     payload: dict = {"dmax": args.dmax, "values": values}
     if rows:
         payload["ledgers"] = ledgers
@@ -387,9 +366,6 @@ def cmd_delliptic(args) -> int:
         }
     if args.qmod:
         payload["quasimodularity"] = quasimodularity_report(s00, s01).to_json()
-    if args.human:
-        _print_delliptic_table(values)
-        return 0
     _emit(payload)
     return 0
 

@@ -40,6 +40,9 @@ Every entry point refuses an inadmissible input G-graph before anything
 else (`_require_admissible`: CoverError naming the input and its first
 violation).  Restriction and corestriction send admissible covers to
 admissible covers, so their check of their own result is an invariant.
+
+The `pullback` payload has one reader, `pullback_psi_kappa_hurwitz`: the
+CLI hands it the decoded JSON object and prints the formula it returns.
 """
 
 from __future__ import annotations
@@ -795,37 +798,54 @@ class PullbackFormula(NamedTuple):
         }
 
 
-def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
-    """The pullback of a psi or kappa class along a named tautological map.
+def pullback_psi_kappa_hurwitz(payload) -> PullbackFormula:
+    """The pullback of a psi or kappa class along a named tautological map,
+    read from a decoded `pullback` payload.
 
-    kinds: "restriction" (identity coefficients), "corestriction"
-    (psi scaled by the order drop, kappa by 1/#N), "forgetful"
-    (psi minus the orbit of section divisors, kappa_i minus #G psi^i, i >= 1).
+    Every payload names the map, "kind", and the class, "cls" ("psi" or
+    "kappa").  Each kind reads these fields as well:
+
+    - "restriction": none (identity coefficients);
+    - "corestriction": the group "group" and generators "normal" of a normal
+      subgroup N; kappa scales by 1/#N, psi by the order drop of "h";
+    - "forgetful": "group"; psi loses the orbit of section divisors of "h",
+      kappa_i loses #G psi^i for the "index" i >= 1.
+
+    A given "group" is parsed first, then "normal" and "h" in it, whatever
+    the kind; then the class is checked, then that h lies in G.
     """
-    cls = params.get("cls")
+    kind, cls = json_fields(payload, "a pullback payload", CoverError, ("kind", "cls"))
+    group = normal = h = None
+    if "group" in payload:
+        group = FiniteGroup.from_json(payload["group"])
+        if "normal" in payload:
+            gens = json_list(payload["normal"], "normal", CoverError)
+            normal = group.generated_subgroup([perm_from_json(g) for g in gens])
+        if "h" in payload:
+            h = perm_from_json(payload["h"])
     if cls not in ("psi", "kappa"):
         raise CoverError("cls must be 'psi' or 'kappa'")
-    if "h" in params and "group" in params and params["h"] not in params["group"]:
+    if h is not None and h not in group:
         raise CoverError("h is not an element of the group")
     if kind == "restriction":
         return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
     what = f"a {kind} pullback"
     if kind == "corestriction":
-        group, normal = json_fields(params, what, CoverError, ("group", "normal"))
+        json_fields(payload, what, CoverError, ("group", "normal"))
         check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
         # hN has order r in G/N: psi scales by r / ord(h) = 1 / #(<h> ∩ N)
-        (h,) = json_fields(params, what, CoverError, ("h",))
+        json_fields(payload, what, CoverError, ("h",))
         r, _ = index_drop(group, h, normal)
         return PullbackFormula(
             kind,
             (("psi", "any lift of the marked point", Fraction(r, perm_order(h))),),
         )
     if kind == "forgetful":
-        (group,) = json_fields(params, what, CoverError, ("group",))
+        json_fields(payload, what, CoverError, ("group",))
         if cls == "kappa":
-            (i,) = json_fields(params, what, CoverError, ("index",))
+            (i,) = json_fields(payload, what, CoverError, ("index",))
             if type(i) is not int or i < 1:
                 raise CoverError(
                     f"kappa index {i!r} must be an integer >= 1 (kappa_0 is a constant)"
@@ -837,7 +857,7 @@ def pullback_psi_kappa_hurwitz(kind: str, **params) -> PullbackFormula:
                     ("psi-new-point-power", f"exponent {i}", Fraction(-len(group))),
                 ),
             )
-        (h,) = json_fields(params, what, CoverError, ("h",))
+        json_fields(payload, what, CoverError, ("h",))
         reps = left_cosets(group, group.cyclic_subgroup(h)).reps
         terms: list[tuple[str, str, Fraction]] = [("psi", "same point", Fraction(1))]
         for rep in reps:

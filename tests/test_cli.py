@@ -167,6 +167,18 @@ def test_delliptic_human_table(capsys):
     assert "delta00" in out and "12" in out and "32" in out
 
 
+def test_delliptic_human_builds_no_report_it_does_not_print(capsys):
+    # --human prints only the values table; the quasimodularity report it
+    # never printed used to refuse d_max = 10 (too small for fit 20 +
+    # holdout 18) and exit 2
+    code, table = run_cli(capsys, ["delliptic", "--dmax", "10", "--human"])
+    assert code == 0
+    code, out = run_cli(capsys, ["delliptic", "--dmax", "10", "--series", "--qmod", "--human"])
+    assert code == 0
+    assert out == table
+    assert [line.split()[0] for line in out.splitlines()[2:]] == [str(d) for d in range(2, 11)]
+
+
 def test_qmod_check_roundtrip(tmp_path, capsys):
     series = pairing_series([degree_ledger(d).delta01 for d in range(2, 41)])
     path = tmp_path / "series.json"

@@ -1,6 +1,8 @@
+import io
 import itertools
 import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from gcover_oracles import action_tables_by_walk, equivariant_morphism, restrict
 from gcover_oracles import trivial_wrapping_inline
 from gg_factory import MUTATION_KINDS, mutate, random_valid_graph
 from covercalc import gcover
-from covercalc.errors import ActionError, InvariantError
+from covercalc.cli import main
+from covercalc.errors import ActionError, InputError, InvariantError
 from covercalc.gcover import (
     AdmissibleGGraph,
     CoverError,
@@ -43,6 +46,7 @@ from covercalc.groups import (
     compose,
     cyclic_group,
     perm_from_json,
+    perm_to_json,
     symmetric_group,
     trivial_group,
 )
@@ -616,26 +620,47 @@ def test_excess_route_expands_one_factor_per_edge_orbit(entry):
 def test_pullback_formula_examples():
     z4 = cyclic_group(4)
     n2 = z4.cyclic_subgroup((2, 3, 0, 1))
-    f = pullback_psi_kappa_hurwitz(
-        "corestriction", cls="psi", group=z4, normal=n2, h=z4.generators[0]
-    )
+    core = {"kind": "corestriction", "group": z4.to_json(),
+            "normal": [perm_to_json(g) for g in n2.generators]}
+    f = pullback_psi_kappa_hurwitz(dict(core, cls="psi", h=perm_to_json(z4.generators[0])))
     assert f.terms[0][2] == Fraction(1, 2)
-    f_kappa = pullback_psi_kappa_hurwitz(
-        "corestriction", cls="kappa", group=z4, normal=n2
-    )
+    f_kappa = pullback_psi_kappa_hurwitz(dict(core, cls="kappa"))
     assert f_kappa.terms[0][2] == Fraction(1, 2)
-    f2 = pullback_psi_kappa_hurwitz("forgetful", cls="kappa", group=symmetric_group(3), index=2)
+    f2 = pullback_psi_kappa_hurwitz(
+        {"kind": "forgetful", "cls": "kappa", "group": symmetric_group(3).to_json(), "index": 2}
+    )
     assert dict((t[0], t[2]) for t in f2.terms) == {
         "kappa": Fraction(1),
         "psi-new-point-power": Fraction(-6),
     }
-    f3 = pullback_psi_kappa_hurwitz("restriction", cls="psi")
+    f3 = pullback_psi_kappa_hurwitz({"kind": "restriction", "cls": "psi"})
     assert f3.terms == (("psi", "same point", Fraction(1)),)
+    z2 = cyclic_group(2)
     f4 = pullback_psi_kappa_hurwitz(
-        "forgetful", cls="psi", group=cyclic_group(2), h=cyclic_group(2).identity
+        {"kind": "forgetful", "cls": "psi", "group": z2.to_json(), "h": perm_to_json(z2.identity)}
     )
     # psi minus one section divisor per coset of the trivial stabilizer
     assert len(f4.terms) == 3
+
+
+GOLDEN_PULLBACKS = [e for e in json.loads(golden_corpus.CORPUS.read_text())
+                    if e["argv"][0] == "pullback"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_PULLBACKS, ids=[e["name"] for e in GOLDEN_PULLBACKS])
+def test_the_library_reads_the_cli_pullback_payload(entry, tmp_path):
+    # the CLI loads the payload, hands it over and prints the formula, or
+    # the error the reader raised
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(golden_corpus.entry_argv(entry, tmp_path))
+    printed = json.loads(out.getvalue())
+    if code == 0:
+        assert pullback_psi_kappa_hurwitz(entry["files"]["in"]).to_json() == printed
+        return
+    with pytest.raises(InputError) as err:
+        pullback_psi_kappa_hurwitz(entry["files"]["in"])
+    assert {"error": f"{type(err.value).__name__}: {err.value}"} == printed
 
 
 def test_admissible_graph_json_round_trip():

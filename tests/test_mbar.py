@@ -13,7 +13,7 @@ from covercalc.graphs import (
     enumerate_stable_graphs,
     trivial_graph,
 )
-from covercalc.groups import trivial_group
+from covercalc.groups import perm_to_json, trivial_group
 from covercalc.mbar import (
     Decoration,
     IntegralError,
@@ -194,20 +194,21 @@ def test_kappa_inclusion_exclusion_by_sub_multisets_matches_the_subset_form():
     assert values == [integrate_psi_kappa_by_subsets(*case) for case in cases]
 
 
-def _forgetful(cls: str, **params):
-    """The terms of the forgetful pullback rule for the trivial group."""
-    formula = pullback_psi_kappa_hurwitz("forgetful", cls=cls, group=trivial_group(), **params)
-    return list(formula.terms)
+def _forgetful(cls: str, **fields):
+    """The terms of the forgetful pullback rule for the trivial group, with
+    the payload's other JSON `fields`."""
+    payload = dict(fields, kind="forgetful", cls=cls, group=trivial_group().to_json())
+    return list(pullback_psi_kappa_hurwitz(payload).terms)
 
 
 def test_pullback_psi_forgetful_examples():
     # pi^*(psi_i) = psi_i - [D_{i,n+1}]: one section divisor for G trivial
-    assert _forgetful("psi", h=(0,)) == [
+    assert _forgetful("psi", h=perm_to_json((0,))) == [
         ("psi", "same point", 1),
         ("section-divisor", "relabeled section at coset of (1,)", -1),
     ]
     with pytest.raises(CoverError):
-        _forgetful("psi", h=(1, 0))  # not an element of the group
+        _forgetful("psi", h=perm_to_json((1, 0)))  # not an element of the group
 
 
 def test_pullback_kappa_forgetful_examples():
@@ -230,7 +231,7 @@ def _smooth_class(g: int, n: int, coeff, dec_of) -> StratumClass:
 def test_pullback_psi_forgetful_pushforward_consistency():
     # the D-free part of pi^*(psi_1) on M_{1,2} is psi_1 with coefficient 1;
     # D restricts psi_1 to zero, so int pi^*(psi_1)^2 = int_{M_{1,2}} psi_1^2
-    c = _forgetful("psi", h=(0,))[0][2]
+    c = _forgetful("psi", h=perm_to_json((0,)))[0][2]
     psi2 = _smooth_class(1, 2, c * c, lambda dec: dec.with_psi_leg(0, 2))
     assert integrate_stratum_class(psi2) == Fraction(1, 24)
 

@@ -53,7 +53,7 @@ FACTORIES = {
     "Violation": lambda: Violation("balancing", "edge (0,1) monodromies are not inverse"),
     "AdmissibleGGraph": lambda: _z2_gp(1),
     "HBoundaryTerm": lambda: boundary_intersection_H(_z2_gp(1), _z2_gp(1))[0],
-    "PullbackFormula": lambda: pullback_psi_kappa_hurwitz("restriction", cls="psi"),
+    "PullbackFormula": lambda: pullback_psi_kappa_hurwitz({"kind": "restriction", "cls": "psi"}),
 }
 # A G-action holds its tables in dicts, so it and the G-graph holding it were
 # never hashable.
