@@ -811,10 +811,15 @@ def pullback_psi_kappa_hurwitz(payload) -> PullbackFormula:
     - "forgetful": "group"; psi loses the orbit of section divisors of "h",
       kappa_i loses #G psi^i for the "index" i >= 1.
 
-    A given "group" is parsed first, then "normal" and "h" in it, whatever
-    the kind; then the class is checked, then that h lies in G.
+    The class is checked first, so a restriction payload is judged by its
+    two fields alone.  For the other kinds a given "group" is parsed next,
+    then "normal" and "h" in it, then that h lies in G.
     """
     kind, cls = json_fields(payload, "a pullback payload", CoverError, ("kind", "cls"))
+    if cls not in ("psi", "kappa"):
+        raise CoverError("cls must be 'psi' or 'kappa'")
+    if kind == "restriction":
+        return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
     group = normal = h = None
     if "group" in payload:
         group = FiniteGroup.from_json(payload["group"])
@@ -823,12 +828,8 @@ def pullback_psi_kappa_hurwitz(payload) -> PullbackFormula:
             normal = group.generated_subgroup([perm_from_json(g) for g in gens])
         if "h" in payload:
             h = perm_from_json(payload["h"])
-    if cls not in ("psi", "kappa"):
-        raise CoverError("cls must be 'psi' or 'kappa'")
     if h is not None and h not in group:
         raise CoverError("h is not an element of the group")
-    if kind == "restriction":
-        return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
     what = f"a {kind} pullback"
     if kind == "corestriction":
         json_fields(payload, what, CoverError, ("group", "normal"))

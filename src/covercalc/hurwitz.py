@@ -1,4 +1,4 @@
-"""Hurwitz counts from S_d characters and Burnside's lemma.
+"""Hurwitz counts from S_d characters, a Möbius sum and Burnside's lemma.
 
 A degree-d cover of the line with branch profiles λ_1..λ_n is a tuple
 (s_1..s_n) of permutations of cycle types λ_i, with product one, that
@@ -7,19 +7,35 @@ orbits of S_d acting on these tuples by simultaneous conjugation.  Neither
 count below lists S_d.
 
 Weighted (stack-degree) count: T/d!, with T the number of transitive
-tuples.  The Frobenius formula gives the number A of all product-one
-tuples,
+tuples.  The Frobenius formula (Serre, *Topics in Galois Theory*, §7.2)
+gives the number A of all product-one tuples,
 
     A(d; λ) = (1/d!) Σ_χ χ(1)² Π_i |C_i| χ(C_i) / χ(1),
 
-with integer characters from the Murnaghan–Nakayama rule.  A tuple whose
-orbit of the point 0 has k points is a transitive tuple of some types μ_i on
-that orbit and any product-one tuple of types λ_i − μ_i on the other d − k
-points, so
+with integer characters from the Murnaghan–Nakayama rule.  The tuples
+whose entries keep every block of a set partition of 0..d−1 with block
+sizes m = (m_1..m_r) factor over the blocks: an entry of type λ_i deals its
+cycles into types ρ_j of size m_j on the blocks, and each block is counted
+by the Frobenius formula, so there are
 
-    T(d; λ) = A(d; λ) − Σ_{k<d} C(d−1, k−1) Σ_μ T(k; μ) A(d−k; λ − μ),
+    F(m; λ) = Σ_{χ_j ⊢ m_j} Π_j χ_j(1)²/m_j! · Π_i Σ_ρ Π_j |C_ρ_j| χ_j(ρ_j) / χ_j(1),
 
-μ running over the choices of sub-partitions μ_i ⊂ λ_i of size k.
+ρ running over the deals of λ_i into sizes m; F((d); λ) = A(d; λ).  Möbius
+inversion over the lattice of set partitions, whose Möbius function from a
+partition with r blocks to the one-block partition is (−1)^(r−1) (r−1)!
+(Stanley, *Enumerative Combinatorics 1*, Ex. 3.10.4), leaves the tuples
+with one orbit:
+
+    T(d; λ) = Σ_{m ⊢ d} (−1)^(r−1) (r−1)! N(m) F(m; λ),
+    N(m) = d! / (Π_j m_j! Π_s c_s!),
+
+N(m) the number of set partitions with block sizes m, c_s of them of size s.
+Points of one cycle type raise its deal sum to their number, so the cost
+depends on the distinct types, not on the number of points.  At d = 7, in
+a fresh process on a 2-core Xeon (Python 3.11), 20 points of (2,2,1,1,1),
+(2,1,1,1,1,1) and (3,2,1,1), and 28 points of those and (3,1,1,1,1), take
+6–10 ms each; the inclusion–exclusion over the orbit of the point 0 that
+this sum replaced took 1.37 s and 3.85 s.
 
 Unweighted count, by Burnside: the number of orbits is the mean over c in
 S_d of the number of tuples c fixes.  An element c ≠ 1 that commutes with
@@ -34,19 +50,16 @@ c_k have their entries in C(c_k), and are counted inside it by one pass
 over the entries; the divisor is the order of the group that pass lists.
 The pass keys each prefix on its orbits, each point labelled by the least
 point of its orbit (`groups.orbit_partition`, the package's one orbit
-routine), and `is_transitive` reads those labels.  Both counts cost
-polynomially in the number of branch points.  The degree stays at most 7:
-C(c_k) has k^m m! elements, 3840 at d = 10.
+routine), and `is_transitive` reads those labels.  The pass costs linearly
+in the number of branch points.  The degree stays at most 7: C(c_k) has
+k^m m! elements, 3840 at d = 10.
 
 The number of branch points stays at most MAX_BRANCH_POINTS = 20, checked
-before any count: nearly all the time goes to `_transitive_tuples`' fold
-over the splits, which both counts run, and it grows fastest when several
-cycle types with many fixed points mix.  At d = 7, as CLI calls on a
-2-core Xeon (Python 3.11), the slowest single cycle type, (2,2,1,1,1),
-takes 0.3 s at 25 points, 1.1 s at 40 and 4.1 s at 60; an even mix of
-(2,2,1,1,1), (2,1,1,1,1,1) and (3,2,1,1) takes 1.3 s at 20 points, 2.6 s
-at 24 and 5.5 s at 28.  A 7-cycle and 400 transpositions took 36 s
-in-process before the bound.
+before any count.  The refusal above it is part of the CLI's output, which
+this module keeps as it is; the counts that need more points, genus-h
+targets and ELSV in higher genus (ROADMAP items 5 and 18), will set the new
+bound from the cost of the Burnside pass and of the numbers printed.  A
+7-cycle and 400 transpositions took 36 s in-process before the bound.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
 from covercalc.exact import sub_multisets
@@ -140,46 +153,46 @@ def _central_character(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _product_one_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
-    """A(d; types): the tuples of S_d of these cycle types with product one,
-    transitive or not, by the Frobenius formula."""
-    total = sum(character(shape, (1,) * d) ** 2
-                * prod(_central_character(shape, t) for t in types)
-                for shape in partitions(d))
-    if total % factorial(d):
-        raise InvariantError(f"character sum {total} for {types} is not divisible by {d}!")
-    return total // factorial(d)
+def _deals(parts: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each way to deal the descending `parts` into sub-multisets of the
+    given sizes, in order: the cycle types, block by block, that a
+    permutation of type `parts` keeping blocks of these sizes can have."""
+    if not sizes:
+        return ((),)
+    return tuple((sub, *rest) for _, sub, left in sub_multisets(parts) if sum(sub) == sizes[0]
+                 for rest in _deals(left, sizes[1:]))
 
 
-@lru_cache(maxsize=None)
-def _splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each (sub, rest) with sub a sub-multiset of the descending `parts` of
-    size k and rest the parts left over, both descending, in increasing
-    order of sub."""
-    return tuple(sorted((sub, rest) for _, sub, rest in sub_multisets(parts) if sum(sub) == k))
+def _transitive_tuples(d: int, types) -> int:
+    """T(d; types): the product-one tuples of these cycle types, each a
+    descending tuple, that are transitive on 0..d-1, by the Möbius sum over
+    the block sizes m of a set partition.
 
-
-@lru_cache(maxsize=None)
-def _transitive_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
-    """T(d; types): the product-one tuples of these cycle types that are
-    transitive on 0..d-1.  `types` is sorted, as both counts are symmetric."""
-    total = _product_one_tuples(d, types)
-    for k in range(1, d):
-        # the ways to split each type in turn, by (sorted subs, sorted
-        # rests): splits that differ only in order give equal terms
-        terms = Counter({((), ()): 1})
-        for t in types:
-            after = Counter()
-            for (subs, rests), ways in terms.items():
-                for sub, rest in _splits(t, k):
-                    after[tuple(sorted((*subs, sub))), tuple(sorted((*rests, rest)))] += ways
-            terms = after
-        for (subs, rests), ways in terms.items():
-            total -= (ways * comb(d - 1, k - 1)
-                      * _transitive_tuples(k, subs) * _product_one_tuples(d - k, rests))
-    if total < 0:
+    For each m, `fixing` sums over a shape χ_j of each block the product of
+    χ_j(1)² and, for each point, its deals' sum of Π_j |C_ρ_j| χ_j(ρ_j)/χ_j(1):
+    Π_j m_j! times the tuples that keep every block of one such partition."""
+    # each distinct type once, fewest parts (so fewest deals) first
+    repeats = sorted(Counter(types).items(), key=lambda item: len(item[0]))
+    total = Fraction(0)
+    for sizes in partitions(d):
+        if not all(_deals(t, sizes) for t, _ in repeats):
+            continue
+        fixing = 0
+        for shapes in itertools.product(*map(partitions, sizes)):
+            term = prod(character(shape, (1,) * m) ** 2 for shape, m in zip(shapes, sizes))
+            for t, n in repeats:
+                term *= sum(prod(map(_central_character, shapes, deal))
+                            for deal in _deals(t, sizes)) ** n
+                if not term:
+                    break
+            fixing += term
+        # the Möbius function (−1)^(r−1) (r−1)! times N(m) fixing / Π_j m_j!
+        r = len(sizes)
+        total += Fraction((-1) ** (r - 1) * factorial(r - 1) * factorial(d) * fixing,
+                          prod(map(factorial, (*sizes, *sizes, *Counter(sizes).values()))))
+    if total.denominator != 1 or total < 0:
         raise InvariantError(f"{total} transitive tuples of types {types} in degree {d}")
-    return total
+    return int(total)
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +245,9 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
 
     With `weighted=True` each class is weighted by 1/#centralizer (the
     stack-degree convention), which sums to T/d!, T the number of transitive
-    tuples, from S_d characters by inclusion–exclusion over the orbit of the
-    point 0.  The degree is at most 7, so that the centralizers C(c_k) the
-    Burnside terms list stay small, and the branch points at most
-    MAX_BRANCH_POINTS.
+    tuples, from S_d characters by a Möbius sum over set partitions.  The
+    degree is at most 7, so that the centralizers C(c_k) the Burnside terms
+    list stay small, and the branch points at most MAX_BRANCH_POINTS.
     """
     if d < 1 or d > 7:
         raise HurwitzError(f"degree {d} outside the enumeration range 1..7")
@@ -247,7 +259,7 @@ def hurwitz_cover_count(d: int, cycle_types, weighted: bool = False) -> Fraction
     if len(types) > MAX_BRANCH_POINTS:
         raise HurwitzError(f"{len(types)} branch points is above {MAX_BRANCH_POINTS}, "
                            "the bound on the branch points counted")
-    transitive = _transitive_tuples(d, tuple(sorted(types)))
+    transitive = _transitive_tuples(d, types)
     count = Fraction(transitive, factorial(d))
     if weighted or transitive == 0:
         return count

@@ -82,8 +82,10 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
             ("forgetful-kappa", dict(forget, cls="kappa", index=2)),
         ):
             out.append((f"pullback/{label}/{name}", ["pullback", "@in"], {"in": payload}))
-    # one payload per refusal, in the reader's order: the group, its normal
-    # subgroup and h are parsed before the class, h's membership and the kind
+    # one payload per refusal, in the reader's order: the class first, then
+    # for kinds other than restriction the group, its normal subgroup and h,
+    # then h's membership and the kind.  A restriction reads only the kind
+    # and the class, so its payload with a malformed group is answered.
     s4_json = _group_json(s4.degree, s4.generators)
     v4_json = [perm_to_json(g) for g in v4]
     cycle = perm_to_json((1, 2, 3, 0))

@@ -6,9 +6,11 @@ before the character and Burnside formulas: it fixes the first entry, runs
 over every tuple of middle entries in S_d and solves for the last.  It is
 the second algorithm the formulas are checked against.
 
-`oracle_splits` is the sub-multiset enumeration `covercalc.hurwitz._splits`
-used before it chose a number of parts of each size: every combination of
-the parts, deduplicated.
+`oracle_transitive_tuples` is the count of transitive product-one tuples
+`covercalc.hurwitz` used before the Möbius sum over set partitions:
+inclusion–exclusion over the orbit of the point 0, with the Frobenius
+formula for all product-one tuples.  It splits each cycle type by
+`oracle_splits`, every combination of the parts, deduplicated.
 
 `covercalc.delliptic.segre_excess_contribution("node-profile")` takes the
 degree of the target map of covers with profile (a, b) over two points
@@ -27,11 +29,13 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from covercalc.errors import HurwitzError, InvariantError
 from covercalc.groups import Perm, compose, cycle_type, identity_perm, invert, perm_from_cycles
-from covercalc.hurwitz import _normalize_type, class_size, is_transitive
+from covercalc.hurwitz import (
+    _central_character, _normalize_type, character, class_size, is_transitive, partitions,
+)
 from group_oracles import centralizer
 
 # The enumeration lists every tuple of middle entries, about 10 µs each.
@@ -235,3 +239,43 @@ def oracle_splits(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...]
     subs = {sub for n in range(len(parts) + 1)
             for sub in itertools.combinations(parts, n) if sum(sub) == k}
     return tuple((sub, tuple((Counter(parts) - Counter(sub)).elements())) for sub in sorted(subs))
+
+
+@lru_cache(maxsize=None)
+def _product_one_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
+    """A(d; types): the tuples of S_d of these cycle types with product one,
+    transitive or not, by the Frobenius formula
+
+        A(d; λ) = (1/d!) Σ_χ χ(1)² Π_i |C_i| χ(C_i) / χ(1)."""
+    total = sum(character(shape, (1,) * d) ** 2
+                * prod(_central_character(shape, t) for t in types)
+                for shape in partitions(d))
+    if total % factorial(d):
+        raise InvariantError(f"character sum {total} for {types} is not divisible by {d}!")
+    return total // factorial(d)
+
+
+@lru_cache(maxsize=None)
+def oracle_transitive_tuples(d: int, types: tuple[tuple[int, ...], ...]) -> int:
+    """T(d; types) for sorted descending `types`: a tuple whose orbit of the
+    point 0 has k points is a transitive tuple of some types μ_i on that
+    orbit and any product-one tuple of types λ_i − μ_i on the other d − k
+    points, so
+
+        T(d; λ) = A(d; λ) − Σ_{k<d} C(d−1, k−1) Σ_μ T(k; μ) A(d−k; λ − μ).
+
+    The splits of each type are folded by (sorted subs, sorted rests), as
+    splits that differ only in order give equal terms."""
+    total = _product_one_tuples(d, types)
+    for k in range(1, d):
+        terms = Counter({((), ()): 1})
+        for t in types:
+            after = Counter()
+            for (subs, rests), ways in terms.items():
+                for sub, rest in oracle_splits(t, k):
+                    after[tuple(sorted((*subs, sub))), tuple(sorted((*rests, rest)))] += ways
+            terms = after
+        for (subs, rests), ways in terms.items():
+            total -= (ways * comb(d - 1, k - 1)
+                      * oracle_transitive_tuples(k, subs) * _product_one_tuples(d - k, rests))
+    return total

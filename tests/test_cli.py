@@ -759,7 +759,9 @@ def test_hurwitz_count_answers_at_the_branch_point_bound(capsys):
     mix = [[2, 2, 1, 1, 1], [2, 1, 1, 1, 1, 1], [3, 2, 1, 1]]
     types = json.dumps([mix[i % 3] for i in range(MAX_BRANCH_POINTS)])
     for flags in ([], ["--weighted"]):
+        start = time.perf_counter()
         code, out = run_cli(capsys, ["hurwitz-count", "--degree", "7", "--types", types, *flags])
+        assert time.perf_counter() - start < 1.0
         assert code == 0
         check_schema("hurwitz-count", json.loads(out))
 
@@ -1103,6 +1105,17 @@ def test_a_restriction_pullback_ignores_a_normal_without_its_group(tmp_path, cap
     payload = json.loads(out)
     check_schema("pullback", payload)
     assert payload["map"] == "restriction"
+
+
+def test_a_restriction_pullback_ignores_a_malformed_normal_in_its_group(tmp_path, capsys):
+    # a restriction reads only kind and cls, with or without a group
+    files = {"in": {"kind": "restriction", "cls": "psi", "group": S3, "normal": 3}}
+    code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], files)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema("pullback", payload)
+    assert payload == {"map": "restriction", "terms": [
+        {"class": "psi", "coefficient": "1", "data": "same point"}]}
 
 
 MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]

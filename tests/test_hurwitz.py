@@ -15,7 +15,8 @@ from covercalc.cli import main
 from covercalc.groups import cycle_type, perm_from_cycles
 from covercalc.hurwitz import (
     HurwitzError,
-    _splits,
+    _deals,
+    _transitive_tuples,
     character,
     class_size,
     hurwitz_cover_count,
@@ -28,6 +29,7 @@ from hurwitz_oracles import (
     nodal_target_degree,
     oracle_hurwitz_cover_count,
     oracle_splits,
+    oracle_transitive_tuples,
 )
 
 
@@ -117,21 +119,49 @@ def test_class_sizes_count_the_permutations_of_each_cycle_type():
         assert sum(counted.values()) == factorial(d)
 
 
-def test_splits_match_the_combination_set():
-    for d in range(1, 13):
+def _deals_by_combinations(parts, sizes):
+    """The deals of `parts` into blocks of these sizes, block by block from
+    the combination set of `oracle_splits`."""
+    if not sizes:
+        return [()]
+    return [(sub, *tail) for sub, rest in oracle_splits(parts, sizes[0])
+            for tail in _deals_by_combinations(rest, sizes[1:])]
+
+
+def test_deals_match_the_combination_set():
+    for d in range(1, 8):
         for parts in partitions(d):
-            for k in range(d + 1):
-                assert _splits(parts, k) == oracle_splits(parts, k), (parts, k)
+            for sizes in partitions(d):
+                found = _deals(parts, sizes)
+                assert len(set(found)) == len(found), (parts, sizes)
+                assert sorted(found) == sorted(_deals_by_combinations(parts, sizes)), (parts, sizes)
 
 
-def test_splits_of_many_equal_parts_are_cheap():
-    # 2^23 combinations for the set the splits were once drawn from; 2 x 23
-    # choices of how many parts of each size
-    parts = (2,) + (1,) * 22
+def test_transitive_tuples_match_the_orbit_of_point_0():
+    # 1-8 points of types drawn from every partition, identity included
+    rng = random.Random(39)
+    nonzero = 0
+    for _ in range(600):
+        d = rng.randint(1, 7)
+        types = tuple(sorted(rng.choice(partitions(d)) for _ in range(rng.randint(1, 8))))
+        count = _transitive_tuples(d, types)
+        assert count == oracle_transitive_tuples(d, types), (d, types)
+        nonzero += count > 0
+    assert nonzero > 200
+
+
+def test_many_points_of_mixed_types_count_in_under_a_second():
+    # types with many fixed points, mixed: the orbit-of-point-0 fold took
+    # 0.8 s on the 20 points and 3.9 s on the 28, the sum takes milliseconds
+    mix = [(2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1), (3, 2, 1, 1), (3, 1, 1, 1, 1)]
+    at_bound = tuple(sorted(mix[i % 4] for i in range(20)))
+    assert _transitive_tuples(7, at_bound) == oracle_transitive_tuples(7, at_bound)
     start = time.perf_counter()
-    found = _splits(parts, 12)
+    # 28 points is above MAX_BRANCH_POINTS, so the count is called directly
+    count = _transitive_tuples(7, tuple(sorted(mix[i % 4] for i in range(28))))
     assert time.perf_counter() - start < 1.0
-    assert found == (((1,) * 12, (2,) + (1,) * 10), ((2,) + (1,) * 10, (1,) * 12))
+    # the orbit-of-point-0 count of the same tuples
+    assert count == 1909373594187879880293506071194783987478523642511360
 
 
 def _middle_tuples(d, types) -> int:
