@@ -21,10 +21,13 @@ stay written).  Text is produced in one of two ways:
   the row's object (`StratumContribution` says what each value is);
 - everything else goes through the recursive `_write_json`.
 
-Both write stdout in blocks as they go: the row path once the pending text
-reaches `_ROW_BLOCK` characters (about 200 KB), the rest every `_BLOCK`
-pieces.  So a multi-megabyte ledger is never held as one string, as a list
-of all its tokens or as one object per row.
+Both append pieces to one list, a piece being a token or a whole row, and
+write the list to stdout as one block once it holds `_BLOCK` pieces.  So a
+multi-megabyte ledger is never held as one string, as a list of all its
+tokens or as one object per row, and a block of the longest rows the CLI
+prints stays under 1 MB.  The writer keeps its own blocks because stdout
+need not buffer them: under `PYTHONUNBUFFERED` (or `python -u`) every
+`write` reaches the file, and a write per piece is measurably slower.
 
 Each call is a fresh process, so importing is part of every call's cost.
 This module imports no layer at load time: each command imports the layers
@@ -61,10 +64,7 @@ from _json import encode_basestring_ascii as _json_string
 from covercalc.errors import InputError, InvariantError, PipelineError, UsageError
 
 # Pieces of output text gathered before they are written to stdout as one block.
-_BLOCK = 8192
-# Characters of ledger row text gathered before they are written as one block,
-# about the size of a block of _BLOCK generic pieces.
-_ROW_BLOCK = 200_000
+_BLOCK = 1024
 
 
 class _LedgerRows:
@@ -136,10 +136,10 @@ def _write_json(value, newline: str, pieces: list[str], write) -> None:
 
 def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> None:
     """Append the JSON text of a ledger's rows, as a list indented from
-    `newline`, to `pieces`; pass each block to `write` once the pending text
-    reaches _ROW_BLOCK characters.  Each row is formatted from its integers
-    through one template: the mark put back into count and total, ratios in
-    lowest terms, stratum and subcase escaped as `_write_json` escapes a str."""
+    `newline`, to `pieces`, one piece per row; pass full blocks of pieces to
+    `write`.  Each row is formatted from its integers through one template:
+    the mark put back into count and total, ratios in lowest terms, stratum
+    and subcase escaped as `_write_json` escapes a str."""
     from covercalc.exact import ratio_to_str
 
     if not rows:
@@ -156,10 +156,9 @@ def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> No
     ).format
     between_params = "," + param
     lead = "[" + item
-    size = sum(map(len, pieces))  # text still pending from before this ledger
     for (stratum, subcase, params, mark, count_num, count_den, reduced, mult_num, mult_den,
          excess_num, excess_den, normalized_total) in rows:
-        text = template(
+        pieces.append(template(
             lead,
             ratio_to_str(mark * count_num, count_den),
             "null" if excess_num is None else f'"{ratio_to_str(excess_num, excess_den)}"',
@@ -169,14 +168,11 @@ def _write_ledger_rows(rows: list, newline: str, pieces: list[str], write) -> No
             _json_string(stratum),
             _json_string(subcase),
             mark * normalized_total,
-        )
-        pieces.append(text)
+        ))
         lead = "," + item
-        size += len(text)
-        if size >= _ROW_BLOCK:
+        if len(pieces) >= _BLOCK:
             write("".join(pieces))
             pieces.clear()
-            size = 0
     pieces.append(newline + "]")
 
 

@@ -59,18 +59,13 @@ def ratio_to_str(num: int, den: int) -> str:
 
 def sigma(n: int, k: int = 1) -> int:
     """Divisor power sum: sum of d**k over positive divisors d of n."""
-    return sum(d**k for d in _divisors(n))
-
-
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n, ascending, as a new list."""
-    return list(_divisors(n))
+    return sum(d**k for d in divisors(n))
 
 
 @lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    """The positive divisors of n, ascending: each n is factored once per
-    process, and `divisors` copies the tuple into the list it returns."""
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n, ascending; each n is factored once per
+    process, and every call returns the same tuple."""
     if n <= 0:
         raise SeriesError(f"divisors of a positive integer only, got {n}")
     small, large = [], []

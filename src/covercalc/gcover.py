@@ -812,39 +812,29 @@ def pullback_psi_kappa_hurwitz(payload) -> PullbackFormula:
       kappa_i loses #G psi^i for the "index" i >= 1.
 
     The class is checked first, so a restriction payload is judged by its
-    two fields alone.  For the other kinds a given "group" is parsed next,
-    then "normal" and "h" in it, then that h lies in G.
+    two fields alone.  Each other kind reads only its own fields, in order:
+    a corestriction "group", then "normal" and that N is normal, then "h"
+    for psi; a forgetful map "group", then "h" for psi or "index" for kappa.
+    An h is checked to lie in G once it is read, and an unknown kind is
+    refused before any of these fields is read.
     """
     kind, cls = json_fields(payload, "a pullback payload", CoverError, ("kind", "cls"))
     if cls not in ("psi", "kappa"):
         raise CoverError("cls must be 'psi' or 'kappa'")
     if kind == "restriction":
         return PullbackFormula(kind, ((cls, "same point" if cls == "psi" else "same index", Fraction(1)),))
-    group = normal = h = None
-    if "group" in payload:
-        group = FiniteGroup.from_json(payload["group"])
-        if "normal" in payload:
-            gens = json_list(payload["normal"], "normal", CoverError)
-            normal = group.generated_subgroup([perm_from_json(g) for g in gens])
-        if "h" in payload:
-            h = perm_from_json(payload["h"])
-    if h is not None and h not in group:
-        raise CoverError("h is not an element of the group")
     what = f"a {kind} pullback"
     if kind == "corestriction":
-        json_fields(payload, what, CoverError, ("group", "normal"))
+        group, gens = json_fields(payload, what, CoverError, ("group", "normal"))
+        group = FiniteGroup.from_json(group)
+        gens = json_list(gens, "normal", CoverError)
+        normal = group.generated_subgroup([perm_from_json(g) for g in gens])
         check_normal(group, normal)
         if cls == "kappa":
             return PullbackFormula(kind, (("kappa", "same index", Fraction(1, len(normal))),))
-        # hN has order r in G/N: psi scales by r / ord(h) = 1 / #(<h> ∩ N)
-        json_fields(payload, what, CoverError, ("h",))
-        r, _ = index_drop(group, h, normal)
-        return PullbackFormula(
-            kind,
-            (("psi", "any lift of the marked point", Fraction(r, perm_order(h))),),
-        )
-    if kind == "forgetful":
-        json_fields(payload, what, CoverError, ("group",))
+    elif kind == "forgetful":
+        (group,) = json_fields(payload, what, CoverError, ("group",))
+        group = FiniteGroup.from_json(group)
         if cls == "kappa":
             (i,) = json_fields(payload, what, CoverError, ("index",))
             if type(i) is not int or i < 1:
@@ -858,19 +848,24 @@ def pullback_psi_kappa_hurwitz(payload) -> PullbackFormula:
                     ("psi-new-point-power", f"exponent {i}", Fraction(-len(group))),
                 ),
             )
-        json_fields(payload, what, CoverError, ("h",))
-        reps = left_cosets(group, group.cyclic_subgroup(h)).reps
-        terms: list[tuple[str, str, Fraction]] = [("psi", "same point", Fraction(1))]
-        for rep in reps:
-            terms.append(
-                (
-                    "section-divisor",
-                    f"relabeled section at coset of {tuple(perm_to_json(rep))}",
-                    Fraction(-1),
-                )
-            )
-        return PullbackFormula(kind, tuple(terms))
-    raise CoverError(f"unknown map kind {kind!r}")
+    else:
+        raise CoverError(f"unknown map kind {kind!r}")
+    (h,) = json_fields(payload, what, CoverError, ("h",))
+    h = perm_from_json(h)
+    if h not in group:
+        raise CoverError("h is not an element of the group")
+    if kind == "corestriction":
+        # hN has order r in G/N: psi scales by r / ord(h) = 1 / #(<h> ∩ N)
+        r, _ = index_drop(group, h, normal)
+        return PullbackFormula(
+            kind,
+            (("psi", "any lift of the marked point", Fraction(r, perm_order(h))),),
+        )
+    reps = left_cosets(group, group.cyclic_subgroup(h)).reps
+    return PullbackFormula(kind, (("psi", "same point", Fraction(1)), *(
+        ("section-divisor", f"relabeled section at coset of {tuple(perm_to_json(rep))}",
+         Fraction(-1))
+        for rep in reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Every bijection comes from one isomorphism enumerator,
 `StableGraph.isomorphisms`.  An automorphism is a self-isomorphism, and a
 morphism is a contraction followed by an isomorphism: contract the source
 edges outside a choice of |E(target)| edges, then map the contracted graph
-isomorphically onto the target.  The parts a contraction merges, and
-whether a graph is connected, come from the package's one orbit routine,
-`groups.orbit_partition`.
+isomorphically onto the target.  The parts a contraction merges, with
+their genera, and whether a graph is connected, come from one routine,
+`_parts`, over the package's one orbit routine, `groups.orbit_partition`.
 
 Graphs are built by one-edge degenerations (a genus-reducing loop or a
 vertex split) and told apart by a canonical key: the least edge list over
@@ -146,8 +146,7 @@ class StableGraph(_StableGraphFields):
         for v in range(nv):
             if 2 * self.genera[v] - 2 + self.valence(v) <= 0:
                 raise GraphError(f"vertex {v} violates stability")
-        hv = self.half_edge_vertex
-        if any(orbit_partition(nv, ((hv[h], hv[hp]) for h, hp in self.edges()))):
+        if len(_parts(self, self.edges())[1]) > 1:
             raise GraphError("graph is not connected")
 
     def genus(self) -> int:
@@ -382,18 +381,12 @@ class GraphMorphism(NamedTuple):
             if self.vertex_map[src.leg_vertex[i]] != tgt.leg_vertex[i]:
                 raise GraphError(f"leg {i} is not preserved")
         image = set(self.half_edge_map)
-        contracted = [(src.half_edge_vertex[h], src.half_edge_vertex[hp])
-                      for h, hp in src.edges() if h not in image]
-        if any(self.vertex_map[u] != self.vertex_map[up] for u, up in contracted):
+        contracted = [(h, hp) for h, hp in src.edges() if h not in image]
+        attached = src.half_edge_vertex
+        if any(self.vertex_map[attached[h]] != self.vertex_map[attached[hp]]
+               for h, hp in contracted):
             raise GraphError("contracted edge joins different fibers")
-        # the parts the contracted edges join; as in `contract_edges`, a part
-        # with V vertices and E edges has genus sum(g) + E - V + 1
-        roots = orbit_partition(src.n_vertices, contracted)
-        part_genus = dict.fromkeys(roots, 1)
-        for v, g in enumerate(src.genera):
-            part_genus[roots[v]] += g - 1
-        for u, _ in contracted:
-            part_genus[roots[u]] += 1
+        roots, part_genus = _parts(src, contracted)
         parts: list[set[int]] = [set() for _ in range(tgt.n_vertices)]
         for v, w in enumerate(self.vertex_map):
             parts[w].add(roots[v])
@@ -447,26 +440,35 @@ def contract_edges(
     """
     attached = graph.half_edge_vertex
     edges = {graph.edge_of(h) for h, _ in edge_set}
-    # the parts the contracted edges join, numbered by their least vertices;
-    # a part with V vertices and E edges gets genus sum(g) + E - V + 1
-    roots = orbit_partition(graph.n_vertices, ((attached[h], attached[hp]) for h, hp in edges))
-    new_index = {r: i for i, r in enumerate(sorted(set(roots)))}
+    roots, genus = _parts(graph, edges)
+    new_index = {r: i for i, r in enumerate(genus)}
     vertex_map = tuple(new_index[r] for r in roots)
-    genera = [1] * len(new_index)
-    for v, g in enumerate(graph.genera):
-        genera[vertex_map[v]] += g - 1
-    for h, _ in edges:
-        genera[vertex_map[attached[h]]] += 1
     cut = {h for edge in edges for h in edge}
     kept = tuple(h for h in range(graph.n_half_edges) if h not in cut)
     new_h_index = {h: i for i, h in enumerate(kept)}
     contracted = StableGraph(
-        tuple(genera),
+        tuple(genus.values()),
         tuple(vertex_map[attached[h]] for h in kept),
         tuple(new_h_index[graph.involution[h]] for h in kept),
         tuple(vertex_map[v] for v in graph.leg_vertex),
     )
     return contracted, GraphMorphism(graph, contracted, vertex_map, kept)
+
+
+def _parts(graph: StableGraph, edges) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The parts that contracting `edges`, pairs of half-edges of `graph`,
+    joins: each vertex's part, named by its least vertex, and each part's
+    genus by name, in increasing order of name.  A part with V vertices and
+    E edges has genus sum(g) + E - V + 1."""
+    attached = graph.half_edge_vertex
+    roots = orbit_partition(graph.n_vertices, ((attached[h], attached[hp]) for h, hp in edges))
+    # a part's least vertex is its first, so the names come in increasing order
+    genus = dict.fromkeys(roots, 1)
+    for v, g in enumerate(graph.genera):
+        genus[roots[v]] += g - 1
+    for h, _ in edges:
+        genus[roots[attached[h]]] += 1
+    return roots, genus
 
 
 def enumerate_morphisms(source: StableGraph, target: StableGraph) -> list[GraphMorphism]:
@@ -769,11 +771,8 @@ def _glue(a: StableGraph, chosen) -> StableGraph:
     for v, piece in enumerate(chosen):
         first = len(genera)
         genera.extend(piece.genera)
-        at_legs = a.legs_at(v)
-        for i, leg in enumerate(at_legs):
-            legs[leg] = first + piece.leg_vertex[i]
-        for i, h in enumerate(a.half_edges_at(v), len(at_legs)):
-            hv[h] = first + piece.leg_vertex[i]
+        for (kind, x), at in zip(a.vertex_points(v), piece.leg_vertex):
+            (legs if kind == "leg" else hv)[x] = first + at
         base = len(hv)
         hv.extend(first + x for x in piece.half_edge_vertex)
         inv.extend(base + x for x in piece.involution)

@@ -83,9 +83,8 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
         ):
             out.append((f"pullback/{label}/{name}", ["pullback", "@in"], {"in": payload}))
     # one payload per refusal, in the reader's order: the class first, then
-    # for kinds other than restriction the group, its normal subgroup and h,
-    # then h's membership and the kind.  A restriction reads only the kind
-    # and the class, so its payload with a malformed group is answered.
+    # each kind's own fields, a corestriction's group, its normal subgroup
+    # and h, a forgetful map's group and h or index.
     s4_json = _group_json(s4.degree, s4.generators)
     v4_json = [perm_to_json(g) for g in v4]
     cycle = perm_to_json((1, 2, 3, 0))
@@ -103,12 +102,14 @@ def _pullback_entries() -> list[tuple[str, list[str], dict]]:
                          "group": _group_json(4, v4), "h": cycle}),
         ("non-normal N", {"kind": "corestriction", "cls": "kappa", "group": s4_json,
                           "normal": [perm_to_json((1, 0, 2, 3))]}),
-        ("restriction malformed group", {"kind": "restriction", "cls": "psi",
-                                         "group": {"degree": 4}}),
         ("normal not a list", {"kind": "corestriction", "cls": "kappa", "group": s4_json,
                                "normal": 5}),
     ):
         out.append((f"pullback/refused/{name}", ["pullback", "@in"], {"in": payload}))
+    # a restriction reads only the kind and the class, so this is answered
+    payload = {"kind": "restriction", "cls": "psi", "group": {"degree": 4}}
+    out.append(("pullback/restriction/malformed group ignored", ["pullback", "@in"],
+                {"in": payload}))
     return out
 
 

@@ -1118,6 +1118,23 @@ def test_a_restriction_pullback_ignores_a_malformed_normal_in_its_group(tmp_path
         {"class": "psi", "coefficient": "1", "data": "same point"}]}
 
 
+@pytest.mark.parametrize("payload, unread", [
+    ({"kind": "forgetful", "cls": "psi", "group": S3, "h": [2, 1, 3], "normal": 5}, "normal"),
+    ({"kind": "corestriction", "cls": "kappa", "group": S3, "normal": [[2, 3, 1]], "h": "x"},
+     "h"),
+], ids=["forgetful normal", "corestriction kappa h"])
+def test_a_pullback_ignores_a_field_its_kind_never_reads(tmp_path, capsys, payload, unread):
+    # each used to exit 2 over the malformed field
+    read = {field: value for field, value in payload.items() if field != unread}
+    answers = []
+    for document in (payload, read):
+        code, out = _run_with_inputs(tmp_path, capsys, ["pullback", "@in"], {"in": document})
+        assert code == 0, out
+        check_schema("pullback", json.loads(out))
+        answers.append(out)
+    assert answers[0] == answers[1]
+
+
 MALFORMED_TYPES = ["[[2.5],[2]]", "[[true,true],[2],[2]]", '[["2"],[2]]', "5", "[2,2]"]
 
 

@@ -78,7 +78,7 @@ def test_sigma1_multiplicative_on_coprime():
 
 
 def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
 
 
 def test_sigma_against_trial_division_to_n():

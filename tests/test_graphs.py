@@ -40,8 +40,9 @@ def test_genus_examples():
 def test_validation_rejects_bad_graphs():
     with pytest.raises(GraphError):
         StableGraph((0,), (), (), ()).validate()  # unstable vertex
-    with pytest.raises(GraphError):
-        StableGraph((1, 1), (), (), ()).validate()  # disconnected
+    # two stable genus-2 vertices: a genus-1 vertex alone would be unstable
+    with pytest.raises(GraphError, match="graph is not connected"):
+        StableGraph((2, 2), (), (), ()).validate()
     with pytest.raises(GraphError):
         StableGraph((1,), (0, 0), (0, 1), ()).validate()  # involution fixes
 
